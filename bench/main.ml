@@ -1,722 +1,161 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation (Section 8) on the synthetic SPEC2000 workloads,
-   and measures real wall-clock instrumentation overhead with Bechamel.
+   and records one JSON row per benchmark holding one object per
+   section (Ppp_harness.Report.sections).
 
-   Usage:
-     main.exe                      all tables and figures, then timing
-     main.exe table1|table2|fig9|fig10|fig11|fig12|fig13|sec8.1
-     main.exe timing               Bechamel wall-clock overheads
-     main.exe --scale N ...        larger inputs (default 1)
-     main.exe --bench a,b,c ...    restrict to some benchmarks
-     main.exe --json FILE ...      machine-readable results (default
-                                   BENCH_results.json; --no-json to skip)
-     main.exe -j N | --shards N    evaluate benchmarks across N worker
-                                   processes (machine-readable only: no
-                                   tables, no wall-clock timing; the JSON
-                                   is byte-identical at every -j)
-     main.exe --seed N             PRNG seed recorded in the JSON and fed
-                                   to shard workers (default 0)
-     main.exe --smoke              machine-readable only, without forking
-     main.exe --throughput         measure raw engine throughput (Minstr/s,
-                                   VM and reference) per benchmark and
-                                   record it in the JSON; ignored under -j
-     main.exe --min-vm-ratio R     exit 1 if any benchmark's VM/reference
-                                   throughput ratio is below R (requires
-                                   --throughput)
-     main.exe --min-layout-wins N  exit 1 unless at least N benchmarks'
-                                   closed superblock+layout loop strictly
-                                   drops taken transfers, and PPP's
-                                   aggregate layout improvement is at
-                                   least edge profiling's (reads the
-                                   assembled JSON, so it works under -j)
-     main.exe --sampling-sweep     evaluate PPP under bursty sampled
-                                   collection at rates 1, 1/4, 1/16,
-                                   1/64, 1/256 and record the
-                                   accuracy-vs-overhead curve per
-                                   benchmark in the JSON (deterministic,
-                                   so it works under -j; the "sampling"
-                                   action prints the table)
-     main.exe --sweep-floor OV,OH  exit 1 unless some sampled rate
-                                   (denom > 1) averages, across the
-                                   swept benchmarks, overlap vs the
-                                   unsampled estimate >= OV%% at
-                                   overhead <= OH%% (reads the assembled
-                                   JSON; fails if --sampling-sweep did
-                                   not run)
-     main.exe --tiered             run each benchmark once with the tier
-                                   controller armed and record swap
-                                   counts, instrumentation-cost savings
-                                   and layout-proxy scores in the JSON
-                                   (deterministic, so it works under
-                                   -j); outside -j/--smoke it also
-                                   measures the tiered single run vs the
-                                   two-pass flow with the wall clock
-                                   (the "tiered" action prints the
-                                   table)
-     main.exe --min-tiered-wins N  exit 1 unless the tiered run beats
-                                   the two-pass flow on at least N
-                                   benchmarks — by wall clock when the
-                                   document carries tiered timing, by
-                                   retired instrumentation cost
-                                   otherwise (reads the assembled JSON;
-                                   fails if --tiered did not run)
-     main.exe --drift-sweep        run the re-optimization loop twice
-                                   per benchmark — pristine profile
-                                   hand-offs vs a sampled store merged
-                                   with exponential decay — and record
-                                   per-generation decision stability in
-                                   the JSON (deterministic, so it works
-                                   under -j; the "drift" action prints
-                                   the table)
-     main.exe --drift-floor S      exit 1 unless the drift loop's
-                                   minimum decision stability, averaged
-                                   across the swept benchmarks, is at
-                                   least S%% (reads the assembled JSON;
-                                   fails if --drift-sweep did not run)
-     main.exe --baseline F --gate P
-                                   compare against a previous BENCH_*.json
-                                   and exit 1 if any cost-model overhead
-                                   (or wall-clock ratio, when both sides
-                                   have timing; or throughput ratio floor,
-                                   when both sides have throughput)
-                                   regressed by more than P%
-     main.exe --no-cache           disable the per-benchmark analysis
-                                   session (every analysis recomputed);
-                                   results are byte-identical, only the
-                                   preparation work and wall time differ
-     main.exe --prepare-ms         print preparation wall-time per
-                                   benchmark and record it per phase in
-                                   the JSON (nondeterministic, so never
-                                   recorded under -j) *)
+   Usage: main.exe [FLAG ...] [ACTION | SECTION ...]
 
-module H = Ppp_harness.Pipeline
+   With neither, prints every table and figure and runs the timing
+   section.
+
+   Actions print the paper's tables: table1, table2, fig9 | fig10 |
+   fig11, fig12, fig13, sec8.1, tables (all of them).
+
+   Sections: methods and layout are always recorded; naming one of the
+   others adds it to the JSON, and outside -j/--smoke prints its table.
+     methods     overhead / accuracy / coverage of each profiler
+     layout      taken-transfer / locality proxy of each method's layout
+                 and of the closed superblock+layout loop
+     sampling    PPP under bursty sampled collection at rates 1, 1/4,
+                 1/16, 1/64 and 1/256
+     tiered      one run with the tier controller armed: swaps, retired
+                 instrumentation cost, installed-layout proxy scores
+     drift       re-optimization loop decision stability, pristine
+                 profiles vs a sampled store merged with decay
+     throughput  VM and reference-engine Minstr/s        (wall clock)
+     prepare     preparation time per phase             (wall clock)
+     timing      Bechamel ns per run, plain and per profiler
+                                                         (wall clock)
+
+   Flags:
+     --scale N          larger inputs (default 1)
+     --bench a,b,c      restrict to some benchmarks
+     --json FILE        machine-readable results (default
+                        BENCH_results.json)
+     --no-json          write no JSON
+     -j N | --shards N  evaluate benchmarks across N worker processes
+                        (machine-readable only; the JSON is
+                        byte-identical at every -j, so naming a
+                        wall-clock section is an error)
+     --seed N           PRNG seed recorded in the JSON and fed to shard
+                        workers (default 0)
+     --smoke            machine-readable only, without forking
+     --no-cache         disable the per-benchmark analysis session
+                        (results are byte-identical; only the work and
+                        wall time differ)
+     --baseline F       gate against a previous BENCH_*.json: exit 1 if
+                        any section's bound regressed by more than the
+                        --gate percentage (default 10), or any recorded
+                        section's absolute floor fails
+     --gate P
+     --strict           a metric the baseline has but this run lacks
+                        fails instead of warning
+
+   The absolute floors:
+     layout      PPP's estimated layout strictly drops taken transfers
+                 on at least 14 benchmarks, and PPP's aggregate layout
+                 improvement is at least edge profiling's
+     sampling    some sampled rate (1/4 to 1/256) averages at least 90%
+                 overlap with the unsampled estimate at no more than
+                 1.5% overhead
+     tiered      the tiered run retires instrumentation cost on at least
+                 9 benchmarks
+     drift       the drift loop's generation-2 decision stability
+                 averages at least 40%
+     throughput  every benchmark's VM runs at least 1.5x as fast as the
+                 reference engine
+
+   Unknown benchmarks, actions and sections exit 2. *)
+
 module R = Ppp_harness.Report
-module Config = Ppp_core.Config
-module Interp = Ppp_interp.Interp
-module Instrument = Ppp_core.Instrument
+module J = Ppp_obs.Jsonx
+module Shard = Ppp_harness.Shard
+module Gate = Ppp_harness.Gate
+module Spec = Ppp_workloads.Spec
 
 let fmt = Format.std_formatter
 
-(* {2 Wall-clock timing with Bechamel} *)
+let usage_error f =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "bench: %s@." msg;
+      exit 2)
+    f
 
-let time_quota = 0.5 (* seconds per test *)
-
-let run_silently ?instrumentation p =
-  (* For timing we disable profiling bookkeeping that the paper's
-     methodology does not charge (edge collection, ground-truth traces). *)
-  let config =
-    {
-      Interp.default_config with
-      collect_edges = false;
-      trace_paths = false;
-      instrumentation;
-    }
-  in
-  ignore (Interp.run ~config p)
-
-let bechamel_tests (benches : R.prepared_bench list) =
-  let open Bechamel in
-  List.concat_map
-    (fun (pb : R.prepared_bench) ->
-      let name = pb.R.spec.Ppp_workloads.Spec.bench_name in
-      let p = pb.R.prep.H.optimized in
-      let ep = Option.get pb.R.prep.H.base_outcome.Interp.edge_profile in
-      let instr config = (Instrument.instrument p ep config).Instrument.rt in
-      let pp_rt = instr Config.pp in
-      let tpp_rt = instr Config.tpp in
-      let ppp_rt = instr Config.ppp in
-      [
-        Test.make ~name:(name ^ "/base") (Staged.stage (fun () -> run_silently p));
-        Test.make ~name:(name ^ "/pp")
-          (Staged.stage (fun () -> run_silently ~instrumentation:pp_rt p));
-        Test.make ~name:(name ^ "/tpp")
-          (Staged.stage (fun () -> run_silently ~instrumentation:tpp_rt p));
-        Test.make ~name:(name ^ "/ppp")
-          (Staged.stage (fun () -> run_silently ~instrumentation:ppp_rt p));
-      ])
-    benches
-
-let run_bechamel tests =
-  let open Bechamel in
-  let open Toolkit in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second time_quota) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let estimates = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Hashtbl.replace estimates name est
-      | _ -> ())
-    results;
-  estimates
-
-(* Runs the Bechamel suite, prints the overhead table, and returns the
-   raw per-test nanosecond estimates for the JSON output. *)
-let timing benches =
-  Format.fprintf fmt
-    "@[<v>Wall-clock interpreter timing (Bechamel, monotonic clock)@,";
-  Format.fprintf fmt
-    "Overhead = instrumented time / base time - 1; compare with Figure 12's cost-model overheads.@,@,";
-  let estimates =
-    run_bechamel
-      (Bechamel.Test.make_grouped ~name:"overhead" ~fmt:"%s/%s"
-         (bechamel_tests benches))
-  in
-  let get name = Hashtbl.find_opt estimates ("overhead/" ^ name) in
-  Format.fprintf fmt "%-9s | %12s | %7s %7s %7s@," "bench" "base ns" "PP" "TPP"
-    "PPP";
-  List.iter
-    (fun (pb : R.prepared_bench) ->
-      let name = pb.R.spec.Ppp_workloads.Spec.bench_name in
-      match
-        ( get (name ^ "/base"),
-          get (name ^ "/pp"),
-          get (name ^ "/tpp"),
-          get (name ^ "/ppp") )
-      with
-      | Some base, Some pp, Some tpp, Some ppp when base > 0.0 ->
-          let ov x = 100.0 *. ((x /. base) -. 1.0) in
-          Format.fprintf fmt "%-9s | %12.0f | %6.1f%% %6.1f%% %6.1f%%@," name base
-            (ov pp) (ov tpp) (ov ppp)
-      | _ -> Format.fprintf fmt "%-9s | (no estimate)@," name)
-    benches;
-  Format.fprintf fmt "@]@.";
-  get
-
-(* {2 Engine throughput: Minstr/s per engine}
-
-   Raw interpreted instructions per second, per engine, on the optimized
-   program with profiling bookkeeping off — the number the pre-lowered
-   VM exists to improve. Each engine gets a warm-up run (which also
-   yields the exact dyn_instrs of the workload), then repeated timed
-   runs until [min_time] seconds total; the best run is reported so a
-   single scheduler hiccup cannot poison the figure. *)
-
-let throughput_one ~min_time (pb : R.prepared_bench) =
-  let p = pb.R.prep.H.optimized in
-  let config =
-    { Interp.default_config with collect_edges = false; trace_paths = false }
-  in
-  let measure engine =
-    let warm = Interp.run ~engine ~config p in
-    let instrs = float_of_int warm.Interp.dyn_instrs in
-    let best = ref 0.0 in
-    let spent = ref 0.0 in
-    while !spent < min_time do
-      let t0 = Unix.gettimeofday () in
-      ignore (Interp.run ~engine ~config p);
-      let dt = Unix.gettimeofday () -. t0 in
-      spent := !spent +. dt;
-      if dt > 0.0 then best := Float.max !best (instrs /. dt)
-    done;
-    !best /. 1e6
-  in
-  let vm = measure Interp.Vm in
-  let reference = measure Interp.Reference in
-  (vm, reference, if reference > 0.0 then vm /. reference else 0.0)
-
-let throughput ~min_time benches =
-  Format.eprintf "engine throughput (best of >= %.2fs per engine):@." min_time;
-  List.map
-    (fun (pb : R.prepared_bench) ->
-      let name = pb.R.spec.Ppp_workloads.Spec.bench_name in
-      let vm, reference, ratio = throughput_one ~min_time pb in
-      Format.eprintf
-        "  %-9s | vm %8.2f Minstr/s | reference %8.2f Minstr/s | x%.2f@." name
-        vm reference ratio;
-      (name, (vm, reference, ratio)))
-    benches
-
-(* {2 Tiered single run vs the two-pass flow (wall clock)}
-
-   The end-to-end claim of tiered execution: one run that starts
-   instrumented and swaps hot routines mid-run should beat the two-pass
-   flow (a full instrumented run, then a separate optimized run) on the
-   wall clock, because the second pass's work happens inside the first.
-   Best-of repeated runs until [min_time] per side, like [throughput]. *)
-
-let tiered_timing_one ~min_time (pb : R.prepared_bench) =
-  let prep = pb.R.prep in
-  let p = prep.H.optimized in
-  let inst = (R.tiered_of pb).R.tt_instrumented in
-  let quiet cfg =
-    { cfg with Interp.collect_edges = false; trace_paths = false }
-  in
-  let cfg_instr =
-    quiet
-      {
-        Interp.default_config with
-        instrumentation = Some inst.Instrument.rt;
-      }
-  in
-  let cfg_plain = quiet Interp.default_config in
-  let cfg_tiered =
-    quiet
-      {
-        Interp.default_config with
-        instrumentation = Some inst.Instrument.rt;
-        tier =
-          Some
-            (Ppp_interp.Tier.spec ~threshold:R.tier_threshold
-               ~plan:(H.tier_planner prep inst) ());
-      }
-  in
-  let measure f =
-    ignore (f ());
-    (* warm-up *)
-    let best = ref infinity in
-    let spent = ref 0.0 in
-    while !spent < min_time do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      spent := !spent +. dt;
-      if dt > 0.0 then best := Float.min !best dt
-    done;
-    !best
-  in
-  let tiered = measure (fun () -> Interp.run ~config:cfg_tiered p) in
-  let two_pass =
-    measure (fun () ->
-        ignore (Interp.run ~config:cfg_instr p);
-        Interp.run ~config:cfg_plain p)
-  in
-  (tiered *. 1e9, two_pass *. 1e9,
-   if two_pass > 0.0 then tiered /. two_pass else 0.0)
-
-let tiered_timing ~min_time benches =
-  Format.eprintf
-    "tiered vs two-pass wall clock (best of >= %.2fs per side):@." min_time;
-  List.map
-    (fun (pb : R.prepared_bench) ->
-      let name = pb.R.spec.Ppp_workloads.Spec.bench_name in
-      let tiered, two_pass, ratio = tiered_timing_one ~min_time pb in
-      Format.eprintf
-        "  %-9s | tiered %10.0f ns | two-pass %10.0f ns | x%.2f%s@." name
-        tiered two_pass ratio
-        (if tiered < two_pass then "  (win)" else "");
-      (name, (tiered, two_pass, ratio)))
-    benches
-
-(* {2 Machine-readable results: BENCH_*.json} *)
-
-module J = Ppp_obs.Jsonx
-
-let tiered_timing_json results name =
-  match List.assoc_opt name results with
-  | None -> None
-  | Some (tiered, two_pass, ratio) ->
-      Some
-        (J.Obj
-           [
-             ("tiered_ns", J.Float tiered);
-             ("two_pass_ns", J.Float two_pass);
-             ("ratio", J.Float ratio);
-           ])
-
-let throughput_json results name =
-  match List.assoc_opt name results with
-  | None -> None
-  | Some (vm, reference, ratio) ->
-      Some
-        (J.Obj
-           [
-             ("vm_minstr_s", J.Float vm);
-             ("reference_minstr_s", J.Float reference);
-             ("ratio", J.Float ratio);
-           ])
-
-(* Exit 1 when the VM fails to clear the requested speedup floor — the
-   absolute companion to the Gate's relative throughput check. *)
-let check_min_ratio ~floor results =
-  let bad = List.filter (fun (_, (_, _, ratio)) -> ratio < floor) results in
-  if bad <> [] then begin
-    List.iter
-      (fun (name, (_, _, ratio)) ->
-        Format.eprintf
-          "throughput: %s VM/reference ratio %.2f is below the floor %.2f@."
-          name ratio floor)
-      bad;
-    exit 1
-  end
-
-(* Exit 1 unless path-guided layout pays off broadly enough: the layout
-   PPP's estimated profile dictates must strictly drop taken transfers
-   on at least [min_wins] benchmarks, and PPP's aggregate layout
-   improvement must be at least edge profiling's. Reads the assembled
-   document, so the check is byte-identical under -j. *)
-let member_path j path =
-  List.fold_left (fun j k -> Option.bind j (fun j -> J.member j k)) (Some j)
-    path
-
-let num j path =
-  match member_path j path with
-  | Some (J.Float f) -> Some f
-  | Some (J.Int i) -> Some (float_of_int i)
-  | _ -> None
-
-let check_layout_wins ~min_wins doc =
-  let benches =
-    J.to_list (Option.value ~default:(J.Arr []) (J.member doc "benchmarks"))
-  in
-  let wins =
-    List.length
-      (List.filter
-         (fun b ->
-           match
-             (num b [ "layout"; "methods"; "ppp"; "taken" ],
-              num b [ "layout"; "base"; "taken" ])
-           with
-           | Some ppp, Some base -> ppp < base
-           | _ -> false)
-         benches)
-  in
-  let loop_wins =
-    List.length
-      (List.filter
-         (fun b ->
-           member_path b [ "layout"; "closed_loop"; "taken_drop" ]
-           = Some (J.Bool true))
-         benches)
-  in
-  let agg m =
-    List.fold_left
-      (fun acc b ->
-        match num b [ "layout"; "methods"; m; "improvement" ] with
-        | Some f -> acc +. f
-        | None -> acc)
-      0.0 benches
-  in
-  let ppp = agg "ppp" in
-  let edge = agg "edge" in
-  Format.eprintf
-    "layout: PPP's layout drops taken transfers on %d/%d benchmarks (closed \
-     loop: %d); aggregate improvement edge %.3f ppp %.3f@."
-    wins (List.length benches) loop_wins edge ppp;
-  let failed = ref false in
-  if wins < min_wins then begin
-    Format.eprintf
-      "layout: only %d benchmark(s) drop taken transfers under PPP's layout, \
-       below the floor %d@."
-      wins min_wins;
-    failed := true
-  end;
-  if ppp < edge then begin
-    Format.eprintf
-      "layout: PPP's aggregate improvement %.3f is below edge profiling's \
-       %.3f@."
-      ppp edge;
-    failed := true
-  end;
-  if !failed then exit 1
-
-(* Exit 1 unless the sampled collector's accuracy-vs-overhead curve has a
-   usable operating point: some sampled rate (denom > 1) whose average
-   overlap vs the unsampled estimate — across every benchmark that
-   carries a sweep — clears [min_overlap] percent while its average
-   overhead stays at or below [max_overhead_pct] percent. Reads the
-   assembled document, so the check is byte-identical under -j. *)
-let check_sampling_floor ~min_overlap ~max_overhead_pct doc =
-  let benches =
-    J.to_list (Option.value ~default:(J.Arr []) (J.member doc "benchmarks"))
-  in
-  (* denom -> (sum overlap, sum overhead, count) over swept benchmarks *)
-  let by_denom : (int, float * float * int) Hashtbl.t = Hashtbl.create 7 in
-  List.iter
-    (fun b ->
-      match member_path b [ "sampling"; "rates" ] with
-      | Some (J.Arr rates) ->
-          List.iter
-            (fun r ->
-              match
-                ( num r [ "denom" ],
-                  num r [ "overlap_vs_full" ],
-                  num r [ "overhead" ] )
-              with
-              | Some d, Some ov, Some oh when d > 1.5 ->
-                  let d = int_of_float d in
-                  let sov, soh, n =
-                    Option.value ~default:(0.0, 0.0, 0)
-                      (Hashtbl.find_opt by_denom d)
-                  in
-                  Hashtbl.replace by_denom d (sov +. ov, soh +. oh, n + 1)
-              | _ -> ())
-            rates
-      | _ -> ())
-    benches;
-  let averages =
-    Hashtbl.fold
-      (fun d (sov, soh, n) acc ->
-        let n' = float_of_int n in
-        (d, sov /. n', 100. *. soh /. n') :: acc)
-      by_denom []
-    |> List.sort compare
-  in
-  if averages = [] then begin
-    Format.eprintf
-      "sampling: --sweep-floor given but no benchmark carries a sampling \
-       sweep (run with --sampling-sweep)@.";
-    exit 1
-  end;
-  let qualifying =
-    List.filter
-      (fun (_, ov, oh) -> ov >= min_overlap && oh <= max_overhead_pct)
-      averages
-  in
-  List.iter
-    (fun (d, ov, oh) ->
-      Format.eprintf
-        "sampling: rate 1/%-3d avg overlap %5.1f%%  avg overhead %5.2f%%%s@." d
-        ov oh
-        (if ov >= min_overlap && oh <= max_overhead_pct then "  (qualifies)"
-         else ""))
-    averages;
-  match qualifying with
-  | (d, ov, oh) :: _ ->
-      Format.eprintf
-        "sampling: floor met at 1/%d (overlap %.1f%% >= %g%%, overhead %.2f%% \
-         <= %g%%)@."
-        d ov min_overlap oh max_overhead_pct
-  | [] ->
-      Format.eprintf
-        "sampling: no sampled rate averages overlap >= %g%% at overhead <= \
-         %g%%@."
-        min_overlap max_overhead_pct;
-      exit 1
-
-(* Exit 1 unless tiering actually pays: the tiered single run must beat
-   the two-pass flow on at least [min_wins] benchmarks — by wall clock
-   when the document carries the tiered timing comparison, by retired
-   instrumentation cost otherwise (the deterministic proxy, which is
-   what a sharded run has). Reads the assembled document. *)
-let check_tiered_wins ~min_wins doc =
-  let benches =
-    J.to_list (Option.value ~default:(J.Arr []) (J.member doc "benchmarks"))
-  in
-  let results =
-    List.filter_map
-      (fun b ->
-        match J.member b "tiered" with
-        | None -> None
-        | Some t ->
-            let name =
-              match J.member b "name" with Some (J.Str n) -> n | _ -> "?"
-            in
-            let wall =
-              match
-                ( num t [ "timing"; "tiered_ns" ],
-                  num t [ "timing"; "two_pass_ns" ] )
-              with
-              | Some a, Some b -> Some (a < b)
-              | _ -> None
-            in
-            let cost =
-              match
-                ( num t [ "tiered_instr_cost" ],
-                  num t [ "untiered_instr_cost" ] )
-              with
-              | Some a, Some b -> a < b
-              | _ -> false
-            in
-            Some (name, wall, cost))
-      benches
-  in
-  if results = [] then begin
-    Format.eprintf
-      "tiered: --min-tiered-wins given but no benchmark carries a tiered \
-       object (run with --tiered)@.";
-    exit 1
-  end;
-  let by_wall = List.exists (fun (_, w, _) -> w <> None) results in
-  let won (_, wall, cost) =
-    match wall with Some w -> w | None -> cost
-  in
-  let wins = List.filter won results in
-  Format.eprintf
-    "tiered: single run beats two-pass on %d/%d benchmarks (by %s)@."
-    (List.length wins) (List.length results)
-    (if by_wall then "wall clock" else "retired instrumentation cost");
-  if List.length wins < min_wins then begin
-    List.iter
-      (fun ((name, _, _) as r) ->
-        if not (won r) then Format.eprintf "tiered: %s did not win@." name)
-      results;
-    Format.eprintf "tiered: %d win(s) is below the floor %d@."
-      (List.length wins) min_wins;
-    exit 1
-  end
-
-(* Exit 1 unless the drift loop keeps its placements stable enough: the
-   sampled+decayed loop's generation-2 decision stability, averaged
-   across the swept benchmarks, must be at least [min_stability]
-   percent. Reads the assembled document. *)
-let check_drift_floor ~min_stability doc =
-  let benches =
-    J.to_list (Option.value ~default:(J.Arr []) (J.member doc "benchmarks"))
-  in
-  let pts =
-    List.filter_map
-      (fun b ->
-        match
-          ( num b [ "drift"; "drift_stability" ],
-            num b [ "drift"; "full_stability" ] )
-        with
-        | Some d, Some f -> Some (d, f)
-        | _ -> None)
-      benches
-  in
-  if pts = [] then begin
-    Format.eprintf
-      "drift: --drift-floor given but no benchmark carries a drift object \
-       (run with --drift-sweep)@.";
-    exit 1
-  end;
-  let n = float_of_int (List.length pts) in
-  let avg f = List.fold_left (fun a p -> a +. f p) 0.0 pts /. n in
-  let davg = 100. *. avg fst in
-  let favg = 100. *. avg snd in
-  Format.eprintf
-    "drift: avg gen-2 stability %.1f%% (full-instrumentation loop %.1f%%) \
-     over %d benchmarks@."
-    davg favg (List.length pts);
-  if davg < min_stability then begin
-    Format.eprintf "drift: %.1f%% is below the floor %g%%@." davg min_stability;
-    exit 1
-  end
-
-let timing_json get name =
-  match
-    ( get (name ^ "/base"),
-      get (name ^ "/pp"),
-      get (name ^ "/tpp"),
-      get (name ^ "/ppp") )
-  with
-  | Some base, Some pp, Some tpp, Some ppp ->
-      Some
-        (J.Obj
-           [
-             ("base_ns", J.Float base);
-             ("pp_ns", J.Float pp);
-             ("tpp_ns", J.Float tpp);
-             ("ppp_ns", J.Float ppp);
-           ])
-  | _ -> None
-
-(* The whole document is canonicalized (objects key-sorted) before
-   writing, so BENCH_*.json is byte-stable for a given tree: same rows
-   at every -j, no field-order drift. *)
-let write_doc ~path doc =
-  Ppp_obs.Sink.write_json ~path (J.canonical doc);
-  Format.eprintf "wrote %s@." path
+let actions =
+  [
+    ("table1", [ R.table1 ]);
+    ("table2", [ R.table2 ]);
+    ("fig9", [ R.fig9_10_11 ]);
+    ("fig10", [ R.fig9_10_11 ]);
+    ("fig11", [ R.fig9_10_11 ]);
+    ("fig12", [ R.fig12 ]);
+    ("fig13", [ R.fig13 ]);
+    ("sec8.1", [ R.section8_1 ]);
+    ("tables", [ R.table1; R.table2; R.fig9_10_11; R.fig12; R.fig13; R.section8_1 ]);
+  ]
 
 (* {2 Sharded evaluation}
 
    Each worker prepares and evaluates one benchmark and sends its JSON
-   row back as a string; evaluation is deterministic (the cost model,
-   not the wall clock), so rows are identical whichever worker computes
-   them and the assembled document is byte-identical at every -j. *)
+   row back as a string; the deterministic sections are pure in the
+   benchmark, so rows are identical whichever worker computes them and
+   the assembled document is byte-identical at every -j. *)
 
-module Shard = Ppp_harness.Shard
-module Gate = Ppp_harness.Gate
-
-let row_of_name ~scale ~sampling ~tiered ~drift name =
-  match R.prepare_all ~scale ~names:[ name ] () with
-  | [ pb ] -> J.to_string (R.bench_json_one ~sampling ~tiered ~drift pb)
-  | _ -> assert false
-
-let sharded_rows ~jobs ~seed ~scale ~sampling ~tiered ~drift names =
-  let results =
-    Shard.map ~jobs ~seed
-      ~f:(fun ~seed:_ name -> row_of_name ~scale ~sampling ~tiered ~drift name)
-      names
+let sharded_rows ~jobs ~seed ~scale ~cache ~sections names =
+  let row ~seed:_ name =
+    match R.prepare_all ~scale ~names:[ name ] ~cache () with
+    | [ pb ] -> J.to_string (R.bench_json_one ~sections pb)
+    | _ -> assert false
   in
-  let lost = ref [] in
-  let rows =
-    List.filter_map
-      (function
-        | Ok row -> Some (J.of_string row)
-        | Error d ->
-            lost := d :: !lost;
-            None)
-      results
-  in
-  (rows, List.rev !lost)
+  List.partition_map
+    (function Ok row -> Left (J.of_string row) | Error d -> Right d)
+    (Shard.map ~jobs ~seed ~f:row names)
 
-let read_json path =
-  let ic = open_in_bin path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  J.of_string text
+(* {2 The gate}
 
-(* Exit 1 on regression, so CI can gate on it. A metric the baseline has
-   but the current run lacks is reported as a warning — or, under
-   --strict, counted as a failure like any regression. *)
-let run_gate ~baseline_path ~strict ~pct current =
-  let baseline = read_json baseline_path in
-  let r = Gate.run ~strict ~baseline ~current ~pct () in
+   Exit 1 on a regression beyond [pct] or a failed floor, so CI can gate
+   on it. A metric the baseline has but the current run lacks is a
+   warning — or, under --strict, a failure like any regression. *)
+
+let run_gate ~baseline_path ~strict ~pct ~sections doc =
+  let baseline =
+    J.of_string (In_channel.with_open_bin baseline_path In_channel.input_all)
+  in
+  let r = Gate.run ~strict ~baseline ~current:doc ~pct () in
   List.iter
     (fun w -> Format.eprintf "gate: warning: %a@." Gate.pp_warning w)
     r.Gate.warnings;
-  match r.Gate.failures with
+  (match r.Gate.failures with
   | [] ->
       Format.eprintf "gate: no regressions beyond %g%% against %s@." pct
         baseline_path
   | fails ->
-      Format.eprintf "gate: %d regression(s) beyond %g%% against %s@."
-        (List.length fails) pct baseline_path;
-      Format.eprintf "%a" Gate.pp_failures fails;
-      exit 1
-
-(* The session's warm-vs-cold work saving shows up here as wall time:
-   compare a run with and without --no-cache. *)
-let print_prepare_ms benches =
-  Format.eprintf "prepare wall-time per benchmark:@.";
-  let total =
-    List.fold_left
-      (fun acc (pb : R.prepared_bench) ->
-        let ms = H.prepare_ms pb.R.prep in
-        Format.eprintf "  %-9s | %8.1f ms@."
-          pb.R.spec.Ppp_workloads.Spec.bench_name ms;
-        acc +. ms)
-      0.0 benches
-  in
-  Format.eprintf "  %-9s | %8.1f ms@." "total" total
+      Format.eprintf "gate: %d regression(s) beyond %g%% against %s@.%a"
+        (List.length fails) pct baseline_path Gate.pp_failures fails);
+  let floors = Gate.floors ~sections doc in
+  List.iter
+    (function
+      | name, Ok msg -> Format.eprintf "gate: %s floor met: %s@." name msg
+      | name, Error msg -> Format.eprintf "gate: %s floor failed: %s@." name msg)
+    floors;
+  if r.Gate.failures <> [] || List.exists (fun (_, v) -> Result.is_error v) floors
+  then exit 1
 
 (* {2 Argument handling} *)
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
   let scale = ref 1 in
   let names = ref None in
-  let actions = ref [] in
   let json_path = ref (Some "BENCH_results.json") in
   let jobs = ref 1 in
   let seed = ref 0 in
   let smoke = ref false in
+  let no_cache = ref false in
   let baseline = ref None in
   let gate_pct = ref 10.0 in
   let strict = ref false in
-  let throughput_mode = ref false in
-  let min_vm_ratio = ref None in
-  let min_layout_wins = ref None in
-  let no_cache = ref false in
-  let prepare_ms = ref false in
-  let sampling_sweep = ref false in
-  let sweep_floor = ref None in
-  let tiered = ref false in
-  let min_tiered_wins = ref None in
-  let drift_sweep = ref false in
-  let drift_floor = ref None in
+  let named = ref [] in
   let rec parse = function
     | [] -> ()
     | "--scale" :: n :: rest ->
@@ -740,6 +179,9 @@ let () =
     | "--smoke" :: rest ->
         smoke := true;
         parse rest
+    | "--no-cache" :: rest ->
+        no_cache := true;
+        parse rest
     | "--baseline" :: f :: rest ->
         baseline := Some f;
         parse rest
@@ -749,214 +191,70 @@ let () =
     | "--strict" :: rest ->
         strict := true;
         parse rest
-    | "--throughput" :: rest ->
-        throughput_mode := true;
-        parse rest
-    | "--min-vm-ratio" :: r :: rest ->
-        min_vm_ratio := Some (float_of_string r);
-        parse rest
-    | "--min-layout-wins" :: n :: rest ->
-        min_layout_wins := Some (int_of_string n);
-        parse rest
-    | "--no-cache" :: rest ->
-        no_cache := true;
-        parse rest
-    | "--prepare-ms" :: rest ->
-        prepare_ms := true;
-        parse rest
-    | "--sampling-sweep" :: rest ->
-        sampling_sweep := true;
-        parse rest
-    | "--sweep-floor" :: spec :: rest ->
-        (match String.split_on_char ',' spec with
-        | [ ov; oh ] ->
-            sweep_floor := Some (float_of_string ov, float_of_string oh)
-        | _ ->
-            Format.eprintf
-              "--sweep-floor expects OVERLAP,OVERHEAD (e.g. 90,1.5)@.";
-            exit 2);
-        parse rest
-    | "--tiered" :: rest ->
-        tiered := true;
-        parse rest
-    | "--min-tiered-wins" :: n :: rest ->
-        min_tiered_wins := Some (int_of_string n);
-        parse rest
-    | "--drift-sweep" :: rest ->
-        drift_sweep := true;
-        parse rest
-    | "--drift-floor" :: s :: rest ->
-        drift_floor := Some (float_of_string s);
-        parse rest
     | a :: rest ->
-        actions := a :: !actions;
+        named := a :: !named;
         parse rest
   in
-  parse args;
-  let actions = List.rev !actions in
-  if !jobs > 1 || !smoke then begin
-    (* Machine-readable only: tables and Bechamel timing are excluded so
-       the output carries no wall-clock noise and no fork-order
-       dependence. *)
-    if actions <> [] then
-      Format.eprintf "note: actions %s are ignored under -j/--smoke@."
-        (String.concat ", " actions);
-    let selected =
-      match !names with
-      | Some ns -> ns
-      | None -> Ppp_workloads.Spec.names ()
-    in
-    if !throughput_mode && !jobs > 1 then
-      Format.eprintf
-        "note: --throughput is ignored under -j (wall-clock numbers from \
-         concurrent workers would be noise)@.";
-    if !tiered && !jobs > 1 then
-      Format.eprintf
-        "note: --tiered records only deterministic fields under -j (the \
-         wall-clock comparison would be noise from concurrent workers)@.";
-    let tp_results = ref [] in
-    let rows, lost =
-      if !jobs > 1 then begin
-        if !prepare_ms then
-          Format.eprintf
-            "note: --prepare-ms is ignored under -j (wall-clock would break \
-             the byte-identity of the sharded document)@.";
-        sharded_rows ~jobs:!jobs ~seed:!seed ~scale:!scale
-          ~sampling:!sampling_sweep ~tiered:!tiered ~drift:!drift_sweep
-          selected
-      end
-      else begin
-        let benches =
-          R.prepare_all ~scale:!scale ~names:selected ~cache:(not !no_cache) ()
-        in
-        if !prepare_ms then print_prepare_ms benches;
-        let throughput =
-          if !throughput_mode then begin
-            tp_results := throughput ~min_time:0.08 benches;
-            throughput_json !tp_results
-          end
-          else fun _ -> None
-        in
-        ( List.map
-            (fun pb ->
-              R.bench_json_one ~throughput ~prepare:!prepare_ms
-                ~sampling:!sampling_sweep ~tiered:!tiered
-                ~drift:!drift_sweep pb)
-            benches,
-          [] )
-      end
-    in
+  parse (List.tl (Array.to_list Sys.argv));
+  Option.iter
+    (List.iter (fun n ->
+         if Spec.find_opt n = None then
+           usage_error "unknown benchmark %S (known: %s)" n
+             (String.concat ", " (Spec.names ()))))
+    !names;
+  List.iter
+    (fun a ->
+      if not (List.mem_assoc a actions || Option.is_some (R.find_section a))
+      then usage_error "unknown action or section %S" a)
+    !named;
+  let machine = !jobs > 1 || !smoke in
+  let named =
+    if !named = [] && not machine then [ "tables"; "timing" ] else List.rev !named
+  in
+  let sections = R.select named in
+  if !jobs > 1 then
     List.iter
-      (fun d -> Format.eprintf "%a@." Ppp_resilience.Diagnostic.pp d)
-      lost;
-    let doc = J.canonical (R.bench_json_wrap ~scale:!scale ~seed:!seed rows) in
-    (match !json_path with
-    | None -> ()
-    | Some path -> write_doc ~path doc);
-    (match !baseline with
-    | None -> ()
-    | Some b -> run_gate ~baseline_path:b ~strict:!strict ~pct:!gate_pct doc);
-    (match !min_vm_ratio with
-    | Some floor when !tp_results <> [] ->
-        check_min_ratio ~floor !tp_results
-    | _ -> ());
-    (match !min_layout_wins with
-    | Some n -> check_layout_wins ~min_wins:n doc
-    | None -> ());
-    (match !sweep_floor with
-    | Some (ov, oh) ->
-        check_sampling_floor ~min_overlap:ov ~max_overhead_pct:oh doc
-    | None -> ());
-    (match !min_tiered_wins with
-    | Some n -> check_tiered_wins ~min_wins:n doc
-    | None -> ());
-    (match !drift_floor with
-    | Some s -> check_drift_floor ~min_stability:s doc
-    | None -> ());
-    if lost <> [] then exit 2
-  end
-  else begin
-    let benches =
-      R.prepare_all ~scale:!scale ?names:!names ~cache:(not !no_cache) ()
-    in
-    if !prepare_ms then print_prepare_ms benches;
-    let timing_get = ref None in
-    let run_timing () = timing_get := Some (timing benches) in
-    let all_reports () =
-      R.table1 fmt benches;
-      R.table2 fmt benches;
-      R.fig9_10_11 fmt benches;
-      R.fig12 fmt benches;
-      R.fig13 fmt benches;
-      R.section8_1 fmt benches
-    in
-    (match actions with
-    | [] ->
-        all_reports ();
-        run_timing ()
-    | acts ->
+      (fun (s : R.section) ->
+        if s.wall_clock then
+          usage_error
+            "section %s measures wall clock and cannot run under -j (the \
+             sharded document must be byte-identical at every -j)"
+            s.name)
+      sections;
+  (match List.filter (fun a -> List.mem_assoc a actions) named with
+  | ignored when machine && ignored <> [] ->
+      Format.eprintf "note: actions %s are ignored under -j/--smoke@."
+        (String.concat ", " ignored)
+  | _ -> ());
+  let cache = not !no_cache in
+  let rows, lost =
+    if !jobs > 1 then
+      sharded_rows ~jobs:!jobs ~seed:!seed ~scale:!scale ~cache ~sections
+        (Option.value !names ~default:(Spec.names ()))
+    else begin
+      let benches = R.prepare_all ~scale:!scale ?names:!names ~cache () in
+      if not machine then
         List.iter
-          (function
-            | "table1" -> R.table1 fmt benches
-            | "table2" -> R.table2 fmt benches
-            | "fig9" | "fig10" | "fig11" -> R.fig9_10_11 fmt benches
-            | "fig12" -> R.fig12 fmt benches
-            | "fig13" -> R.fig13 fmt benches
-            | "sec8.1" -> R.section8_1 fmt benches
-            | "sampling" -> R.sampling_report fmt benches
-            | "tiered" -> R.tiered_report fmt benches
-            | "drift" -> R.drift_report fmt benches
-            | "tables" -> all_reports ()
-            | "timing" -> run_timing ()
-            | other -> Format.fprintf fmt "unknown action %s@." other)
-          acts);
-    let timing =
-      match !timing_get with
-      | None -> fun _ -> None
-      | Some get -> timing_json get
-    in
-    let tp_results =
-      if !throughput_mode then throughput ~min_time:0.25 benches else []
-    in
-    let throughput =
-      if tp_results = [] then fun _ -> None else throughput_json tp_results
-    in
-    let tiered_timing_results =
-      if !tiered then tiered_timing ~min_time:0.25 benches else []
-    in
-    let tiered_timing =
-      if tiered_timing_results = [] then fun _ -> None
-      else tiered_timing_json tiered_timing_results
-    in
-    let doc =
-      J.canonical
-        (R.bench_json_wrap ~scale:!scale ~seed:!seed
-           (List.map
-              (R.bench_json_one ~timing ~throughput ~prepare:!prepare_ms
-                 ~sampling:!sampling_sweep ~tiered:!tiered ~tiered_timing
-                 ~drift:!drift_sweep)
-              benches))
-    in
-    (match !json_path with
-    | None -> ()
-    | Some path -> write_doc ~path doc);
-    (match !baseline with
-    | None -> ()
-    | Some b -> run_gate ~baseline_path:b ~strict:!strict ~pct:!gate_pct doc);
-    (match !min_vm_ratio with
-    | Some floor when tp_results <> [] -> check_min_ratio ~floor tp_results
-    | _ -> ());
-    (match !min_layout_wins with
-    | Some n -> check_layout_wins ~min_wins:n doc
-    | None -> ());
-    (match !sweep_floor with
-    | Some (ov, oh) ->
-        check_sampling_floor ~min_overlap:ov ~max_overhead_pct:oh doc
-    | None -> ());
-    (match !min_tiered_wins with
-    | Some n -> check_tiered_wins ~min_wins:n doc
-    | None -> ());
-    match !drift_floor with
-    | Some s -> check_drift_floor ~min_stability:s doc
-    | None -> ()
-  end
+          (fun a ->
+            match (List.assoc_opt a actions, R.find_section a) with
+            | Some prints, _ -> List.iter (fun print -> print fmt benches) prints
+            | None, Some s -> s.R.render fmt benches
+            | None, None -> ())
+          named;
+      (List.map (R.bench_json_one ~sections) benches, [])
+    end
+  in
+  List.iter (fun d -> Format.eprintf "%a@." Ppp_resilience.Diagnostic.pp d) lost;
+  (* Canonical (objects key-sorted), so BENCH_*.json is byte-stable for a
+     given tree: same rows at every -j, no field-order drift. *)
+  let doc = J.canonical (R.bench_json_wrap ~scale:!scale ~seed:!seed rows) in
+  Option.iter
+    (fun path ->
+      Ppp_obs.Sink.write_json ~path doc;
+      Format.eprintf "wrote %s@." path)
+    !json_path;
+  Option.iter
+    (fun b ->
+      run_gate ~baseline_path:b ~strict:!strict ~pct:!gate_pct ~sections doc)
+    !baseline;
+  if lost <> [] then exit 2

@@ -562,13 +562,6 @@ let collect_cmd =
     let doc = "Write the profile here instead of stdout." in
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc)
   in
-  let v1_arg =
-    let doc =
-      "Write the legacy headerless v1 format (no CFG fingerprints, no \
-       checksums) instead of v2."
-    in
-    Arg.(value & flag & info [ "v1" ] ~doc)
-  in
   let shard_dir_arg =
     let doc =
       "With $(b,bench:all): also write every workload's own dump \
@@ -613,7 +606,7 @@ let collect_cmd =
     in
     Arg.(value & opt int 0 & info [ "sample-seed" ] ~docv:"N" ~doc)
   in
-  let action spec scale engine output v1 jobs warm shard_dir sample_rate burst
+  let action spec scale engine output jobs warm shard_dir sample_rate burst
       sample_seed obs (daemon, daemon_deadline_ms, daemon_required) =
     handle_errors (fun () ->
         let denom =
@@ -626,10 +619,6 @@ let collect_cmd =
           if denom <= 1 then None
           else Some (Sampling.spec ~denom ~burst ~seed:sample_seed ())
         in
-        if v1 && sampling <> None then
-          cli_error
-            "--v1 cannot carry sampled estimates (the v2 dump records exact \
-             edges alongside estimated paths)";
         let local_single () =
           with_obs obs (fun () ->
               let p = load_program spec ~scale in
@@ -643,23 +632,14 @@ let collect_cmd =
               | None ->
                   let o = Interp.run ~engine p in
                   let write ppf =
-                    if v1 then begin
-                      Ppp_profile.Profile_io.save_edges ppf p
-                        (Option.get o.Interp.edge_profile);
-                      Ppp_profile.Profile_io.save_paths ppf p
-                        (Option.get o.Interp.path_profile)
-                    end
-                    else
-                      Ppp_profile.Profile_io.save ?edges:o.Interp.edge_profile
-                        ?paths:o.Interp.path_profile ppf p
+                    Ppp_profile.Profile_io.save ?edges:o.Interp.edge_profile
+                      ?paths:o.Interp.path_profile ppf p
                   in
                   (match output with
                   | None -> write Format.std_formatter
                   | Some path -> write_file path (Format.asprintf "%t" write)))
         in
         if spec = "bench:all" then begin
-          if v1 then
-            cli_error "--v1 is not supported with bench:all (shards merge in v2)";
           if daemon <> None then
             cli_error "--daemon serves one workload per request, not bench:all";
           with_obs obs (fun () ->
@@ -670,7 +650,6 @@ let collect_cmd =
           match daemon with
           | None -> local_single ()
           | Some socket -> (
-              if v1 then cli_error "--v1 cannot be combined with --daemon";
               match String.index_opt spec ':' with
               | Some i when String.sub spec 0 i = "bench" ->
                   let bench =
@@ -701,7 +680,7 @@ let collect_cmd =
   in
   Cmd.v (Cmd.info "collect" ~doc)
     Term.(
-      const action $ program_arg $ scale_arg $ engine_arg $ output_arg $ v1_arg
+      const action $ program_arg $ scale_arg $ engine_arg $ output_arg
       $ jobs_arg $ warm_arg $ shard_dir_arg $ sample_rate_arg $ burst_arg
       $ sample_seed_arg $ obs_args $ daemon_args)
 
@@ -709,7 +688,7 @@ let collect_cmd =
 
 let merge_cmd =
   let files_arg =
-    let doc = "Profile dumps (v1 or v2) to merge." in
+    let doc = "Profile dumps (v2) to merge." in
     Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc)
   in
   let output_arg =
@@ -809,7 +788,7 @@ let opt_cmd =
   in
   let profile_arg =
     let doc =
-      "Drive inlining from this saved profile (v1 or v2, possibly stale) \
+      "Drive inlining from this saved profile (v2, possibly stale) \
        instead of a fresh profiling run. Problems are reported as \
        diagnostics and the salvageable part of the profile is used, with \
        optimization aggressiveness degraded to the matched fraction."
@@ -1365,7 +1344,9 @@ let report_cmd =
         in
         (* The layout evaluations were computed (and memoized) by the
            rows above; the table is a free summary on stderr. *)
-        Report.layout_report Format.err_formatter benches;
+        Option.iter
+          (fun (s : Report.section) -> s.render Format.err_formatter benches)
+          (Report.find_section "layout");
         let doc = Jsonx.canonical (Quality_report.wrap ~scale rows) in
         let text = Jsonx.to_string doc in
         (match output with
@@ -1409,7 +1390,7 @@ let report_cmd =
 
 let compare_cmd =
   let a_arg =
-    let doc = "Reference profile dump (v1 or v2)." in
+    let doc = "Reference profile dump (v2)." in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"A.ppp" ~doc)
   in
   let b_arg =

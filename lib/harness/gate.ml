@@ -10,11 +10,6 @@ type failure = {
 type warning = { bench : string; metric : string }
 type result = { failures : failure list; warnings : warning list }
 
-let fnum = function
-  | Some (J.Float x) -> Some x
-  | Some (J.Int i) -> Some (float_of_int i)
-  | _ -> None
-
 let benches_of json =
   J.to_list (Option.value ~default:(J.Arr []) (J.member json "benchmarks"))
   |> List.filter_map (fun b ->
@@ -22,8 +17,13 @@ let benches_of json =
          | Some (J.Str n) -> Some (n, b)
          | _ -> None)
 
-let exceeds ~pct ~baseline ~current =
-  current > baseline +. Float.max 1e-9 (pct /. 100. *. Float.abs baseline)
+(* Beyond [pct] percent of the baseline, with a 1e-9 absolute floor so
+   zero baselines don't trip on rounding. *)
+let regressed bound ~pct ~baseline ~current =
+  let slack = Float.max 1e-9 (pct /. 100. *. Float.abs baseline) in
+  match bound with
+  | Report.Ceiling -> current > baseline +. slack
+  | Report.Floor -> current < baseline -. slack
 
 let run ?(strict = false) ~baseline ~current ~pct () =
   let fails = ref [] in
@@ -41,7 +41,6 @@ let run ?(strict = false) ~baseline ~current ~pct () =
   (match (J.member baseline "schema", J.member current "schema") with
   | Some (J.Str a), Some (J.Str b) when a = b -> ()
   | _ -> fail "(document)" "schema" Float.nan Float.nan);
-  let base_benches = benches_of baseline in
   let cur_benches = benches_of current in
   List.iter
     (fun (name, bj) ->
@@ -49,159 +48,40 @@ let run ?(strict = false) ~baseline ~current ~pct () =
       | None -> fail name "missing" 1.0 0.0
       | Some cj ->
           List.iter
-            (fun m ->
-              let overhead j =
-                Option.bind (J.member j "methods") (fun ms ->
-                    Option.bind (J.member ms m) (fun e ->
-                        fnum (J.member e "overhead")))
-              in
-              match (overhead bj, overhead cj) with
-              | Some b, Some c ->
-                  if exceeds ~pct ~baseline:b ~current:c then
-                    fail name (m ^ ".overhead") b c
-              | Some b, None -> missing name (m ^ ".overhead") b
-              | None, _ -> ())
-            [ "pp"; "tpp"; "ppp" ];
-          (* Wall-clock ratios, only when both sides measured them. *)
-          (match (J.member bj "timing", J.member cj "timing") with
-          | Some bt, Some ct ->
-              List.iter
-                (fun k ->
-                  let ratio t =
-                    match (fnum (J.member t "base_ns"), fnum (J.member t k)) with
-                    | Some base, Some v when base > 0.0 -> Some (v /. base)
-                    | _ -> None
-                  in
-                  match (ratio bt, ratio ct) with
-                  | Some b, Some c ->
-                      if exceeds ~pct ~baseline:b ~current:c then
-                        fail name ("timing." ^ k) b c
-                  | Some b, None -> missing name ("timing." ^ k) b
-                  | None, _ -> ())
-                [ "pp_ns"; "tpp_ns"; "ppp_ns" ]
-          | Some _, None -> missing name "timing" Float.nan
-          | None, _ -> ());
-          (* VM-vs-reference throughput is gated the other way round: the
-             ratio is a floor, and dropping below it is the regression. *)
-          (match (J.member bj "throughput", J.member cj "throughput") with
-          | Some bt, Some ct -> (
-              match (fnum (J.member bt "ratio"), fnum (J.member ct "ratio")) with
-              | Some b, Some c ->
-                  if c < b -. Float.max 1e-9 (pct /. 100. *. Float.abs b) then
-                    fail name "throughput.ratio" b c
-              | Some b, None -> missing name "throughput.ratio" b
-              | None, _ -> ())
-          | Some _, None -> missing name "throughput" Float.nan
-          | None, _ -> ());
-          (* Layout improvements are floors too: the estimated benefit of
-             PPP-guided layout, and the closed superblock+layout loop's,
-             must not sink below baseline. *)
-          (match (J.member bj "layout", J.member cj "layout") with
-          | Some bl, Some cl ->
-              List.iter
-                (fun (metric, get) ->
-                  match (get bl, get cl) with
-                  | Some b, Some c ->
-                      if c < b -. Float.max 1e-9 (pct /. 100. *. Float.abs b)
-                      then fail name metric b c
-                  | Some b, None -> missing name metric b
-                  | None, _ -> ())
-                [
-                  ( "layout.methods.ppp.improvement",
-                    fun j ->
-                      Option.bind (J.member j "methods") (fun ms ->
-                          Option.bind (J.member ms "ppp") (fun e ->
-                              fnum (J.member e "improvement"))) );
-                  ( "layout.closed_loop.improvement",
-                    fun j ->
-                      Option.bind (J.member j "closed_loop") (fun c ->
-                          fnum (J.member c "improvement")) );
-                ]
-          | Some _, None -> missing name "layout" Float.nan
-          | None, _ -> ());
-          (* Sampling-sweep points: overhead at each swept rate is a
-             ceiling, overlap vs the unsampled estimate (and vs truth) a
-             floor. Rates are matched by denominator, so reordering or
-             extending the sweep never mis-pairs points; a rate the
-             baseline has but the current sweep lacks is missing. *)
-          (match (J.member bj "sampling", J.member cj "sampling") with
-          | Some bs, Some cs ->
-              let rates j =
-                J.to_list (Option.value ~default:(J.Arr []) (J.member j "rates"))
-                |> List.filter_map (fun r ->
-                       match J.member r "denom" with
-                       | Some (J.Int d) -> Some (d, r)
-                       | _ -> None)
-              in
-              let cur_rates = rates cs in
-              List.iter
-                (fun (denom, br) ->
-                  let label k = Printf.sprintf "sampling.1/%d.%s" denom k in
-                  match List.assoc_opt denom cur_rates with
-                  | None -> missing name (label "rate") Float.nan
-                  | Some cr ->
-                      (match
-                         (fnum (J.member br "overhead"), fnum (J.member cr "overhead"))
-                       with
+            (fun (s : Report.section) ->
+              match (s.bounds, J.member bj s.name, J.member cj s.name) with
+              | [], _, _ | _, None, _ -> ()
+              | _, Some _, None -> missing name s.name Float.nan
+              | bounds, Some bs, Some cs ->
+                  List.iter
+                    (fun (metric, get, bound) ->
+                      match (get bs, get cs) with
                       | Some b, Some c ->
-                          if exceeds ~pct ~baseline:b ~current:c then
-                            fail name (label "overhead") b c
-                      | Some b, None -> missing name (label "overhead") b
-                      | None, _ -> ());
-                      List.iter
-                        (fun k ->
-                          match (fnum (J.member br k), fnum (J.member cr k)) with
-                          | Some b, Some c ->
-                              if c < b -. Float.max 1e-9 (pct /. 100. *. Float.abs b)
-                              then fail name (label k) b c
-                          | Some b, None -> missing name (label k) b
-                          | None, _ -> ())
-                        [ "overlap_vs_full"; "overlap_vs_truth" ])
-                (rates bs)
-          | Some _, None -> missing name "sampling" Float.nan
-          | None, _ -> ());
-          (* Tiered execution: the fraction of instrumentation cost the
-             swaps retire, and the layout improvement of the installed
-             orders, are floors — tiering must not start paying less. *)
-          (match (J.member bj "tiered", J.member cj "tiered") with
-          | Some bt, Some ct ->
-              List.iter
-                (fun (metric, get) ->
-                  match (get bt, get ct) with
-                  | Some b, Some c ->
-                      if c < b -. Float.max 1e-9 (pct /. 100. *. Float.abs b)
-                      then fail name metric b c
-                  | Some b, None -> missing name metric b
-                  | None, _ -> ())
-                [
-                  ( "tiered.instr_saving",
-                    fun j -> fnum (J.member j "instr_saving") );
-                  ( "tiered.layout.improvement",
-                    fun j ->
-                      Option.bind (J.member j "layout") (fun l ->
-                          fnum (J.member l "improvement")) );
-                ]
-          | Some _, None -> missing name "tiered" Float.nan
-          | None, _ -> ());
-          (* Drift sweep: the sampled+decayed loop's generation-2
-             decision stability is a floor — the fleet's profile store
-             must not start churning placements harder than the
-             baseline. *)
-          (match (J.member bj "drift", J.member cj "drift") with
-          | Some bd, Some cd -> (
-              match
-                ( fnum (J.member bd "drift_stability"),
-                  fnum (J.member cd "drift_stability") )
-              with
-              | Some b, Some c ->
-                  if c < b -. Float.max 1e-9 (pct /. 100. *. Float.abs b) then
-                    fail name "drift.drift_stability" b c
-              | Some b, None -> missing name "drift.drift_stability" b
-              | None, _ -> ())
-          | Some _, None -> missing name "drift" Float.nan
-          | None, _ -> ()))
-    base_benches;
+                          if regressed bound ~pct ~baseline:b ~current:c then
+                            fail name metric b c
+                      | Some b, None -> missing name metric b
+                      | None, _ -> ())
+                    bounds)
+            Report.sections)
+    (benches_of baseline);
   { failures = List.rev !fails; warnings = List.rev !warns }
+
+let floors ~sections doc =
+  let benches = benches_of doc in
+  List.filter_map
+    (fun (s : Report.section) ->
+      Option.map
+        (fun floor ->
+          let rows =
+            List.filter_map
+              (fun (name, b) -> Option.map (fun j -> (name, j)) (J.member b s.name))
+              benches
+          in
+          ( s.name,
+            if rows = [] then Error "no benchmark carries this section"
+            else floor rows ))
+        s.floor)
+    sections
 
 let check ~baseline ~current ~pct =
   (run ~strict:false ~baseline ~current ~pct ()).failures
@@ -219,18 +99,12 @@ let check_floors ~floors ~report =
   let floor_methods =
     match J.member floors "methods" with Some (J.Obj kvs) -> kvs | _ -> []
   in
-  let summary_overlap m =
-    Option.bind (J.member report "summary") (fun s ->
-        Option.bind (J.member s "methods") (fun ms ->
-            Option.bind (J.member ms m) (fun e ->
-                fnum (J.member e "min_overlap"))))
-  in
   List.iter
     (fun (m, fj) ->
-      match fnum (J.member fj "min_overlap") with
+      match Report.num fj [ "min_overlap" ] with
       | None -> ()
       | Some floor -> (
-          match summary_overlap m with
+          match Report.num report [ "summary"; "methods"; m; "min_overlap" ] with
           | None -> fail (m ^ ".min_overlap") floor Float.nan
           | Some v -> if v < floor then fail (m ^ ".min_overlap") floor v))
     floor_methods;

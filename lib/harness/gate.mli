@@ -1,37 +1,16 @@
 (** The performance-regression gate: compare two [BENCH_*.json]
-    documents (see {!Report.bench_json}) and report every benchmark ×
-    method whose cost grew by more than a tolerance.
+    documents (see {!Report.bench_json_one}) and report every benchmark
+    metric that moved the wrong way by more than a tolerance.
 
-    Two kinds of numbers are gated:
-
-    - the deterministic cost-model [overhead] of each profiling method
-      (pp / tpp / ppp) — noise-free, so CI can gate on it with a tight
-      tolerance;
-    - wall-clock ratios ([pp_ns]/[base_ns], …), only when {e both}
-      documents carry a [timing] object for the benchmark, with
-      whatever looser tolerance the caller passes;
-    - the VM-vs-reference throughput [ratio], only when both documents
-      carry a [throughput] object for the benchmark. This one is a
-      floor, not a ceiling: the failure is the current ratio dropping
-      more than the tolerance {e below} the baseline's;
-    - the layout improvements ([layout.methods.ppp.improvement] and
-      [layout.closed_loop.improvement]) — floors like the throughput
-      ratio: the estimated benefit of PPP-guided layout, and of the
-      closed superblock+layout loop, must not sink below baseline;
-    - the sampling-sweep points ([sampling.rates], matched by
-      denominator), only when both documents carry a [sampling] object:
-      each rate's [overhead] is a ceiling and its [overlap_vs_full] /
-      [overlap_vs_truth] are floors, so the sampled collector can
-      neither get slower nor less accurate at any swept rate;
-    - the tiered-execution numbers ([tiered.instr_saving] and
-      [tiered.layout.improvement]), only when both documents carry a
-      [tiered] object — floors: the fraction of instrumentation cost
-      the mid-run swaps retire, and the layout improvement of the
-      installed block orders, must not sink below baseline;
-    - the drift sweep's [drift.drift_stability], only when both
-      documents carry a [drift] object — a floor: the sampled+decayed
-      re-optimization loop must not churn placements harder than the
-      baseline.
+    The gated metrics are the [bounds] of {!Report.sections}: for every
+    benchmark and every section object both documents carry, each
+    [Ceiling] (cost-model overheads, sampled overheads, wall-clock
+    ratios) fails when it rises more than [pct] percent above the
+    baseline, and each [Floor] (layout and tiering improvements, sampled
+    overlaps, drift stability, the VM/reference throughput ratio) fails
+    when it sinks more than [pct] percent below it. Sampling points are
+    matched by rate denominator; wall-clock timings are gated as ratios
+    to the plain run.
 
     Benchmarks present in the baseline but missing from the current
     document, and schema mismatches, are failures too — a gate that
@@ -41,7 +20,9 @@
 
 type failure = {
   bench : string;
-  metric : string;  (** e.g. ["ppp.overhead"], ["timing.tpp_ns"] *)
+  metric : string;
+      (** e.g. ["ppp.overhead"], ["sampling.1/4.overhead"], or a section
+          name when the whole section is missing *)
   baseline : float;
   current : float;  (** NaN when the metric is missing under strict *)
 }
@@ -62,6 +43,13 @@ val run :
 (** Full gate result. Metrics present in the baseline but absent from
     the current document become {!warning}s; with [strict] (default
     false) they become failures (with [current = nan]) instead. *)
+
+val floors :
+  sections:Report.section list ->
+  Ppp_obs.Jsonx.t ->
+  (string * (string, string) Stdlib.result) list
+(** Each given section's absolute floor (see {!Report.section}) over the
+    document, by section name. A section no benchmark carries fails. *)
 
 val check :
   baseline:Ppp_obs.Jsonx.t ->

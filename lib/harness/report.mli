@@ -1,9 +1,11 @@
-(** Text rendering of the paper's tables and figures.
+(** The paper's tables and figures, and the bench's per-benchmark
+    sections.
 
-    Each function prints one table or figure's data in rows matching the
-    paper's layout, with INT / FP / overall averages where the paper has
-    them. All take the prepared benchmarks (see {!Pipeline.prepare}), so
-    one expensive preparation can feed every report. *)
+    The table functions print one table or figure's data in rows
+    matching the paper's layout, with INT / FP / overall averages where
+    the paper has them. All take the prepared benchmarks (see
+    {!Pipeline.prepare}), so one expensive preparation can feed every
+    report. *)
 
 type prepared_bench = {
   spec : Ppp_workloads.Spec.bench;
@@ -28,197 +30,78 @@ type evals = {
     profilers) for a benchmark. *)
 
 val evals_of : prepared_bench -> evals
-(** Evaluate a benchmark under every method, memoized per benchmark
-    name; Figures 9–13 and the JSON output all share this pass. *)
+(** The [methods] section's compute: every method evaluated once per
+    benchmark name; Figures 9–13, the JSON and [pppc report] share it. *)
 
 val layout_of : prepared_bench -> Pipeline.layout_eval
-(** The benchmark's {!Pipeline.layout_eval} — source order vs the oracle
-    layout vs each method's estimated layout, plus the closed
-    superblock+layout loop — derived from the {!evals_of} estimates and
-    memoized per benchmark name. *)
+(** The [layout] section's compute — source order vs the oracle layout
+    vs each method's estimated layout, plus the closed superblock+layout
+    loop — derived from the {!evals_of} estimates, once per benchmark
+    name. *)
 
-(** {2 Sampling sweep}
+(** {2 Sections}
 
-    Accuracy vs overhead of PPP under bursty sampled collection
-    ({!Ppp_interp.Sampling}), swept over rates 1, 1/4, 1/16, 1/64 and
-    1/256 at the default burst with a fixed seed — fully deterministic,
-    so the points are safe in the sharded bench document and the
-    baseline. *)
+    Each measurement the bench records per benchmark, described once:
+    {!sections} drives the bench's text output, its JSON rows and
+    {!Gate}. In order:
 
-val sweep_denoms : int list
-(** The swept rate denominators, ascending: [1; 4; 16; 64; 256]. *)
+    - [methods]: overhead / accuracy / coverage of edge, PP, TPP and PPP;
+    - [layout]: taken-transfer / locality proxy scores of each method's
+      layout and of the closed superblock+layout loop;
+    - [sampling]: PPP under bursty sampled collection at rates 1, 1/4,
+      1/16, 1/64 and 1/256 (fixed seed);
+    - [tiered]: one run with the {!Ppp_interp.Tier} controller armed —
+      swap counts, retired instrumentation cost, installed-layout proxy
+      scores;
+    - [drift]: per-generation decision stability of the re-optimization
+      loop on pristine profiles vs on a sampled store merged with
+      exponential decay (fixed seed and decay);
+    - [throughput]: Minstr/s of the VM and the reference engine;
+    - [prepare]: preparation wall-clock per phase;
+    - [timing]: Bechamel wall-clock per run, plain and per profiler.
 
-type sample_point = {
-  sp_denom : int;
-  sp_overhead : float;  (** instrumented overhead at this rate *)
-  sp_overlap_full : float;
-      (** weighted overlap (0–100) vs the unsampled PPP estimate *)
-  sp_overlap_truth : float;
-      (** weighted overlap (0–100) vs the measured truth *)
-  sp_tv_full : float;
-      (** total-variation distance (0–1) vs the unsampled estimate *)
+    The first five are deterministic, so they are safe in a document
+    that must be byte-identical at every [-j]; the last three are
+    [wall_clock]. *)
+
+type bound = Floor | Ceiling
+(** A [Floor] regresses by sinking below the baseline, a [Ceiling] by
+    rising above it. *)
+
+type section = {
+  name : string;  (** the JSON key and the bench's command-line name *)
+  wall_clock : bool;  (** nondeterministic: refused under [-j] *)
+  json : prepared_bench -> Ppp_obs.Jsonx.t;
+  render : Format.formatter -> prepared_bench list -> unit;
+  bounds : (string * (Ppp_obs.Jsonx.t -> float option) * bound) list;
+      (** gate metric name and its getter over this section's object *)
+  floor : ((string * Ppp_obs.Jsonx.t) list -> (string, string) result) option;
+      (** absolute floor over every benchmark's (name, section object) in
+          the assembled document; both outcomes carry a summary line *)
 }
+(** [json] and [render] share one compute per benchmark name. *)
 
-val sampling_of : prepared_bench -> sample_point list
-(** One point per {!sweep_denoms} entry, memoized per benchmark name.
-    The rate-1 point reuses the {!evals_of} PPP evaluation, so its
-    overlaps are exactly 100. *)
+val sections : section list
 
-val sampling_report : Format.formatter -> prepared_bench list -> unit
-(** Per-benchmark overlap/overhead at every swept rate, with per-rate
-    averages — the accuracy-vs-overhead curve of the sampled collector. *)
+val find_section : string -> section option
 
-(** {2 Tiered execution vs the two-pass flow}
+val select : string list -> section list
+(** [methods], [layout] and the named sections, in {!sections} order. *)
 
-    One run with the {!Ppp_interp.Tier} controller armed — routines
-    start instrumented, hot ones swap onto optimized re-lowerings
-    mid-run — against the two-pass instrument-then-optimize flow the
-    rest of the bench measures. Deterministic except for the driver's
-    opt-in wall-clock comparison. *)
+val num : Ppp_obs.Jsonx.t -> string list -> float option
+(** The number (int or float) at a path of object keys, if any. *)
 
-val tier_threshold : int
-(** Trip threshold the bench arms the controller with
-    ({!Ppp_interp.Tier.default_threshold}). *)
-
-type tiered_stats = {
-  tt_threshold : int;
-  tt_routines : int;
-  tt_swapped : int;  (** routines that tiered up during the run *)
-  tt_reordered : int;  (** ... onto a non-source block order *)
-  tt_untiered_instr_cost : int;
-      (** instrumentation cost of the same run without the controller *)
-  tt_tiered_instr_cost : int;
-  tt_saving : float;  (** fraction of instrumentation cost retired *)
-  tt_base_score : float;
-      (** {!Ppp_interp.Layout.program_proxy} score in source order *)
-  tt_swapped_score : float;  (** ... under the orders the swaps installed *)
-  tt_improvement : float;
-  tt_instrumented : Ppp_core.Instrument.t;
-      (** the shared instrumentation, so the driver's wall-clock mode
-          times exactly the compared runs *)
-}
-
-val tiered_of : prepared_bench -> tiered_stats
-(** Execute the tiered run and the untiered instrumented run (sharing
-    one instrumentation through the session), score the installed block
-    orders with the i-cache proxy, and memoize per benchmark name. *)
-
-val tiered_report : Format.formatter -> prepared_bench list -> unit
-(** Per-benchmark swap counts, instrumentation-cost savings and layout
-    proxy scores of the tiered run. *)
-
-val tiered_json :
-  ?timing:(string -> Ppp_obs.Jsonx.t option) ->
-  prepared_bench ->
-  Ppp_obs.Jsonx.t
-(** The benchmark's tiered object (threshold, swap counts, instr-cost
-    savings, layout scores), plus whatever [timing] returns — the
-    driver's tiered-vs-two-pass wall clock, never present under [-j]. *)
-
-(** {2 Drift sweep}
-
-    The re-optimization loop fed a fleet's profile store — every
-    generation's sampled dump merged with exponential age decay
-    ({!Pipeline.reoptimize}'s drift mode) — against the same loop on
-    pristine full-instrumentation hand-offs. The reported number is
-    {!Ppp_opt.Decision.stability} churn: what placement stability costs
-    when profiles are sampled and stale. Deterministic (fixed seed and
-    decay). *)
-
-val drift_iterations : int
-(** Generations per loop (3). *)
-
-val drift_decay : float
-(** Exponential age weight of the drift store's merge (0.5). *)
-
-val drift_denom : int
-(** Sampling rate denominator of the drift loop's collector (16). *)
-
-type drift_gen = {
-  dg_gen : int;  (** 2-based: generation 1's diff is vacuous *)
-  dg_full_stability : float;
-  dg_drift_stability : float;
-  dg_full_overhead : float;
-  dg_drift_overhead : float;
-  dg_drift_matched : float;
-      (** count mass surviving the decayed merge + stale matching *)
-}
-
-type drift_stats = {
-  dr_gens : drift_gen list;
-  dr_full_stability : float;  (** at generation 2 — see {!drift_of} *)
-  dr_drift_stability : float;
-  dr_churn_gap : float;  (** full - drift at generation 2 *)
-}
-
-val drift_of : prepared_bench -> drift_stats
-(** Run both loops ({!drift_iterations} generations each, superblocks
-    and layout on) from the benchmark's original program and compare
-    per-generation decision stability; memoized per benchmark name.
-    The summary fields read generation 2, where both loops re-optimize
-    the same starting program and the stability difference is purely
-    the profile store's doing; later generations (reported in
-    [dr_gens]) re-optimize already-optimized programs whose decision
-    keys have all moved, depressing stability structurally in both
-    loops alike. *)
-
-val drift_report : Format.formatter -> prepared_bench list -> unit
-(** Per-benchmark stability at every generation of both loops, with the
-    churn gap and fleet averages. *)
-
-val drift_json : prepared_bench -> Ppp_obs.Jsonx.t
-(** The benchmark's drift object: loop parameters, per-generation
-    stability/overhead/matched-fraction pairs, and the generation-2
-    stability summary the bench floor reads. *)
-
-val bench_json :
-  ?scale:int ->
-  ?timing:(string -> Ppp_obs.Jsonx.t option) ->
-  ?throughput:(string -> Ppp_obs.Jsonx.t option) ->
-  ?sampling:bool ->
-  ?tiered:bool ->
-  ?drift:bool ->
-  prepared_bench list ->
-  Ppp_obs.Jsonx.t
-(** The machine-readable benchmark record written to [BENCH_*.json]:
-    per-benchmark overhead / accuracy / coverage (and the secondary
-    statistics) for every method, plus whatever [timing] returns for the
-    benchmark (wall-clock results, when the timing action ran) and
-    whatever [throughput] returns (per-engine Minstr/s, when the
-    [--throughput] mode ran). *)
-
-val sampling_json : prepared_bench -> Ppp_obs.Jsonx.t
-(** The benchmark's sampling-sweep object: burst, seed, and one record
-    per swept rate (rate, denom, overhead, overlap_vs_full,
-    overlap_vs_truth, tv_vs_full). *)
-
-val bench_json_one :
-  ?timing:(string -> Ppp_obs.Jsonx.t option) ->
-  ?throughput:(string -> Ppp_obs.Jsonx.t option) ->
-  ?prepare:bool ->
-  ?sampling:bool ->
-  ?tiered:bool ->
-  ?tiered_timing:(string -> Ppp_obs.Jsonx.t option) ->
-  ?drift:bool ->
-  prepared_bench ->
-  Ppp_obs.Jsonx.t
-(** One benchmark's row of {!bench_json} — what a shard worker computes
-    and sends back when the harness runs under [-j]. [prepare] (default
-    [false]) additionally records the preparation wall-clock per phase
-    ({!Pipeline.prepared.phase_ms}); it is opt-in because wall-clock is
-    nondeterministic, and sharded runs never include it so their
-    document stays byte-identical at every [-j]. [sampling] (default
-    [false]) adds the {!sampling_json} sweep — deterministic, so safe
-    under [-j], but opt-in because it costs four extra instrumented
-    evaluations. [tiered] (default [false]) adds the {!tiered_json}
-    object (with [tiered_timing]'s wall clock when the driver measured
-    it — never under [-j]); [drift] (default [false]) adds the
-    {!drift_json} object. Both are deterministic and [-j]-safe. *)
+val bench_json_one : ?sections:section list -> prepared_bench -> Ppp_obs.Jsonx.t
+(** One benchmark's row of the [BENCH_*.json] document: name, kind,
+    dynamic counts, and one object per section (default [select []]) —
+    what a shard worker computes and sends back under [-j]. *)
 
 val bench_json_wrap : ?scale:int -> ?seed:int -> Ppp_obs.Jsonx.t list -> Ppp_obs.Jsonx.t
 (** Assemble {!bench_json_one} rows (in benchmark order) into the full
     document; [seed] records the PRNG seed a sharded run derived its
     per-item seeds from. *)
+
+(** {2 The paper's tables and figures} *)
 
 val table1 : Format.formatter -> prepared_bench list -> unit
 (** Dynamic path characteristics with and without inlining and
@@ -236,12 +119,6 @@ val fig9_10_11 : Format.formatter -> prepared_bench list -> unit
 
 val fig12 : Format.formatter -> prepared_bench list -> unit
 (** Runtime overheads of PP, TPP and PPP. *)
-
-val layout_report : Format.formatter -> prepared_bench list -> unit
-(** Per-benchmark taken-transfer / locality proxy scores: source order,
-    the oracle layout, the layouts edge profiling and PPP estimate, and
-    the closed superblock+layout loop, with the drop count and aggregate
-    improvements the bench gate floors. *)
 
 val fig13 : Format.formatter -> prepared_bench list -> unit
 (** Leave-one-out ablation of PPP's techniques, normalized to TPP, on

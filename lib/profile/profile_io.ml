@@ -36,40 +36,11 @@ let kv_args tokens =
       | None -> None)
     tokens
 
-(* {2 v1 writers} *)
-
-let save_edges ppf (p : Ir.program) prog =
-  Format.fprintf ppf "edge-profile@.";
-  List.iter
-    (fun (r : Ir.routine) ->
-      let t = Edge_profile.routine prog r.Ir.name in
-      if Edge_profile.total t > 0 then begin
-        Format.fprintf ppf "routine %s@." r.Ir.name;
-        let view = Cfg_view.of_routine r in
-        Graph.iter_edges (Cfg_view.graph view) (fun e ->
-            let c = Edge_profile.freq t e in
-            if c > 0 then Format.fprintf ppf "e%d %d@." e c)
-      end)
-    p.routines
-
-let save_paths ppf (p : Ir.program) prog =
-  Format.fprintf ppf "path-profile@.";
-  List.iter
-    (fun (r : Ir.routine) ->
-      let t = Path_profile.routine prog r.Ir.name in
-      if Path_profile.num_distinct t > 0 then begin
-        Format.fprintf ppf "routine %s@." r.Ir.name;
-        Path_profile.iter t (fun path n ->
-            Format.fprintf ppf "%d :%s@." n
-              (String.concat "" (List.map (fun e -> " " ^ string_of_int e) path)))
-      end)
-    p.routines
-
 (* {2 The structural parser}
 
-   One walker understands both dump formats — the v1 headerless body and
-   the v2 envelope (format header, cfg descriptions, checksummed
-   sections, end marker) — and reports what it finds through a {!sink}.
+   One walker reads the v2 envelope (format header, cfg descriptions,
+   checksummed sections, end marker) and reports what it finds through
+   a {!sink}.
    What the counts {e mean} is the consumer's business: the
    program-based {!load} resolves routines against a program and
    salvages stale ones, while {!Raw.parse} keeps the dump's own view for
@@ -98,12 +69,10 @@ type walker = {
 
 let diag w d = w.sink.on_diag d
 
-(* One payload line (shared by v1 bodies and v2 section payloads). *)
+(* One line of a section's payload. *)
 let payload_line w ~lineno raw =
   let line = String.trim raw in
   if line = "" || line.[0] = '#' then ()
-  else if line = "edge-profile" then w.section <- `Edges
-  else if line = "path-profile" then w.section <- `Paths
   else
     match split_tokens line with
     | [ "routine"; name ] ->
@@ -276,9 +245,10 @@ let parse_section w lines i lineno line =
         (Diagnostic.errorf ~line:lineno ~token:(first_token line) Corrupt
            "malformed section header")
 
-let parse_v2 w lines =
+(* Everything after the format header, from line index [start]. *)
+let parse_v2 w lines start =
   let n = Array.length lines in
-  let i = ref 1 (* line 0 is the format header *) in
+  let i = ref start in
   let seen_end = ref false in
   let stop = ref false in
   while (not !stop) && !i < n do
@@ -304,16 +274,23 @@ let parse_v2 w lines =
   if not !seen_end then
     diag w (Diagnostic.errorf Truncated "dump ends without the 'end' marker")
 
-let parse_v1 w lines =
-  Array.iteri (fun i raw -> payload_line w ~lineno:(i + 1) raw) lines
-
+(* The format header may follow blank or comment lines; text without
+   one gets a single diagnostic at its first other line. *)
 let parse_text sink text =
   let w = { sink; section = `Edges; have_routine = false } in
   let lines = Array.of_list (String.split_on_char '\n' text) in
-  let is_v2 =
-    Array.length lines > 0 && String.trim lines.(0) = "ppp-profile v2"
+  let n = Array.length lines in
+  let rec header i =
+    let line = if i < n then String.trim lines.(i) else "" in
+    if i < n && (line = "" || line.[0] = '#') then header (i + 1)
+    else if line = "ppp-profile v2" then parse_v2 w lines (i + 1)
+    else
+      diag w
+        (Diagnostic.errorf ~line:(min (i + 1) n)
+           ?token:(if line = "" then None else Some (first_token line))
+           Corrupt "expected the 'ppp-profile v2' header")
   in
-  if is_v2 then parse_v2 w lines else parse_v1 w lines
+  header 0
 
 (* {2 Raw dumps: the program-free merge layer} *)
 

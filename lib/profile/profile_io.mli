@@ -24,13 +24,8 @@
     {!Ppp_resilience.Stale_match} instead of mis-attributing counts. Each
     [section] carries a CRC-32 of its payload lines and their count, so
     corruption and truncation are detected rather than silently absorbed.
-
-    {2 Format v1 (written by {!save_edges} / {!save_paths})}
-
-    The headerless legacy format ([edge-profile] / [path-profile]
-    sections only); {!load} still reads it, with no staleness or checksum
-    protection. [#] comments and blank lines are allowed in both formats
-    (inside a v2 section they count toward [lines=K] and the CRC).
+    [#] comments and blank lines are allowed anywhere, before the header
+    too (inside a section they count toward [lines=K] and the CRC).
 
     {2 Loading}
 
@@ -56,10 +51,11 @@ val load :
   Ppp_ir.Ir.program ->
   string ->
   (loaded, Ppp_resilience.Diagnostic.t list) result
-(** Parse a v1 or v2 profile dump. [Ok] whenever anything was salvaged
+(** Parse a v2 profile dump. [Ok] whenever anything was salvaged
     (or the dump was validly empty), with all problems in
     [loaded.diagnostics]; [Error] when there were errors and nothing
-    could be salvaged. Routines absent from the text have empty profiles.
+    could be salvaged — text without the format header is an [Error]
+    with one diagnostic. Routines absent from the text have empty profiles.
     When {!Ppp_obs.Metrics} is enabled, sets the
     [resilience.matched_fraction] gauge and the [resilience.counts.*]
     counters. *)
@@ -91,8 +87,8 @@ val save_file :
 
     A {!Raw.t} is a dump held program-free: the CFG descriptions the
     text carried plus the per-routine counter tables. It is what shard
-    merging operates on — any number of v2 (or v1) dumps combine into
-    one, without needing the program they were collected from:
+    merging operates on — any number of dumps combine into one, without
+    needing the program they were collected from:
 
     - counts add, saturating at [max_int] (the clipped mass is reported
       as {!Raw.lost}, never silently inflated);
@@ -186,11 +182,3 @@ module Raw : sig
   val iter_edges : t -> string -> (int -> int -> unit) -> unit
   (** Iterate the routine's edge counts; no-op for an absent routine. *)
 end
-
-val save_edges :
-  Format.formatter -> Ppp_ir.Ir.program -> Edge_profile.program -> unit
-(** Legacy v1 writer (no header, no checksums). *)
-
-val save_paths :
-  Format.formatter -> Ppp_ir.Ir.program -> Path_profile.program -> unit
-(** Legacy v1 writer. *)

@@ -60,8 +60,7 @@ let is_counter_line l =
 
 let is_section_line l =
   let l = String.trim l in
-  (String.length l >= 7 && String.sub l 0 7 = "section")
-  || l = "edge-profile" || l = "path-profile"
+  String.length l >= 7 && String.sub l 0 7 = "section"
 
 let is_routine_line l =
   let l = String.trim l in

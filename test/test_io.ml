@@ -7,16 +7,9 @@ module Path_profile = Ppp_profile.Path_profile
 module Profile_io = Ppp_profile.Profile_io
 module Config = Ppp_core.Config
 module Instrument = Ppp_core.Instrument
+module Crc = Ppp_resilience.Crc
 
 let check_bool = Alcotest.(check bool)
-
-let dump p (o : Interp.outcome) =
-  let buf = Buffer.create 4096 in
-  let ppf = Format.formatter_of_buffer buf in
-  Profile_io.save_edges ppf p (Option.get o.Interp.edge_profile);
-  Profile_io.save_paths ppf p (Option.get o.Interp.path_profile);
-  Format.pp_print_flush ppf ();
-  Buffer.contents buf
 
 let profiles_equal p (ep1, pp1) (ep2, pp2) =
   List.for_all
@@ -55,12 +48,12 @@ let clean_roundtrip p (o : Interp.outcome) text =
            (l.Profile_io.edges, l.Profile_io.paths)
 
 let prop_profile_roundtrip =
-  QCheck.Test.make ~name:"profile save/load roundtrip (v1 and v2)" ~count:40
+  QCheck.Test.make ~name:"profile save/load roundtrip (v2)" ~count:40
     QCheck.(small_int)
     (fun seed ->
       let p = Ppp_workloads.Gen.program ~seed in
       let o = Interp.run p in
-      clean_roundtrip p o (dump p o) && clean_roundtrip p o (dump_v2 p o))
+      clean_roundtrip p o (dump_v2 p o))
 
 (* Every built-in workload roundtrips bit-exactly through the validated
    v2 format, plus the degenerate empty-profile and comment-heavy dumps. *)
@@ -119,18 +112,44 @@ let test_load_classifies_garbage () =
     | exception e ->
         Alcotest.failf "load raised %s" (Printexc.to_string e)
   in
-  expect_diag "edge-profile\ne0 5"; (* counter before routine header *)
-  expect_diag "edge-profile\nroutine nonexistent\ne0 5";
-  expect_diag "edge-profile\nroutine main\nbogus line here";
-  expect_diag "path-profile\nroutine main\nnot-a-number : 0 1"
+  (* Each bad payload line sits in a section whose checksum is valid, so
+     the diagnostic classifies the line itself. *)
+  let section kind payload =
+    let body = String.concat "\n" payload in
+    Printf.sprintf "ppp-profile v2\nsection %s crc=%s lines=%d\n%s\nend\n" kind
+      (Crc.to_hex (Crc.string body))
+      (List.length payload) body
+  in
+  expect_diag (section "edges" [ "e0 5" ]); (* counter before routine header *)
+  expect_diag (section "edges" [ "routine nonexistent"; "e0 5" ]);
+  expect_diag (section "edges" [ "routine main"; "bogus line here" ]);
+  expect_diag (section "paths" [ "routine main"; "not-a-number : 0 1" ])
 
 let test_load_tolerates_comments_and_blanks () =
   let p = Ppp_workloads.Gen.program ~seed:1 in
   let o = Interp.run p in
-  let text = "# a comment\n\n" ^ dump p o ^ "\n# trailing\n" in
-  match Profile_io.load p text with
-  | Ok l -> check_bool "no diagnostics" true (l.Profile_io.diagnostics = [])
-  | Error _ -> Alcotest.fail "comments should be tolerated"
+  let text = "# a comment\n\n" ^ dump_v2 p o ^ "\n# trailing\n" in
+  check_bool "comments around a v2 dump are tolerated" true
+    (clean_roundtrip p o text)
+
+let test_headerless_text_is_one_error () =
+  let p = Ppp_workloads.Gen.program ~seed:1 in
+  List.iter
+    (fun (text, line) ->
+      match Profile_io.load p text with
+      | Error [ d ] ->
+          Alcotest.(check (option int)) "located" (Some line)
+            d.Ppp_resilience.Diagnostic.line
+      | Error ds ->
+          Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
+      | Ok _ -> Alcotest.fail "headerless text accepted"
+      | exception e -> Alcotest.failf "load raised %s" (Printexc.to_string e))
+    [
+      ("edge-profile\nroutine main\ne0 5", 1);
+      ("# comment\n\nroutine main", 3);
+      ("", 1);
+      ("\n# only comments\n", 3);
+    ]
 
 let test_pp_plan_renders () =
   let p = (Ppp_workloads.Spec.find "gap").Ppp_workloads.Spec.build ~scale:1 in
@@ -168,5 +187,7 @@ let suite =
     Alcotest.test_case "load classifies garbage" `Quick
       test_load_classifies_garbage;
     Alcotest.test_case "load tolerates comments" `Quick test_load_tolerates_comments_and_blanks;
+    Alcotest.test_case "headerless text is one error" `Quick
+      test_headerless_text_is_one_error;
     Alcotest.test_case "pp_plan renders" `Quick test_pp_plan_renders;
   ]

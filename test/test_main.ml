@@ -26,6 +26,7 @@ let () =
       ("sampling", Test_sampling.suite);
       ("layout", Test_layout.suite);
       ("quality", Test_quality.suite);
+      ("gate", Test_gate.suite);
       ("daemon", Test_daemon.suite);
       ("tier", Test_tier.suite);
     ]
