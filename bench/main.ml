@@ -22,7 +22,8 @@
                  instrumentation cost, installed-layout proxy scores
      drift       re-optimization loop decision stability, pristine
                  profiles vs a sampled store merged with decay
-     throughput  VM and reference-engine Minstr/s        (wall clock)
+     throughput  VM and reference-engine Minstr/s, profiling off and
+                 with edges + path tracing on             (wall clock)
      prepare     preparation time per phase             (wall clock)
      timing      Bechamel ns per run, plain and per profiler
                                                          (wall clock)
@@ -63,7 +64,7 @@
      drift       the drift loop's generation-2 decision stability
                  averages at least 40%
      throughput  every benchmark's VM runs at least 1.5x as fast as the
-                 reference engine
+                 reference engine, profiling off and on
 
    Unknown benchmarks, actions and sections exit 2. *)
 

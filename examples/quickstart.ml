@@ -97,6 +97,9 @@ let () =
   show Config.ppp;
   Format.printf "@.=== 5. Ground truth for comparison ===@.";
   let actual = Option.get base.Interp.path_profile in
-  Ppp_profile.Path_profile.iter
+  Ppp_profile.Path_profile.fold
     (Ppp_profile.Path_profile.routine actual "main")
-    (fun path n -> Format.printf "    %3d x %a@." n (Ppp_profile.Path.pp view) path)
+    ~init:[] ~f:(fun acc path n -> (path, n) :: acc)
+  |> List.sort compare
+  |> List.iter (fun (path, n) ->
+         Format.printf "    %3d x %a@." n (Ppp_profile.Path.pp view) path)

@@ -25,6 +25,7 @@ type reason =
   | Low_coverage of float
   | No_hot_paths
   | All_obvious
+  | Too_many_paths
 
 type decision =
   | Uninstrumented of reason
@@ -164,7 +165,10 @@ let plan_routine ?plan_ctx ?definite (config : Config.t) total_unit_flow
                 in
                 adjust 1.0 0
           in
-          if Numbering.num_paths numbering = 0 then Uninstrumented No_hot_paths
+          (* An overflowed numbering counts as more paths than any hash
+             threshold above, so it is only left when no choice fits. *)
+          if not (Numbering.fits numbering) then Uninstrumented Too_many_paths
+          else if Numbering.num_paths numbering = 0 then Uninstrumented No_hot_paths
           else begin
             let weight =
               if config.smart_numbering then fun e ->
@@ -284,7 +288,9 @@ let pp_plan ppf plan =
             (100.0 *. c)
       | No_hot_paths -> Format.fprintf ppf "not instrumented (no hot paths)"
       | All_obvious ->
-          Format.fprintf ppf "not instrumented (all paths obvious after placement)");
+          Format.fprintf ppf "not instrumented (all paths obvious after placement)"
+      | Too_many_paths ->
+          Format.fprintf ppf "not instrumented (more paths than an int can number)");
       Format.fprintf ppf "@]"
   | Instrumented { numbering; place; sa_iters; uses_hash; _ } ->
       Format.fprintf ppf "%d numbered paths, table %a%s@,"

@@ -12,6 +12,8 @@ type reason =
       (** PPP Section 4.1: edge-profile coverage met the threshold *)
   | No_hot_paths  (** every edge went cold *)
   | All_obvious  (** placement eliminated every action *)
+  | Too_many_paths
+      (** the hot paths outnumber an OCaml [int], so no numbering fits *)
 
 type decision =
   | Uninstrumented of reason

@@ -1,100 +1,47 @@
 module Graph = Ppp_cfg.Graph
 module Dag = Ppp_cfg.Dag
+module Core = Ppp_cfg.Path_numbering
 module Routine_ctx = Ppp_flow.Routine_ctx
 
-type order = Ball_larus | Freq_decreasing of (Graph.edge -> float)
+type order = Core.order =
+  | Ball_larus
+  | Freq_decreasing of (Graph.edge -> float)
 
 type t = {
   ctx : Routine_ctx.t;
   hot : bool array;
-  num_paths : int array; (* node -> NumPaths *)
-  value : int array; (* DAG edge -> Val *)
+  core : Core.t;
   prefix : int array; (* node -> number of hot entry-to-node prefixes *)
 }
 
 let compute ctx ~hot ~order =
+  let core = Core.compute (Routine_ctx.dag ctx) ~hot ~order in
   let g = Routine_ctx.graph ctx in
-  let exit = Routine_ctx.exit ctx in
-  let entry = Routine_ctx.entry ctx in
-  let num_paths = Array.make (Graph.num_nodes g) 0 in
-  let value = Array.make (max 1 (Graph.num_edges g)) 0 in
-  num_paths.(exit) <- 1;
-  let topo = Dag.topological (Routine_ctx.dag ctx) in
-  List.iter
-    (fun v ->
-      if v <> exit then begin
-        let hot_out = List.filter (fun e -> hot.(e)) (Graph.out_edges g v) in
-        let sorted =
-          match order with
-          | Ball_larus ->
-              (* Increasing NumPaths of the target; ties by edge id for
-                 determinism. *)
-              List.stable_sort
-                (fun a b ->
-                  compare num_paths.(Graph.dst g a) num_paths.(Graph.dst g b))
-                hot_out
-          | Freq_decreasing freq ->
-              List.stable_sort (fun a b -> compare (freq b) (freq a)) hot_out
-        in
+  let prefix = Array.make (Graph.num_nodes g) 0 in
+  prefix.(Routine_ctx.entry ctx) <- 1;
+  (* A prefix extends to at least one hot path, so prefix counts stay
+     below NumPaths and fit whenever it does. *)
+  if Core.fits core then
+    List.iter
+      (fun v ->
         List.iter
           (fun e ->
-            value.(e) <- num_paths.(v);
-            num_paths.(v) <- num_paths.(v) + num_paths.(Graph.dst g e))
-          sorted
-      end)
-    (List.rev topo);
-  let prefix = Array.make (Graph.num_nodes g) 0 in
-  prefix.(entry) <- 1;
-  List.iter
-    (fun v ->
-      List.iter
-        (fun e ->
-          if hot.(e) then
-            prefix.(Graph.dst g e) <- prefix.(Graph.dst g e) + prefix.(v))
-        (Graph.out_edges g v))
-    topo;
-  { ctx; hot; num_paths; value; prefix }
+            if hot.(e) then
+              prefix.(Graph.dst g e) <- prefix.(Graph.dst g e) + prefix.(v))
+          (Graph.out_edges g v))
+      (Dag.topological (Routine_ctx.dag ctx));
+  { ctx; hot; core; prefix }
 
-let num_paths t = t.num_paths.(Routine_ctx.entry t.ctx)
-let num_paths_at t v = t.num_paths.(v)
-let value t e = t.value.(e)
+let fits t = Core.fits t.core
+let num_paths t = Core.num_paths t.core
+let num_paths_at t v = Core.num_paths_at t.core v
+let value t e = Core.value t.core e
 let prefix_count t v = t.prefix.(v)
 
 let paths_through t e =
   let g = Routine_ctx.graph t.ctx in
   if not t.hot.(e) then 0
-  else t.prefix.(Graph.src g e) * t.num_paths.(Graph.dst g e)
+  else t.prefix.(Graph.src g e) * Core.num_paths_at t.core (Graph.dst g e)
 
-let decode t n =
-  let g = Routine_ctx.graph t.ctx in
-  let exit = Routine_ctx.exit t.ctx in
-  if n < 0 || n >= num_paths t then
-    invalid_arg (Printf.sprintf "Numbering.decode: %d out of [0,%d)" n (num_paths t));
-  let rec walk v remaining acc =
-    if v = exit then begin
-      assert (remaining = 0);
-      List.rev acc
-    end
-    else begin
-      (* The unique hot out-edge with Val(e) <= remaining < Val(e) +
-         NumPaths(dst e): the one with the largest Val not exceeding
-         remaining. *)
-      let best =
-        List.fold_left
-          (fun best e ->
-            if not t.hot.(e) || t.value.(e) > remaining then best
-            else
-              match best with
-              | Some b when t.value.(b) >= t.value.(e) -> best
-              | _ -> Some e)
-          None (Graph.out_edges g v)
-      in
-      match best with
-      | Some e -> walk (Graph.dst g e) (remaining - t.value.(e)) (e :: acc)
-      | None -> invalid_arg "Numbering.decode: stuck (inconsistent hot set)"
-    end
-  in
-  walk (Routine_ctx.entry t.ctx) n []
-
-let number_of_path t path =
-  List.fold_left (fun acc e -> acc + t.value.(e)) 0 path
+let decode t n = Core.decode t.core n
+let number_of_path t path = Core.number_of_path t.core path

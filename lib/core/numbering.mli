@@ -1,13 +1,14 @@
-(** Path numbering (Figure 2, and Figure 6's smart variant).
+(** Path numbering (Figure 2, and Figure 6's smart variant) of a
+    routine's hot sub-DAG, for placement.
 
-    On the hot sub-DAG, assigns [Val] to each hot edge so that the edge
-    values along each entry-to-exit path sum to a unique number in
-    [\[0, N-1\]], where [N] is the number of hot paths. Ball–Larus order
-    numbers a block's outgoing edges by increasing [NumPaths] of the
-    target; smart numbering (PPP, Section 4.5) numbers them by decreasing
-    execution frequency, so the hottest outgoing edge gets value 0. *)
+    The numbering itself is {!Ppp_cfg.Path_numbering}, shared with the
+    interpreter's path tracer; this module adds the hot-prefix counts
+    that placement needs (Section 3.2). Ball–Larus order numbers a
+    block's outgoing edges by increasing [NumPaths] of the target; smart
+    numbering (PPP, Section 4.5) numbers them by decreasing execution
+    frequency, so the hottest outgoing edge gets value 0. *)
 
-type order =
+type order = Ppp_cfg.Path_numbering.order =
   | Ball_larus
   | Freq_decreasing of (Ppp_cfg.Graph.edge -> float)
 
@@ -17,6 +18,11 @@ val compute : Ppp_flow.Routine_ctx.t -> hot:bool array -> order:order -> t
 (** [hot] is indexed by DAG edge. Nodes with no hot path to the exit must
     have had their edges pruned (see {!Cold.close_hot}); their [NumPaths]
     is 0. *)
+
+val fits : t -> bool
+(** False when the hot paths outnumber an OCaml [int]: {!num_paths} is
+    then [max_int] and the other values are meaningless, so such a
+    routine cannot be instrumented. *)
 
 val num_paths : t -> int
 (** [N]: NumPaths at the entry node. *)

@@ -11,7 +11,8 @@
      [costs] array keeps the per-op charges so fuel exhaustion can bill
      an exact remainder — see [Vm]);
    - terminators are fused with their edge bookkeeping: the edge id,
-     whether it ends the current path, the specialized instrumentation
+     whether it ends the current path, the edge's Ball–Larus value and
+     restart value for the path tracer, the specialized instrumentation
      actions and their precomputed total cost all sit in the opcode;
    - register indices are validated here, so the VM may use unchecked
      register accesses; an out-of-range index lowers to a [Trap] that
@@ -29,15 +30,15 @@
    *specialization* rebuilds just the terminator opcodes to attach the
    run's instrumentation pre-actions. A {!cache} keyed by routine
    fingerprint keeps structural plans warm between runs; mutable run
-   state (edge counters, path intern tables, array contents) is always
+   state (edge counters, path count tables, array contents) is always
    fresh, so a cached run is byte-identical to a cold one. *)
 
 module Graph = Ppp_cfg.Graph
 module Loop = Ppp_cfg.Loop
+module Path_numbering = Ppp_cfg.Path_numbering
 module Ir = Ppp_ir.Ir
 module Cfg_view = Ppp_ir.Cfg_view
 module Edge_profile = Ppp_profile.Edge_profile
-module Path_profile = Ppp_profile.Path_profile
 module Fingerprint = Ppp_resilience.Fingerprint
 module Obs = Ppp_obs.Metrics
 
@@ -61,6 +62,10 @@ type pre_action =
 type edge_ops = {
   edge : int;
   ends_path : bool;
+  path_add : int; (* Path_numbering.step: added to the trace register *)
+  path_restart : int;
+      (* Path_numbering.restart: the trace register after a path end or
+         cut edge; -1 on an edge that is neither *)
   acts : pre_action array;
   acts_cost : int; (* total Cost.action of the list *)
   act_kinds : int array; (* Instr_rt.action_index per action, for metrics *)
@@ -150,7 +155,7 @@ type plan = {
   r_id : int; (* this routine's plan index in its program *)
   nregs : int;
   edge_counts : Edge_profile.t option;
-  intern : Path_profile.Intern.table option;
+  paths : Path_counts.t option;
 }
 
 type program = {
@@ -202,6 +207,19 @@ let is_identity_order order =
   let rec go i = i >= n || (order.(i) = i && go (i + 1)) in
   go 0
 
+let analyze ?analysis (r : Ir.routine) =
+  match analysis with
+  | Some f -> f r
+  | None ->
+      let view = Cfg_view.of_routine r in
+      (view, Loop.compute (Cfg_view.graph view) ~root:(Cfg_view.entry view))
+
+(* The path tracer's numbering of every path of the routine. Plans keep
+   only its per-edge values; decoding rebuilds it. *)
+let tracing_of view loops =
+  Path_numbering.tracing (Cfg_view.graph view) ~entry:(Cfg_view.entry view)
+    ~exit:(Cfg_view.exit view) ~ends:(Loop.breakable_edges loops)
+
 (* Lower one routine structurally: full opcode array, costs and edge
    bookkeeping, but every edge's action list empty. Instrumentation is
    attached later by [specialize_plan], so this half is pure in the
@@ -214,20 +232,22 @@ let is_identity_order order =
    target-patching pass below resolves branch targets through it, so
    the executed instruction stream is identical for every order. *)
 let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
-  let view, loops =
-    match analysis with
-    | Some f -> f r
-    | None ->
-        let view = Cfg_view.of_routine r in
-        let g = Cfg_view.graph view in
-        (view, Loop.compute g ~root:(Cfg_view.entry view))
-  in
+  let view, loops = analyze ?analysis r in
   let g = Cfg_view.graph view in
   let nedges = Graph.num_edges g in
   let is_back = Array.make (max 1 nedges) false in
   List.iter (fun e -> is_back.(e) <- true) (Loop.breakable_edges loops);
+  let tr = tracing_of view loops in
   let edge_ops ~ends_path e =
-    { edge = e; ends_path; acts = [||]; acts_cost = 0; act_kinds = [||] }
+    {
+      edge = e;
+      ends_path;
+      path_add = Path_numbering.step tr e;
+      path_restart = Path_numbering.restart tr e;
+      acts = [||];
+      acts_cost = 0;
+      act_kinds = [||];
+    }
   in
   (* Emission: [pending] accumulates the current straight-line run of
      pure ops (with their individual charges); [flush] prefixes it with
@@ -449,7 +469,7 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
       | None -> 0);
     nregs = r.Ir.nregs;
     edge_counts = None;
-    intern = None;
+    paths = None;
   }
 
 let structural_variant (p : plan) = p.variants.(p.v_plain)
@@ -526,6 +546,11 @@ let create_cache () =
   }
 
 let set_analysis c f = c.analysis <- Some f
+
+let tracing ?cache (plan : plan) =
+  let analysis = Option.bind cache (fun c -> c.analysis) in
+  let view, loops = analyze ?analysis plan.routine in
+  tracing_of view loops
 
 let env_signature (p : Ir.program) =
   let h = ref 17 in
@@ -643,9 +668,8 @@ let program ?cache ~(config : Engine.config) ~instr_tables (p : Ir.program) =
                (if config.Engine.collect_edges then
                   Some (Edge_profile.create ~nedges)
                 else None);
-             intern =
-               (if config.Engine.trace_paths then
-                  Some (Path_profile.Intern.create ())
+             paths =
+               (if config.Engine.trace_paths then Some (Path_counts.create ())
                 else None);
            })
          p.Ir.routines)

@@ -6,7 +6,8 @@
     [int array] references, per-instruction charges are batched into one
     {!op.Fuel} opcode per straight-line segment (with a parallel per-op
     cost table for the exact remainder bill on fuel exhaustion),
-    terminators are fused with their edge bookkeeping, and each edge's
+    terminators are fused with their edge bookkeeping (including the
+    edge's Ball–Larus value for the path tracer), and each edge's
     instrumentation is specialized into {!pre_action}s with the frequency
     table already in hand. Register indices are validated here so the VM
     can use unchecked register accesses; an out-of-range index lowers to
@@ -26,6 +27,12 @@ type pre_action =
 type edge_ops = {
   edge : int;
   ends_path : bool;
+  path_add : int;
+      (** the edge's value in the routine's all-edges DAG
+          ({!Ppp_cfg.Path_numbering.step}), added to the trace register *)
+  path_restart : int;
+      (** the trace register's value after a path end or cut edge
+          ({!Ppp_cfg.Path_numbering.restart}); [-1] on other edges *)
   acts : pre_action array;
   acts_cost : int;  (** precomputed total {!Cost.action} of the list *)
   act_kinds : int array;  (** {!Instr_rt.action_index} per action *)
@@ -111,7 +118,7 @@ type plan = {
   r_id : int;  (** this routine's plan index in its program *)
   nregs : int;
   edge_counts : Ppp_profile.Edge_profile.t option;
-  intern : Ppp_profile.Path_profile.Intern.table option;
+  paths : Path_counts.t option;  (** traced path counts, when tracing *)
 }
 
 type program = {
@@ -146,7 +153,7 @@ val is_identity_order : int array -> bool
     signature); the environment signature covers the routine name order
     and the array set, because Call opcodes embed callee plan indices
     and Load/Store opcodes embed backing-array refs. Mutable run state
-    (array contents, edge counters, intern tables) is recreated or wiped
+    (array contents, edge counters, path count tables) is recreated or wiped
     per run, so cached runs are byte-identical to cold ones.
 
     Cache traffic is observable through the [session.lower.*] metrics:
@@ -162,6 +169,10 @@ val set_analysis : cache -> (Ppp_ir.Ir.routine -> Ppp_ir.Cfg_view.t * Ppp_cfg.Lo
     session's memoized analyses are reused instead of recomputed on a
     structural miss. The callback must return artifacts for exactly the
     routine given. *)
+
+val tracing : ?cache:cache -> plan -> Ppp_cfg.Path_numbering.tracing
+(** The path tracer's numbering of the plan's routine, rebuilt (plans
+    hold only its per-edge values): decodes the numbers in [paths]. *)
 
 val program :
   ?cache:cache ->

@@ -1,7 +1,8 @@
 (* The flat VM: executes the opcode arrays produced by [Lower] with a
-   growable, recycled frame array instead of a frame list, a reusable
-   int buffer per frame instead of a [path_rev] list, and one fuel/cost
-   update per straight-line segment instead of one per instruction.
+   growable, recycled frame array instead of a frame list, a Ball–Larus
+   trace register per frame instead of a [path_rev] list, and one
+   fuel/cost update per straight-line segment instead of one per
+   instruction.
 
    The engine must be byte-identical to the reference tree-walker in
    [Interp] — same outcomes, profiles, table state and metrics — which
@@ -20,6 +21,7 @@
      their semantic bounds check with the reference engine's message. *)
 
 module Graph = Ppp_cfg.Graph
+module Path_numbering = Ppp_cfg.Path_numbering
 module Ir = Ppp_ir.Ir
 module Cfg_view = Ppp_ir.Cfg_view
 module Edge_profile = Ppp_profile.Edge_profile
@@ -41,8 +43,10 @@ type frame = {
   mutable regs : int array;
   mutable pc : int; (* saved resume point while a callee runs *)
   mutable path_reg : int;
-  mutable pbuf : int array; (* current path's edges *)
-  mutable plen : int;
+  mutable trace_reg : int; (* Ball–Larus number of the current path so far *)
+  mutable trace_segs : int list;
+      (* numbers of the current path's finished segments, latest first;
+         non-empty only after a cut edge (see Path_numbering.tracing) *)
   mutable ret_to : int; (* caller register for our result; -1 = none *)
 }
 
@@ -98,8 +102,8 @@ let fresh_frame plan =
        so frame entry needs no pc mapping even across variants. *)
     pc = 0;
     path_reg = 0;
-    pbuf = Array.make 64 0;
-    plen = 0;
+    trace_reg = 0;
+    trace_segs = [];
     ret_to = -1;
   }
 
@@ -171,7 +175,8 @@ let enter st plan ~nargs ret_to =
   else if nargs < n then Array.fill f.regs nargs (n - nargs) 0;
   f.pc <- 0;
   f.path_reg <- 0;
-  f.plen <- 0;
+  f.trace_reg <- 0;
+  f.trace_segs <- [];
   f.ret_to <- ret_to;
   f
 
@@ -195,21 +200,25 @@ let traverse st (frame : frame) (plan : L.plan) (eo : L.edge_ops) =
   | Some c -> Edge_profile.incr c eo.L.edge
   | None -> ());
   if st.trace_on then begin
-    let len = frame.plen in
-    if len = Array.length frame.pbuf then begin
-      let bigger = Array.make (2 * len) 0 in
-      Array.blit frame.pbuf 0 bigger 0 len;
-      frame.pbuf <- bigger
-    end;
-    frame.pbuf.(len) <- eo.L.edge;
-    frame.plen <- len + 1;
+    (* One add per edge, one counter bump per path (Section 3.1). *)
+    let n = frame.trace_reg + eo.L.path_add in
     if eo.L.ends_path then begin
-      (match plan.L.intern with
-      | Some t -> Path_profile.Intern.record t frame.pbuf ~len:frame.plen
+      (match plan.L.paths with
+      | Some t -> (
+          match frame.trace_segs with
+          | [] -> Path_counts.bump t n
+          | segs ->
+              Path_counts.bump_segments t (List.rev (n :: segs));
+              frame.trace_segs <- [])
       | None -> ());
       st.dyn_paths <- st.dyn_paths + 1;
-      frame.plen <- 0
+      frame.trace_reg <- eo.L.path_restart
     end
+    else if eo.L.path_restart >= 0 then begin
+      frame.trace_segs <- n :: frame.trace_segs;
+      frame.trace_reg <- eo.L.path_restart
+    end
+    else frame.trace_reg <- n
   end;
   let acts = eo.L.acts in
   let n = Array.length acts in
@@ -685,18 +694,21 @@ let run ?cache ~(config : E.config) (p : Ir.program) =
     end
     else None
   in
+  (* Traced paths are decoded to edges only here, once per distinct
+     path, by rebuilding each routine's numbering. *)
   let path_profile =
     if config.E.trace_paths then begin
       let pp = Path_profile.create_program p in
       Hashtbl.iter
         (fun name idx ->
           let plan = prog.L.plans.(idx) in
-          match plan.L.intern with
-          | Some t ->
+          match plan.L.paths with
+          | Some t when Path_counts.num_distinct t > 0 ->
+              let tr = L.tracing ?cache plan in
               let dst = Path_profile.routine pp name in
-              Path_profile.Intern.iter t (fun edges n ->
-                  Path_profile.add dst (Array.to_list edges) n)
-          | None -> ())
+              Path_counts.iter t (fun segs n ->
+                  Path_profile.add dst (Path_numbering.decode_segments tr segs) n)
+          | _ -> ())
         prog.L.index;
       Some pp
     end

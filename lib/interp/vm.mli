@@ -1,9 +1,11 @@
 (** The flat VM execution engine.
 
     Executes the opcode arrays produced by {!Lower}: contiguous code, a
-    recycled frame array, reusable path buffers feeding
-    {!Ppp_profile.Path_profile.Intern}, and fuel charged once per
-    straight-line segment with an exact remainder bill on exhaustion.
+    recycled frame array, and fuel charged once per straight-line segment
+    with an exact remainder bill on exhaustion. The ground-truth tracer
+    adds each edge's Ball–Larus value to a per-frame register and counts
+    the path's number at its end ({!Path_counts}); paths are decoded to
+    edges only when the run's [path_profile] is built.
     Byte-identical in observable behavior to the reference tree-walker —
     the differential suite in [test/test_engine_diff.ml] holds it to
     that. Use {!Interp.run}, which dispatches here by default. *)

@@ -4,6 +4,21 @@ module Cfg_view = Ppp_ir.Cfg_view
 type t = Graph.edge list
 
 let compare = Stdlib.compare
+let equal (a : t) b = a = b
+
+(* FNV-1a over every edge id, then a shift to fold the high bits into the
+   low ones a table index reads. *)
+let hash p =
+  let rec go h = function [] -> h | e :: rest -> go ((h lxor e) * 0x100000001b3) rest in
+  let h = go 0x811c9dc5 p in
+  (h lxor (h lsr 31)) land max_int
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
 
 let blocks view p =
   List.map (fun e -> Graph.src (Cfg_view.graph view) e) p

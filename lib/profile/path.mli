@@ -10,6 +10,14 @@
 type t = Ppp_cfg.Graph.edge list
 
 val compare : t -> t -> int
+val equal : t -> t -> bool
+
+val hash : t -> int
+(** A hash over every edge of the path. The polymorphic [Hashtbl.hash]
+    reads only a prefix of a list, so long paths that share one collide. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Path-keyed tables, hashed by {!hash}. *)
 
 val blocks : Ppp_ir.Cfg_view.t -> t -> int list
 (** The block sequence: sources of the edges (the virtual exit never

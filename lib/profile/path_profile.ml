@@ -1,22 +1,22 @@
 module Cfg_view = Ppp_ir.Cfg_view
 module Ir = Ppp_ir.Ir
 
-type t = (Path.t, int ref) Hashtbl.t
+type t = int ref Path.Tbl.t
 
-let create () : t = Hashtbl.create 64
+let create () : t = Path.Tbl.create 64
 
 let add t p n =
-  match Hashtbl.find_opt t p with
+  match Path.Tbl.find_opt t p with
   | Some r -> r := !r + n
-  | None -> Hashtbl.replace t p (ref n)
+  | None -> Path.Tbl.replace t p (ref n)
 
 let record t p = add t p 1
-let freq t p = match Hashtbl.find_opt t p with Some r -> !r | None -> 0
-let num_distinct t = Hashtbl.length t
-let iter t f = Hashtbl.iter (fun p r -> f p !r) t
+let freq t p = match Path.Tbl.find_opt t p with Some r -> !r | None -> 0
+let num_distinct t = Path.Tbl.length t
+let iter t f = Path.Tbl.iter (fun p r -> f p !r) t
 
 let fold t ~init ~f =
-  Hashtbl.fold (fun p r acc -> f acc p !r) t init
+  Path.Tbl.fold (fun p r acc -> f acc p !r) t init
 
 let total_flow t view metric =
   fold t ~init:0 ~f:(fun acc p n ->
@@ -52,108 +52,6 @@ let hot_paths prog ~views ~metric ~threshold =
   let cutoff = threshold *. float_of_int !total in
   List.filter (fun (_, _, flow) -> float_of_int flow >= cutoff) !all
   |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
-
-(* An interning frequency table for hot tracing loops: paths arrive as a
-   reusable [int array] prefix (no list allocation per execution), are
-   hashed in place, and only a path's *first* execution copies its edges
-   out. Open addressing with linear probing, load factor <= 1/2. *)
-module Intern = struct
-  let new_profile = create
-  let profile_add = add
-
-  type table = {
-    mutable keys : int array array; (* id -> edge list of the path *)
-    mutable counts : int array; (* id -> executions *)
-    mutable n : int; (* number of distinct paths *)
-    mutable buckets : int array; (* slot -> id, or -1 *)
-    mutable mask : int; (* Array.length buckets - 1 *)
-  }
-
-  let create () =
-    {
-      keys = Array.make 16 [||];
-      counts = Array.make 16 0;
-      n = 0;
-      buckets = Array.make 32 (-1);
-      mask = 31;
-    }
-
-  (* FNV-1a over the edge ids, truncated to a nonnegative int. *)
-  let hash buf len =
-    let h = ref 0x811c9dc5 in
-    for i = 0 to len - 1 do
-      h := (!h lxor Array.unsafe_get buf i) * 0x01000193
-    done;
-    !h land max_int
-
-  let matches key buf len =
-    Array.length key = len
-    &&
-    let i = ref 0 in
-    while !i < len && Array.unsafe_get key !i = Array.unsafe_get buf !i do
-      incr i
-    done;
-    !i = len
-
-  let insert_id t h id =
-    let s = ref (h land t.mask) in
-    while t.buckets.(!s) >= 0 do
-      s := (!s + 1) land t.mask
-    done;
-    t.buckets.(!s) <- id
-
-  (* Make room for one more id, keeping the bucket load under 1/2. *)
-  let reserve t =
-    let cap = Array.length t.keys in
-    if t.n = cap then begin
-      let keys = Array.make (2 * cap) [||] in
-      Array.blit t.keys 0 keys 0 cap;
-      t.keys <- keys;
-      let counts = Array.make (2 * cap) 0 in
-      Array.blit t.counts 0 counts 0 cap;
-      t.counts <- counts
-    end;
-    if 2 * (t.n + 1) >= Array.length t.buckets then begin
-      let nb = 2 * Array.length t.buckets in
-      t.buckets <- Array.make nb (-1);
-      t.mask <- nb - 1;
-      for id = 0 to t.n - 1 do
-        let k = t.keys.(id) in
-        insert_id t (hash k (Array.length k)) id
-      done
-    end
-
-  let record t buf ~len =
-    let h = hash buf len in
-    let rec find s =
-      let id = t.buckets.(s) in
-      if id < 0 then -1
-      else if matches t.keys.(id) buf len then id
-      else find ((s + 1) land t.mask)
-    in
-    let id = find (h land t.mask) in
-    if id >= 0 then t.counts.(id) <- t.counts.(id) + 1
-    else begin
-      reserve t;
-      let id = t.n in
-      t.n <- id + 1;
-      t.keys.(id) <- Array.sub buf 0 len;
-      t.counts.(id) <- 1;
-      insert_id t h id
-    end
-
-  let num_distinct t = t.n
-
-  let iter t f =
-    for id = 0 to t.n - 1 do
-      f t.keys.(id) t.counts.(id)
-    done
-
-  let to_profile t =
-    let p = new_profile () in
-    iter t (fun edges n -> profile_add p (Array.to_list edges) n);
-    p
-end
 
 let flow_of_set prog ~views ~metric paths =
   List.fold_left

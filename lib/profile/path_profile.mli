@@ -37,32 +37,6 @@ val hot_paths :
 (** Paths whose flow is at least [threshold] (a fraction, e.g. 0.00125)
     of total program flow, sorted by decreasing flow (Section 6.1). *)
 
-(** {2 Interning}
-
-    A frequency table for hot tracing loops: the executing engine keeps
-    the current path as a reusable [int array] prefix (no per-execution
-    list allocation), and only a path's {e first} execution copies its
-    edges out. Used by the VM engine; {!Intern.to_profile} converts back
-    to the ordinary representation at the end of a run. *)
-
-module Intern : sig
-  type table
-
-  val create : unit -> table
-
-  val record : table -> int array -> len:int -> unit
-  (** Count one execution of the path whose edges are [buf.(0 .. len-1)].
-      The buffer is read, never retained. *)
-
-  val num_distinct : table -> int
-
-  val iter : table -> (int array -> int -> unit) -> unit
-  (** [iter t f] calls [f edges count] per distinct path; [edges] is
-      owned by the table — do not mutate it. *)
-
-  val to_profile : table -> t
-end
-
 val flow_of_set :
   program ->
   views:(string -> Ppp_ir.Cfg_view.t) ->

@@ -203,6 +203,13 @@ let parse_cfg_header w lines i lineno line =
         (Diagnostic.errorf ~line:lineno ~token:(first_token line) Corrupt
            "malformed cfg header")
 
+(* The CRC-32 of [lines] joined by newlines (a section's payload),
+   without building the joined text. *)
+let crc_lines = function
+  | [] -> Crc.string ""
+  | l :: rest ->
+      List.fold_left (fun c l -> Crc.update (Crc.update c "\n") l) (Crc.string l) rest
+
 let parse_section w lines i lineno line =
   let tokens = split_tokens line in
   let kind =
@@ -231,8 +238,7 @@ let parse_section w lines i lineno line =
       let payload = Array.sub lines !i (max 0 available) in
       let start = !i in
       i := !i + max 0 available;
-      let joined = String.concat "\n" (Array.to_list payload) in
-      if available = k && Crc.string joined <> crc then
+      if available = k && crc_lines (Array.to_list payload) <> crc then
         diag w
           (Diagnostic.errorf ~line:lineno Corrupt
              "checksum mismatch in %s section"
@@ -298,10 +304,17 @@ let parse_text sink text =
 let sat_add a b = if a > max_int - b then max_int else a + b
 
 module Raw = struct
+  module Int_tbl = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash = Hashtbl.hash
+  end)
+
   type t = {
     descs : (string, Stale_match.cfg_desc) Hashtbl.t;
-    edges : (string, (int, int) Hashtbl.t) Hashtbl.t;
-    paths : (string, (int list, int) Hashtbl.t) Hashtbl.t;
+    edges : (string, int Int_tbl.t) Hashtbl.t;
+    paths : (string, int Path.Tbl.t) Hashtbl.t;
     mutable diags_rev : Diagnostic.t list;
     mutable lost : int;  (** count mass dropped, clipped or unsalvageable *)
   }
@@ -334,42 +347,59 @@ module Raw = struct
   let iter_paths t name f =
     match Hashtbl.find_opt t.paths name with
     | None -> ()
-    | Some per -> Hashtbl.iter f per
+    | Some per -> Path.Tbl.iter f per
 
   let iter_edges t name f =
     match Hashtbl.find_opt t.edges name with
     | None -> ()
-    | Some per -> Hashtbl.iter f per
+    | Some per -> Int_tbl.iter f per
 
-  let table tbl name =
-    match Hashtbl.find_opt tbl name with
-    | Some t -> t
-    | None ->
-        let t = Hashtbl.create 17 in
-        Hashtbl.replace tbl name t;
-        t
+  (* The per-routine counter tables, keyed by edge id or by path. *)
+  module Counts (H : Hashtbl.S) = struct
+    let table tbl name =
+      match Hashtbl.find_opt tbl name with
+      | Some per -> per
+      | None ->
+          let per = H.create 17 in
+          Hashtbl.replace tbl name per;
+          per
 
-  (* [add_count] keeps the invariant that every unit of incoming count
-     mass either lands in the table or is accounted in [lost]. *)
-  let add_count t tbl key count =
-    let prev = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
-    if prev > max_int - count then begin
-      t.lost <- sat_add t.lost (count - (max_int - prev));
-      t.diags_rev <-
-        Diagnostic.errorf ~severity:Diagnostic.Warning Saturated
-          "merged counter clamped at max_int; excess recorded as lost"
-        :: t.diags_rev;
-      Hashtbl.replace tbl key max_int
-    end
-    else Hashtbl.replace tbl key (prev + count)
+    (* Every unit of incoming count mass either lands in the table or
+       is accounted in [lost]. *)
+    let add_count t per key count =
+      let prev = Option.value ~default:0 (H.find_opt per key) in
+      if prev > max_int - count then begin
+        t.lost <- sat_add t.lost (count - (max_int - prev));
+        t.diags_rev <-
+          Diagnostic.errorf ~severity:Diagnostic.Warning Saturated
+            "merged counter clamped at max_int; excess recorded as lost"
+          :: t.diags_rev;
+        H.replace per key max_int
+      end
+      else H.replace per key (prev + count)
 
-  let mass t =
-    let sum tbl =
-      Hashtbl.fold
-        (fun _ per acc -> Hashtbl.fold (fun _ c acc -> sat_add acc c) per acc)
-        tbl 0
-    in
-    sat_add (sum t.edges) (sum t.paths)
+    let mass tbl =
+      Hashtbl.fold (fun _ per acc -> H.fold (fun _ c acc -> sat_add acc c) per acc) tbl 0
+
+    (* [f per' k c] for every counter of [src], [per'] being the table
+       of the routine's new [name] in [dst]. *)
+    let move ~name src dst f =
+      Hashtbl.iter
+        (fun n per ->
+          let per' = table dst (name n) in
+          H.iter (fun k c -> f per' k c) per)
+        src
+
+    (* Nonzero counters in canonical (sorted) order. *)
+    let entries per =
+      H.fold (fun k c acc -> if c > 0 then (k, c) :: acc else acc) per []
+      |> List.sort compare
+  end
+
+  module E = Counts (Int_tbl)
+  module P = Counts (Path.Tbl)
+
+  let mass t = sat_add (E.mass t.edges) (P.mass t.paths)
 
   let of_program ?(scale = 1) ?edges ?paths (p : Ir.program) =
     (* [scale] recovers sampled collections: every count is multiplied by
@@ -390,20 +420,20 @@ module Raw = struct
         | Some prog ->
             let ep = Edge_profile.routine prog r.Ir.name in
             if Edge_profile.total ep > 0 then begin
-              let per = table t.edges r.Ir.name in
+              let per = E.table t.edges r.Ir.name in
               let view = Cfg_view.of_routine r in
               Graph.iter_edges (Cfg_view.graph view) (fun e ->
                   let c = Edge_profile.freq ep e in
-                  if c > 0 then Hashtbl.replace per e (scaled c))
+                  if c > 0 then Int_tbl.replace per e (scaled c))
             end);
         match paths with
         | None -> ()
         | Some prog ->
             let qp = Path_profile.routine prog r.Ir.name in
             if Path_profile.num_distinct qp > 0 then begin
-              let per = table t.paths r.Ir.name in
+              let per = P.table t.paths r.Ir.name in
               Path_profile.iter qp (fun path n ->
-                  if n > 0 then Hashtbl.replace per path (scaled n))
+                  if n > 0 then Path.Tbl.replace per path (scaled n))
             end)
       p.routines;
     t
@@ -442,7 +472,7 @@ module Raw = struct
                     :: t.diags_rev;
                   t.lost <- sat_add t.lost count
                 end
-                else add_count t (table t.edges name) id count);
+                else E.add_count t (E.table t.edges name) id count);
         on_path =
           (fun ~lineno ~token ~path ~count ->
             match !routine with
@@ -467,7 +497,7 @@ module Raw = struct
                     :: t.diags_rev;
                   t.lost <- sat_add t.lost count
                 end
-                else add_count t (table t.paths name) path count);
+                else P.add_count t (P.table t.paths name) path count);
         on_diag = (fun d -> t.diags_rev <- d :: t.diags_rev);
       }
     in
@@ -479,15 +509,8 @@ module Raw = struct
     out.diags_rev <- t.diags_rev;
     out.lost <- t.lost;
     Hashtbl.iter (fun name d -> Hashtbl.replace out.descs (f name) d) t.descs;
-    let move src dst =
-      Hashtbl.iter
-        (fun name per ->
-          let per' = table dst (f name) in
-          Hashtbl.iter (fun k c -> add_count out per' k c) per)
-        src
-    in
-    move t.edges out.edges;
-    move t.paths out.paths;
+    E.move ~name:f t.edges out.edges (E.add_count out);
+    P.move ~name:f t.paths out.paths (P.add_count out);
     out
 
   (* A salvaged path must still be a path: consecutive mapped edges have
@@ -571,30 +594,30 @@ module Raw = struct
         in
         Hashtbl.iter
           (fun name per ->
-            let dst = table out.edges name in
-            Hashtbl.iter
+            let dst = E.table out.edges name in
+            Int_tbl.iter
               (fun id c ->
                 match remap_of name with
-                | Pass None -> add_count out dst id c
+                | Pass None -> E.add_count out dst id c
                 | Pass (Some rd) ->
-                    if in_range rd id then add_count out dst id c
+                    if in_range rd id then E.add_count out dst id c
                     else out.lost <- sat_add out.lost c
                 | Salvage (_, m) -> (
                     match Stale_match.map_edge m id with
-                    | Some nid -> add_count out dst nid c
+                    | Some nid -> E.add_count out dst nid c
                     | None -> out.lost <- sat_add out.lost c))
               per)
           input.edges;
         Hashtbl.iter
           (fun name per ->
-            let dst = table out.paths name in
-            Hashtbl.iter
+            let dst = P.table out.paths name in
+            Path.Tbl.iter
               (fun path c ->
                 match remap_of name with
-                | Pass None -> add_count out dst path c
+                | Pass None -> P.add_count out dst path c
                 | Pass (Some rd) ->
                     if List.for_all (in_range rd) path then
-                      add_count out dst path c
+                      P.add_count out dst path c
                     else out.lost <- sat_add out.lost c
                 | Salvage (rd, m) -> (
                     let mapped = List.map (Stale_match.map_edge m) path in
@@ -604,7 +627,7 @@ module Raw = struct
                       else None
                     with
                     | Some new_path when path_is_connected rd new_path ->
-                        add_count out dst new_path c
+                        P.add_count out dst new_path c
                     | _ -> out.lost <- sat_add out.lost c))
               per)
           input.paths)
@@ -627,21 +650,14 @@ module Raw = struct
       Hashtbl.iter (fun n d -> Hashtbl.replace out.descs n d) t.descs;
       out.diags_rev <- t.diags_rev;
       out.lost <- t.lost;
-      let scale_tbl src dst =
-        Hashtbl.iter
-          (fun name per ->
-            let per' = table dst name in
-            Hashtbl.iter
-              (fun k c ->
-                let kept = int_of_float (float_of_int c *. w) in
-                let kept = if kept < 0 then 0 else if kept > c then c else kept in
-                if kept > 0 then add_count out per' k kept;
-                out.lost <- sat_add out.lost (c - kept))
-              per)
-          src
+      let scaled add per' k c =
+        let kept = int_of_float (float_of_int c *. w) in
+        let kept = if kept < 0 then 0 else if kept > c then c else kept in
+        if kept > 0 then add out per' k kept;
+        out.lost <- sat_add out.lost (c - kept)
       in
-      scale_tbl t.edges out.edges;
-      scale_tbl t.paths out.paths;
+      E.move ~name:Fun.id t.edges out.edges (scaled E.add_count);
+      P.move ~name:Fun.id t.paths out.paths (scaled P.add_count);
       out
     end
 
@@ -678,16 +694,10 @@ module Raw = struct
           (fun i (s, dst) -> Format.fprintf ppf "e %d %d %d@." i s dst)
           d.Stale_match.edges)
       (sorted_keys t.descs);
-    let lines_of tbl render =
+    let lines_of tbl entries render =
       List.concat_map
         (fun name ->
-          let per = Hashtbl.find tbl name in
-          let entries =
-            Hashtbl.fold
-              (fun k c acc -> if c > 0 then (k, c) :: acc else acc)
-              per []
-            |> List.sort compare
-          in
+          let entries = entries (Hashtbl.find tbl name) in
           if entries = [] then []
           else
             Printf.sprintf "routine %s" name
@@ -695,16 +705,15 @@ module Raw = struct
         (sorted_keys tbl)
     in
     let section name lines =
-      let payload = String.concat "\n" lines in
       Format.fprintf ppf "section %s crc=%s lines=%d@." name
-        (Crc.to_hex (Crc.string payload))
+        (Crc.to_hex (crc_lines lines))
         (List.length lines);
       List.iter (fun l -> Format.fprintf ppf "%s@." l) lines
     in
     section "edges"
-      (lines_of t.edges (fun id c -> Printf.sprintf "e%d %d" id c));
+      (lines_of t.edges E.entries (fun id c -> Printf.sprintf "e%d %d" id c));
     section "paths"
-      (lines_of t.paths (fun path c ->
+      (lines_of t.paths P.entries (fun path c ->
            Printf.sprintf "%d :%s" c
              (String.concat ""
                 (List.map (fun e -> " " ^ string_of_int e) path))));

@@ -18,17 +18,25 @@ module Jsonx = Ppp_obs.Jsonx
 
 type key = string * int list
 
-type t = { weights : (key, int) Hashtbl.t; mutable total : int }
+(* Keys hash over the whole path (see [Path.hash]). *)
+module Tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal ((r1, p1) : t) (r2, p2) = String.equal r1 r2 && Path.equal p1 p2
+  let hash (r, p) = (Hashtbl.hash r * 31) + Path.hash p
+end)
+
+type t = { weights : int Tbl.t; mutable total : int }
 
 let sat_add a b = if a > max_int - b then max_int else a + b
 
-let create () = { weights = Hashtbl.create 64; total = 0 }
+let create () = { weights = Tbl.create 64; total = 0 }
 
 let add t ~routine ~path w =
   if w > 0 then begin
     let k = (routine, path) in
-    let prev = Option.value ~default:0 (Hashtbl.find_opt t.weights k) in
-    Hashtbl.replace t.weights k (sat_add prev w);
+    let prev = Option.value ~default:0 (Tbl.find_opt t.weights k) in
+    Tbl.replace t.weights k (sat_add prev w);
     t.total <- sat_add t.total w
   end
 
@@ -92,9 +100,9 @@ let of_dump ~metric raw =
   t
 
 let total t = t.total
-let distinct t = Hashtbl.length t.weights
+let distinct t = Tbl.length t.weights
 
-let iter t f = Hashtbl.iter (fun (routine, path) w -> f ~routine ~path w) t.weights
+let iter t f = Tbl.iter (fun (routine, path) w -> f ~routine ~path w) t.weights
 
 (* {2 Cross-version remapping} *)
 
@@ -108,7 +116,7 @@ type remap_stats = {
 let remap ~descs ~target t =
   let out = create () in
   let routines = Hashtbl.create 17 in
-  Hashtbl.iter (fun (r, _) _ -> Hashtbl.replace routines r ()) t.weights;
+  Tbl.iter (fun (r, _) _ -> Hashtbl.replace routines r ()) t.weights;
   let matched = ref 0 and dropped_routines = ref 0 in
   let kept = ref 0 and dropped = ref 0 in
   Hashtbl.iter
@@ -117,7 +125,7 @@ let remap ~descs ~target t =
       | Some old_desc, Some new_desc ->
           incr matched;
           let m = Stale_match.match_cfgs ~old_desc ~new_desc in
-          Hashtbl.iter
+          Tbl.iter
             (fun (r, path) w ->
               if r = routine then
                 let mapped =
@@ -136,7 +144,7 @@ let remap ~descs ~target t =
             t.weights
       | _ ->
           incr dropped_routines;
-          Hashtbl.iter
+          Tbl.iter
             (fun (r, _) w -> if r = routine then dropped := sat_add !dropped w)
             t.weights)
     routines;
@@ -163,25 +171,24 @@ let descs_of_program (p : Ppp_ir.Ir.program) =
 let norm t k =
   if t.total = 0 then 0.0
   else
-    float_of_int (Option.value ~default:0 (Hashtbl.find_opt t.weights k))
+    float_of_int (Option.value ~default:0 (Tbl.find_opt t.weights k))
     /. float_of_int t.total
 
+(* Sorted, so float sums over the union do not depend on table order. *)
 let union_keys a b =
-  let keys = Hashtbl.create (Hashtbl.length a.weights + Hashtbl.length b.weights) in
-  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) a.weights;
-  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) b.weights;
-  keys
+  let keys = Tbl.create (Tbl.length a.weights + Tbl.length b.weights) in
+  Tbl.iter (fun k _ -> Tbl.replace keys k ()) a.weights;
+  Tbl.iter (fun k _ -> Tbl.replace keys k ()) b.weights;
+  List.sort compare (Tbl.fold (fun k () acc -> k :: acc) keys [])
 
 let overlap a b =
   if a.total = 0 && b.total = 0 then 100.0
   else if a.total = 0 || b.total = 0 then 0.0
-  else begin
-    let acc = ref 0.0 in
-    Hashtbl.iter
-      (fun k _ -> acc := !acc +. Float.min (norm a k) (norm b k))
-      (union_keys a b);
-    100.0 *. !acc
-  end
+  else
+    100.0
+    *. List.fold_left
+         (fun acc k -> acc +. Float.min (norm a k) (norm b k))
+         0.0 (union_keys a b)
 
 type hot_report = {
   threshold : float;
@@ -195,22 +202,22 @@ type hot_report = {
 
 let hot_keys t ~threshold =
   let cut = threshold *. float_of_int t.total in
-  Hashtbl.fold
+  Tbl.fold
     (fun k w acc -> if float_of_int w >= cut && w > 0 then k :: acc else acc)
     t.weights []
 
 let hot_report ?(threshold = 0.00125) ~reference ~candidate () =
   let hot_r = hot_keys reference ~threshold in
   let hot_c = hot_keys candidate ~threshold in
-  let cset = Hashtbl.create 17 in
-  List.iter (fun k -> Hashtbl.replace cset k ()) hot_c;
-  let matched = List.length (List.filter (Hashtbl.mem cset) hot_r) in
+  let cset = Tbl.create 17 in
+  List.iter (fun k -> Tbl.replace cset k ()) hot_c;
+  let matched = List.length (List.filter (Tbl.mem cset) hot_r) in
   let hot_flow, seen_flow =
     List.fold_left
       (fun (tot, seen) k ->
-        let w = Option.value ~default:0 (Hashtbl.find_opt reference.weights k) in
+        let w = Option.value ~default:0 (Tbl.find_opt reference.weights k) in
         ( sat_add tot w,
-          if Hashtbl.mem candidate.weights k then sat_add seen w else seen ))
+          if Tbl.mem candidate.weights k then sat_add seen w else seen ))
       (0, 0) hot_r
   in
   {
@@ -236,8 +243,8 @@ let hot_report ?(threshold = 0.00125) ~reference ~candidate () =
    distance in [0, 1]. *)
 let divergence a b =
   let per = Hashtbl.create 17 in
-  Hashtbl.iter
-    (fun ((r, _) as k) _ ->
+  List.iter
+    (fun ((r, _) as k) ->
       let d = Float.abs (norm a k -. norm b k) /. 2.0 in
       Hashtbl.replace per r (d +. Option.value ~default:0.0 (Hashtbl.find_opt per r)))
     (union_keys a b);

@@ -1,27 +1,22 @@
-(* Table-driven reflected CRC-32 with polynomial 0xEDB88320. *)
+(* Table-driven reflected CRC-32 with polynomial 0xEDB88320, computed on
+   native ints (a 32-bit value fits unboxed) and converted to [int32]
+   only at the interface. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let update crc s =
-  let t = Lazy.force table in
-  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor t.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+  let c = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
+  for i = 0 to String.length s - 1 do
+    let idx = (!c lxor Char.code (String.unsafe_get s i)) land 0xFF in
+    c := Array.unsafe_get table idx lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 let string s = update 0l s
 

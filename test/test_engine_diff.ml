@@ -215,6 +215,43 @@ let metrics_diff () =
       let v = snapshot Interp.Vm in
       Alcotest.(check (list string)) "interp.*/rt.* counters" r v)
 
+(* A routine with more acyclic paths than an OCaml int holds: 70
+   sequential if/else diamonds (2^70 paths) inside a 3-trip loop. No
+   numbering fits, so placement must refuse it, and the VM's tracer must
+   still record every path exactly: its numbering is PP's all-edges one,
+   so it cuts the routine into segments whose counts fit. *)
+let too_many_paths () =
+  let module B = Ppp_ir.Builder in
+  let b = B.create ~name:"main" ~nparams:0 in
+  let i = B.reg b and acc = B.reg b in
+  B.mov b acc (Ir.Imm 1);
+  B.for_ b i ~from:(Ir.Imm 0) ~below:(Ir.Imm 3) (fun () ->
+      for k = 0 to 69 do
+        let c = B.bin_ b Ir.And (Ir.Reg acc) (Ir.Imm (1 lsl (k mod 7))) in
+        B.if_ b c
+          ~then_:(fun () -> B.bin b acc Ir.Add (Ir.Reg acc) (Ir.Imm (k + 1)))
+          ~else_:(fun () -> B.bin b acc Ir.Add (Ir.Reg acc) (Ir.Reg i))
+      done);
+  B.out b (Ir.Reg acc);
+  B.ret b (Some (Ir.Reg acc));
+  let p = B.program ~main:"main" [ B.finish b ] in
+  let inst = Instrument.instrument p (prior_edges p) Config.pp in
+  (match (Hashtbl.find inst.Instrument.plans "main").Instrument.decision with
+  | Instrument.Uninstrumented Instrument.Too_many_paths -> ()
+  | _ -> Alcotest.fail "PP must leave a 2^70-path routine uninstrumented");
+  let full = Interp.run ~engine:Interp.Reference p in
+  let paths = Path_profile.routine (Option.get full.Interp.path_profile) "main" in
+  Alcotest.(check int) "four path executions traced" 4
+    (Path_profile.fold paths ~init:0 ~f:(fun acc _ n -> acc + n));
+  check_program "2^70 paths" p;
+  List.iter
+    (fun fuel ->
+      check_diff
+        (Printf.sprintf "2^70 paths/fuel=%d" fuel)
+        { Interp.default_config with Interp.fuel }
+        p)
+    [ 1; 37; full.Interp.dyn_instrs / 2; full.Interp.dyn_instrs - 1 ]
+
 let qcheck_diff =
   QCheck.Test.make ~count:40 ~name:"random programs: Vm = Reference"
     QCheck.(small_int)
@@ -238,5 +275,6 @@ let suite =
       Alcotest.test_case "overflow policy" `Quick overflow_policy;
       Alcotest.test_case "bare config" `Quick bare_config;
       Alcotest.test_case "metrics" `Quick metrics_diff;
+      Alcotest.test_case "path-count overflow" `Quick too_many_paths;
       QCheck_alcotest.to_alcotest qcheck_diff;
     ]

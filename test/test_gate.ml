@@ -45,6 +45,7 @@ let bounds_table =
       ("tiered.layout.improvement", [ "tiered"; "layout"; "improvement" ], R.Floor);
       ("drift.drift_stability", [ "drift"; "drift_stability" ], R.Floor);
       ("throughput.ratio", [ "throughput"; "ratio" ], R.Floor);
+      ("throughput.paths_ratio", [ "throughput"; "paths_ratio" ], R.Floor);
       ("timing.pp_ns", [ "timing"; "pp_ns" ], R.Ceiling);
       ("timing.tpp_ns", [ "timing"; "tpp_ns" ], R.Ceiling);
       ("timing.ppp_ns", [ "timing"; "ppp_ns" ], R.Ceiling);
@@ -258,10 +259,15 @@ let test_drift_floor () =
   check_bool "39.9% fails" false (floor_of "drift" [ row 0.3; row 0.498 ])
 
 let test_throughput_floor () =
-  let row r = J.Obj [ ("ratio", J.Float r) ] in
-  check_bool "1.5x everywhere passes" true (floor_of "throughput" [ row 1.5; row 4.0 ]);
+  let row ?(paths = 4.0) r =
+    J.Obj [ ("ratio", J.Float r); ("paths_ratio", J.Float paths) ]
+  in
+  check_bool "1.5x everywhere passes" true
+    (floor_of "throughput" [ row ~paths:1.5 1.5; row 4.0 ]);
   check_bool "one benchmark at 1.49x fails" false
-    (floor_of "throughput" [ row 1.49; row 4.0 ])
+    (floor_of "throughput" [ row 1.49; row 4.0 ]);
+  check_bool "one benchmark at 1.49x with profiling on fails" false
+    (floor_of "throughput" [ row ~paths:1.49 4.0; row 4.0 ])
 
 let test_floor_needs_its_section () =
   check_bool "a floor over a document without its section fails" true

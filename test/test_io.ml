@@ -177,6 +177,25 @@ let test_pp_plan_renders () =
     has "count[" && has "numbered paths");
   ignore (render Config.ppp)
 
+(* 4,096 distinct 28-edge paths sharing a 16-edge prefix: the
+   polymorphic hash reads only the prefix and puts them all in one
+   bucket; the path hash must spread them. *)
+let test_path_hash_spreads () =
+  let prefix = List.init 16 (fun i -> 3 * i) in
+  let paths =
+    List.init 4096 (fun k ->
+        prefix @ List.init 12 (fun b -> 100 + (2 * b) + ((k lsr b) land 1)))
+  in
+  let tbl = Ppp_profile.Path.Tbl.create 64 in
+  List.iter (fun p -> Ppp_profile.Path.Tbl.replace tbl p ()) paths;
+  Alcotest.(check int) "distinct" 4096 (Ppp_profile.Path.Tbl.length tbl);
+  let longest = (Ppp_profile.Path.Tbl.stats tbl).Hashtbl.max_bucket_length in
+  check_bool (Printf.sprintf "longest bucket %d <= 16" longest) true (longest <= 16);
+  let poly = Hashtbl.create 64 in
+  List.iter (fun p -> Hashtbl.replace poly p ()) paths;
+  Alcotest.(check int) "the polymorphic hash collides them all" 4096
+    (Hashtbl.stats poly).Hashtbl.max_bucket_length
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_profile_roundtrip;
@@ -190,4 +209,6 @@ let suite =
     Alcotest.test_case "headerless text is one error" `Quick
       test_headerless_text_is_one_error;
     Alcotest.test_case "pp_plan renders" `Quick test_pp_plan_renders;
+    Alcotest.test_case "path hash spreads shared prefixes" `Quick
+      test_path_hash_spreads;
   ]

@@ -505,7 +505,9 @@ let prop_telemetry_transparent =
         | Some fuel -> { Interp.default_config with fuel }
       in
       let plain = Interp.run ~config p in
-      let ring = Telemetry.create ~capacity:16 ~interval:7 () in
+      (* A program shorter than the interval would never be sampled. *)
+      let interval = if plain.Interp.dyn_instrs < 7 then 1 else 7 in
+      let ring = Telemetry.create ~capacity:16 ~interval () in
       let sampled =
         Interp.run ~config:{ config with telemetry = Some ring } p
       in

@@ -38,6 +38,28 @@ let test_crc_known_answer () =
   check_bool "update chains" true
     (Crc.update (Crc.string "1234") "56789" = Crc.string "123456789")
 
+(* Bit-at-a-time reflected CRC-32, independent of the table-driven
+   implementation under test. *)
+let crc_reference s =
+  let c = ref 0xFFFFFFFFl in
+  String.iter
+    (fun ch ->
+      c := Int32.logxor !c (Int32.of_int (Char.code ch));
+      for _ = 0 to 7 do
+        let low = Int32.logand !c 1l in
+        c := Int32.shift_right_logical !c 1;
+        if low <> 0l then c := Int32.logxor !c 0xEDB88320l
+      done)
+    s;
+  Int32.logxor !c 0xFFFFFFFFl
+
+let prop_crc_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"crc equals a bitwise reference, chained too"
+    QCheck.(pair string string)
+    (fun (a, b) ->
+      Crc.string a = crc_reference a
+      && Crc.update (Crc.string a) b = crc_reference (a ^ b))
+
 let parse src = Ppp_ir.Parse.program_of_string src
 
 let test_fingerprint_strict_vs_loose () =
@@ -281,6 +303,7 @@ let test_fuel_exhaustion_is_an_outcome () =
 let suite =
   [
     Alcotest.test_case "crc known answer" `Quick test_crc_known_answer;
+    QCheck_alcotest.to_alcotest prop_crc_matches_reference;
     Alcotest.test_case "fingerprint strict vs loose" `Quick
       test_fingerprint_strict_vs_loose;
     Alcotest.test_case "stale match with inserted block" `Quick
