@@ -506,7 +506,7 @@ let via_daemon ~socket ~deadline_ms ~required ~req ~accept ~fallback =
         (Daemon_client.failure_diagnostic Daemon_client.Timeout);
       exit Daemon_client.Exit.request_timeout
   | Error (Daemon_client.Remote (_, ds)) ->
-      Format.eprintf "%a@." Diagnostic.pp_list ds;
+      Format.eprintf "%a" Diagnostic.pp_list ds;
       exit 2
   | Error ((Daemon_client.Unreachable _ | Daemon_client.Shed) as f) ->
       Format.eprintf "%a@." Diagnostic.pp (Daemon_client.failure_diagnostic f);
@@ -546,7 +546,7 @@ let collect_all ~scale ~jobs ~warm ~output ~shard_dir ~metrics_wanted ~sampling
   List.iter (fun d -> Format.eprintf "%a@." Diagnostic.pp d) c.Shard.lost;
   (match Profile_io.Raw.diagnostics c.Shard.raw with
   | [] -> ()
-  | ds -> Format.eprintf "%a@." Diagnostic.pp_list ds);
+  | ds -> Format.eprintf "%a" Diagnostic.pp_list ds);
   let text = Profile_io.Raw.to_string c.Shard.raw in
   (match output with None -> print_string text | Some path -> write_file path text);
   Format.eprintf "collected %d/%d workloads (-j %d): count mass %d, lost %d@."
@@ -724,7 +724,7 @@ let merge_cmd =
       in
       (match Profile_io.Raw.diagnostics merged with
       | [] -> ()
-      | ds -> Format.eprintf "%a@." Diagnostic.pp_list ds);
+      | ds -> Format.eprintf "%a" Diagnostic.pp_list ds);
       Format.eprintf "merged %d dumps: count mass %d, lost %d@."
         (List.length files)
         (Profile_io.Raw.mass merged)
@@ -863,11 +863,11 @@ let opt_cmd =
           | Some path -> (
               match Profile_io.load p (read_file path) with
               | Error ds ->
-                  Format.eprintf "%a@." Diagnostic.pp_list ds;
+                  Format.eprintf "%a" Diagnostic.pp_list ds;
                   cli_error "profile %S could not be salvaged" path
               | Ok loaded ->
                   if loaded.Profile_io.diagnostics <> [] then
-                    Format.eprintf "%a@." Diagnostic.pp_list
+                    Format.eprintf "%a" Diagnostic.pp_list
                       loaded.Profile_io.diagnostics;
                   Format.eprintf
                     "profile: %.1f%% of recorded counts matched (%d stale \
@@ -1407,7 +1407,7 @@ let compare_cmd =
       let raw = Profile_io.Raw.parse (read_file path) in
       (match Profile_io.Raw.diagnostics raw with
       | [] -> ()
-      | ds -> Format.eprintf "%s: %a@." path Diagnostic.pp_list ds);
+      | ds -> Format.eprintf "%s: %a" path Diagnostic.pp_list ds);
       raw
     in
     let raw_a = parse a_path in

@@ -3,6 +3,7 @@ module Dag = Ppp_cfg.Dag
 module Ir = Ppp_ir.Ir
 module Cfg_view = Ppp_ir.Cfg_view
 module Edge_profile = Ppp_profile.Edge_profile
+module Path_profile = Ppp_profile.Path_profile
 module Metric = Ppp_profile.Metric
 module Routine_ctx = Ppp_flow.Routine_ctx
 module Flow_dp = Ppp_flow.Flow_dp
@@ -245,6 +246,22 @@ let decoded_path plan k =
       else
         Some
           (Routine_ctx.cfg_path_of_dag_path plan.ctx (Numbering.decode numbering k))
+
+let decoded_profile ~denom t state p =
+  let prof = Path_profile.create_program p in
+  Option.iter
+    (Hashtbl.iter (fun name table ->
+         match Hashtbl.find_opt t.plans name with
+         | None -> ()
+         | Some plan ->
+             let per = Path_profile.routine prof name in
+             Instr_rt.Table.iter_nonzero table (fun k c ->
+                 match decoded_path plan k with
+                 | Some path ->
+                     Path_profile.add per path (Instr_rt.scaled_count ~denom c)
+                 | None -> ())))
+    state;
+  prof
 
 let path_status plan path =
   match plan.decision with

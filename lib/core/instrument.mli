@@ -68,6 +68,20 @@ val decoded_path : routine_plan -> int -> Ppp_profile.Path.t option
     (out-of-range) numbers, elided obvious paths, or uninstrumented
     routines. *)
 
+val decoded_profile :
+  denom:int ->
+  t ->
+  Ppp_interp.Instr_rt.state option ->
+  Ppp_ir.Ir.program ->
+  Ppp_profile.Path_profile.program
+(** [decoded_profile ~denom t state p] is the path profile an
+    instrumented run of [p] measured: every live counter of [state]
+    decoded through its routine's plan ({!decoded_path}), its count
+    scaled by the inverse sampling rate [denom]
+    ({!Ppp_interp.Instr_rt.scaled_count}; [1] for a full run). Numbers
+    that decode to no path are skipped; [None] (nothing ran
+    instrumented) is the empty profile. *)
+
 val path_status :
   routine_plan -> Ppp_profile.Path.t -> [ `Instrumented of int | `Uninstrumented ]
 (** Whether an acyclic CFG path is in [P_instr] (and under which number)

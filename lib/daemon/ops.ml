@@ -299,17 +299,14 @@ let handle_merge ~dumps ~decay =
     if decay >= 1.0 then Profile_io.Raw.merge raws
     else Profile_io.Raw.merge_decayed ~decay raws
   in
-  let diagnostics =
-    List.concat_map Profile_io.Raw.diagnostics raws
-    @ Profile_io.Raw.diagnostics merged
-  in
   Okay
     {
       body = Profile_io.Raw.to_string merged;
       meta =
         [ ("mass", Jsonx.Int (Profile_io.Raw.mass merged));
           ("lost", Jsonx.Int (Profile_io.Raw.lost merged));
-          ("diagnostics", Diagnostic.list_to_json diagnostics) ];
+          ( "diagnostics",
+            Diagnostic.list_to_json (Profile_io.Raw.diagnostics merged) ) ];
     }
 
 let handle_opt ~name ~program ~profile ~iterate ~plans =

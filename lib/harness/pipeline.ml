@@ -77,12 +77,13 @@ let fuel_diags phase (o : Interp.outcome) =
              phase stack_depth);
       ]
 
-(* Wall-clock per phase, kept out of every deterministic artifact: it is
-   only surfaced behind explicit opt-in flags. *)
+(* Time per phase, on the clock the phase's span reads; kept out of every
+   deterministic artifact: it is only surfaced behind explicit opt-in
+   flags. *)
 let timed phases label f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Trace.now_us () in
   let r = Trace.with_span label f in
-  phases := (label, 1000.0 *. (Unix.gettimeofday () -. t0)) :: !phases;
+  phases := (label, (Trace.now_us () -. t0) /. 1000.0) :: !phases;
   r
 
 let prepare_ms prepared =
@@ -785,30 +786,6 @@ let dirty_of prepared =
       if List.mem r.Ir.name touched then Some r.Ir.name else None)
     prepared.optimized.Ir.routines
 
-(* The generation's path profile as a sampled collector saw it: decode
-   the instrumented run's live tables through the placement plans and
-   scale each count back by the inverse rate — the dump a fleet member
-   would ship, full-run *estimates* rather than truth. *)
-let sampled_path_profile ~denom (inst : Instrument.t)
-    (outcome : Interp.outcome) p =
-  let prof = Path_profile.create_program p in
-  (match outcome.Interp.instr_state with
-  | None -> ()
-  | Some tables ->
-      Hashtbl.iter
-        (fun name table ->
-          match Hashtbl.find_opt inst.Instrument.plans name with
-          | None -> ()
-          | Some plan ->
-              let t = Path_profile.routine prof name in
-              Instr_rt.Table.iter_nonzero table (fun k c ->
-                  match Instrument.decoded_path plan k with
-                  | Some path ->
-                      Path_profile.add t path (Instr_rt.scaled_count ~denom c)
-                  | None -> ()))
-        tables);
-  prof
-
 let reoptimize ?session ?(config = Config.ppp) ?(flags = default_flags)
     ?(iterations = 1) ?sampling ?decay ~name p0 =
   (match decay with
@@ -893,8 +870,8 @@ let reoptimize ?session ?(config = Config.ppp) ?(flags = default_flags)
         | None -> prep.base_outcome.Interp.path_profile
         | Some s ->
             Some
-              (sampled_path_profile ~denom:s.Sampling.denom inst instr_outcome
-                 prep.optimized)
+              (Instrument.decoded_profile ~denom:s.Sampling.denom inst
+                 instr_outcome.Interp.instr_state prep.optimized)
       in
       history :=
         Profile_io.Raw.of_program ?edges:prep.base_outcome.Interp.edge_profile

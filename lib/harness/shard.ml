@@ -1,11 +1,9 @@
 module Diagnostic = Ppp_resilience.Diagnostic
 module Robust_io = Ppp_resilience.Robust_io
 module Profile_io = Ppp_profile.Profile_io
-module Path_profile = Ppp_profile.Path_profile
 module Metrics = Ppp_obs.Metrics
 module Spec = Ppp_workloads.Spec
 module Interp = Ppp_interp.Interp
-module Instr_rt = Ppp_interp.Instr_rt
 module Sampling = Ppp_interp.Sampling
 module Instrument = Ppp_core.Instrument
 module Config = Ppp_core.Config
@@ -205,23 +203,10 @@ let collect_sampled ?cache ~spec p =
         }
       p
   in
-  let paths = Path_profile.create_program p in
-  (match o.Interp.instr_state with
-  | None -> ()
-  | Some tables ->
-      Hashtbl.iter
-        (fun name table ->
-          match Hashtbl.find_opt inst.Instrument.plans name with
-          | None -> ()
-          | Some plan ->
-              let t = Path_profile.routine paths name in
-              Instr_rt.Table.iter_nonzero table (fun k c ->
-                  match Instrument.decoded_path plan k with
-                  | Some path ->
-                      Path_profile.add t path
-                        (Instr_rt.scaled_count ~denom:spec.Sampling.denom c)
-                  | None -> ()))
-        tables);
+  let paths =
+    Instrument.decoded_profile ~denom:spec.Sampling.denom inst
+      o.Interp.instr_state p
+  in
   Profile_io.Raw.of_program ?edges:o.Interp.edge_profile ~paths p
 
 let collect_one ?prebuilt ?sampling ~seed ~scale ~metrics (b : Spec.bench) =

@@ -10,13 +10,16 @@ type event = {
 
 let on = ref false
 let events_rev : event list ref = ref []
-let epoch = ref 0.0
 
-let now_us () = (Unix.gettimeofday () -. !epoch) *. 1e6
+(* Spans read the monotonic clock, which wall-clock adjustments cannot
+   move; [epoch] is its reading at [start], in nanoseconds. *)
+let epoch = ref (Monotonic_clock.now ())
+
+let now_us () = Int64.to_float (Int64.sub (Monotonic_clock.now ()) !epoch) /. 1e3
 
 let start () =
   events_rev := [];
-  epoch := Unix.gettimeofday ();
+  epoch := Monotonic_clock.now ();
   on := true
 
 let stop () = on := false

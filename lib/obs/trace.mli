@@ -32,6 +32,11 @@ val start : unit -> unit
 (** Enable tracing, drop previously recorded events, and reset the
     clock origin. *)
 
+val now_us : unit -> float
+(** The clock spans are stamped with: monotonic, in microseconds since
+    {!start} (or since program start before the first one). Differences
+    of two readings are durations, whether tracing is on or off. *)
+
 val stop : unit -> unit
 (** Disable tracing; recorded events are kept for export. *)
 

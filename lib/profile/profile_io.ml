@@ -36,173 +36,6 @@ let kv_args tokens =
       | None -> None)
     tokens
 
-(* {2 The structural parser}
-
-   One walker reads the v2 envelope (format header, cfg descriptions,
-   checksummed sections, end marker) and reports what it finds through
-   a {!sink}.
-   What the counts {e mean} is the consumer's business: the
-   program-based {!load} resolves routines against a program and
-   salvages stale ones, while {!Raw.parse} keeps the dump's own view for
-   program-free merging. Structural problems (malformed lines, checksum
-   mismatches, truncation) are diagnosed here, identically for every
-   consumer. *)
-
-type section_kind = [ `Edges | `Paths ]
-
-type sink = {
-  on_desc : string -> Stale_match.cfg_desc -> unit;
-      (** a v2 [cfg] header and its [b]/[e] lines, fully parsed *)
-  on_section : section_kind -> unit;
-      (** a v2 [section] header — implies "no current routine" *)
-  on_routine : lineno:int -> string -> unit;
-  on_edge : lineno:int -> token:string -> id:int -> count:int -> unit;
-  on_path : lineno:int -> token:string -> path:int list -> count:int -> unit;
-  on_diag : Diagnostic.t -> unit;
-}
-
-type walker = {
-  sink : sink;
-  mutable section : section_kind;
-  mutable have_routine : bool;
-}
-
-let diag w d = w.sink.on_diag d
-
-(* One line of a section's payload. *)
-let payload_line w ~lineno raw =
-  let line = String.trim raw in
-  if line = "" || line.[0] = '#' then ()
-  else
-    match split_tokens line with
-    | [ "routine"; name ] ->
-        w.have_routine <- true;
-        w.sink.on_routine ~lineno name
-    | tokens ->
-        if not w.have_routine then
-          diag w
-            (Diagnostic.errorf ~line:lineno ~token:(first_token line) Corrupt
-               "counter before any 'routine' header")
-        else begin
-          match w.section with
-          | `Edges -> (
-              match tokens with
-              | [ e; c ] when String.length e > 1 && e.[0] = 'e' -> (
-                  match
-                    ( int_of_string_opt (String.sub e 1 (String.length e - 1)),
-                      int_of_string_opt c )
-                  with
-                  | Some id, Some count ->
-                      w.sink.on_edge ~lineno ~token:e ~id ~count
-                  | _ ->
-                      diag w
-                        (Diagnostic.errorf ~line:lineno ~token:e Corrupt
-                           "malformed edge counter"))
-              | _ ->
-                  diag w
-                    (Diagnostic.errorf ~line:lineno ~token:(first_token line)
-                       Corrupt "expected 'e<ID> <count>'"))
-          | `Paths -> (
-              match tokens with
-              | count :: ":" :: rest -> (
-                  match
-                    (int_of_string_opt count, List.map int_of_string_opt rest)
-                  with
-                  | Some c, ids when List.for_all Option.is_some ids ->
-                      w.sink.on_path ~lineno ~token:count
-                        ~path:(List.map Option.get ids) ~count:c
-                  | _ ->
-                      diag w
-                        (Diagnostic.errorf ~line:lineno ~token:count Corrupt
-                           "malformed path counter"))
-              | _ ->
-                  diag w
-                    (Diagnostic.errorf ~line:lineno ~token:(first_token line)
-                       Corrupt "expected '<count> : <edges>'"))
-        end
-
-let parse_cfg_header w lines i lineno line =
-  let args = kv_args (split_tokens line) in
-  let get k = List.assoc_opt k args in
-  match
-    ( get "routine",
-      Option.bind (get "fp") Fingerprint.of_hex,
-      Option.bind (get "blocks") int_of_string_opt,
-      Option.bind (get "edges") int_of_string_opt )
-  with
-  | Some name, Some fp, Some nblocks, Some nedges
-    when nblocks >= 0 && nblocks <= 1_000_000 && nedges >= 0
-         && nedges <= 1_000_000 ->
-      let labels = Array.make nblocks "" in
-      let strict = Array.make nblocks 0 in
-      let loose = Array.make nblocks 0 in
-      let edges = Array.make nedges (-2, -2) in
-      let n = Array.length lines in
-      let want_b = ref 0 and want_e = ref 0 in
-      let ok = ref true in
-      while !ok && (!want_b < nblocks || !want_e < nedges) && !i < n do
-        let raw = lines.(!i) in
-        let l = String.trim raw in
-        let ln = !i + 1 in
-        if l = "" || l.[0] = '#' then incr i
-        else if !want_b < nblocks && starts_with "b " l then begin
-          (match split_tokens l with
-          | [ "b"; lbl; sh; lh ] -> (
-              match (Fingerprint.of_hex sh, Fingerprint.of_hex lh) with
-              | Some s, Some weak ->
-                  labels.(!want_b) <- lbl;
-                  strict.(!want_b) <- s;
-                  loose.(!want_b) <- weak
-              | _ ->
-                  diag w
-                    (Diagnostic.errorf ~line:ln ~token:lbl ~routine:name Corrupt
-                       "malformed block hash"))
-          | _ ->
-              diag w
-                (Diagnostic.errorf ~line:ln ~routine:name Corrupt
-                   "malformed 'b' line in cfg header"));
-          incr want_b;
-          incr i
-        end
-        else if !want_b >= nblocks && starts_with "e " l then begin
-          (match split_tokens l with
-          | [ "e"; id; src; dst ] -> (
-              match
-                (int_of_string_opt id, int_of_string_opt src,
-                 int_of_string_opt dst)
-              with
-              | Some id, Some s, Some d when id >= 0 && id < nedges ->
-                  edges.(id) <- (s, d)
-              | _ ->
-                  diag w
-                    (Diagnostic.errorf ~line:ln ~token:id ~routine:name Corrupt
-                       "malformed 'e' line in cfg header"))
-          | _ ->
-              diag w
-                (Diagnostic.errorf ~line:ln ~routine:name Corrupt
-                   "malformed 'e' line in cfg header"));
-          incr want_e;
-          incr i
-        end
-        else begin
-          diag w
-            (Diagnostic.errorf ~line:ln ~token:(first_token l) ~routine:name
-               Corrupt "cfg header for %s is incomplete" name);
-          ok := false
-        end
-      done;
-      if !ok && (!want_b < nblocks || !want_e < nedges) then
-        diag w
-          (Diagnostic.errorf ~routine:name Truncated
-             "cfg header for %s ends before its declared %d blocks / %d edges"
-             name nblocks nedges);
-      w.sink.on_desc name
-        { Stale_match.fingerprint = fp; labels; strict; loose; edges }
-  | _ ->
-      diag w
-        (Diagnostic.errorf ~line:lineno ~token:(first_token line) Corrupt
-           "malformed cfg header")
-
 (* The CRC-32 of [lines] joined by newlines (a section's payload),
    without building the joined text. *)
 let crc_lines = function
@@ -210,98 +43,69 @@ let crc_lines = function
   | l :: rest ->
       List.fold_left (fun c l -> Crc.update (Crc.update c "\n") l) (Crc.string l) rest
 
-let parse_section w lines i lineno line =
-  let tokens = split_tokens line in
-  let kind =
-    match tokens with
-    | _ :: k :: _ when k = "edges" -> Some `Edges
-    | _ :: k :: _ when k = "paths" -> Some `Paths
-    | _ -> None
-  in
-  let args = kv_args tokens in
-  match
-    ( kind,
-      Option.bind (List.assoc_opt "crc" args) Crc.of_hex,
-      Option.bind (List.assoc_opt "lines" args) int_of_string_opt )
-  with
-  | Some kind, Some crc, Some k when k >= 0 ->
-      w.section <- kind;
-      w.have_routine <- false;
-      w.sink.on_section kind;
-      let n = Array.length lines in
-      let available = min k (n - !i) in
-      if available < k then
-        diag w
-          (Diagnostic.errorf ~line:lineno Truncated
-             "section declares %d payload lines but only %d remain" k
-             (max 0 available));
-      let payload = Array.sub lines !i (max 0 available) in
-      let start = !i in
-      i := !i + max 0 available;
-      if available = k && crc_lines (Array.to_list payload) <> crc then
-        diag w
-          (Diagnostic.errorf ~line:lineno Corrupt
-             "checksum mismatch in %s section"
-             (match kind with `Edges -> "edges" | `Paths -> "paths"));
-      Array.iteri
-        (fun j raw -> payload_line w ~lineno:(start + j + 1) raw)
-        payload
-  | _ ->
-      diag w
-        (Diagnostic.errorf ~line:lineno ~token:(first_token line) Corrupt
-           "malformed section header")
-
-(* Everything after the format header, from line index [start]. *)
-let parse_v2 w lines start =
-  let n = Array.length lines in
-  let i = ref start in
-  let seen_end = ref false in
-  let stop = ref false in
-  while (not !stop) && !i < n do
-    let raw = lines.(!i) in
-    let lineno = !i + 1 in
-    let line = String.trim raw in
-    incr i;
-    if line = "" || line.[0] = '#' then ()
-    else if !seen_end then begin
-      diag w
-        (Diagnostic.errorf ~line:lineno ~token:(first_token line) Corrupt
-           "content after 'end' marker");
-      stop := true
-    end
-    else if starts_with "cfg " line then parse_cfg_header w lines i lineno line
-    else if starts_with "section " line then parse_section w lines i lineno line
-    else if line = "end" then seen_end := true
-    else
-      diag w
-        (Diagnostic.errorf ~line:lineno ~token:(first_token line) Corrupt
-           "unexpected line")
-  done;
-  if not !seen_end then
-    diag w (Diagnostic.errorf Truncated "dump ends without the 'end' marker")
-
-(* The format header may follow blank or comment lines; text without
-   one gets a single diagnostic at its first other line. *)
-let parse_text sink text =
-  let w = { sink; section = `Edges; have_routine = false } in
-  let lines = Array.of_list (String.split_on_char '\n' text) in
-  let n = Array.length lines in
-  let rec header i =
-    let line = if i < n then String.trim lines.(i) else "" in
-    if i < n && (line = "" || line.[0] = '#') then header (i + 1)
-    else if line = "ppp-profile v2" then parse_v2 w lines (i + 1)
-    else
-      diag w
-        (Diagnostic.errorf ~line:(min (i + 1) n)
-           ?token:(if line = "" then None else Some (first_token line))
-           Corrupt "expected the 'ppp-profile v2' header")
-  in
-  header 0
-
-(* {2 Raw dumps: the program-free merge layer} *)
-
 (* Saturating addition of non-negative counts. *)
 let sat_add a b = if a > max_int - b then max_int else a + b
+
+(* {2 The salvage rule}
+
+   How counts a dump recorded against its description of a routine's CFG
+   ([from]) land on another description of the same routine ([onto]):
+   the routine as compiled now when loading, the merge reference when
+   merging. With equal fingerprints, or no recorded description, a
+   counter keeps its ids if [onto] has them (a merge may have no [onto]
+   to check against). Otherwise every edge re-maps through
+   {!Stale_match}, and a path survives only if all its edges map and
+   still chain head to tail. Counts that do not land are the caller's
+   dropped mass. *)
+
+type remap = {
+  edge : int -> int option;
+  path : int list -> int list option;
+  stale : Diagnostic.t option;  (** the warning, when the CFGs differ *)
+}
+
+let rec path_is_connected (nd : Stale_match.cfg_desc) = function
+  | a :: (b :: _ as rest) ->
+      snd nd.edges.(a) = fst nd.edges.(b) && path_is_connected nd rest
+  | _ -> true
+
+let remap name ~(from : Stale_match.cfg_desc option)
+    ~(onto : Stale_match.cfg_desc option) =
+  match (from, onto) with
+  | Some od, Some nd when od.fingerprint <> nd.fingerprint ->
+      let m = Stale_match.match_cfgs ~old_desc:od ~new_desc:nd in
+      let edge = Stale_match.map_edge m in
+      let path p =
+        let mapped = List.map edge p in
+        if List.for_all Option.is_some mapped then
+          let p = List.map Option.get mapped in
+          if path_is_connected nd p then Some p else None
+        else None
+      in
+      {
+        edge;
+        path;
+        stale =
+          Some
+            (Diagnostic.errorf ~severity:Diagnostic.Warning ~routine:name Stale
+               "CFG fingerprint mismatch; matched %d/%d blocks and %d/%d edges \
+                by stable hashes"
+               m.Stale_match.matched_blocks (Array.length od.strict)
+               m.Stale_match.matched_edges (Array.length od.edges));
+      }
+  | _ ->
+      let exists id =
+        match onto with
+        | None -> true
+        | Some nd -> id >= 0 && id < Array.length nd.edges
+      in
+      {
+        edge = (fun id -> if exists id then Some id else None);
+        path = (fun p -> if List.for_all exists p then Some p else None);
+        stale = None;
+      }
+
+(* {2 Raw dumps: the program-free merge layer} *)
 
 module Raw = struct
   module Int_tbl = Hashtbl.Make (struct
@@ -381,13 +185,13 @@ module Raw = struct
     let mass tbl =
       Hashtbl.fold (fun _ per acc -> H.fold (fun _ c acc -> sat_add acc c) per acc) tbl 0
 
-    (* [f per' k c] for every counter of [src], [per'] being the table
-       of the routine's new [name] in [dst]. *)
+    (* [f n per' k c] for every counter of [src]'s routine [n], [per']
+       being the table of the routine's new [name n] in [dst]. *)
     let move ~name src dst f =
       Hashtbl.iter
         (fun n per ->
           let per' = table dst (name n) in
-          H.iter (fun k c -> f per' k c) per)
+          H.iter (fun k c -> f n per' k c) per)
         src
 
     (* Nonzero counters in canonical (sorted) order. *)
@@ -438,102 +242,271 @@ module Raw = struct
       p.routines;
     t
 
-  let parse text =
-    let t = create () in
-    let routine = ref None in
-    let desc_of name = Hashtbl.find_opt t.descs name in
-    let nedges name =
-      match desc_of name with
-      | Some d -> Some (Array.length d.Stale_match.edges)
-      | None -> None
+  (* {3 The v2 reader}
+
+     The only reader of the text. One walker reads the envelope (format
+     header, cfg descriptions, checksummed sections, end marker) straight
+     into a [t]: the dump's own CFG descriptions and counter tables, each
+     counter range-checked against the description of its routine when
+     the dump carries one. Every structural problem (malformed lines,
+     checksum mismatches, truncation, impossible ids, saturation) is
+     diagnosed here, once. What the counts mean for a program is the
+     salvage rule's business, shared by {!merge} and {!load}. *)
+
+  type reader = {
+    raw : t;
+    mutable section : [ `Edges | `Paths ];
+    mutable routine : string option;  (** set by the section's [routine] header *)
+    headers : (string, int) Hashtbl.t;  (** routine -> line of its first header *)
+  }
+
+  let diag rd d = rd.raw.diags_rev <- d :: rd.raw.diags_rev
+
+  let drop rd count d =
+    diag rd d;
+    rd.raw.lost <- sat_add rd.raw.lost count
+
+  let in_desc rd name id =
+    id >= 0
+    &&
+    match Hashtbl.find_opt rd.raw.descs name with
+    | Some d -> id < Array.length d.Stale_match.edges
+    | None -> true
+
+  (* One line of a section's payload. *)
+  let payload_line rd ~lineno raw =
+    let line = String.trim raw in
+    if line = "" || line.[0] = '#' then ()
+    else
+      let corrupt ?(token = first_token line) msg =
+        diag rd (Diagnostic.make ~line:lineno ~token Corrupt msg)
+      in
+      match (split_tokens line, rd.routine, rd.section) with
+      | [ "routine"; name ], _, _ ->
+          rd.routine <- Some name;
+          if not (Hashtbl.mem rd.headers name) then
+            Hashtbl.replace rd.headers name lineno
+      | _, None, _ -> corrupt "counter before any 'routine' header"
+      | [ e; c ], Some name, `Edges when String.length e > 1 && e.[0] = 'e' -> (
+          match
+            ( int_of_string_opt (String.sub e 1 (String.length e - 1)),
+              int_of_string_opt c )
+          with
+          | Some _, Some count when count < 0 ->
+              corrupt ~token:e "negative edge counter"
+          | Some id, Some count when in_desc rd name id ->
+              E.add_count rd.raw (E.table rd.raw.edges name) id count
+          | Some id, Some count ->
+              drop rd count
+                (Diagnostic.errorf ~line:lineno ~token:e ~routine:name Corrupt
+                   "edge id %d out of range" id)
+          | _ -> corrupt ~token:e "malformed edge counter")
+      | _, Some _, `Edges -> corrupt "expected 'e<ID> <count>'"
+      | count :: ":" :: rest, Some name, `Paths -> (
+          match (int_of_string_opt count, List.map int_of_string_opt rest) with
+          | Some c, (_ :: _ as ids) when c >= 0 && List.for_all Option.is_some ids
+            ->
+              let path = List.map Option.get ids in
+              if List.for_all (in_desc rd name) path then
+                P.add_count rd.raw (P.table rd.raw.paths name) path c
+              else
+                drop rd c
+                  (Diagnostic.errorf ~line:lineno ~token:count ~routine:name
+                     Corrupt "path mentions an edge id out of range")
+          | _ -> corrupt ~token:count "malformed path counter")
+      | _, Some _, `Paths -> corrupt "expected '<count> : <edges>'"
+
+  let parse_cfg_header rd lines i lineno line =
+    let args = kv_args (split_tokens line) in
+    let get k = List.assoc_opt k args in
+    match
+      ( get "routine",
+        Option.bind (get "fp") Fingerprint.of_hex,
+        Option.bind (get "blocks") int_of_string_opt,
+        Option.bind (get "edges") int_of_string_opt )
+    with
+    | Some name, Some fp, Some nblocks, Some nedges
+      when nblocks >= 0 && nblocks <= 1_000_000 && nedges >= 0
+           && nedges <= 1_000_000 ->
+        let labels = Array.make nblocks "" in
+        let strict = Array.make nblocks 0 in
+        let loose = Array.make nblocks 0 in
+        let edges = Array.make nedges (-2, -2) in
+        let n = Array.length lines in
+        let want_b = ref 0 and want_e = ref 0 in
+        let ok = ref true in
+        while !ok && (!want_b < nblocks || !want_e < nedges) && !i < n do
+          let raw = lines.(!i) in
+          let l = String.trim raw in
+          let ln = !i + 1 in
+          if l = "" || l.[0] = '#' then incr i
+          else if !want_b < nblocks && starts_with "b " l then begin
+            (match split_tokens l with
+            | [ "b"; lbl; sh; lh ] -> (
+                match (Fingerprint.of_hex sh, Fingerprint.of_hex lh) with
+                | Some s, Some weak ->
+                    labels.(!want_b) <- lbl;
+                    strict.(!want_b) <- s;
+                    loose.(!want_b) <- weak
+                | _ ->
+                    diag rd
+                      (Diagnostic.errorf ~line:ln ~token:lbl ~routine:name
+                         Corrupt "malformed block hash"))
+            | _ ->
+                diag rd
+                  (Diagnostic.errorf ~line:ln ~routine:name Corrupt
+                     "malformed 'b' line in cfg header"));
+            incr want_b;
+            incr i
+          end
+          else if !want_b >= nblocks && starts_with "e " l then begin
+            (match split_tokens l with
+            | [ "e"; id; src; dst ] -> (
+                match
+                  (int_of_string_opt id, int_of_string_opt src,
+                   int_of_string_opt dst)
+                with
+                | Some id, Some s, Some d when id >= 0 && id < nedges ->
+                    edges.(id) <- (s, d)
+                | _ ->
+                    diag rd
+                      (Diagnostic.errorf ~line:ln ~token:id ~routine:name
+                         Corrupt "malformed 'e' line in cfg header"))
+            | _ ->
+                diag rd
+                  (Diagnostic.errorf ~line:ln ~routine:name Corrupt
+                     "malformed 'e' line in cfg header"));
+            incr want_e;
+            incr i
+          end
+          else begin
+            diag rd
+              (Diagnostic.errorf ~line:ln ~token:(first_token l) ~routine:name
+                 Corrupt "cfg header for %s is incomplete" name);
+            ok := false
+          end
+        done;
+        if !ok && (!want_b < nblocks || !want_e < nedges) then
+          diag rd
+            (Diagnostic.errorf ~routine:name Truncated
+               "cfg header for %s ends before its declared %d blocks / %d edges"
+               name nblocks nedges);
+        Hashtbl.replace rd.raw.descs name
+          { Stale_match.fingerprint = fp; labels; strict; loose; edges }
+    | _ ->
+        diag rd
+          (Diagnostic.errorf ~line:lineno ~token:(first_token line) Corrupt
+             "malformed cfg header")
+
+  let parse_section rd lines i lineno line =
+    let tokens = split_tokens line in
+    let kind =
+      match tokens with
+      | _ :: k :: _ when k = "edges" -> Some `Edges
+      | _ :: k :: _ when k = "paths" -> Some `Paths
+      | _ -> None
     in
-    let sink =
+    let args = kv_args tokens in
+    match
+      ( kind,
+        Option.bind (List.assoc_opt "crc" args) Crc.of_hex,
+        Option.bind (List.assoc_opt "lines" args) int_of_string_opt )
+    with
+    | Some kind, Some crc, Some k when k >= 0 ->
+        rd.section <- kind;
+        rd.routine <- None;
+        let n = Array.length lines in
+        let available = min k (n - !i) in
+        if available < k then
+          diag rd
+            (Diagnostic.errorf ~line:lineno Truncated
+               "section declares %d payload lines but only %d remain" k
+               (max 0 available));
+        let payload = Array.sub lines !i (max 0 available) in
+        let start = !i in
+        i := !i + max 0 available;
+        if available = k && crc_lines (Array.to_list payload) <> crc then
+          diag rd
+            (Diagnostic.errorf ~line:lineno Corrupt
+               "checksum mismatch in %s section"
+               (match kind with `Edges -> "edges" | `Paths -> "paths"));
+        Array.iteri
+          (fun j raw -> payload_line rd ~lineno:(start + j + 1) raw)
+          payload
+    | _ ->
+        diag rd
+          (Diagnostic.errorf ~line:lineno ~token:(first_token line) Corrupt
+             "malformed section header")
+
+  (* Everything after the format header, from line index [start]. *)
+  let parse_v2 rd lines start =
+    let n = Array.length lines in
+    let i = ref start in
+    let seen_end = ref false in
+    let stop = ref false in
+    while (not !stop) && !i < n do
+      let raw = lines.(!i) in
+      let lineno = !i + 1 in
+      let line = String.trim raw in
+      incr i;
+      if line = "" || line.[0] = '#' then ()
+      else if !seen_end then begin
+        diag rd
+          (Diagnostic.errorf ~line:lineno ~token:(first_token line) Corrupt
+             "content after 'end' marker");
+        stop := true
+      end
+      else if starts_with "cfg " line then parse_cfg_header rd lines i lineno line
+      else if starts_with "section " line then parse_section rd lines i lineno line
+      else if line = "end" then seen_end := true
+      else
+        diag rd
+          (Diagnostic.errorf ~line:lineno ~token:(first_token line) Corrupt
+             "unexpected line")
+    done;
+    if not !seen_end then
+      diag rd (Diagnostic.errorf Truncated "dump ends without the 'end' marker")
+
+  (* The dump, plus every routine that has a [routine] header with the
+     line of its first one, in line order. The format header may follow
+     blank or comment lines; text without one gets a single diagnostic
+     at its first other line. *)
+  let parse_with_headers text =
+    let rd =
       {
-        on_desc = (fun name d -> Hashtbl.replace t.descs name d);
-        on_section = (fun _ -> routine := None);
-        on_routine = (fun ~lineno:_ name -> routine := Some name);
-        on_edge =
-          (fun ~lineno ~token ~id ~count ->
-            match !routine with
-            | None -> ()
-            | Some name ->
-                if count < 0 then
-                  t.diags_rev <-
-                    Diagnostic.errorf ~line:lineno ~token Corrupt
-                      "negative edge counter"
-                    :: t.diags_rev
-                else if
-                  id < 0
-                  || (match nedges name with Some n -> id >= n | None -> false)
-                then begin
-                  t.diags_rev <-
-                    Diagnostic.errorf ~line:lineno ~token ~routine:name Corrupt
-                      "edge id %d out of range" id
-                    :: t.diags_rev;
-                  t.lost <- sat_add t.lost count
-                end
-                else E.add_count t (E.table t.edges name) id count);
-        on_path =
-          (fun ~lineno ~token ~path ~count ->
-            match !routine with
-            | None -> ()
-            | Some name ->
-                if count < 0 || path = [] then
-                  t.diags_rev <-
-                    Diagnostic.errorf ~line:lineno ~token Corrupt
-                      "malformed path counter"
-                    :: t.diags_rev
-                else if
-                  List.exists
-                    (fun e ->
-                      e < 0
-                      ||
-                      match nedges name with Some n -> e >= n | None -> false)
-                    path
-                then begin
-                  t.diags_rev <-
-                    Diagnostic.errorf ~line:lineno ~token ~routine:name Corrupt
-                      "path mentions an edge id out of range"
-                    :: t.diags_rev;
-                  t.lost <- sat_add t.lost count
-                end
-                else P.add_count t (P.table t.paths name) path count);
-        on_diag = (fun d -> t.diags_rev <- d :: t.diags_rev);
+        raw = create ();
+        section = `Edges;
+        routine = None;
+        headers = Hashtbl.create 17;
       }
     in
-    parse_text sink text;
-    t
+    let lines = Array.of_list (String.split_on_char '\n' text) in
+    let n = Array.length lines in
+    let rec header i =
+      let line = if i < n then String.trim lines.(i) else "" in
+      if i < n && (line = "" || line.[0] = '#') then header (i + 1)
+      else if line = "ppp-profile v2" then parse_v2 rd lines (i + 1)
+      else
+        diag rd
+          (Diagnostic.errorf ~line:(min (i + 1) n)
+             ?token:(if line = "" then None else Some (first_token line))
+             Corrupt "expected the 'ppp-profile v2' header")
+    in
+    header 0;
+    ( rd.raw,
+      Hashtbl.fold (fun name line acc -> (name, line) :: acc) rd.headers []
+      |> List.sort (fun (_, a) (_, b) -> Int.compare a b) )
+
+  let parse text = fst (parse_with_headers text)
 
   let rename f t =
     let out = create () in
     out.diags_rev <- t.diags_rev;
     out.lost <- t.lost;
     Hashtbl.iter (fun name d -> Hashtbl.replace out.descs (f name) d) t.descs;
-    E.move ~name:f t.edges out.edges (E.add_count out);
-    P.move ~name:f t.paths out.paths (P.add_count out);
+    E.move ~name:f t.edges out.edges (fun _ -> E.add_count out);
+    P.move ~name:f t.paths out.paths (fun _ -> P.add_count out);
     out
-
-  (* A salvaged path must still be a path: consecutive mapped edges have
-     to chain head-to-tail in the reference CFG. *)
-  let path_is_connected (nd : Stale_match.cfg_desc) path =
-    let n = List.length path in
-    let ok = ref true in
-    List.iteri
-      (fun i e ->
-        if !ok then
-          let _, dst = nd.Stale_match.edges.(e) in
-          if i < n - 1 then begin
-            let src', _ = nd.Stale_match.edges.(List.nth path (i + 1)) in
-            if dst <> src' then ok := false
-          end)
-      path;
-    !ok
-
-  (* How counts recorded by [input] for [name] translate onto the merged
-     reference CFG. *)
-  type remap =
-    | Pass of Stale_match.cfg_desc option  (** same CFG (or none known) *)
-    | Salvage of Stale_match.cfg_desc * Stale_match.result
 
   let merge inputs =
     let out = create () in
@@ -553,84 +526,31 @@ module Raw = struct
       (fun input ->
         out.diags_rev <- input.diags_rev @ out.diags_rev;
         out.lost <- sat_add out.lost input.lost;
-        let remaps : (string, remap) Hashtbl.t = Hashtbl.create 17 in
+        (* Resolved at a routine's first counter, so a routine with no
+           counts left (all decayed away) reports no Stale warning. *)
+        let remaps = Hashtbl.create 17 in
         let remap_of name =
           match Hashtbl.find_opt remaps name with
           | Some r -> r
           | None ->
               let r =
-                match
-                  (Hashtbl.find_opt input.descs name,
-                   Hashtbl.find_opt out.descs name)
-                with
-                | None, rd -> Pass rd
-                | Some d, Some rd
-                  when d.Stale_match.fingerprint = rd.Stale_match.fingerprint
-                  ->
-                    Pass (Some rd)
-                | Some d, Some rd ->
-                    let m = Stale_match.match_cfgs ~old_desc:d ~new_desc:rd in
-                    out.diags_rev <-
-                      Diagnostic.errorf ~severity:Diagnostic.Warning
-                        ~routine:name Stale
-                        "shard CFG fingerprint disagrees with the merge \
-                         reference; matched %d/%d blocks and %d/%d edges by \
-                         stable hashes"
-                        m.Stale_match.matched_blocks
-                        (Array.length d.Stale_match.strict)
-                        m.Stale_match.matched_edges
-                        (Array.length d.Stale_match.edges)
-                      :: out.diags_rev;
-                    Salvage (rd, m)
-                | Some d, None ->
-                    (* cannot happen: out.descs is a superset *)
-                    Pass (Some d)
+                remap name
+                  ~from:(Hashtbl.find_opt input.descs name)
+                  ~onto:(Hashtbl.find_opt out.descs name)
               in
+              Option.iter (fun d -> out.diags_rev <- d :: out.diags_rev) r.stale;
               Hashtbl.replace remaps name r;
               r
         in
-        let in_range rd id =
-          id >= 0 && id < Array.length rd.Stale_match.edges
+        let through map add name per k c =
+          match map (remap_of name) k with
+          | Some k -> add out per k c
+          | None -> out.lost <- sat_add out.lost c
         in
-        Hashtbl.iter
-          (fun name per ->
-            let dst = E.table out.edges name in
-            Int_tbl.iter
-              (fun id c ->
-                match remap_of name with
-                | Pass None -> E.add_count out dst id c
-                | Pass (Some rd) ->
-                    if in_range rd id then E.add_count out dst id c
-                    else out.lost <- sat_add out.lost c
-                | Salvage (_, m) -> (
-                    match Stale_match.map_edge m id with
-                    | Some nid -> E.add_count out dst nid c
-                    | None -> out.lost <- sat_add out.lost c))
-              per)
-          input.edges;
-        Hashtbl.iter
-          (fun name per ->
-            let dst = P.table out.paths name in
-            Path.Tbl.iter
-              (fun path c ->
-                match remap_of name with
-                | Pass None -> P.add_count out dst path c
-                | Pass (Some rd) ->
-                    if List.for_all (in_range rd) path then
-                      P.add_count out dst path c
-                    else out.lost <- sat_add out.lost c
-                | Salvage (rd, m) -> (
-                    let mapped = List.map (Stale_match.map_edge m) path in
-                    match
-                      if List.for_all Option.is_some mapped then
-                        Some (List.map Option.get mapped)
-                      else None
-                    with
-                    | Some new_path when path_is_connected rd new_path ->
-                        P.add_count out dst new_path c
-                    | _ -> out.lost <- sat_add out.lost c))
-              per)
-          input.paths)
+        E.move ~name:Fun.id input.edges out.edges
+          (through (fun r -> r.edge) E.add_count);
+        P.move ~name:Fun.id input.paths out.paths
+          (through (fun r -> r.path) P.add_count))
       inputs;
     out
 
@@ -650,7 +570,7 @@ module Raw = struct
       Hashtbl.iter (fun n d -> Hashtbl.replace out.descs n d) t.descs;
       out.diags_rev <- t.diags_rev;
       out.lost <- t.lost;
-      let scaled add per' k c =
+      let scaled add _ per' k c =
         let kept = int_of_float (float_of_int c *. w) in
         let kept = if kept < 0 then 0 else if kept > c then c else kept in
         if kept > 0 then add out per' k kept;
@@ -747,207 +667,76 @@ type loaded = {
   dropped_counts : int;
 }
 
-(* How counts recorded for a routine relate to the program loading them. *)
-type status =
-  | Exact of Stale_match.cfg_desc  (** current description, for range checks *)
-  | Salvage of Stale_match.cfg_desc * Stale_match.result
-      (** stale: current description + old-id -> new-id match *)
-  | Unknown
-
-type loader = {
-  program : Ir.program;
-  l_edges : Edge_profile.program;
-  l_paths : Path_profile.program;
-  mutable diags_rev : Diagnostic.t list;
-  mutable routine : (string * status) option;
-  mutable applied : int;
-  mutable dropped : int;
-  mutable stale : int;
-  descs : (string, Stale_match.cfg_desc) Hashtbl.t;  (* current program, memoized *)
-  old_descs : (string, Stale_match.cfg_desc) Hashtbl.t;  (* from v2 cfg headers *)
-  statuses : (string, status) Hashtbl.t;
-}
-
-let make_loader (p : Ir.program) =
-  {
-    program = p;
-    l_edges = Edge_profile.create_program p;
-    l_paths = Path_profile.create_program p;
-    diags_rev = [];
-    routine = None;
-    applied = 0;
-    dropped = 0;
-    stale = 0;
-    descs = Hashtbl.create 17;
-    old_descs = Hashtbl.create 17;
-    statuses = Hashtbl.create 17;
-  }
-
-let ldiag ld d = ld.diags_rev <- d :: ld.diags_rev
-
-let desc_of ld (r : Ir.routine) =
-  match Hashtbl.find_opt ld.descs r.Ir.name with
-  | Some d -> d
-  | None ->
-      let d = Stale_match.describe r in
-      Hashtbl.replace ld.descs r.Ir.name d;
-      d
-
-(* Resolve (and memoize) how to treat counts recorded for [name]; emits
-   the Unknown_routine / Stale diagnostic the first time. *)
-let resolve_status ld ~lineno name =
-  match Hashtbl.find_opt ld.statuses name with
-  | Some s -> s
-  | None ->
-      let s =
-        match Ir.find_routine ld.program name with
-        | None ->
-            ldiag ld
-              (Diagnostic.errorf ~line:lineno ~token:name ~routine:name
-                 Unknown_routine "no such routine in this program");
-            Unknown
-        | Some r -> (
-            let nd = desc_of ld r in
-            match Hashtbl.find_opt ld.old_descs name with
-            | Some od when od.Stale_match.fingerprint <> nd.Stale_match.fingerprint
-              ->
-                let m = Stale_match.match_cfgs ~old_desc:od ~new_desc:nd in
-                ld.stale <- ld.stale + 1;
-                ldiag ld
-                  (Diagnostic.errorf ~severity:Diagnostic.Warning ~routine:name
-                     Stale
-                     "CFG fingerprint mismatch; matched %d/%d blocks and %d/%d \
-                      edges by stable hashes"
-                     m.Stale_match.matched_blocks
-                     (Array.length od.Stale_match.strict)
-                     m.Stale_match.matched_edges
-                     (Array.length od.Stale_match.edges));
-                Salvage (nd, m)
-            | Some _ | None -> Exact nd)
-      in
-      Hashtbl.replace ld.statuses name s;
-      s
-
-let apply_edge ld ~lineno ~token status id count =
-  if count < 0 then begin
-    ldiag ld
-      (Diagnostic.errorf ~line:lineno ~token Corrupt "negative edge counter");
-    ld.dropped <- ld.dropped + 1
-  end
-  else
-    match status with
-    | Unknown -> ld.dropped <- ld.dropped + count
-    | Exact nd ->
-        if id >= 0 && id < Array.length nd.Stale_match.edges then begin
-          (match ld.routine with
-          | Some (name, _) ->
-              Edge_profile.add (Edge_profile.routine ld.l_edges name) id count
-          | None -> ());
-          ld.applied <- ld.applied + count
-        end
-        else begin
-          ldiag ld
-            (Diagnostic.errorf ~line:lineno ~token Corrupt
-               "edge id %d out of range (routine has %d edges)" id
-               (Array.length nd.Stale_match.edges));
-          ld.dropped <- ld.dropped + count
-        end
-    | Salvage (_, m) -> (
-        match Stale_match.map_edge m id with
-        | Some nid ->
-            (match ld.routine with
-            | Some (name, _) ->
-                Edge_profile.add (Edge_profile.routine ld.l_edges name) nid count
-            | None -> ());
-            ld.applied <- ld.applied + count
-        | None -> ld.dropped <- ld.dropped + count)
-
-let apply_path ld ~lineno ~token status path count =
-  if count < 0 || path = [] then begin
-    ldiag ld
-      (Diagnostic.errorf ~line:lineno ~token Corrupt "malformed path counter");
-    ld.dropped <- ld.dropped + max 0 count
-  end
-  else
-    match status with
-    | Unknown -> ld.dropped <- ld.dropped + count
-    | Exact nd ->
-        if
-          List.for_all
-            (fun e -> e >= 0 && e < Array.length nd.Stale_match.edges)
-            path
-        then begin
-          (match ld.routine with
-          | Some (name, _) ->
-              Path_profile.add (Path_profile.routine ld.l_paths name) path count
-          | None -> ());
-          ld.applied <- ld.applied + count
-        end
-        else begin
-          ldiag ld
-            (Diagnostic.errorf ~line:lineno ~token Corrupt
-               "path mentions an edge id out of range");
-          ld.dropped <- ld.dropped + count
-        end
-    | Salvage (nd, m) -> (
-        let mapped = List.map (Stale_match.map_edge m) path in
-        match
-          if List.for_all Option.is_some mapped then
-            Some (List.map Option.get mapped)
-          else None
-        with
-        | Some new_path when Raw.path_is_connected nd new_path ->
-            (match ld.routine with
-            | Some (name, _) ->
-                Path_profile.add (Path_profile.routine ld.l_paths name) new_path
-                  count
-            | None -> ());
-            ld.applied <- ld.applied + count
-        | _ -> ld.dropped <- ld.dropped + count)
-
+(* A routine is described only when the dump has a [routine] header for
+   it: programs carry many cold library routines that record no counts.
+   Paths are added in canonical order, so a loaded table iterates (and
+   [Path_profile.hot_paths] breaks ties) the same way whatever order the
+   parser met them in. *)
 let load (p : Ir.program) text =
-  let ld = make_loader p in
-  let status () = match ld.routine with Some (_, s) -> Some s | None -> None in
-  let sink =
-    {
-      on_desc = (fun name d -> Hashtbl.replace ld.old_descs name d);
-      on_section = (fun _ -> ld.routine <- None);
-      on_routine =
-        (fun ~lineno name ->
-          ld.routine <- Some (name, resolve_status ld ~lineno name));
-      on_edge =
-        (fun ~lineno ~token ~id ~count ->
-          match status () with
-          | Some s -> apply_edge ld ~lineno ~token s id count
-          | None -> ());
-      on_path =
-        (fun ~lineno ~token ~path ~count ->
-          match status () with
-          | Some s -> apply_path ld ~lineno ~token s path count
-          | None -> ());
-      on_diag = (fun d -> ldiag ld d);
-    }
+  let raw, headers = Raw.parse_with_headers text in
+  let edges = Edge_profile.create_program p in
+  let paths = Path_profile.create_program p in
+  let verdicts_rev = ref [] in
+  let applied = ref 0 and dropped = ref (Raw.lost raw) and stale = ref 0 in
+  let settle add key c =
+    match key with
+    | Some k ->
+        add k c;
+        applied := !applied + c
+    | None -> dropped := !dropped + c
   in
-  parse_text sink text;
-  let total = ld.applied + ld.dropped in
+  List.iter
+    (fun (name, line) ->
+      match Ir.find_routine p name with
+      | None ->
+          verdicts_rev :=
+            Diagnostic.errorf ~line ~token:name ~routine:name Unknown_routine
+              "no such routine in this program"
+            :: !verdicts_rev;
+          let drop _ c = dropped := !dropped + c in
+          Raw.iter_edges raw name drop;
+          Raw.iter_paths raw name drop
+      | Some r ->
+          let m =
+            remap name ~from:(Raw.desc raw name)
+              ~onto:(Some (Stale_match.describe r))
+          in
+          Option.iter
+            (fun d ->
+              incr stale;
+              verdicts_rev := d :: !verdicts_rev)
+            m.stale;
+          let ep = Edge_profile.routine edges name in
+          Raw.iter_edges raw name (fun id c ->
+              settle (Edge_profile.add ep) (m.edge id) c);
+          let pp = Path_profile.routine paths name in
+          Option.iter
+            (fun per ->
+              List.iter
+                (fun (path, c) -> settle (Path_profile.add pp) (m.path path) c)
+                (Raw.P.entries per))
+            (Hashtbl.find_opt raw.Raw.paths name))
+    headers;
+  let applied = !applied and dropped = !dropped in
+  let total = applied + dropped in
   let matched_fraction =
-    if total = 0 then 1.0 else float_of_int ld.applied /. float_of_int total
+    if total = 0 then 1.0 else float_of_int applied /. float_of_int total
   in
   Obs.set g_matched matched_fraction;
-  Obs.add m_salvaged ld.applied;
-  Obs.add m_dropped ld.dropped;
-  Obs.add m_stale ld.stale;
-  let diagnostics = List.rev ld.diags_rev in
-  if ld.applied = 0 && Diagnostic.count_errors diagnostics > 0 then
+  Obs.add m_salvaged applied;
+  Obs.add m_dropped dropped;
+  Obs.add m_stale !stale;
+  let diagnostics = Raw.diagnostics raw @ List.rev !verdicts_rev in
+  if applied = 0 && Diagnostic.count_errors diagnostics > 0 then
     Error diagnostics
   else
     Ok
       {
-        edges = ld.l_edges;
-        paths = ld.l_paths;
+        edges;
+        paths;
         diagnostics;
         matched_fraction;
-        stale_routines = ld.stale;
-        salvaged_counts = ld.applied;
-        dropped_counts = ld.dropped;
+        stale_routines = !stale;
+        salvaged_counts = applied;
+        dropped_counts = dropped;
       }

@@ -29,15 +29,25 @@
 
     {2 Loading}
 
-    [load] never raises: every problem is classified as a
-    {!Ppp_resilience.Diagnostic.t} — [Corrupt] (bad syntax, bad CRC,
-    impossible ids), [Stale] (fingerprint mismatch), [Unknown_routine],
-    or [Truncated] — and as much of the dump as possible is salvaged. *)
+    One parser reads the text ({!Raw.parse}), and one salvage rule moves
+    a routine's counts from the CFG the dump describes onto another
+    description of that routine: {!load} applies it against the program
+    as compiled now, {!Raw.merge} against the merge reference. Equal
+    fingerprints keep every id that exists; differing ones re-map
+    through {!Ppp_resilience.Stale_match}, keeping a path only if its
+    mapped edges still chain. [load] never raises: every problem is
+    classified as a {!Ppp_resilience.Diagnostic.t} — [Corrupt] (bad
+    syntax, bad CRC, impossible ids), [Stale] (fingerprint mismatch),
+    [Unknown_routine], or [Truncated] — and as much of the dump as
+    possible is salvaged. *)
 
 type loaded = {
   edges : Edge_profile.program;
   paths : Path_profile.program;
-  diagnostics : Ppp_resilience.Diagnostic.t list;  (** oldest first *)
+  diagnostics : Ppp_resilience.Diagnostic.t list;
+      (** the parser's, in text order, then one [Unknown_routine] (at
+          the routine's first header) or [Stale] per routine, in the
+          order the routines first appear *)
   matched_fraction : float;
       (** fraction of the recorded count mass that was applied; 1.0 for a
           pristine profile, less when counts were dropped as corrupt,
@@ -51,11 +61,16 @@ val load :
   Ppp_ir.Ir.program ->
   string ->
   (loaded, Ppp_resilience.Diagnostic.t list) result
-(** Parse a v2 profile dump. [Ok] whenever anything was salvaged
+(** Parse a v2 profile dump with {!Raw.parse}, then move each routine it
+    names onto the program through the salvage rule; the program's
+    routines are described for matching only when the dump names them.
+    [Ok] whenever anything was salvaged
     (or the dump was validly empty), with all problems in
     [loaded.diagnostics]; [Error] when there were errors and nothing
     could be salvaged — text without the format header is an [Error]
-    with one diagnostic. Routines absent from the text have empty profiles.
+    with one diagnostic. Routines absent from the text have empty
+    profiles. Paths are added in canonical order, so the loaded tables
+    iterate alike for dumps that hold the same counts.
     When {!Ppp_obs.Metrics} is enabled, sets the
     [resilience.matched_fraction] gauge and the [resilience.counts.*]
     counters. *)
@@ -95,7 +110,7 @@ val save_file :
     - when shards disagree on a routine's CFG (a shard was collected
       from an older build), one reference description is chosen
       deterministically and the disagreeing shard's counts are re-mapped
-      through {!Ppp_resilience.Stale_match}, with the unsalvageable
+      through the salvage rule {!load} uses, with the unsalvageable
       remainder added to [lost] and a [Stale] diagnostic recorded;
     - section CRCs are recomputed on {!Raw.save}.
 
@@ -112,8 +127,10 @@ module Raw : sig
   val empty : unit -> t
 
   val parse : string -> t
-  (** Never raises; structural problems land in {!diagnostics} and the
-      affected count mass in {!lost}, exactly like {!load}. *)
+  (** The only reader of the v2 text ({!load} reads through it too).
+      Never raises; structural problems, including counter ids outside
+      the dump's own CFG description, land in {!diagnostics} and the
+      affected count mass in {!lost}. *)
 
   val of_program :
     ?scale:int ->

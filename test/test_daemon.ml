@@ -173,6 +173,28 @@ let test_ops_hex () =
   | Some got -> Alcotest.(check string) "hex round-trips all bytes" s got
   | None -> Alcotest.fail "hex decode failed"
 
+(* A merge reply lists each diagnostic once: the merged dump already
+   carries every input's parse diagnostics next to the merge's own. *)
+let test_ops_merge_diagnostics_once () =
+  let module Raw = Ppp_profile.Profile_io.Raw in
+  let dump scale =
+    let p = (Ppp_workloads.Spec.find "bzip2").Ppp_workloads.Spec.build ~scale in
+    let o = Ppp_interp.Interp.run p in
+    Format.asprintf "%t" (fun ppf ->
+        Ppp_profile.Profile_io.save ?edges:o.Ppp_interp.Interp.edge_profile
+          ?paths:o.Ppp_interp.Interp.path_profile ppf p)
+  in
+  let a = dump 1 in
+  let dumps = [ a; dump 2; String.sub a 0 (String.length a / 2) ] in
+  let expected = Raw.diagnostics (Raw.merge (List.map Raw.parse dumps)) in
+  Alcotest.(check bool) "the merge has diagnostics" true (expected <> []);
+  match Ops.handle ~chaos:false (Ops.Merge { dumps; decay = 1.0 }) with
+  | Ops.Okay { meta; _ } ->
+      Alcotest.(check string) "meta diagnostics are the merge's"
+        (Jsonx.to_string (Diagnostic.list_to_json expected))
+        (Jsonx.to_string (List.assoc "diagnostics" meta))
+  | Ops.Failed _ -> Alcotest.fail "merge request failed"
+
 (* {2 Store} *)
 
 let test_store_roundtrip () =
@@ -472,6 +494,8 @@ let suite =
       test_wire_truncated;
     Alcotest.test_case "ops: codecs round-trip" `Quick test_ops_roundtrip;
     Alcotest.test_case "ops: hex round-trips all bytes" `Quick test_ops_hex;
+    Alcotest.test_case "ops: merge reports each diagnostic once" `Quick
+      test_ops_merge_diagnostics_once;
     Alcotest.test_case "store: put/get/reopen byte-identical" `Quick
       test_store_roundtrip;
     Alcotest.test_case "store: kill -9 mid-write keeps committed entries"

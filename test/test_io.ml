@@ -99,6 +99,13 @@ let test_v2_comment_heavy () =
   in
   check_bool "comment-heavy v2 roundtrips" true (clean_roundtrip p o text)
 
+(* A dump holding one section with a valid checksum. *)
+let section kind payload =
+  let body = String.concat "\n" payload in
+  Printf.sprintf "ppp-profile v2\nsection %s crc=%s lines=%d\n%s\nend\n" kind
+    (Crc.to_hex (Crc.string body))
+    (List.length payload) body
+
 let test_load_classifies_garbage () =
   let p = Ppp_workloads.Gen.program ~seed:1 in
   (* Bad input never raises: it comes back as classified diagnostics,
@@ -114,16 +121,56 @@ let test_load_classifies_garbage () =
   in
   (* Each bad payload line sits in a section whose checksum is valid, so
      the diagnostic classifies the line itself. *)
-  let section kind payload =
-    let body = String.concat "\n" payload in
-    Printf.sprintf "ppp-profile v2\nsection %s crc=%s lines=%d\n%s\nend\n" kind
-      (Crc.to_hex (Crc.string body))
-      (List.length payload) body
-  in
   expect_diag (section "edges" [ "e0 5" ]); (* counter before routine header *)
   expect_diag (section "edges" [ "routine nonexistent"; "e0 5" ]);
   expect_diag (section "edges" [ "routine main"; "bogus line here" ]);
   expect_diag (section "paths" [ "routine main"; "not-a-number : 0 1" ])
+
+(* An unknown routine's diagnostic points at the line of its header. *)
+let test_unknown_routine_is_located () =
+  let p = Ppp_workloads.Gen.program ~seed:1 in
+  let text = section "edges" [ "routine nonexistent"; "e0 5" ] in
+  let diags =
+    match Profile_io.load p text with
+    | Ok l -> l.Profile_io.diagnostics
+    | Error ds -> ds
+  in
+  match
+    List.filter
+      (fun d -> d.Ppp_resilience.Diagnostic.kind = Unknown_routine)
+      diags
+  with
+  | [ d ] ->
+      Alcotest.(check (option int)) "line" (Some 3) d.Ppp_resilience.Diagnostic.line;
+      Alcotest.(check (option string)) "token" (Some "nonexistent")
+        d.Ppp_resilience.Diagnostic.token
+  | ds -> Alcotest.failf "expected one unknown-routine diagnostic, got %d" (List.length ds)
+
+(* Loading across a CFG change accounts for every count: what is not
+   salvaged is dropped, and the matched fraction is their ratio. *)
+let test_load_conserves_mass () =
+  let programs = Array.init 61 (fun seed -> Ppp_workloads.Gen.program ~seed) in
+  let partial = ref 0 in
+  for s = 0 to 59 do
+    let dump = dump_v2 programs.(s) (Interp.run programs.(s)) in
+    match Profile_io.load programs.(s + 1) dump with
+    | Error _ -> ()
+    | Ok l ->
+        if l.Profile_io.dropped_counts > 0 then incr partial;
+        let salvaged = l.Profile_io.salvaged_counts in
+        let total = salvaged + l.Profile_io.dropped_counts in
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d: salvaged + dropped = dump mass" s)
+          (Profile_io.Raw.mass (Profile_io.Raw.parse dump))
+          total;
+        check_bool
+          (Printf.sprintf "seed %d: matched fraction is salvaged / total" s)
+          true
+          (l.Profile_io.matched_fraction
+          = if total = 0 then 1.0
+            else float_of_int salvaged /. float_of_int total)
+  done;
+  check_bool "some loads salvaged only part of the mass" true (!partial > 0)
 
 let test_load_tolerates_comments_and_blanks () =
   let p = Ppp_workloads.Gen.program ~seed:1 in
@@ -211,4 +258,8 @@ let suite =
     Alcotest.test_case "pp_plan renders" `Quick test_pp_plan_renders;
     Alcotest.test_case "path hash spreads shared prefixes" `Quick
       test_path_hash_spreads;
+    Alcotest.test_case "unknown routines stay located" `Quick
+      test_unknown_routine_is_located;
+    Alcotest.test_case "load conserves count mass across CFG changes" `Quick
+      test_load_conserves_mass;
   ]
