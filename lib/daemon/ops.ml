@@ -1,5 +1,6 @@
 module Jsonx = Ppp_obs.Jsonx
 module Diagnostic = Ppp_resilience.Diagnostic
+module Hex = Ppp_resilience.Hex
 module Profile_io = Ppp_profile.Profile_io
 module Interp = Ppp_interp.Interp
 module Session = Ppp_session.Session
@@ -36,25 +37,6 @@ type reply =
 let is_idempotent = function
   | Ping | Collect _ | Merge _ | Opt _ | Status | Shutdown -> true
   | Stall _ | Crash -> false
-
-(* ---- hex --------------------------------------------------------------- *)
-
-let hex_of_string s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
-
-let string_of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    try
-      let b = Buffer.create (n / 2) in
-      for i = 0 to (n / 2) - 1 do
-        Buffer.add_char b (Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
-      done;
-      Some (Buffer.contents b)
-    with _ -> None
 
 (* ---- codecs ------------------------------------------------------------ *)
 
@@ -327,7 +309,7 @@ let handle_opt ~name ~program ~profile ~iterate ~plans =
         match plans with
         | None -> (0, [])
         | Some hex -> (
-            match string_of_hex hex with
+            match Hex.decode hex with
             | None ->
                 (0, [ Diagnostic.make Diagnostic.Corrupt "plans field is not hex" ])
             | Some text ->
@@ -343,7 +325,7 @@ let handle_opt ~name ~program ~profile ~iterate ~plans =
             body = optimized;
             meta =
               extra_meta
-              @ [ ("plans", Jsonx.Str (hex_of_string plans_out));
+              @ [ ("plans", Jsonx.Str (Hex.encode plans_out));
                   ("plans_imported", Jsonx.Int imported);
                   ("diagnostics", Diagnostic.list_to_json import_diags) ];
           }

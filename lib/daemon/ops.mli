@@ -69,9 +69,6 @@ val decode_request : string -> (envelope, string) result
 val encode_reply : reply -> string
 val decode_reply : string -> (reply, string) result
 
-val hex_of_string : string -> string
-val string_of_hex : string -> string option
-
 val handle : chaos:bool -> request -> reply
 (** Execute a request in this process (the supervised worker's main
     loop, and the client's in-process degradation path). [chaos:false]

@@ -1,6 +1,7 @@
 module Robust_io = Ppp_resilience.Robust_io
 module Diagnostic = Ppp_resilience.Diagnostic
 module Faults = Ppp_resilience.Faults
+module Hex = Ppp_resilience.Hex
 module Metrics = Ppp_obs.Metrics
 module Jsonx = Ppp_obs.Jsonx
 module Profile_io = Ppp_profile.Profile_io
@@ -251,7 +252,7 @@ let absorb_reply t (env : Ops.envelope) reply =
       put_logged t ~kind:"opt" ~key:(cache_key env) (Ops.encode_reply reply);
       (match List.assoc_opt "plans" meta with
       | Some (Jsonx.Str hex) -> (
-          match Ops.string_of_hex hex with
+          match Hex.decode hex with
           | Some plans when plans <> "" ->
               put_logged t ~kind:"plans" ~key:name plans
           | _ -> ())
@@ -268,7 +269,7 @@ let inject_plans t (env : Ops.envelope) =
       | Some text ->
           {
             env with
-            Ops.req = Ops.Opt { o with plans = Some (Ops.hex_of_string text) };
+            Ops.req = Ops.Opt { o with plans = Some (Hex.encode text) };
           }
       | None -> env)
   | _ -> env

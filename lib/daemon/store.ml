@@ -1,4 +1,5 @@
 module Crc = Ppp_resilience.Crc
+module Hex = Ppp_resilience.Hex
 module Diagnostic = Ppp_resilience.Diagnostic
 module Metrics = Ppp_obs.Metrics
 
@@ -35,37 +36,25 @@ let fnv64 s =
 let crc_of s = Int32.to_int (Crc.string s) land 0xffffffff
 let crc_hex s = Printf.sprintf "%08x" (crc_of s)
 
-let hex_encode s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
-
-let hex_decode s =
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    let ok = ref true in
-    let b = Buffer.create (n / 2) in
-    (try
-       for i = 0 to (n / 2) - 1 do
-         Buffer.add_char b (Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
-       done
-     with _ -> ok := false);
-    if !ok then Some (Buffer.contents b) else None
-
-(* [field line key] returns the value of [ key=] in a header line. *)
+(* [field line key] returns the value of [ key=] in a header line. The
+   tag starts with a space, so it is compared in place at each space
+   only: the key's hex before [len=] and [crc=] can run to hundreds of
+   kilobytes. *)
 let field line key =
   let tag = " " ^ key ^ "=" in
   let tl = String.length tag and ll = String.length line in
-  let rec scan i =
-    if i + tl > ll then None
-    else if String.sub line i tl = tag then begin
-      let start = i + tl in
-      let stop = ref start in
-      while !stop < ll && line.[!stop] <> ' ' do incr stop done;
-      Some (String.sub line start (!stop - start))
-    end
-    else scan (i + 1)
+  let rec tag_at i j = j = tl || (line.[i + j] = tag.[j] && tag_at i (j + 1)) in
+  let rec scan from =
+    match String.index_from_opt line from ' ' with
+    | Some i when i + tl <= ll ->
+        if tag_at i 0 then
+          let start = i + tl in
+          let stop =
+            Option.value ~default:ll (String.index_from_opt line start ' ')
+          in
+          Some (String.sub line start (stop - start))
+        else scan (i + 1)
+    | _ -> None
   in
   scan 0
 
@@ -75,9 +64,10 @@ let safe_kind kind =
 
 let obj_file kind key = Printf.sprintf "%s-%s.obj" kind (fnv64 key)
 
-let header ~kind ~key payload =
-  Printf.sprintf "ppp-store v1 kind=%s key=%s len=%d crc=%s\n" kind
-    (hex_encode key) (String.length payload) (crc_hex payload)
+(* The fields an object header and its journal line share; the caller
+   hex-encodes the key once for both. *)
+let entry_fields ~kind ~keyhex ~len ~crc =
+  Printf.sprintf "kind=%s key=%s len=%d crc=%08x" kind keyhex len crc
 
 (* ---- never-raise filesystem wrappers ----------------------------------- *)
 
@@ -130,8 +120,8 @@ let write_atomic_file ~path contents =
 
 (* ---- object encoding --------------------------------------------------- *)
 
-let encode_entry ~kind ~key payload =
-  header ~kind ~key payload ^ payload ^ "\n"
+let encode_entry ~fields payload =
+  String.concat "" [ "ppp-store v1 "; fields; "\n"; payload; "\n" ]
 
 (* Parse and validate a whole object file. *)
 let decode_entry contents =
@@ -146,7 +136,7 @@ let decode_entry contents =
           (field line "kind", field line "key", field line "len", field line "crc")
         with
         | Some kind, Some keyhex, Some len_s, Some crc_s -> (
-            match (int_of_string_opt len_s, hex_decode keyhex) with
+            match (int_of_string_opt len_s, Hex.decode keyhex) with
             | Some len, Some key ->
                 let body_start = nl + 1 in
                 if String.length contents < body_start + len + 1 then
@@ -315,21 +305,20 @@ let put t ~kind ~key payload =
   if not (safe_kind kind) then
     Error (Diagnostic.errorf Diagnostic.Io "invalid store kind %S" kind)
   else
+    let len = String.length payload and crc = crc_of payload in
     match Hashtbl.find_opt t.index (kind, key) with
-    | Some e when e.len = String.length payload && e.crc = crc_of payload ->
+    | Some e when e.len = len && e.crc = crc ->
         Ok () (* identical payload already committed *)
     | _ -> (
         let file = obj_file kind key in
         let path = Filename.concat t.objects_dir file in
-        match write_atomic_file ~path (encode_entry ~kind ~key payload) with
+        let fields = entry_fields ~kind ~keyhex:(Hex.encode key) ~len ~crc in
+        match write_atomic_file ~path (encode_entry ~fields payload) with
         | Error d -> Error d
         | Ok () ->
-            Hashtbl.replace t.index (kind, key)
-              { key; len = String.length payload; crc = crc_of payload; file };
+            Hashtbl.replace t.index (kind, key) { key; len; crc; file };
             Metrics.incr m_put;
-            journal_append t
-              (Printf.sprintf "put kind=%s key=%s len=%d crc=%s" kind
-                 (hex_encode key) (String.length payload) (crc_hex payload));
+            journal_append t ("put " ^ fields);
             Ok ())
 
 let get t ~kind ~key =

@@ -38,38 +38,65 @@ let lost_diag ~worker ~index ~total why =
   Diagnostic.errorf ~line:index Diagnostic.Shard_lost
     "worker %d %s before delivering item %d of %d" worker why index total
 
-(* One marshaled record from a worker pipe, assembled from raw reads so
-   the parent survives EINTR and short reads and can put a wall-clock
-   deadline on a stalled worker (a buffered [Marshal.from_channel] can
-   do neither). [`Eof] covers both a cleanly closed pipe and a record
-   torn by a mid-write crash — either way the stream is over and the
+(* One worker's end of the result pipe. [buf] holds the record being
+   read: first its Marshal header alone, then, once the header gives the
+   record's size, the whole record. [have] bytes of it have arrived. *)
+type stream = {
+  worker : int;
+  pid : int;
+  fd : Unix.file_descr;
+  mutable buf : bytes;
+  mutable have : int;
+}
+
+let header_only () = Bytes.create Marshal.header_size
+
+(* One read from a stream that [select] found readable, never past the
+   end of the record being read, so every record is allocated once at
+   its exact size. [`Eof] covers both a cleanly closed pipe and a record
+   torn by a mid-write crash: either way the stream is over, and the
    per-item sweep accounts for what never arrived. *)
-let read_record (type b) ?deadline fd :
-    [ `Record of int * (b, string) result | `Eof | `Timeout ] =
-  let hdr = Bytes.create Marshal.header_size in
-  match Robust_io.really_read ?deadline fd hdr 0 Marshal.header_size with
-  | `Eof -> `Eof
-  | `Timeout -> `Timeout
-  | `Ok () -> (
-      match Marshal.data_size hdr 0 with
-      | exception Failure _ -> `Eof (* corrupt header: torn stream *)
-      | data_len -> (
-          let buf = Bytes.create (Marshal.header_size + data_len) in
-          Bytes.blit hdr 0 buf 0 Marshal.header_size;
-          match
-            Robust_io.really_read ?deadline fd buf Marshal.header_size data_len
-          with
-          | `Eof -> `Eof
-          | `Timeout -> `Timeout
-          | `Ok () -> (
-              match (Marshal.from_bytes buf 0 : int * (b, string) result) with
-              | r -> `Record r
-              | exception Failure _ -> `Eof)))
+let pump s deliver =
+  match Unix.read s.fd s.buf s.have (Bytes.length s.buf - s.have) with
+  | 0 -> `Eof
+  | n when s.have + n < Bytes.length s.buf ->
+      s.have <- s.have + n;
+      `More
+  | n -> (
+      s.have <- s.have + n;
+      if s.have = Marshal.header_size then
+        match Marshal.data_size s.buf 0 with
+        | exception Failure _ -> `Eof
+        | data_len ->
+            let record = Bytes.create (Marshal.header_size + data_len) in
+            Bytes.blit s.buf 0 record 0 Marshal.header_size;
+            s.buf <- record;
+            `More
+      else
+        match Marshal.from_bytes s.buf 0 with
+        | exception Failure _ -> `Eof
+        | r ->
+            deliver r;
+            s.buf <- header_only ();
+            s.have <- 0;
+            `More)
+  | exception
+      Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      `More
+  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> `Eof
 
 let rec waitpid_retry pid =
   match Unix.waitpid [] pid with
   | r -> r
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
+
+let exit_reason pid =
+  match waitpid_retry pid with
+  | _, Unix.WEXITED 0 -> "died mid-stream"
+  | _, Unix.WEXITED c -> Printf.sprintf "exited with code %d" c
+  | _, Unix.WSIGNALED s -> Printf.sprintf "was killed by signal %d" s
+  | _, Unix.WSTOPPED s -> Printf.sprintf "was stopped by signal %d" s
+  | exception Unix.Unix_error _ -> "could not be reaped"
 
 let map (type b) ~jobs ?(seed = 0) ?timeout_s ~(f : seed:int -> 'a -> b) items
     : (b, Diagnostic.t) result list =
@@ -78,9 +105,11 @@ let map (type b) ~jobs ?(seed = 0) ?timeout_s ~(f : seed:int -> 'a -> b) items
   if n = 0 then []
   else begin
     let jobs = max 1 (min jobs n) in
+    (* The budget runs from here for every worker alike. *)
+    let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s in
     flush_std ();
-    let workers =
-      Array.init jobs (fun w ->
+    let streams =
+      List.init jobs (fun w ->
           let rd, wr = Unix.pipe () in
           match Unix.fork () with
           | 0 ->
@@ -109,61 +138,76 @@ let map (type b) ~jobs ?(seed = 0) ?timeout_s ~(f : seed:int -> 'a -> b) items
               Unix._exit 0
           | pid ->
               Unix.close wr;
-              (pid, rd))
+              { worker = w; pid; fd = rd; buf = header_only (); have = 0 })
     in
     let results : (b, Diagnostic.t) result option array = Array.make n None in
-    Array.iteri
-      (fun w (pid, rd) ->
-        (* Drain this worker's stream to EOF before waiting (the parent
-           is the only reader and always consumes, so no deadlock). The
-           optional wall-clock budget is per worker, measured from the
-           moment its drain starts; a worker that blows it is killed and
-           its undelivered items become located diagnostics instead of
-           blocking the merge forever. *)
-        let deadline =
-          Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s
-        in
-        let timed_out = ref false in
-        let streaming = ref true in
-        while !streaming do
-          match read_record ?deadline rd with
-          | `Record (idx, Ok v) -> results.(idx) <- Some (Ok v)
-          | `Record (idx, Error msg) ->
-              results.(idx) <-
-                Some
-                  (Error
-                     (Diagnostic.errorf ~line:idx Diagnostic.Shard_lost
-                        "shard job %d raised: %s" idx msg))
-          | `Eof -> streaming := false
-          | `Timeout ->
-              timed_out := true;
-              Robust_io.kill_quiet pid Sys.sigkill;
-              streaming := false
-        done;
-        (try Unix.close rd with Unix.Unix_error _ -> ());
+    let deliver ((idx, r) : int * (b, string) result) =
+      results.(idx) <-
+        Some
+          (Result.map_error
+             (fun msg ->
+               Diagnostic.errorf ~line:idx Diagnostic.Shard_lost
+                 "shard job %d raised: %s" idx msg)
+             r)
+    in
+    (* Once a stream is closed, every item of its worker that never
+       arrived becomes a located diagnostic. *)
+    let close s = try Unix.close s.fd with Unix.Unix_error _ -> () in
+    let sweep s why =
+      let i = ref s.worker in
+      while !i < n do
+        if results.(!i) = None then
+          results.(!i) <-
+            Some (Error (lost_diag ~worker:s.worker ~index:!i ~total:n why));
+        i := !i + jobs
+      done
+    in
+    (* Drain every live worker from one [select], taking records as they
+       arrive: a worker whose undelivered results outgrow the pipe's
+       capacity would otherwise block in [write] until the parent got
+       round to it. A worker still streaming when the budget runs out is
+       killed; the items it delivered are kept. *)
+    let live = ref streams in
+    while !live <> [] do
+      let left =
+        match deadline with
+        | None -> -1. (* select: wait forever *)
+        | Some d -> d -. Unix.gettimeofday ()
+      in
+      if deadline <> None && left <= 0. then begin
         let why =
-          if !timed_out then
-            Printf.sprintf "exceeded its %gs wall-clock budget"
-              (Option.get timeout_s)
-          else
-            match waitpid_retry pid with
-            | _, Unix.WEXITED 0 -> "died mid-stream"
-            | _, Unix.WEXITED c -> Printf.sprintf "exited with code %d" c
-            | _, Unix.WSIGNALED s -> Printf.sprintf "was killed by signal %d" s
-            | _, Unix.WSTOPPED s -> Printf.sprintf "was stopped by signal %d" s
-            | exception Unix.Unix_error _ -> "could not be reaped"
+          Printf.sprintf "exceeded its %gs wall-clock budget"
+            (Option.get timeout_s)
         in
-        if !timed_out then ignore (waitpid_retry pid);
-        let i = ref w in
-        while !i < n do
-          (match results.(!i) with
-          | Some _ -> ()
-          | None ->
-              results.(!i) <-
-                Some (Error (lost_diag ~worker:w ~index:!i ~total:n why)));
-          i := !i + jobs
-        done)
-      workers;
+        List.iter
+          (fun s ->
+            Robust_io.kill_quiet s.pid Sys.sigkill;
+            close s;
+            ignore (waitpid_retry s.pid);
+            sweep s why)
+          !live;
+        live := []
+      end
+      else
+        match Unix.select (List.map (fun s -> s.fd) !live) [] [] left with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        | ready, _, _ ->
+            live :=
+              List.filter
+                (fun s ->
+                  (not (List.memq s.fd ready))
+                  ||
+                  match pump s deliver with
+                  | `More -> true
+                  | `Eof ->
+                      (* Close before reaping: a worker still writing
+                         after a torn record then fails its write and
+                         exits. *)
+                      close s;
+                      sweep s (exit_reason s.pid);
+                      false)
+                !live
+    done;
     Array.to_list
       (Array.map
          (function Some r -> r | None -> assert false (* all swept above *))

@@ -34,13 +34,16 @@ val map :
     must not rely on mutating parent state (it runs in a child
     process).
 
-    All pipe I/O is EINTR-safe and short-read/short-write tolerant on
-    both sides ({!Ppp_resilience.Robust_io}). [timeout_s], when given,
-    is a per-worker wall-clock budget measured while the parent drains
-    that worker's stream: a worker that stalls past it is killed
-    ([SIGKILL]) and each of its undelivered items becomes a located
-    [Shard_lost] diagnostic instead of blocking the merge forever;
-    items it already delivered are kept. *)
+    The parent drains every worker's pipe from one [select] loop and
+    takes each result as soon as its last byte arrives, so no worker
+    waits in [write] on a full pipe while the parent reads another. All
+    pipe I/O is EINTR-safe and short-read/short-write tolerant on both
+    sides (workers write through {!Ppp_resilience.Robust_io}).
+    [timeout_s], when given, is a wall-clock budget that counts from the
+    start of the map for every worker alike: a worker still streaming
+    when it runs out is killed ([SIGKILL]) and each of its undelivered
+    items becomes a located [Shard_lost] diagnostic instead of blocking
+    the merge forever; items it already delivered are kept. *)
 
 (** {2 Sharded workload collection}
 

@@ -14,6 +14,7 @@ module Server = Ppp_daemon.Server
 module Client = Ppp_daemon.Client
 module Diagnostic = Ppp_resilience.Diagnostic
 module Faults = Ppp_resilience.Faults
+module Hex = Ppp_resilience.Hex
 module Session = Ppp_session.Session
 module H = Ppp_harness.Pipeline
 module Jsonx = Ppp_obs.Jsonx
@@ -167,9 +168,10 @@ let test_ops_roundtrip () =
       | Error e -> Alcotest.failf "decode_reply failed: %s" e)
     replies
 
+(* Plan bundles travel through the one hex codec. *)
 let test_ops_hex () =
   let s = String.init 256 Char.chr in
-  match Ops.string_of_hex (Ops.hex_of_string s) with
+  match Hex.decode (Hex.encode s) with
   | Some got -> Alcotest.(check string) "hex round-trips all bytes" s got
   | None -> Alcotest.fail "hex decode failed"
 
@@ -364,6 +366,77 @@ let test_store_journal_salvage () =
   Alcotest.(check int) "journal repaired in place" 0 (List.length diags3);
   Store.close t3
 
+(* The on-disk format, written here by hand as older builds wrote it:
+   the key hex-encoded by a per-byte [Printf] loop, the object named by
+   FNV-1a 64 of the key. A store must open and serve it, and a fresh
+   [put] of the same entry must write the same bytes. *)
+let printf_hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let fnv1a64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  Printf.sprintf "%016Lx" !h
+
+let test_store_reads_hand_written_format () =
+  let kind = "opt" and key = "{\"op\":\"opt\",\"name\":\"k\x00\xff\"}" in
+  let payload = "reply body\nwith \x00 bytes\n" in
+  let crc s = Printf.sprintf "%08lx" (Ppp_resilience.Crc.string s) in
+  let fields =
+    Printf.sprintf "kind=%s key=%s len=%d crc=%s" kind (printf_hex key)
+      (String.length payload) (crc payload)
+  in
+  let obj_name = Printf.sprintf "%s-%s.obj" kind (fnv1a64 key) in
+  let obj = "ppp-store v1 " ^ fields ^ "\n" ^ payload ^ "\n" in
+  let journal =
+    let body = "put " ^ fields in
+    Printf.sprintf "%s #crc=%s\n" body (crc body)
+  in
+  let dir = tmpdir () in
+  let objects = Filename.concat dir "objects" in
+  Unix.mkdir objects 0o755;
+  write_raw (Filename.concat objects obj_name) obj;
+  write_raw (Filename.concat dir "journal.log") journal;
+  let t, diags = Store.open_store ~dir in
+  Alcotest.(check int) "hand-written store opens cleanly" 0 (List.length diags);
+  Alcotest.(check (option string)) "hand-written entry is served"
+    (Some payload) (Store.get t ~kind ~key);
+  Store.close t;
+  let dir2 = tmpdir () in
+  let t2, _ = Store.open_store ~dir:dir2 in
+  (match Store.put t2 ~kind ~key payload with
+  | Ok () -> ()
+  | Error d -> Alcotest.failf "put failed: %s" d.Diagnostic.message);
+  Store.close t2;
+  Alcotest.(check (list string)) "put names the object the same way"
+    [ obj_name ]
+    (List.map Filename.basename (obj_files dir2));
+  Alcotest.(check string) "put writes the same object bytes" obj
+    (read_file (Filename.concat (Filename.concat dir2 "objects") obj_name));
+  Alcotest.(check string) "put writes the same journal line" journal
+    (read_file (Filename.concat dir2 "journal.log"))
+
+(* An [Opt] key carries a whole program and plan bundle: hundreds of
+   kilobytes of header hex. *)
+let test_store_large_key () =
+  let key = String.init 200_000 (fun i -> Char.chr ((i * 7919) land 0xff)) in
+  let payload = "served" in
+  let dir = tmpdir () in
+  let t, _ = Store.open_store ~dir in
+  (match Store.put t ~kind:"opt" ~key payload with
+  | Ok () -> ()
+  | Error d -> Alcotest.failf "put failed: %s" d.Diagnostic.message);
+  Store.close t;
+  let t2, diags = Store.open_store ~dir in
+  Alcotest.(check int) "reopen has no diagnostics" 0 (List.length diags);
+  Alcotest.(check (option string)) "a 200 KB key survives reopen"
+    (Some payload) (Store.get t2 ~kind:"opt" ~key);
+  Store.close t2
+
 (* {2 Session plan persistence} *)
 
 let bench_program name = (Ppp_workloads.Spec.find name).Ppp_workloads.Spec.build ~scale:1
@@ -432,7 +505,10 @@ let prop_session_plans_never_raise =
 
 (* {2 End-to-end: a real server process} *)
 
-let test_server_e2e () =
+(* Fork a one-worker server on a fresh store, wait until it answers a
+   ping, run [f socket] and shut the server down. [None] when it never
+   became ready. *)
+let with_server f =
   let dir = tmpdir () in
   let socket = Filename.concat dir "pppd.sock" in
   let cfg =
@@ -461,17 +537,12 @@ let test_server_e2e () =
             end
       in
       let ready = await_ready () in
-      let merged =
-        if not ready then None
-        else
-          match
-            Client.call ~socket ~deadline_ms:10_000
-              (Ops.Merge { dumps = [ "ppp 1\n"; "ppp 1\n" ]; decay = 1.0 })
-          with
-          | Ok (body, _) -> Some body
-          | Error _ -> None
+      let result =
+        Fun.protect
+          ~finally:(fun () ->
+            ignore (Client.call ~socket ~deadline_ms:3_000 Ops.Shutdown))
+          (fun () -> if ready then Some (f socket) else None)
       in
-      ignore (Client.call ~socket ~deadline_ms:3_000 Ops.Shutdown);
       let rec reap () =
         match Unix.waitpid [] pid with
         | _, st -> st
@@ -479,9 +550,56 @@ let test_server_e2e () =
       in
       let st = reap () in
       Alcotest.(check bool) "daemon became ready" true ready;
-      Alcotest.(check bool) "merge over the socket succeeded" true
-        (merged <> None);
-      Alcotest.(check bool) "daemon exited cleanly" true (st = Unix.WEXITED 0)
+      Alcotest.(check bool) "daemon exited cleanly" true (st = Unix.WEXITED 0);
+      result
+
+let test_server_e2e () =
+  let merged =
+    with_server (fun socket ->
+        match
+          Client.call ~socket ~deadline_ms:10_000
+            (Ops.Merge { dumps = [ "ppp 1\n"; "ppp 1\n" ]; decay = 1.0 })
+        with
+        | Ok (body, _) -> Some body
+        | Error _ -> None)
+  in
+  Alcotest.(check bool) "merge over the socket succeeded" true
+    (Option.join merged <> None)
+
+(* The warm path. The first reply stores its plans under the program's
+   name; the server injects them into the second, identical request,
+   which changes its cache key, so the second misses too. The third
+   equals the second after injection and is served from the store. *)
+let test_server_serves_repeated_opt () =
+  let req =
+    Ops.Opt
+      {
+        name = "bzip2";
+        program = Ppp_ir.Pp_ir.to_string (bench_program "bzip2");
+        profile = None;
+        iterate = 3;
+        plans = None;
+      }
+  in
+  let replies =
+    with_server (fun socket ->
+        let call () = Client.call ~socket ~deadline_ms:60_000 req in
+        let r1 = call () in
+        let r2 = call () in
+        let r3 = call () in
+        (r1, r2, r3))
+  in
+  let served meta = List.mem_assoc "served_from_store" meta in
+  match replies with
+  | Some (Ok (b1, m1), Ok (b2, m2), Ok (b3, m3)) ->
+      Alcotest.(check bool) "first reply is computed" false (served m1);
+      Alcotest.(check bool) "second reply is computed" false (served m2);
+      Alcotest.(check bool) "third reply is served from the store" true
+        (List.assoc_opt "served_from_store" m3 = Some (Jsonx.Bool true));
+      Alcotest.(check string) "second body equals the first" b1 b2;
+      Alcotest.(check string) "third body equals the first" b1 b3
+  | Some _ -> Alcotest.fail "an opt request failed"
+  | None -> Alcotest.fail "daemon never became ready"
 
 let suite =
   [
@@ -502,10 +620,16 @@ let suite =
       `Quick test_store_kill9_mid_write;
     Alcotest.test_case "store: torn journal salvaged in place" `Quick
       test_store_journal_salvage;
+    Alcotest.test_case "store: reads and writes the hand-written format"
+      `Quick test_store_reads_hand_written_format;
+    Alcotest.test_case "store: a 200 KB key survives reopen" `Quick
+      test_store_large_key;
     Alcotest.test_case "session: plans export/import round-trip" `Quick
       test_session_plans_roundtrip;
     Alcotest.test_case "server: end-to-end over the socket" `Quick
       test_server_e2e;
+    Alcotest.test_case "server: a repeated opt is served from the store"
+      `Quick test_server_serves_repeated_opt;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_store_salvage; prop_session_plans_never_raise ]

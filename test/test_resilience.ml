@@ -6,6 +6,7 @@ module Ir = Ppp_ir.Ir
 module Interp = Ppp_interp.Interp
 module Profile_io = Ppp_profile.Profile_io
 module Crc = Ppp_resilience.Crc
+module Hex = Ppp_resilience.Hex
 module Fingerprint = Ppp_resilience.Fingerprint
 module Stale_match = Ppp_resilience.Stale_match
 module Faults = Ppp_resilience.Faults
@@ -37,6 +38,34 @@ let test_crc_known_answer () =
   (* Chained update equals one-shot. *)
   check_bool "update chains" true
     (Crc.update (Crc.string "1234") "56789" = Crc.string "123456789")
+
+let test_hex_codec () =
+  for c = 0 to 255 do
+    let s = String.make 1 (Char.chr c) in
+    Alcotest.(check string)
+      (Printf.sprintf "byte %d encodes as %%02x" c)
+      (Printf.sprintf "%02x" c) (Hex.encode s)
+  done;
+  check_bool "uppercase accepted" true (Hex.decode "0AfF" = Some "\x0a\xff");
+  check_bool "empty decodes" true (Hex.decode "" = Some "");
+  check_bool "odd length rejected" true (Hex.decode "abc" = None);
+  check_bool "underscore rejected" true (Hex.decode "1_" = None);
+  for c = 0 to 255 do
+    let ch = Char.chr c in
+    let digit =
+      (ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'f') || (ch >= 'A' && ch <= 'F')
+    in
+    if not digit then
+      check_bool
+        (Printf.sprintf "character %d rejected" c)
+        true
+        (Hex.decode (String.make 1 ch ^ "0") = None
+        && Hex.decode ("0" ^ String.make 1 ch) = None)
+  done
+
+let prop_hex_roundtrip =
+  QCheck.Test.make ~count:300 ~name:"hex decode inverts encode" QCheck.string
+    (fun s -> Hex.decode (Hex.encode s) = Some s)
 
 (* Bit-at-a-time reflected CRC-32, independent of the table-driven
    implementation under test. *)
@@ -304,6 +333,8 @@ let suite =
   [
     Alcotest.test_case "crc known answer" `Quick test_crc_known_answer;
     QCheck_alcotest.to_alcotest prop_crc_matches_reference;
+    Alcotest.test_case "hex codec" `Quick test_hex_codec;
+    QCheck_alcotest.to_alcotest prop_hex_roundtrip;
     Alcotest.test_case "fingerprint strict vs loose" `Quick
       test_fingerprint_strict_vs_loose;
     Alcotest.test_case "stale match with inserted block" `Quick

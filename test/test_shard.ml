@@ -18,6 +18,13 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
+let contains msg needle =
+  let n = String.length needle in
+  let rec find j =
+    j + n <= String.length msg && (String.sub msg j n = needle || find (j + 1))
+  in
+  find 0
+
 (* {2 Differential collection: -j 1 ≡ -j 2 ≡ -j 8 ≡ fork-free} *)
 
 (* What collect_workloads does, without any forking: the trusted
@@ -141,14 +148,7 @@ let test_worker_crash () =
           check_bool "diagnostic locates the item" true
             (d.Diagnostic.line = Some i);
           check_bool "diagnostic names the exit code" true
-            (let msg = d.Diagnostic.message in
-             let needle = "exited with code 7" in
-             let n = String.length needle in
-             let rec find j =
-               j + n <= String.length msg
-               && (String.sub msg j n = needle || find (j + 1))
-             in
-             find 0))
+            (contains d.Diagnostic.message "exited with code 7"))
     results
 
 let test_worker_exception () =
@@ -163,6 +163,70 @@ let test_worker_exception () =
       check_bool "kind is shard-lost" true
         (d.Diagnostic.kind = Diagnostic.Shard_lost)
   | _ -> Alcotest.fail "expected exactly item 1 to fail"
+
+(* Worker 1's first result outgrows a pipe; its next item makes the
+   marker worker 0 waits for. If the parent read worker 0 to the end
+   before worker 1, worker 1 would block in [write] and never make the
+   marker. *)
+let test_map_drains_workers_together () =
+  let marker =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ppp-shard-marker-%d" (Unix.getpid ()))
+  in
+  (try Sys.remove marker with Sys_error _ -> ());
+  let big = String.make 1_000_000 'x' in
+  let f ~seed:_ i =
+    match i with
+    | 0 ->
+        let give_up = Unix.gettimeofday () +. 5. in
+        while (not (Sys.file_exists marker)) && Unix.gettimeofday () < give_up do
+          Unix.sleepf 0.005
+        done;
+        if Sys.file_exists marker then "saw" else "missed"
+    | 1 -> big
+    | 3 ->
+        close_out (open_out marker);
+        ""
+    | _ -> ""
+  in
+  let results = Shard.map ~jobs:2 ~f [ 0; 1; 2; 3 ] in
+  (try Sys.remove marker with Sys_error _ -> ());
+  check_bool "worker 0 saw the marker" true (List.hd results = Ok "saw");
+  check_bool "every result delivered" true
+    (results = [ Ok "saw"; Ok big; Ok ""; Ok "" ])
+
+(* A worker that stalls past the budget loses exactly its undelivered
+   items; the other worker's items and the stalled worker's earlier
+   ones all arrive. *)
+let test_map_timeout_keeps_delivered () =
+  List.iter
+    (fun stall ->
+      let results =
+        Shard.map ~jobs:2 ~timeout_s:0.5
+          ~f:(fun ~seed:_ i ->
+            if i = stall then Unix.sleepf 30.;
+            i)
+          [ 0; 1; 2; 3; 4; 5 ]
+      in
+      List.iteri
+        (fun i r ->
+          let lost = i >= stall && i mod 2 = stall mod 2 in
+          match r with
+          | Ok v ->
+              check_bool (Printf.sprintf "stall %d: item %d delivered" stall i)
+                false lost;
+              check_int "value" i v
+          | Error d ->
+              check_bool (Printf.sprintf "stall %d: item %d lost" stall i)
+                true lost;
+              check_bool "diagnostic locates the item" true
+                (d.Diagnostic.line = Some i);
+              check_bool "diagnostic names the budget" true
+                (contains d.Diagnostic.message
+                   "exceeded its 0.5s wall-clock budget"))
+        results)
+    [ 2; 3 ]
 
 (* {2 The perf gate} *)
 
@@ -303,6 +367,10 @@ let suite =
       test_seed_derivation_j_invariant;
     Alcotest.test_case "worker crash degrades to diagnostics" `Quick
       test_worker_crash;
+    Alcotest.test_case "map drains every worker as results arrive" `Quick
+      test_map_drains_workers_together;
+    Alcotest.test_case "timeout loses only undelivered items" `Quick
+      test_map_timeout_keeps_delivered;
     Alcotest.test_case "worker exception costs one item" `Quick
       test_worker_exception;
     Alcotest.test_case "gate semantics" `Quick test_gate_semantics;
