@@ -217,7 +217,10 @@ let tier_up_arg =
   Arg.(value & flag & info [ "tier-up" ] ~doc)
 
 let tier_threshold_arg =
-  let doc = "Frame-entry trip count at which a routine tiers up." in
+  let doc =
+    "Trip count at which a routine tiers up. Trips are frame entries plus \
+     path-ending loop back edges, counted until the routine's decision."
+  in
   Arg.(
     value
     & opt int Ppp_interp.Tier.default_threshold

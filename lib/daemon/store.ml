@@ -137,7 +137,7 @@ let decode_entry contents =
         with
         | Some kind, Some keyhex, Some len_s, Some crc_s -> (
             match (int_of_string_opt len_s, Hex.decode keyhex) with
-            | Some len, Some key ->
+            | Some len, Some key when len >= 0 ->
                 let body_start = nl + 1 in
                 if String.length contents < body_start + len + 1 then
                   Error "payload shorter than declared length"

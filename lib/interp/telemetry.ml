@@ -121,7 +121,8 @@ let emit_trace_counters ?(name = "vm") t =
 
    The routine-resolved counters the hot-routine detector runs on: one
    entry count ("trip") per lowered plan, bumped at every frame entry
-   and loop back edge the tier controller watches. Dense int arrays
+   and loop back edge the tier controller watches, until the routine's
+   tier decision (the controller stops tripping it). Dense int arrays
    indexed by the program's routine order, so a bump is one load, one
    store — cheap enough to leave on for a whole tiered run. *)
 module Trips = struct

@@ -77,11 +77,11 @@ val rates : t -> (int * int * int) list
 
 (** Per-routine trip accounting: the routine-resolved counters the
     {!Tier} hotness controller watches. One count per lowered plan,
-    bumped at frame entry and at the loop back edges that end a path —
-    a dense-array bump, cheap enough to stay on for a whole tiered
-    run. Engine-invariant: both the VM and the reference tree-walker
-    bump trips at the same program points, which the differential
-    suite relies on. *)
+    bumped at frame entry and at the loop back edges that end a path,
+    until the routine's tier decision: {!Tier.trip} stops bumping once
+    the count reaches the threshold, so a count never exceeds it.
+    Engine-invariant: both the VM and the reference tree-walker trip at
+    the same program points, which the differential suite relies on. *)
 module Trips : sig
   type t
 

@@ -1,10 +1,11 @@
 (* The hotness controller behind tiered in-VM re-optimization.
 
    Both engines drive one of these through the same protocol: [trip] at
-   every frame entry and path-ending back edge; when it answers [true]
-   the caller gathers the routine's live path counters and calls [fire],
-   which spends budget, asks the planner for a hot-path-first block
-   order, and logs the decision. The controller never looks at the
+   every frame entry and path-ending back edge (a no-op once the
+   routine's decision is made); when it answers [true] the caller
+   gathers the routine's live path counters and calls [fire], which
+   spends budget, asks the planner for a hot-path-first block order,
+   and logs the decision. The controller never looks at the
    engine — its state is a pure function of the trip/fire call sequence,
    which is identical across the VM and the reference tree-walker, so
    tier decisions (and the tier.* metrics) are engine-invariant by
@@ -60,19 +61,22 @@ let start (s : spec) ~nroutines =
     n_osr_swaps = 0;
   }
 
-(* One bump per watched event. Fires exactly once per routine: at the
-   trip that reaches the threshold, and only while budget remains. A
-   routine crossing the threshold with the budget exhausted is counted
-   as denied once (at the crossing trip), not per subsequent trip. *)
+(* One bump per watched event, up to the routine's decision: the trip
+   that reaches the threshold fires while budget remains and is counted
+   as a denial otherwise. Either way the decision is final, so from then
+   on a trip is a no-op — not counted, never firing. Both engines trip
+   at the same points, so this one rule keeps them in step, and lets
+   the VM stop resolving where nothing is left to decide. *)
+let pending t i = Telemetry.Trips.count t.trips i < t.threshold
+
 let trip t i =
-  let c = Telemetry.Trips.bump t.trips i in
-  if c = t.threshold && not t.tiered.(i) then
-    if t.budget_left > 0 then true
-    else begin
-      t.n_denied <- t.n_denied + 1;
-      false
-    end
-  else false
+  if not (pending t i) then false
+  else if Telemetry.Trips.bump t.trips i < t.threshold then false
+  else if t.budget_left > 0 then true
+  else begin
+    t.n_denied <- t.n_denied + 1;
+    false
+  end
 
 let fire t ~idx ~name ~counters =
   t.tiered.(idx) <- true;

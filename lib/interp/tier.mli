@@ -3,13 +3,13 @@
     A tiered run starts every instrumented routine in its instrumented
     lowered variant. The controller watches per-routine trips (frame
     entries plus path-ending loop back edges, recorded in a
-    {!Telemetry.Trips} table); when a routine's trip count reaches the
-    threshold it "fires": the engine gathers the routine's live path
-    counters, the planner distils them into a hot-path-first block
-    order, {!Lower.tier_up} re-lowers just that routine, and the plan's
-    current-variant slot swaps so the next frame entry (or the current
-    frame, at its next loop back edge — the OSR point) executes
-    optimized, uninstrumented code.
+    {!Telemetry.Trips} table until the routine's decision); when a
+    routine's trip count reaches the threshold it "fires": the engine
+    gathers the routine's live path counters, the planner distils them
+    into a hot-path-first block order, {!Lower.tier_up} re-lowers just
+    that routine, and the plan's current-variant slot swaps so the next
+    frame entry (or the current frame, at its next loop back edge — the
+    OSR point) executes optimized, uninstrumented code.
 
     The controller is engine-agnostic: its state depends only on the
     sequence of {!trip}/{!fire} calls, which the VM and the reference
@@ -56,9 +56,15 @@ val start : spec -> nroutines:int -> t
 
 val trip : t -> int -> bool
 (** Record one watched event for routine [i]. [true] exactly when the
-    routine must tier up now: its count just reached the threshold, it
-    has not already tiered, and budget remains. Crossing the threshold
-    with the budget exhausted is counted once as a denial. *)
+    routine must tier up now: its count just reached the threshold and
+    budget remains. Crossing the threshold with the budget exhausted is
+    counted once as a denial. The crossing trip is the routine's
+    decision, fired or denied, and it is final: every later trip is a
+    no-op that counts nothing and answers [false]. *)
+
+val pending : t -> int -> bool
+(** Routine [i]'s decision is still to come: its trip count is below
+    the threshold. Once [false] it stays [false]. *)
 
 val fire : t -> idx:int -> name:string -> counters:(int * int) list -> int array option
 (** Commit the tier-up [trip] demanded: spends one budget unit, marks
@@ -81,6 +87,8 @@ val note_osr_swap : t -> unit
 (** A live frame jumped onto the optimized variant at a back edge. *)
 
 val flush_metrics : t -> unit
-(** Flush the [tier.*] counter family: [tier.trips], [tier.swaps],
-    [tier.reorders], [tier.denied_budget], [tier.entry_swaps],
-    [tier.osr_swaps]. Called once at run end when observation is on. *)
+(** Flush the [tier.*] counter family: [tier.trips] (each routine's
+    trips up to its decision, so at most threshold x routines),
+    [tier.swaps], [tier.reorders], [tier.denied_budget],
+    [tier.entry_swaps], [tier.osr_swaps]. Called once at run end when
+    observation is on. *)

@@ -40,6 +40,9 @@ type frame = {
          onto an optimized generation retargets the pc through the two
          offset tables (see [retarget]). *)
   mutable f_on : bool; (* executing the instrumented variant on-burst *)
+  mutable f_redecide : bool;
+      (* path-ending edges are still resolution points for this frame
+         (see [must_redecide]); set at [enter] and in each [redecide] *)
   mutable regs : int array;
   mutable pc : int; (* saved resume point while a callee runs *)
   mutable path_reg : int;
@@ -63,14 +66,12 @@ type state = {
   mutable instr_cost : int;
   mutable dyn_paths : int;
   mutable out_rev : int list;
-  prof_on : bool; (* any edge counting, path tracing or instrumentation *)
+  per_edge : bool; (* edge counting or path tracing: every edge has work *)
   trace_on : bool;
   obs_on : bool; (* metrics flag, latched at run start *)
   count_calls : bool; (* metrics or telemetry want the call total *)
   sampler : Sampling.t option; (* bursty collection sampling, None = off *)
   tier : Tier.t option; (* hotness controller, None = untiered *)
-  redecide_on : bool;
-      (* sampler or tier present: gate the per-back-edge re-decision *)
   tele : Telemetry.t option; (* latched snapshot ring, None = off *)
   mutable tele_left : int; (* instructions until the next sample *)
   mutable obs_calls : int;
@@ -96,6 +97,7 @@ let fresh_frame plan =
     fcode = v.L.v_code;
     fcosts = v.L.v_costs;
     f_on = true;
+    f_redecide = false;
     regs = Array.make (max 1 plan.L.nregs) 0;
     (* Every frame begins at opcode offset 0: the lowering keeps the
        entry block there under every block layout (Lower.valid_order),
@@ -126,6 +128,21 @@ let tier_fire st (plan : L.plan) tc =
   in
   L.tier_up ?cache:st.lcache st.prog ~idx:plan.L.r_id ~order
     ~gen:(Tier.swaps tc)
+
+(* Whether a frame of [plan] must keep resolving at its path-ending
+   edges: while a sampler ticks, or while its routine's tier decision is
+   pending. The frame keeps the answer ([f_redecide]) from its [enter]
+   or its last [redecide], so a frame that entered before its routine's
+   swap still holds [true]: its next back edge crosses it onto the new
+   variant (OSR), and only that resolution clears the flag. Without a
+   sampler, [false] is final: a decided routine's [cur] never moves
+   again, and [Tier.trip] would count nothing. *)
+let must_redecide st (plan : L.plan) =
+  Option.is_some st.sampler
+  ||
+  match st.tier with
+  | None -> false
+  | Some tc -> Tier.pending tc plan.L.r_id
 
 (* Push a zeroed frame for [plan], recycling the slot's arrays. The
    first [nargs] registers are about to be overwritten by the caller's
@@ -170,6 +187,7 @@ let enter st plan ~nargs ret_to =
   f.fcode <- var.L.v_code;
   f.fcosts <- var.L.v_costs;
   f.f_on <- on && v = plan.L.v_instr;
+  f.f_redecide <- must_redecide st plan;
   let n = plan.L.nregs in
   if Array.length f.regs < n then f.regs <- Array.make n 0
   else if nargs < n then Array.fill f.regs nargs (n - nargs) 0;
@@ -192,9 +210,11 @@ let store d (a : L.arr) i v =
   if i < 0 || i >= Array.length d then bounds_error a i;
   Array.unsafe_set d i v
 
-(* With edge counting, path tracing and instrumentation all off,
-   [traverse] is a no-op; the dispatch loop skips the call entirely via
-   [st.prof_on], so an unprofiled run pays nothing per edge. *)
+(* An edge's bookkeeping. The dispatch loop calls this only for an edge
+   with work: every edge when the run counts edges or traces paths
+   ([st.per_edge]), otherwise only an edge whose action list is
+   non-empty. So without counting or tracing, an uninstrumented stream
+   (plain, off-burst or tiered-up) pays nothing per edge. *)
 let traverse st (frame : frame) (plan : L.plan) (eo : L.edge_ops) =
   (match plan.L.edge_counts with
   | Some c -> Edge_profile.incr c eo.L.edge
@@ -241,6 +261,9 @@ let traverse st (frame : frame) (plan : L.plan) (eo : L.edge_ops) =
       | L.Bump_none -> ()
     done
   end
+
+let[@inline] has_work st (eo : L.edge_ops) =
+  st.per_edge || Array.length eo.L.acts > 0
 
 (* Execute a fully-paid pure op during the exhaustion remainder. Ops
    that can transfer control (Call, terminators) never appear here:
@@ -358,7 +381,9 @@ let retarget (from_ : L.variant) (to_ : L.variant) target =
    [enter]: tier trip, then the unconditional sampling tick, then the
    resolution — tier override first, burst decision otherwise. Returns
    the pc to re-enter [run_frames] with (so the dispatch loop rebinds
-   the code array), or -1 when the frame's stream is unchanged. *)
+   the code array), or -1 when the frame's stream is unchanged. The
+   dispatch loop calls it only while the frame's [f_redecide] holds,
+   and it refreshes that flag once the trip is made. *)
 let redecide st (frame : frame) (plan : L.plan) pc edge_id target =
   (match st.tier with
   | Some tc -> if Tier.trip tc plan.L.r_id then tier_fire st plan tc
@@ -366,6 +391,7 @@ let redecide st (frame : frame) (plan : L.plan) pc edge_id target =
   let on =
     match st.sampler with None -> frame.f_on | Some s -> Sampling.tick s
   in
+  frame.f_redecide <- must_redecide st plan;
   if plan.L.cur <> plan.L.v_instr then
     if frame.f_var = plan.L.cur then -1
     else begin
@@ -562,44 +588,44 @@ let rec run_frames st (frame : frame) start_pc =
     | L.Unknown_array { name } -> E.error "unknown array %s" name
     | L.Trap { msg } -> raise (E.Runtime_error msg)
     | L.Jump { target; edge } ->
-        if st.prof_on then traverse st frame plan edge;
-        if st.redecide_on && edge.L.ends_path then begin
+        if has_work st edge then traverse st frame plan edge;
+        if frame.f_redecide && edge.L.ends_path then begin
           let t = redecide st frame plan pc edge.L.edge target in
           if t >= 0 then run_frames st frame t else go target
         end
         else go target
     | L.Branch_r { cond; then_; then_edge; else_; else_edge } ->
         if Array.unsafe_get regs cond <> 0 then begin
-          if st.prof_on then traverse st frame plan then_edge;
-          if st.redecide_on && then_edge.L.ends_path then begin
+          if has_work st then_edge then traverse st frame plan then_edge;
+          if frame.f_redecide && then_edge.L.ends_path then begin
             let t = redecide st frame plan pc then_edge.L.edge then_ in
             if t >= 0 then run_frames st frame t else go then_
           end
           else go then_
         end
         else begin
-          if st.prof_on then traverse st frame plan else_edge;
-          if st.redecide_on && else_edge.L.ends_path then begin
+          if has_work st else_edge then traverse st frame plan else_edge;
+          if frame.f_redecide && else_edge.L.ends_path then begin
             let t = redecide st frame plan pc else_edge.L.edge else_ in
             if t >= 0 then run_frames st frame t else go else_
           end
           else go else_
         end
     | L.Branch_const { target; edge } ->
-        if st.prof_on then traverse st frame plan edge;
-        if st.redecide_on && edge.L.ends_path then begin
+        if has_work st edge then traverse st frame plan edge;
+        if frame.f_redecide && edge.L.ends_path then begin
           let t = redecide st frame plan pc edge.L.edge target in
           if t >= 0 then run_frames st frame t else go target
         end
         else go target
     | L.Return_r { src; edge } ->
-        if st.prof_on then traverse st frame plan edge;
+        if has_work st edge then traverse st frame plan edge;
         ret (Some (Array.unsafe_get regs src))
     | L.Return_i { imm; edge } ->
-        if st.prof_on then traverse st frame plan edge;
+        if has_work st edge then traverse st frame plan edge;
         ret (Some imm)
     | L.Return_none { edge } ->
-        if st.prof_on then traverse st frame plan edge;
+        if has_work st edge then traverse st frame plan edge;
         ret None
   and ret value =
     do_return st frame value;
@@ -651,15 +677,12 @@ let run ?cache ~(config : E.config) (p : Ir.program) =
       instr_cost = 0;
       dyn_paths = 0;
       out_rev = [];
-      prof_on =
-        (config.E.collect_edges || config.E.trace_paths
-        || Option.is_some config.E.instrumentation);
+      per_edge = config.E.collect_edges || config.E.trace_paths;
       trace_on = config.E.trace_paths;
       obs_on = E.Obs.enabled ();
       count_calls = E.Obs.enabled () || Option.is_some config.E.telemetry;
       sampler;
       tier;
-      redecide_on = Option.is_some sampler || Option.is_some tier;
       tele = config.E.telemetry;
       tele_left =
         (match config.E.telemetry with

@@ -437,6 +437,52 @@ let test_store_large_key () =
     (Some payload) (Store.get t2 ~kind:"opt" ~key);
   Store.close t2
 
+(* A negative [len=] in an object header is an unparsable header, never
+   a raise: the entry is quarantined whether the damage is there at
+   reopen or appears under an open store before [get]. *)
+let negative_len_header path =
+  let obj = read_file path in
+  let nl = String.index obj '\n' in
+  let old_header = String.sub obj 0 nl in
+  let header =
+    String.split_on_char ' ' old_header
+    |> List.map (fun f -> if f = "len=11" then "len=-5" else f)
+    |> String.concat " "
+  in
+  if header = old_header then Alcotest.fail "no len=11 field to edit";
+  write_raw path (header ^ String.sub obj nl (String.length obj - nl))
+
+let put_one dir =
+  let t, _ = Store.open_store ~dir in
+  (match Store.put t ~kind:"profile" ~key:"k" "eleven byte" with
+  | Ok () -> ()
+  | Error d -> Alcotest.failf "put failed: %s" d.Diagnostic.message);
+  t
+
+let test_store_negative_len_at_reopen () =
+  let dir = tmpdir () in
+  Store.close (put_one dir);
+  List.iter negative_len_header (obj_files dir);
+  let t, diags = Store.open_store ~dir in
+  Alcotest.(check int) "one diagnostic" 1 (List.length diags);
+  Alcotest.(check int) "the entry is quarantined" 1 (Store.quarantined t);
+  Alcotest.(check (option string)) "nothing is served" None
+    (Store.get t ~kind:"profile" ~key:"k");
+  Store.close t
+
+let test_store_negative_len_on_get () =
+  let dir = tmpdir () in
+  let t = put_one dir in
+  List.iter negative_len_header (obj_files dir);
+  Alcotest.(check (option string)) "get misses" None
+    (Store.get t ~kind:"profile" ~key:"k");
+  Alcotest.(check int) "the entry is quarantined" 1 (Store.quarantined t);
+  Alcotest.(check int) "one diagnostic" 1
+    (List.length (Store.drain_diagnostics t));
+  Alcotest.(check bool) "dropped from the index" false
+    (Store.mem t ~kind:"profile" ~key:"k");
+  Store.close t
+
 (* {2 Session plan persistence} *)
 
 let bench_program name = (Ppp_workloads.Spec.find name).Ppp_workloads.Spec.build ~scale:1
@@ -624,6 +670,10 @@ let suite =
       `Quick test_store_reads_hand_written_format;
     Alcotest.test_case "store: a 200 KB key survives reopen" `Quick
       test_store_large_key;
+    Alcotest.test_case "store: a negative len is quarantined at reopen"
+      `Quick test_store_negative_len_at_reopen;
+    Alcotest.test_case "store: a negative len is quarantined on get" `Quick
+      test_store_negative_len_on_get;
     Alcotest.test_case "session: plans export/import round-trip" `Quick
       test_session_plans_roundtrip;
     Alcotest.test_case "server: end-to-end over the socket" `Quick

@@ -166,20 +166,57 @@ let overflow_policy () =
       check_diff (Printf.sprintf "overflow cap=%d" cap) config p)
     [ 1; 16; Instr_rt.Table.default_overflow_cap ]
 
+(* The interp.* and rt.* counters one run flushes. *)
+let counters ~engine ~config p =
+  Obs.set_enabled true;
+  Obs.reset ();
+  ignore (Interp.run ~engine ~config p);
+  let s = Obs.snapshot () in
+  Obs.set_enabled false;
+  List.filter_map
+    (fun (name, v) ->
+      match v with
+      | Obs.Counter n
+        when n > 0
+             && (String.length name >= 7 && String.sub name 0 7 = "interp."
+                || (String.length name >= 3 && String.sub name 0 3 = "rt.")) ->
+          Some (Printf.sprintf "%s=%d" name n)
+      | _ -> None)
+    s
+
+let check_counters label config p =
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      Alcotest.(check (list string)) label
+        (counters ~engine:Interp.Reference ~config p)
+        (counters ~engine:Interp.Vm ~config p))
+
 (* With edge collection and tracing off (the benchmark configuration)
-   the engines must still agree on costs and termination. *)
+   the engines must still agree on costs and termination. The VM then
+   calls [traverse] only on an edge that carries actions, while the
+   reference walks every edge, so instrumented runs must also agree on
+   tables and per-kind action counts. *)
 let bare_config () =
   List.iter
     (fun (bench : Spec.bench) ->
       let p = bench.Spec.build ~scale:1 in
-      let config =
-        {
-          Interp.default_config with
-          Interp.collect_edges = false;
-          trace_paths = false;
-        }
-      in
-      check_diff (bench.Spec.bench_name ^ "/bare") config p)
+      List.iter
+        (fun (mname, instrumentation) ->
+          let config =
+            {
+              Interp.default_config with
+              Interp.collect_edges = false;
+              trace_paths = false;
+              instrumentation;
+            }
+          in
+          let label = Printf.sprintf "%s/%s/bare" bench.Spec.bench_name mname in
+          check_diff label config p;
+          check_counters (label ^ " counters") config p)
+        (methods p))
     Spec.all
 
 (* The interp.* and rt.* metrics streams must be engine-invariant. *)
@@ -188,32 +225,9 @@ let metrics_diff () =
   let instrumentation =
     Some (Instrument.instrument p (prior_edges p) Config.ppp).Instrument.rt
   in
-  let config = { Interp.default_config with Interp.instrumentation } in
-  let snapshot engine =
-    Obs.set_enabled true;
-    Obs.reset ();
-    ignore (Interp.run ~engine ~config p);
-    let s = Obs.snapshot () in
-    Obs.set_enabled false;
-    List.filter_map
-      (fun (name, v) ->
-        match v with
-        | Obs.Counter n
-          when n > 0
-               && (String.length name >= 7 && String.sub name 0 7 = "interp."
-                  || (String.length name >= 3 && String.sub name 0 3 = "rt.")) ->
-            Some (Printf.sprintf "%s=%d" name n)
-        | _ -> None)
-      s
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_enabled false;
-      Obs.reset ())
-    (fun () ->
-      let r = snapshot Interp.Reference in
-      let v = snapshot Interp.Vm in
-      Alcotest.(check (list string)) "interp.*/rt.* counters" r v)
+  check_counters "interp.*/rt.* counters"
+    { Interp.default_config with Interp.instrumentation }
+    p
 
 (* A routine with more acyclic paths than an OCaml int holds: 70
    sequential if/else diamonds (2^70 paths) inside a 3-trip loop. No

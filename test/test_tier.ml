@@ -20,6 +20,7 @@ module Interp = Ppp_interp.Interp
 module Instr_rt = Ppp_interp.Instr_rt
 module Sampling = Ppp_interp.Sampling
 module Tier = Ppp_interp.Tier
+module Telemetry = Ppp_interp.Telemetry
 module Obs = Ppp_obs.Metrics
 module Spec = Ppp_workloads.Spec
 module Gen = Ppp_workloads.Gen
@@ -311,8 +312,9 @@ let qcheck_swap_protocol =
       true)
 
 (* The controller's own arithmetic: one fire per routine at the exact
-   threshold crossing, budget spent per swap, and a denied crossing
-   counted once — never per subsequent trip. *)
+   threshold crossing, budget spent per swap, a denied crossing counted
+   once — never per subsequent trip — and no trip counted after the
+   decision. *)
 let controller_accounting () =
   let spec = Tier.spec ~threshold:3 ~budget:1 () in
   let t = Tier.start spec ~nroutines:2 in
@@ -327,6 +329,13 @@ let controller_accounting () =
   done;
   Alcotest.(check bool) "b denied: budget spent" false (Tier.trip t 1);
   Alcotest.(check bool) "denial is once, not per trip" false (Tier.trip t 1);
+  let trips = Tier.trips t in
+  Alcotest.(check (list int)) "counts stop at the threshold" [ 3; 3 ]
+    [ Telemetry.Trips.count trips 0; Telemetry.Trips.count trips 1 ];
+  Alcotest.(check int) "total stops at the decisions" 6
+    (Telemetry.Trips.total trips);
+  Alcotest.(check bool) "both decided" false
+    (Tier.pending t 0 || Tier.pending t 1);
   Alcotest.(check int) "one decision" 1 (List.length (Tier.decisions t));
   Alcotest.(check int) "one swap" 1 (Tier.swaps t);
   (match Tier.decisions t with
@@ -382,36 +391,124 @@ let tiered_run_pipeline () =
     (t.Pipeline.t_outcome.Interp.instr_cost < untiered.Interp.instr_cost);
   ignore ev
 
-(* The tier.* metric family flows through the flush like every other
-   engine counter, from both engines identically. *)
-let tier_metrics () =
-  let p = (Spec.find "vpr").Spec.build ~scale:1 in
-  let instrumentation =
-    Some (Instrument.instrument p (prior_edges p) Config.ppp).Instrument.rt
-  in
-  let config =
-    {
-      Interp.default_config with
-      Interp.instrumentation;
-      tier = Some (Tier.spec ~threshold:2 ~plan:(reversal_planner p) ());
-    }
-  in
-  let family engine =
-    Obs.set_enabled true;
-    Obs.reset ();
-    ignore (Interp.run ~engine ~config p);
-    let s = Obs.snapshot () in
-    Obs.set_enabled false;
+(* The tier.* counter family one run flushes, with the run's outcome. *)
+let tier_family ~engine ~config p =
+  Obs.set_enabled true;
+  Obs.reset ();
+  let o = Interp.run ~engine ~config p in
+  let s = Obs.snapshot () in
+  Obs.set_enabled false;
+  ( o,
     List.map
       (fun k -> (k, Option.value ~default:0 (Obs.counter_value s ("tier." ^ k))))
-      [ "trips"; "swaps"; "reorders"; "denied_budget"; "entry_swaps"; "osr_swaps" ]
+      [ "trips"; "swaps"; "reorders"; "denied_budget"; "entry_swaps"; "osr_swaps" ] )
+
+(* The tier.* metric family flows through the flush like every other
+   engine counter, from both engines identically, on every workload.
+   A routine trips only up to its decision, so trips never exceed
+   threshold x routines. *)
+let tier_metrics () =
+  let threshold = 2 in
+  List.iter
+    (fun (b : Spec.bench) ->
+      let name = b.Spec.bench_name in
+      let p = b.Spec.build ~scale:1 in
+      let instrumentation =
+        Some (Instrument.instrument p (prior_edges p) Config.ppp).Instrument.rt
+      in
+      let config =
+        {
+          Interp.default_config with
+          Interp.instrumentation;
+          tier = Some (Tier.spec ~threshold ~plan:(reversal_planner p) ());
+        }
+      in
+      let _, vm = tier_family ~engine:Interp.Vm ~config p in
+      let trips = List.assoc "trips" vm in
+      Alcotest.(check bool) (name ^ ": trips counted") true (trips > 0);
+      Alcotest.(check bool) (name ^ ": swaps counted") true
+        (List.assoc "swaps" vm > 0);
+      Alcotest.(check bool)
+        (name ^ ": trips bounded by threshold x routines")
+        true
+        (trips <= threshold * List.length p.Ir.routines);
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": families identical across engines")
+        vm
+        (snd (tier_family ~engine:Interp.Reference ~config p)))
+    Spec.all
+
+(* f(n) recurses to f(n-1) before its own loop, so f's trips go 1..4
+   at the four entries, then one per back edge of the innermost loop.
+   Threshold 4 fires at f(0)'s entry, threshold 6 inside f(0)'s loop
+   (which crosses over itself); either way f fires while its outer
+   activations are in flight, and each must cross onto the new variant
+   (OSR) at its next back edge, exactly where the reference engine does,
+   at full fuel and at every budget below it. *)
+let recursive_src =
+  {|routine main(0) regs 1 {
+entry:
+  r0 = call f(3)
+  out r0
+  ret r0
+}
+routine f(1) regs 4 {
+entry:
+  r1 = 0
+  br r0, recurse, head
+recurse:
+  r2 = r0 - 1
+  r1 = call f(r2)
+  jump head
+head:
+  r2 = 0
+  jump test
+test:
+  r3 = r2 < 4
+  br r3, body, done
+body:
+  r1 = r1 + r2
+  r2 = r2 + 1
+  jump test
+done:
+  ret r1
+}|}
+
+let recursive_osr () =
+  let p = Ppp_ir.Parse.program_of_string recursive_src in
+  let instrumentation =
+    Some (Instrument.instrument p (prior_edges p) Config.pp).Instrument.rt
   in
-  let vm = family Interp.Vm in
-  Alcotest.(check bool) "trips counted" true (List.assoc "trips" vm > 0);
-  Alcotest.(check bool) "swaps counted" true (List.assoc "swaps" vm > 0);
-  Alcotest.(check (list (pair string int))) "families identical across engines"
-    vm
-    (family Interp.Reference)
+  List.iter
+    (fun (sname, spec, osr) ->
+      let check fuel =
+        let config =
+          {
+            Interp.default_config with
+            Interp.instrumentation;
+            fuel;
+            tier = Some spec;
+          }
+        in
+        let vm, vm_family = tier_family ~engine:Interp.Vm ~config p in
+        let r, r_family = tier_family ~engine:Interp.Reference ~config p in
+        let label what = Printf.sprintf "%s/fuel=%d %s" sname fuel what in
+        Alcotest.(check string) (label "engines agree") (full_digest p r)
+          (full_digest p vm);
+        Alcotest.(check (list (pair string int)))
+          (label "tier families agree") r_family vm_family;
+        (vm, vm_family)
+      in
+      let o, family = check Interp.default_config.Interp.fuel in
+      Alcotest.(check int) (sname ^ ": outer activations cross over") osr
+        (List.assoc "osr_swaps" family);
+      for fuel = 1 to o.Interp.dyn_instrs do
+        ignore (check fuel)
+      done)
+    [
+      ("fire at entry", Tier.spec ~threshold:4 (), 3);
+      ("fire in loop", Tier.spec ~threshold:6 ~plan:(reversal_planner p) (), 4);
+    ]
 
 let suite =
   List.map workload_case Spec.all
@@ -424,4 +521,6 @@ let suite =
       Alcotest.test_case "pipeline tiered_run + session invalidation" `Quick
         tiered_run_pipeline;
       Alcotest.test_case "tier.* metrics" `Quick tier_metrics;
+      Alcotest.test_case "recursive routine crosses over in flight" `Quick
+        recursive_osr;
     ]
