@@ -524,11 +524,11 @@ let via_daemon ~socket ~deadline_ms ~required ~req ~accept ~fallback =
 
 (* Collect every built-in workload under the worker pool and merge the
    shards; [pppc collect bench:all]. *)
-let collect_all ~scale ~jobs ~warm ~output ~shard_dir ~metrics_wanted ~sampling
-    =
+let collect_all ~scale ~engine ~jobs ~warm ~output ~shard_dir ~metrics_wanted
+    ~sampling =
   let metrics = metrics_wanted || Option.is_some shard_dir in
   let c =
-    Shard.collect_workloads ~jobs ~scale ~metrics ~warm ?sampling
+    Shard.collect_workloads ~jobs ~scale ~metrics ~warm ~engine ?sampling
       Ppp_workloads.Spec.all
   in
   (match shard_dir with
@@ -627,7 +627,7 @@ let collect_cmd =
               let p = load_program spec ~scale in
               match sampling with
               | Some spec ->
-                  let raw = Shard.collect_sampled ~spec p in
+                  let raw = Shard.collect_sampled ~engine ~spec p in
                   let text = Profile_io.Raw.to_string raw in
                   (match output with
                   | None -> print_string text
@@ -646,7 +646,7 @@ let collect_cmd =
           if daemon <> None then
             cli_error "--daemon serves one workload per request, not bench:all";
           with_obs obs (fun () ->
-              collect_all ~scale ~jobs ~warm ~output ~shard_dir
+              collect_all ~scale ~engine ~jobs ~warm ~output ~shard_dir
                 ~metrics_wanted:(Option.is_some (fst obs)) ~sampling)
         end
         else

@@ -48,21 +48,17 @@ let num_paths t = t.num_paths.(Dag.entry t.dag)
 let num_paths_at t v = t.num_paths.(v)
 let value t e = t.value.(e)
 
-let decode t n =
+(* Walk from the entry, at each node taking the numbered out-edge with
+   Val(e) <= remaining < Val(e) + NumPaths(dst e): the one with the
+   largest Val not exceeding remaining. Stops at the first node [stop]
+   accepts and returns the DAG edges taken and what is left of [n]. *)
+let descend t n ~stop =
   let g = Dag.dag t.dag in
   let exit = Dag.exit t.dag in
-  if (not t.fits) || n < 0 || n >= num_paths t then
-    invalid_arg
-      (Printf.sprintf "Path_numbering.decode: %d out of [0,%d)" n (num_paths t));
   let rec walk v remaining acc =
-    if v = exit then begin
-      assert (remaining = 0);
-      List.rev acc
-    end
+    if stop v then (List.rev acc, remaining)
+    else if v = exit then invalid_arg "Path_numbering: walked past the stop node"
     else begin
-      (* The unique numbered out-edge with Val(e) <= remaining <
-         Val(e) + NumPaths(dst e): the one with the largest Val not
-         exceeding remaining. *)
       let best =
         List.fold_left
           (fun best e ->
@@ -79,6 +75,15 @@ let decode t n =
     end
   in
   walk (Dag.entry t.dag) n []
+
+let decode t n =
+  if (not t.fits) || n < 0 || n >= num_paths t then
+    invalid_arg
+      (Printf.sprintf "Path_numbering.decode: %d out of [0,%d)" n (num_paths t));
+  let exit = Dag.exit t.dag in
+  let path, remaining = descend t n ~stop:(fun v -> v = exit) in
+  assert (remaining = 0);
+  path
 
 let number_of_path t path =
   List.fold_left (fun acc e -> acc + t.value.(e)) 0 path
@@ -169,3 +174,13 @@ let restart tr e =
 
 let decode_segments tr segs =
   List.concat_map (fun n -> Dag.cfg_path_of_dag_path tr.dag (decode tr n)) segs
+
+(* The register so far is the number of the path that leaves [at] along
+   Val-0 edges (a node's first out-edge in Ball–Larus order has Val 0),
+   so decoding it walks the segment's own edges up to [at]. *)
+let decode_prefix tr n ~at =
+  if n < 0 || n >= num_paths tr then
+    invalid_arg
+      (Printf.sprintf "Path_numbering.decode_prefix: %d out of [0,%d)" n
+         (num_paths tr));
+  Dag.cfg_path_of_dag_path tr.dag (fst (descend tr n ~stop:(fun v -> v = at)))

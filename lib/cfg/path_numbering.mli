@@ -44,10 +44,13 @@ val number_of_path : t -> Graph.edge list -> int
 
 (** {2 Tracing}
 
-    The tracer adds an edge's value to a register on every traversal and
-    counts the register's value at each path end, so a traced path costs
-    one add per edge and one counter bump per path. Its edges are
-    recovered only when the counts are read. *)
+    The tracer adds an edge's value to a register as it crosses the
+    edge and counts the register's value at each path end, so a traced
+    path costs one add per edge with a non-zero value and one counter
+    bump per path: an edge whose value is 0 and that neither ends nor
+    cuts a path needs no work at all. Its edges are recovered only when
+    the counts are read, and a path still in flight is recovered from
+    the register alone ({!decode_prefix}). *)
 
 type tracing
 
@@ -75,3 +78,14 @@ val restart : tracing -> Graph.edge -> int
 val decode_segments : tracing -> int list -> Graph.edge list
 (** The CFG path whose segments have the given numbers, in order; a
     path without cuts has one segment. *)
+
+val decode_prefix : tracing -> int -> at:Graph.node -> Graph.edge list
+(** [decode_prefix tr n ~at]: the CFG edges a segment in flight has
+    crossed, given the register [n] it holds on reaching block [at]. The
+    register continues along the Val-0 edges out of [at] to a complete
+    path with the same number, so the greedy decode from the entry walks
+    exactly the segment's edges until it reaches [at]. A segment that
+    began at a loop header (register = {!restart}) starts with the
+    header's entry dummy, which maps to no CFG edge.
+    @raise Invalid_argument if [n] is out of range or names no path
+    through [at]. *)

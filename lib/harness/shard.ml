@@ -38,24 +38,36 @@ let lost_diag ~worker ~index ~total why =
   Diagnostic.errorf ~line:index Diagnostic.Shard_lost
     "worker %d %s before delivering item %d of %d" worker why index total
 
-(* One worker's end of the result pipe. [buf] holds the record being
+(* An item no worker ever held names no worker: which one died last
+   depends on timing. *)
+let unrun_diag ~index ~total =
+  Diagnostic.errorf ~line:index Diagnostic.Shard_lost
+    "item %d of %d was never run: no worker left" index total
+
+(* One worker: the pipe its results come back on, and the pipe it reads
+   its next item index from (its stdin). [buf] holds the record being
    read: first its Marshal header alone, then, once the header gives the
    record's size, the whole record. [have] bytes of it have arrived. *)
 type stream = {
   worker : int;
   pid : int;
   fd : Unix.file_descr;
+  cmd : Unix.file_descr;
+  mutable cmd_open : bool;
+  mutable held : int; (* the index handed out and not yet delivered, or -1 *)
   mutable buf : bytes;
   mutable have : int;
 }
 
 let header_only () = Bytes.create Marshal.header_size
+let index_bytes = 8
+let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* One read from a stream that [select] found readable, never past the
    end of the record being read, so every record is allocated once at
    its exact size. [`Eof] covers both a cleanly closed pipe and a record
    torn by a mid-write crash: either way the stream is over, and the
-   per-item sweep accounts for what never arrived. *)
+   item the worker held is accounted for by the caller. *)
 let pump s deliver =
   match Unix.read s.fd s.buf s.have (Bytes.length s.buf - s.have) with
   | 0 -> `Eof
@@ -98,6 +110,39 @@ let exit_reason pid =
   | _, Unix.WSTOPPED s -> Printf.sprintf "was stopped by signal %d" s
   | exception Unix.Unix_error _ -> "could not be reaped"
 
+(* Hand [idx] to a worker. The pipe is empty (a worker asks for its next
+   index only after delivering), so the 8 bytes never block; a worker
+   that already exited refuses them with [`Closed], and SIGPIPE is
+   ignored meanwhile so its death cannot kill the parent. *)
+let send_index fd idx =
+  let b = Bytes.create index_bytes in
+  Bytes.set_int64_le b 0 (Int64.of_int idx);
+  let old = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () -> Sys.set_signal Sys.sigpipe old)
+    (fun () -> Robust_io.write_all fd b 0 index_bytes)
+
+(* The worker's loop: read an index from stdin, apply [f], write the
+   result; end of input means no item is left. *)
+let worker_loop ~seed ~f items wr =
+  let b = Bytes.create index_bytes in
+  let rec loop () =
+    match Robust_io.really_read Unix.stdin b 0 index_bytes with
+    | `Eof | `Timeout -> ()
+    | `Ok () -> (
+        let idx = Int64.to_int (Bytes.get_int64_le b 0) in
+        let r =
+          try Ok (f ~seed:(derive_seed seed idx) items.(idx))
+          with e -> Error (Printexc.to_string e)
+        in
+        (* One EINTR-safe write per item: a signal landing mid-write
+           must not tear the stream. *)
+        match Robust_io.write_string wr (Marshal.to_string (idx, r) []) with
+        | `Ok -> loop ()
+        | `Closed | `Timeout -> ())
+  in
+  try loop () with Unix.Unix_error _ -> ()
+
 let map (type b) ~jobs ?(seed = 0) ?timeout_s ~(f : seed:int -> 'a -> b) items
     : (b, Diagnostic.t) result list =
   let items = Array.of_list items in
@@ -108,40 +153,49 @@ let map (type b) ~jobs ?(seed = 0) ?timeout_s ~(f : seed:int -> 'a -> b) items
     (* The budget runs from here for every worker alike. *)
     let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s in
     flush_std ();
-    let streams =
-      List.init jobs (fun w ->
-          let rd, wr = Unix.pipe () in
-          match Unix.fork () with
-          | 0 ->
-              Unix.close rd;
-              silence_stdout ();
-              let i = ref w in
-              (try
-                 while !i < n do
-                   let idx = !i in
-                   let r : (b, string) result =
-                     try Ok (f ~seed:(derive_seed seed idx) items.(idx))
-                     with e -> Error (Printexc.to_string e)
-                   in
-                   (* One EINTR-safe write per item: results already
-                      computed must survive a crash on a later item, and
-                      a signal landing mid-write must not tear the
-                      stream. *)
-                   (match
-                      Robust_io.write_string wr (Marshal.to_string (idx, r) [])
-                    with
-                   | `Ok -> ()
-                   | `Closed | `Timeout -> raise Exit);
-                   i := !i + jobs
-                 done
-               with Exit -> ());
-              Unix._exit 0
-          | pid ->
-              Unix.close wr;
-              { worker = w; pid; fd = rd; buf = header_only (); have = 0 })
-    in
+    let streams = ref [] in
+    for w = 0 to jobs - 1 do
+      let rd, wr = Unix.pipe () in
+      let cmd_rd, cmd_wr = Unix.pipe () in
+      match Unix.fork () with
+      | 0 ->
+          (* Keep no other worker's pipe ends: a worker holding a copy
+             would keep that worker's index pipe open after the parent
+             closes it. *)
+          List.iter
+            (fun s ->
+              close_quiet s.fd;
+              close_quiet s.cmd)
+            !streams;
+          Unix.close rd;
+          Unix.close cmd_wr;
+          Unix.dup2 cmd_rd Unix.stdin;
+          Unix.close cmd_rd;
+          silence_stdout ();
+          (match worker_loop ~seed ~f items wr with
+          | () -> Unix._exit 0
+          | exception _ -> Unix._exit 2)
+      | pid ->
+          Unix.close wr;
+          Unix.close cmd_rd;
+          streams :=
+            !streams
+            @ [
+                {
+                  worker = w;
+                  pid;
+                  fd = rd;
+                  cmd = cmd_wr;
+                  cmd_open = true;
+                  held = -1;
+                  buf = header_only ();
+                  have = 0;
+                };
+              ]
+    done;
     let results : (b, Diagnostic.t) result option array = Array.make n None in
-    let deliver ((idx, r) : int * (b, string) result) =
+    let deliver s ((idx, r) : int * (b, string) result) =
+      s.held <- -1;
       results.(idx) <-
         Some
           (Result.map_error
@@ -150,24 +204,58 @@ let map (type b) ~jobs ?(seed = 0) ?timeout_s ~(f : seed:int -> 'a -> b) items
                  "shard job %d raised: %s" idx msg)
              r)
     in
-    (* Once a stream is closed, every item of its worker that never
-       arrived becomes a located diagnostic. *)
-    let close s = try Unix.close s.fd with Unix.Unix_error _ -> () in
-    let sweep s why =
-      let i = ref s.worker in
-      while !i < n do
-        if results.(!i) = None then
-          results.(!i) <-
-            Some (Error (lost_diag ~worker:s.worker ~index:!i ~total:n why));
-        i := !i + jobs
-      done
+    (* Indices never handed out (or refused by a worker that had already
+       exited), smallest first. *)
+    let queue = ref (List.init n Fun.id) in
+    let live = ref !streams in
+    let close_cmd s =
+      if s.cmd_open then begin
+        s.cmd_open <- false;
+        close_quiet s.cmd
+      end
     in
+    let hand s =
+      if s.cmd_open && s.held < 0 then
+        match !queue with
+        | [] -> ()
+        | idx :: rest -> (
+            queue := rest;
+            match send_index s.cmd idx with
+            | `Ok -> s.held <- idx
+            | `Closed | `Timeout ->
+                queue := idx :: !queue;
+                close_cmd s)
+    in
+    (* Give every idle worker the next index. Once none is left and no
+       worker holds one, close the index pipes so the workers exit. *)
+    let settle () =
+      List.iter hand !live;
+      if !queue = [] && List.for_all (fun s -> s.held < 0) !live then
+        List.iter close_cmd !live
+    in
+    (* A reaped worker is gone: it loses the item it held. When it was
+       the last one, every item never handed out is lost too. *)
+    let bury s why =
+      close_cmd s;
+      if s.held >= 0 then
+        results.(s.held) <-
+          Some (Error (lost_diag ~worker:s.worker ~index:s.held ~total:n why));
+      s.held <- -1;
+      live := List.filter (fun x -> x != s) !live;
+      if !live = [] then begin
+        List.iter
+          (fun idx ->
+            results.(idx) <- Some (Error (unrun_diag ~index:idx ~total:n)))
+          !queue;
+        queue := []
+      end
+    in
+    settle ();
     (* Drain every live worker from one [select], taking records as they
-       arrive: a worker whose undelivered results outgrow the pipe's
-       capacity would otherwise block in [write] until the parent got
-       round to it. A worker still streaming when the budget runs out is
-       killed; the items it delivered are kept. *)
-    let live = ref streams in
+       arrive: a worker whose result outgrows the pipe's capacity would
+       otherwise block in [write] until the parent got round to it. A
+       worker still running when the budget runs out is killed; the
+       items delivered are kept. *)
     while !live <> [] do
       let left =
         match deadline with
@@ -182,35 +270,32 @@ let map (type b) ~jobs ?(seed = 0) ?timeout_s ~(f : seed:int -> 'a -> b) items
         List.iter
           (fun s ->
             Robust_io.kill_quiet s.pid Sys.sigkill;
-            close s;
+            close_quiet s.fd;
             ignore (waitpid_retry s.pid);
-            sweep s why)
-          !live;
-        live := []
+            bury s why)
+          !live
       end
       else
         match Unix.select (List.map (fun s -> s.fd) !live) [] [] left with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | ready, _, _ ->
-            live :=
-              List.filter
-                (fun s ->
-                  (not (List.memq s.fd ready))
-                  ||
-                  match pump s deliver with
-                  | `More -> true
+            List.iter
+              (fun s ->
+                if List.memq s.fd ready then
+                  match pump s (deliver s) with
+                  | `More -> if s.held < 0 then settle ()
                   | `Eof ->
                       (* Close before reaping: a worker still writing
                          after a torn record then fails its write and
                          exits. *)
-                      close s;
-                      sweep s (exit_reason s.pid);
-                      false)
-                !live
+                      close_quiet s.fd;
+                      bury s (exit_reason s.pid);
+                      settle ())
+              !live
     done;
     Array.to_list
       (Array.map
-         (function Some r -> r | None -> assert false (* all swept above *))
+         (function Some r -> r | None -> assert false (* all buried above *))
          results)
   end
 
@@ -228,16 +313,16 @@ type collected = {
    instrumenter's self advice; the dump then carries the exact edge
    profile plus inverse-rate path estimates, so sampled dumps merge
    uniformly with unsampled ones. *)
-let collect_sampled ?cache ~spec p =
+let collect_sampled ?cache ?engine ~spec p =
   let advice =
-    Interp.run ?cache
+    Interp.run ?cache ?engine
       ~config:{ Interp.default_config with trace_paths = false }
       p
   in
   let ep = Option.get advice.Interp.edge_profile in
   let inst = Instrument.instrument p ep Config.ppp in
   let o =
-    Interp.run ?cache
+    Interp.run ?cache ?engine
       ~config:
         {
           Interp.default_config with
@@ -253,7 +338,8 @@ let collect_sampled ?cache ~spec p =
   in
   Profile_io.Raw.of_program ?edges:o.Interp.edge_profile ~paths p
 
-let collect_one ?prebuilt ?sampling ~seed ~scale ~metrics (b : Spec.bench) =
+let collect_one ?prebuilt ?engine ?sampling ~seed ~scale ~metrics
+    (b : Spec.bench) =
   if metrics then begin
     Metrics.set_enabled true;
     Metrics.reset ()
@@ -266,7 +352,7 @@ let collect_one ?prebuilt ?sampling ~seed ~scale ~metrics (b : Spec.bench) =
   let raw =
     match sampling with
     | None ->
-        let o = Interp.run ?cache p in
+        let o = Interp.run ?cache ?engine p in
         Profile_io.Raw.of_program ?edges:o.Interp.edge_profile
           ?paths:o.Interp.path_profile p
     | Some template ->
@@ -274,13 +360,13 @@ let collect_one ?prebuilt ?sampling ~seed ~scale ~metrics (b : Spec.bench) =
           Sampling.spec ~burst:template.Sampling.burst ~seed
             ~denom:template.Sampling.denom ()
         in
-        collect_sampled ?cache ~spec p
+        collect_sampled ?cache ?engine ~spec p
   in
   let snap = if metrics then Metrics.snapshot () else [] in
   (b.Spec.bench_name, Profile_io.Raw.to_string raw, snap)
 
 let collect_workloads ~jobs ?(scale = 1) ?(metrics = false) ?(warm = false)
-    ?sampling ?timeout_s benches =
+    ?engine ?sampling ?timeout_s benches =
   (* With [warm], the parent builds every workload and fills a session
      (analyses + structural lowering) before the pool forks, so workers
      inherit the warm artifacts copy-on-write and only execute. Workers
@@ -306,7 +392,7 @@ let collect_workloads ~jobs ?(scale = 1) ?(metrics = false) ?(warm = false)
   let results =
     map ~jobs ~seed:base_seed ?timeout_s
       ~f:(fun ~seed (b, prebuilt) ->
-        collect_one ?prebuilt ?sampling ~seed ~scale ~metrics b)
+        collect_one ?prebuilt ?engine ?sampling ~seed ~scale ~metrics b)
       items
   in
   let shards = ref [] and shard_metrics = ref [] and lost = ref [] in

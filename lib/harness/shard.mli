@@ -2,16 +2,18 @@
     sharded profile collector built on it.
 
     Parallelism comes from [Unix.fork], not from domains, for crash
-    isolation: a worker that dies loses only its own items and never
-    the parent's state. [jobs] workers each take every [jobs]-th item
-    and stream back [Marshal]-ed results over a pipe. Determinism is the
-    whole point — results come back indexed, every item's PRNG seed is
-    derived from the pool seed and the item's {e index} (never from the
-    worker count or wall clock), and a worker that dies surfaces as a
-    located {!Ppp_resilience.Diagnostic} with kind [Shard_lost] rather
-    than poisoning the run — so the output of a [-j 8] run is the same
-    value a [-j 1] run produces, minus exactly the items whose worker
-    crashed. *)
+    isolation: a worker that dies loses only the item it holds and never
+    the parent's state. Items are handed out on demand, in index order:
+    each worker reads one item index at a time from a pipe and streams
+    back a [Marshal]-ed result before it gets the next, so a free worker
+    takes the next item and no worker sits idle while another has a
+    queue. Determinism is the whole point — results come back indexed,
+    every item's PRNG seed is derived from the pool seed and the item's
+    {e index} (never from the worker count, the worker that ran it, or
+    wall clock), and a worker that dies surfaces as a located
+    {!Ppp_resilience.Diagnostic} with kind [Shard_lost] rather than
+    poisoning the run — so the output of a [-j 8] run is the same value
+    a [-j 1] run produces, minus exactly the items lost to crashes. *)
 
 val derive_seed : int -> int -> int
 (** [derive_seed base index]: the per-item seed. A pure mix of [base]
@@ -27,24 +29,32 @@ val map :
   ('b, Ppp_resilience.Diagnostic.t) result list
 (** Apply [f] to every item across [max 1 (min jobs (length items))]
     forked workers; the result list is in item order regardless of
-    completion order. An exception escaping [f], or a worker dying
-    outright (crash, signal, [exit]), yields [Error] with a [Shard_lost]
-    diagnostic locating the item (its index is reported in the
-    diagnostic's [line] field). Worker stdout is routed to [/dev/null]
+    completion order or of which worker ran which item. An exception
+    escaping [f] yields [Error] with a [Shard_lost] diagnostic locating
+    the item (its index is reported in the diagnostic's [line] field),
+    and the worker goes on. A worker dying outright (crash, signal,
+    [exit]) loses only the item it holds, reported the same way; the
+    items never handed out go to the surviving workers, and when no
+    worker survives each of them comes back as a located [Shard_lost]
+    that names no worker (which worker died last depends on timing).
+    Worker stdin is its index pipe and stdout is routed to [/dev/null],
     so shard chatter cannot interleave with the parent's output; [f]
-    must not rely on mutating parent state (it runs in a child
-    process).
+    must not read stdin or rely on mutating parent state (it runs in a
+    child process).
 
-    The parent drains every worker's pipe from one [select] loop and
-    takes each result as soon as its last byte arrives, so no worker
-    waits in [write] on a full pipe while the parent reads another. All
-    pipe I/O is EINTR-safe and short-read/short-write tolerant on both
-    sides (workers write through {!Ppp_resilience.Robust_io}).
-    [timeout_s], when given, is a wall-clock budget that counts from the
-    start of the map for every worker alike: a worker still streaming
-    when it runs out is killed ([SIGKILL]) and each of its undelivered
-    items becomes a located [Shard_lost] diagnostic instead of blocking
-    the merge forever; items it already delivered are kept. *)
+    The parent drains every worker's result pipe from one [select] loop
+    and takes each result as soon as its last byte arrives, so no worker
+    waits in [write] on a full pipe while the parent reads another; it
+    then writes that worker its next index. SIGPIPE is ignored while it
+    writes, so a worker that exits before reading its next index cannot
+    kill the parent: the index goes back to the queue. All pipe I/O is
+    EINTR-safe and short-read/short-write tolerant on both sides
+    (workers write through {!Ppp_resilience.Robust_io}). [timeout_s],
+    when given, is a wall-clock budget that counts from the start of the
+    map for every worker alike: when it runs out every worker is killed
+    ([SIGKILL]), and the item each one held, plus every item never
+    handed out, becomes a located [Shard_lost] diagnostic instead of
+    blocking the merge forever; items already delivered are kept. *)
 
 (** {2 Sharded workload collection}
 
@@ -58,6 +68,7 @@ val map :
 
 val collect_sampled :
   ?cache:Ppp_interp.Lower.cache ->
+  ?engine:Ppp_interp.Interp.engine ->
   spec:Ppp_interp.Sampling.spec ->
   Ppp_ir.Ir.program ->
   Ppp_profile.Profile_io.Raw.t
@@ -68,7 +79,8 @@ val collect_sampled :
     ({!Ppp_interp.Instr_rt.scaled_count}). The resulting dump carries
     the exact edge profile plus full-run path {e estimates} — it merges
     uniformly with unsampled dumps. Deterministic for a given
-    [(spec, program)] pair. *)
+    [(spec, program)] pair, and identical under either [engine]
+    (default {!Ppp_interp.Interp.Vm}; [cache] serves only the VM). *)
 
 type collected = {
   raw : Ppp_profile.Profile_io.Raw.t;
@@ -89,6 +101,7 @@ val collect_workloads :
   ?scale:int ->
   ?metrics:bool ->
   ?warm:bool ->
+  ?engine:Ppp_interp.Interp.engine ->
   ?sampling:Ppp_interp.Sampling.spec ->
   ?timeout_s:float ->
   Ppp_workloads.Spec.bench list ->
@@ -100,7 +113,9 @@ val collect_workloads :
     each workload and fills a {!Ppp_session.Session} — analyses plus
     structural lowering — before forking, so workers inherit the warm
     artifacts copy-on-write and skip re-lowering; the collected output
-    is byte-identical either way.
+    is byte-identical either way. [engine] (default
+    {!Ppp_interp.Interp.Vm}) runs every collection, exact or sampled;
+    the dumps are byte-identical under either engine.
 
     With [sampling], each workload is collected under bursty sampled PPP
     instrumentation ({!Ppp_interp.Sampling}) instead of the engine's

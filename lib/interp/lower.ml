@@ -13,7 +13,8 @@
    - terminators are fused with their edge bookkeeping: the edge id,
      whether it ends the current path, the edge's Ball–Larus value and
      restart value for the path tracer, the specialized instrumentation
-     actions and their precomputed total cost all sit in the opcode;
+     actions and their precomputed total cost, and which of these give
+     the edge any work at all, all sit in the opcode;
    - register indices are validated here, so the VM may use unchecked
      register accesses; an out-of-range index lowers to a [Trap] that
      faults only if executed, like the reference engine's lazy error.
@@ -69,6 +70,9 @@ type edge_ops = {
   acts : pre_action array;
   acts_cost : int; (* total Cost.action of the list *)
   act_kinds : int array; (* Instr_rt.action_index per action, for metrics *)
+  work : int;
+      (* 2 when [acts] is non-empty; else 1 when the tracer has work here
+         (a non-zero [path_add], a path end or a cut); else 0 *)
 }
 
 type op =
@@ -239,14 +243,18 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
   List.iter (fun e -> is_back.(e) <- true) (Loop.breakable_edges loops);
   let tr = tracing_of view loops in
   let edge_ops ~ends_path e =
+    let path_add = Path_numbering.step tr e in
+    let path_restart = Path_numbering.restart tr e in
     {
       edge = e;
       ends_path;
-      path_add = Path_numbering.step tr e;
-      path_restart = Path_numbering.restart tr e;
+      path_add;
+      path_restart;
       acts = [||];
       acts_cost = 0;
       act_kinds = [||];
+      work =
+        (if path_add <> 0 || ends_path || path_restart >= 0 then 1 else 0);
     }
   in
   (* Emission: [pending] accumulates the current straight-line run of
@@ -490,6 +498,7 @@ let specialize_code ~ri ~table (splan : plan) =
           acts = Array.of_list (List.map (compile_action table) src_acts);
           acts_cost = Cost.actions ~table:ri.Instr_rt.table src_acts;
           act_kinds = Array.of_list (List.map Instr_rt.action_index src_acts);
+          work = 2;
         }
   in
   Array.map
@@ -664,9 +673,11 @@ let program ?cache ~(config : Engine.config) ~instr_tables (p : Ir.program) =
              v_instr;
              v_plain;
              cur = v_instr;
+             (* A run that traces paths derives its edge counts from them
+                (see [Vm.run]), so it keeps no per-edge counter. *)
              edge_counts =
-               (if config.Engine.collect_edges then
-                  Some (Edge_profile.create ~nedges)
+               (if config.Engine.collect_edges && not config.Engine.trace_paths
+                then Some (Edge_profile.create ~nedges)
                 else None);
              paths =
                (if config.Engine.trace_paths then Some (Path_counts.create ())

@@ -36,6 +36,12 @@ type edge_ops = {
   acts : pre_action array;
   acts_cost : int;  (** precomputed total {!Cost.action} of the list *)
   act_kinds : int array;  (** {!Instr_rt.action_index} per action *)
+  work : int;
+      (** what the edge asks of {!Vm}'s [traverse]: [2] when [acts] is
+          non-empty, else [1] when the path tracer has work here (a
+          non-zero [path_add], a path end or a cut), else [0]. A run
+          traverses the edges whose [work] exceeds its floor, so one
+          comparison per edge serves every profiling mode. *)
 }
 
 type op =
@@ -118,6 +124,8 @@ type plan = {
   r_id : int;  (** this routine's plan index in its program *)
   nregs : int;
   edge_counts : Ppp_profile.Edge_profile.t option;
+      (** live edge counters: only when the run counts edges without
+          tracing paths (a tracing run derives its edge counts) *)
   paths : Path_counts.t option;  (** traced path counts, when tracing *)
 }
 

@@ -18,7 +18,13 @@
 
    - Register accesses are unchecked ([Lower] validated the indices, and
      out-of-range instructions lower to [Trap]); array accesses keep
-     their semantic bounds check with the reference engine's message. *)
+     their semantic bounds check with the reference engine's message.
+
+   A run that traces paths keeps no edge counter: each edge's count is
+   the sum over the traced paths that cross it, plus the in-flight
+   prefix of every frame still live when fuel runs out (see
+   [derive_in_flight]). So such a run pays only for the tracer's own work
+   per edge, and most edges need none. *)
 
 module Graph = Ppp_cfg.Graph
 module Path_numbering = Ppp_cfg.Path_numbering
@@ -44,7 +50,9 @@ type frame = {
       (* path-ending edges are still resolution points for this frame
          (see [must_redecide]); set at [enter] and in each [redecide] *)
   mutable regs : int array;
-  mutable pc : int; (* saved resume point while a callee runs *)
+  mutable pc : int;
+      (* saved resume point while a callee runs; in the frame that runs
+         out of fuel, the segment or call that did *)
   mutable path_reg : int;
   mutable trace_reg : int; (* Ball–Larus number of the current path so far *)
   mutable trace_segs : int list;
@@ -66,7 +74,10 @@ type state = {
   mutable instr_cost : int;
   mutable dyn_paths : int;
   mutable out_rev : int list;
-  per_edge : bool; (* edge counting or path tracing: every edge has work *)
+  work_floor : int;
+      (* traverse an edge whose [work] exceeds this: -1 while counting
+         edges without tracing (every edge), 0 while tracing (actions or
+         tracer work), 1 otherwise (actions only) *)
   trace_on : bool;
   obs_on : bool; (* metrics flag, latched at run start *)
   count_calls : bool; (* metrics or telemetry want the call total *)
@@ -211,16 +222,20 @@ let store d (a : L.arr) i v =
   Array.unsafe_set d i v
 
 (* An edge's bookkeeping. The dispatch loop calls this only for an edge
-   with work: every edge when the run counts edges or traces paths
-   ([st.per_edge]), otherwise only an edge whose action list is
-   non-empty. So without counting or tracing, an uninstrumented stream
-   (plain, off-burst or tiered-up) pays nothing per edge. *)
+   with work ([has_work]): every edge when the run counts edges without
+   tracing paths; an edge with actions or tracer work when it traces
+   paths; otherwise only an edge whose action list is non-empty. So
+   without counting or tracing, an uninstrumented stream (plain,
+   off-burst or tiered-up) pays nothing per edge, and a tracing run
+   skips every edge with Ball–Larus value 0 that neither ends nor cuts a
+   path. *)
 let traverse st (frame : frame) (plan : L.plan) (eo : L.edge_ops) =
   (match plan.L.edge_counts with
   | Some c -> Edge_profile.incr c eo.L.edge
   | None -> ());
   if st.trace_on then begin
-    (* One add per edge, one counter bump per path (Section 3.1). *)
+    (* One add per edge with a non-zero value, one counter bump per
+       path (Section 3.1). *)
     let n = frame.trace_reg + eo.L.path_add in
     if eo.L.ends_path then begin
       (match plan.L.paths with
@@ -262,8 +277,7 @@ let traverse st (frame : frame) (plan : L.plan) (eo : L.edge_ops) =
     done
   end
 
-let[@inline] has_work st (eo : L.edge_ops) =
-  st.per_edge || Array.length eo.L.acts > 0
+let[@inline] has_work st (eo : L.edge_ops) = eo.L.work > st.work_floor
 
 (* Execute a fully-paid pure op during the exhaustion remainder. Ops
    that can transfer control (Call, terminators) never appear here:
@@ -318,6 +332,7 @@ let exhaust st (frame : frame) regs pc =
   for i = pc + 1 to pc + k - 1 do
     exec_pure st regs code.(i)
   done;
+  frame.pc <- pc;
   raise E.Exhausted
 
 (* The instrumented stream's edge_ops for the terminator at [pc] — the
@@ -564,7 +579,10 @@ let rec run_frames st (frame : frame) start_pc =
            exactly like the reference's per-instruction charge. *)
         st.base_cost <- st.base_cost + Array.unsafe_get costs pc;
         st.fuel <- st.fuel - 1;
-        if st.fuel <= 0 then raise E.Exhausted;
+        if st.fuel <= 0 then begin
+          frame.pc <- pc;
+          raise E.Exhausted
+        end;
         st.base_cost <- st.base_cost + Cost.call_overhead;
         if st.count_calls then st.obs_calls <- st.obs_calls + 1;
         frame.pc <- pc + 1;
@@ -581,7 +599,10 @@ let rec run_frames st (frame : frame) start_pc =
     | L.Unknown_routine { name } ->
         st.base_cost <- st.base_cost + Array.unsafe_get costs pc;
         st.fuel <- st.fuel - 1;
-        if st.fuel <= 0 then raise E.Exhausted;
+        if st.fuel <= 0 then begin
+          frame.pc <- pc;
+          raise E.Exhausted
+        end;
         st.base_cost <- st.base_cost + Cost.call_overhead;
         if st.count_calls then st.obs_calls <- st.obs_calls + 1;
         E.error "unknown routine %s" name
@@ -636,6 +657,40 @@ let rec run_frames st (frame : frame) start_pc =
   in
   go start_pc
 
+(* The block whose opcodes contain [pc] in [v]: blocks are emitted
+   contiguously, so it is the one starting last at or before [pc]. *)
+let block_at (v : L.variant) pc =
+  let best = ref 0 in
+  Array.iteri
+    (fun b off -> if off <= pc && off > v.L.v_offsets.(!best) then best := b)
+    v.L.v_offsets;
+  !best
+
+(* Fuel ran out with frames [0, depth) live, each part-way through a
+   path whose edges were crossed but never counted with a path: its
+   finished segments (after cuts) and the segment in flight, which its
+   trace register recovers up to the block at its saved pc. *)
+let derive_in_flight ?cache st (derived : Edge_profile.t array) =
+  let tracings = Array.make (Array.length st.plans) None in
+  for i = 0 to st.depth - 1 do
+    let f = st.frames.(i) in
+    let plan = f.plan in
+    let tr =
+      match tracings.(plan.L.r_id) with
+      | Some tr -> tr
+      | None ->
+          let tr = L.tracing ?cache plan in
+          tracings.(plan.L.r_id) <- Some tr;
+          tr
+    in
+    let c = derived.(plan.L.r_id) in
+    let at = block_at plan.L.variants.(f.f_var) f.pc in
+    List.iter
+      (fun e -> Edge_profile.incr c e)
+      (Path_numbering.decode_segments tr (List.rev f.trace_segs)
+      @ Path_numbering.decode_prefix tr f.trace_reg ~at)
+  done
+
 let run ?cache ~(config : E.config) (p : Ir.program) =
   E.validate_call_arities p;
   let instr_tables =
@@ -677,7 +732,10 @@ let run ?cache ~(config : E.config) (p : Ir.program) =
       instr_cost = 0;
       dyn_paths = 0;
       out_rev = [];
-      per_edge = config.E.collect_edges || config.E.trace_paths;
+      work_floor =
+        (if config.E.trace_paths then 0
+         else if config.E.collect_edges then -1
+         else 1);
       trace_on = config.E.trace_paths;
       obs_on = E.Obs.enabled ();
       count_calls = E.Obs.enabled () || Option.is_some config.E.telemetry;
@@ -700,25 +758,19 @@ let run ?cache ~(config : E.config) (p : Ir.program) =
       E.Finished
     with E.Exhausted -> E.Out_of_fuel { stack_depth = st.depth }
   in
-  let edge_profile =
-    if config.E.collect_edges then begin
-      let ep = Edge_profile.create_program p in
-      Hashtbl.iter
-        (fun name idx ->
-          let plan = prog.L.plans.(idx) in
-          match plan.L.edge_counts with
-          | Some c ->
-              Graph.iter_edges (Cfg_view.graph plan.L.view) (fun e ->
-                  Edge_profile.add (Edge_profile.routine ep name) e
-                    (Edge_profile.freq c e))
-          | None -> ())
-        prog.L.index;
-      Some ep
-    end
+  (* Traced paths are decoded to edges only here, once per distinct
+     path, by rebuilding each routine's numbering. A run that also counts
+     edges adds each path's count to the edges it crosses. *)
+  let derived =
+    if config.E.collect_edges && config.E.trace_paths then
+      Some
+        (Array.map
+           (fun (plan : L.plan) ->
+             Edge_profile.create
+               ~nedges:(Graph.num_edges (Cfg_view.graph plan.L.view)))
+           prog.L.plans)
     else None
   in
-  (* Traced paths are decoded to edges only here, once per distinct
-     path, by rebuilding each routine's numbering. *)
   let path_profile =
     if config.E.trace_paths then begin
       let pp = Path_profile.create_program p in
@@ -729,11 +781,39 @@ let run ?cache ~(config : E.config) (p : Ir.program) =
           | Some t when Path_counts.num_distinct t > 0 ->
               let tr = L.tracing ?cache plan in
               let dst = Path_profile.routine pp name in
+              let edges = Option.map (fun d -> d.(idx)) derived in
               Path_counts.iter t (fun segs n ->
-                  Path_profile.add dst (Path_numbering.decode_segments tr segs) n)
+                  let path = Path_numbering.decode_segments tr segs in
+                  Path_profile.add dst path n;
+                  match edges with
+                  | Some c -> List.iter (fun e -> Edge_profile.add c e n) path
+                  | None -> ())
           | _ -> ())
         prog.L.index;
       Some pp
+    end
+    else None
+  in
+  Option.iter (derive_in_flight ?cache st) derived;
+  let edge_profile =
+    if config.E.collect_edges then begin
+      let ep = Edge_profile.create_program p in
+      Hashtbl.iter
+        (fun name idx ->
+          let plan = prog.L.plans.(idx) in
+          let counts =
+            match derived with
+            | Some d -> Some d.(idx)
+            | None -> plan.L.edge_counts
+          in
+          match counts with
+          | Some c ->
+              Graph.iter_edges (Cfg_view.graph plan.L.view) (fun e ->
+                  Edge_profile.add (Edge_profile.routine ep name) e
+                    (Edge_profile.freq c e))
+          | None -> ())
+        prog.L.index;
+      Some ep
     end
     else None
   in

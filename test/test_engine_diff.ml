@@ -7,12 +7,15 @@
    that walks the exhaustion point through batched segments. *)
 
 module Graph = Ppp_cfg.Graph
+module Loop = Ppp_cfg.Loop
+module Path_numbering = Ppp_cfg.Path_numbering
 module Ir = Ppp_ir.Ir
 module Cfg_view = Ppp_ir.Cfg_view
 module Edge_profile = Ppp_profile.Edge_profile
 module Path_profile = Ppp_profile.Path_profile
 module Interp = Ppp_interp.Interp
 module Instr_rt = Ppp_interp.Instr_rt
+module Tier = Ppp_interp.Tier
 module Spec = Ppp_workloads.Spec
 module Gen = Ppp_workloads.Gen
 module Config = Ppp_core.Config
@@ -91,10 +94,14 @@ let digest (p : Ir.program) (o : Interp.outcome) =
         (List.sort compare names));
   Buffer.contents b
 
-let check_diff label config p =
+(* Both engines agree; returns the reference outcome. *)
+let diff_outcome label config p =
   let r = Interp.run ~engine:Interp.Reference ~config p in
   let v = Interp.run ~engine:Interp.Vm ~config p in
-  Alcotest.(check string) label (digest p r) (digest p v)
+  Alcotest.(check string) label (digest p r) (digest p v);
+  r
+
+let check_diff label config p = ignore (diff_outcome label config p)
 
 let prior_edges p =
   match
@@ -234,7 +241,7 @@ let metrics_diff () =
    numbering fits, so placement must refuse it, and the VM's tracer must
    still record every path exactly: its numbering is PP's all-edges one,
    so it cuts the routine into segments whose counts fit. *)
-let too_many_paths () =
+let too_many_paths_program () =
   let module B = Ppp_ir.Builder in
   let b = B.create ~name:"main" ~nparams:0 in
   let i = B.reg b and acc = B.reg b in
@@ -248,7 +255,10 @@ let too_many_paths () =
       done);
   B.out b (Ir.Reg acc);
   B.ret b (Some (Ir.Reg acc));
-  let p = B.program ~main:"main" [ B.finish b ] in
+  B.program ~main:"main" [ B.finish b ]
+
+let too_many_paths () =
+  let p = too_many_paths_program () in
   let inst = Instrument.instrument p (prior_edges p) Config.pp in
   (match (Hashtbl.find inst.Instrument.plans "main").Instrument.decision with
   | Instrument.Uninstrumented Instrument.Too_many_paths -> ()
@@ -265,6 +275,167 @@ let too_many_paths () =
         { Interp.default_config with Interp.fuel }
         p)
     [ 1; 37; full.Interp.dyn_instrs / 2; full.Interp.dyn_instrs - 1 ]
+
+(* {2 Edge counts derived from traced paths}
+
+   A VM run that traces paths counts no edge as it runs: each edge count
+   is the sum over the traced paths that cross it, plus the in-flight
+   prefix of every frame still live when fuel runs out. Each case below
+   walks the exhaustion point through every budget 1..N of a run that
+   needs N charges, so every frame of every live stack is caught at
+   every block of its path. *)
+
+let every_budget label config p =
+  let full = Interp.run ~engine:Interp.Reference ~config p in
+  List.init full.Interp.dyn_instrs (fun i ->
+      diff_outcome
+        (Printf.sprintf "%s/fuel=%d" label (i + 1))
+        { config with Interp.fuel = i + 1 }
+        p)
+
+let stack_depth (o : Interp.outcome) =
+  match o.Interp.termination with
+  | Interp.Finished -> 0
+  | Interp.Out_of_fuel { stack_depth } -> stack_depth
+
+(* [walk n] branches, recurses mid-path, then loops: fuel runs out with
+   up to six frames live, each suspended part-way through a path. *)
+let recursive_src =
+  {|routine main(0) regs 2 {
+entry:
+  r0 = 4
+  r1 = call walk(r0)
+  out r1
+  ret r1
+}
+routine walk(1) regs 4 {
+entry:
+  r1 = r0 & 1
+  br r1, odd, even
+odd:
+  r2 = r0 * 3
+  jump mid
+even:
+  r2 = r0 + 7
+  jump mid
+mid:
+  br r0, deeper, leaf
+deeper:
+  r3 = r0 - 1
+  r3 = call walk(r3)
+  r2 = r2 + r3
+  jump loop
+leaf:
+  r2 = r2 + 1
+  jump loop
+loop:
+  r3 = r2 & 3
+  br r3, step, done
+step:
+  r2 = r2 - 1
+  jump loop
+done:
+  ret r2
+}|}
+
+let derived_recursive () =
+  let p = Ppp_ir.Parse.program_of_string recursive_src in
+  List.iter
+    (fun (mname, instrumentation) ->
+      let outs =
+        every_budget ("recursive/" ^ mname)
+          { Interp.default_config with Interp.instrumentation }
+          p
+      in
+      Alcotest.(check bool)
+        (mname ^ ": fuel runs out six frames deep")
+        true
+        (List.exists (fun o -> stack_depth o = 6) outs))
+    (methods p)
+
+(* The cut edges of a routine's tracing: broken like a back edge, but
+   not ending the path. *)
+let cut_edges (r : Ir.routine) =
+  let view = Cfg_view.of_routine r in
+  let g = Cfg_view.graph view in
+  let ends =
+    Loop.breakable_edges (Loop.compute g ~root:(Cfg_view.entry view))
+  in
+  let tr =
+    Path_numbering.tracing g ~entry:(Cfg_view.entry view)
+      ~exit:(Cfg_view.exit view) ~ends
+  in
+  Graph.fold_edges g ~init:[] ~f:(fun acc e ->
+      if Path_numbering.restart tr e >= 0 && not (List.mem e ends) then e :: acc
+      else acc)
+
+(* The 2^70-path routine: its tracer cuts paths into segments. Fuel
+   that runs out after a cut and before the path ends leaves the frame
+   with finished segments, whose edges count too. *)
+let derived_cut () =
+  let p = too_many_paths_program () in
+  let cuts = cut_edges (Ir.routine p "main") in
+  Alcotest.(check bool) "the routine has cut edges" true (cuts <> []);
+  let outs = every_budget "2^70 paths" Interp.default_config p in
+  let after_cut (o : Interp.outcome) =
+    let ep = Option.get o.Interp.edge_profile in
+    let paths = Path_profile.routine (Option.get o.Interp.path_profile) "main" in
+    Path_profile.fold paths ~init:0 ~f:(fun acc _ n -> acc + n) = 0
+    && List.exists (fun e -> Edge_profile.routine_freq ep "main" e > 0) cuts
+  in
+  Alcotest.(check bool) "fuel runs out between a cut and the path end" true
+    (List.exists after_cut outs)
+
+(* A tiered run: [walk] fires at its fourth entry, so its outer
+   activations cross onto the reordered variant at their next back
+   edge (OSR), and fuel runs out while they execute it. The planner
+   reverses every block after the entry, so that variant has its own
+   block offsets. *)
+let derived_tiered () =
+  let p = Ppp_ir.Parse.program_of_string recursive_src in
+  let instrumentation =
+    Some (Instrument.instrument p (prior_edges p) Config.pp).Instrument.rt
+  in
+  let config =
+    {
+      Interp.default_config with
+      Interp.instrumentation;
+      tier =
+        Some (Tier.spec ~threshold:4 ~plan:(Test_tier.reversal_planner p) ());
+    }
+  in
+  Obs.set_enabled true;
+  Obs.reset ();
+  let full = Interp.run ~engine:Interp.Vm ~config p in
+  let osr = Obs.counter_value (Obs.snapshot ()) "tier.osr_swaps" in
+  Obs.set_enabled false;
+  Obs.reset ();
+  Alcotest.(check bool) "walk tiers up" true (full.Interp.tier_decisions <> []);
+  Alcotest.(check bool) "outer activations cross over" true
+    (match osr with Some n -> n > 0 | None -> false);
+  let outs = every_budget "tiered recursive" config p in
+  Alcotest.(check bool) "fuel runs out after the swap, frames live" true
+    (List.exists
+       (fun o -> o.Interp.tier_decisions <> [] && stack_depth o >= 2)
+       outs)
+
+(* Random programs at random budgets, traced with and without PPP
+   instrumentation. *)
+let qcheck_derived =
+  QCheck.Test.make ~count:40 ~name:"random programs, random budgets: derived edges"
+    QCheck.(pair small_int (int_bound 1_000_000))
+    (fun (seed, r) ->
+      let p = Gen.program ~seed in
+      let full = Interp.run ~engine:Interp.Reference p in
+      let fuel = 1 + (r mod max 1 full.Interp.dyn_instrs) in
+      List.iter
+        (fun (mname, instrumentation) ->
+          check_diff
+            (Printf.sprintf "gen(seed=%d)/%s/fuel=%d" seed mname fuel)
+            { Interp.default_config with Interp.instrumentation; fuel }
+            p)
+        (List.filter (fun (m, _) -> m = "none" || m = "ppp") (methods p));
+      true)
 
 let qcheck_diff =
   QCheck.Test.make ~count:40 ~name:"random programs: Vm = Reference"
@@ -290,5 +461,12 @@ let suite =
       Alcotest.test_case "bare config" `Quick bare_config;
       Alcotest.test_case "metrics" `Quick metrics_diff;
       Alcotest.test_case "path-count overflow" `Quick too_many_paths;
+      Alcotest.test_case "derived edges: recursion at every budget" `Quick
+        derived_recursive;
+      Alcotest.test_case "derived edges: cut routine at every budget" `Quick
+        derived_cut;
+      Alcotest.test_case "derived edges: tiered OSR at every budget" `Quick
+        derived_tiered;
+      QCheck_alcotest.to_alcotest qcheck_derived;
       QCheck_alcotest.to_alcotest qcheck_diff;
     ]

@@ -4,6 +4,8 @@
    DAGs rather than through the interpreter. *)
 
 module Graph = Ppp_cfg.Graph
+module Loop = Ppp_cfg.Loop
+module Path_numbering = Ppp_cfg.Path_numbering
 module Order = Ppp_cfg.Order
 module Dom = Ppp_cfg.Dom
 module Ir = Ppp_ir.Ir
@@ -211,6 +213,49 @@ let prop_smart_numbering_bijection =
               = List.init (Numbering.num_paths nb) Fun.id)
         (contexts_of_seed seed))
 
+(* The tracer's register at any block of a path in flight decodes back
+   to the edges crossed so far: random walks over every routine of a
+   generated program, checked at each block, through path ends and
+   restarts at loop headers. *)
+let prop_tracing_prefix_decodes =
+  QCheck.Test.make ~name:"tracing: every path prefix decodes from its register"
+    ~count:30
+    QCheck.(pair small_int small_int)
+    (fun (seed, walk_seed) ->
+      let p = Ppp_workloads.Gen.program ~seed in
+      let rng = Random.State.make [| walk_seed |] in
+      List.for_all
+        (fun (r : Ir.routine) ->
+          let view = Cfg_view.of_routine r in
+          let g = Cfg_view.graph view in
+          let exit = Cfg_view.exit view in
+          let ends =
+            Loop.breakable_edges (Loop.compute g ~root:(Cfg_view.entry view))
+          in
+          let tr =
+            Path_numbering.tracing g ~entry:(Cfg_view.entry view) ~exit ~ends
+          in
+          (* [crossed] is the segment's edges, latest first. *)
+          let rec walk steps v reg crossed =
+            Path_numbering.decode_prefix tr reg ~at:v = List.rev crossed
+            && (steps = 0
+               ||
+               match Graph.out_edges g v with
+               | [] -> true
+               | outs ->
+                   let e = List.nth outs (Random.State.int rng (List.length outs)) in
+                   let next = Graph.dst g e in
+                   if next = exit then true
+                   else if Path_numbering.restart tr e >= 0 then
+                     walk (steps - 1) next (Path_numbering.restart tr e) []
+                   else
+                     walk (steps - 1) next
+                       (reg + Path_numbering.step tr e)
+                       (e :: crossed))
+          in
+          walk 200 (Cfg_view.entry view) 0 [])
+        p.Ir.routines)
+
 (* Flow-value algebra. *)
 let flowval_gen =
   QCheck.Gen.(
@@ -263,6 +308,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_numbering_bijection_random;
     QCheck_alcotest.to_alcotest prop_event_counting_preserves_random;
     QCheck_alcotest.to_alcotest prop_smart_numbering_bijection;
+    QCheck_alcotest.to_alcotest prop_tracing_prefix_decodes;
     QCheck_alcotest.to_alcotest prop_flowval_union_comm;
     QCheck_alcotest.to_alcotest prop_flowval_union_assoc;
     QCheck_alcotest.to_alcotest prop_flowval_total_additive;

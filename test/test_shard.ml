@@ -125,9 +125,9 @@ let test_seed_derivation_j_invariant () =
     (List.length (List.sort_uniq compare s1) = List.length items)
 
 let test_worker_crash () =
-  (* Worker 1 (of 2) owns items 1, 3, 5; it delivers 1, then dies hard
-     on 3 — so 3 and 5 must come back as located Shard_lost
-     diagnostics, and every other item must survive. *)
+  (* Whichever worker takes item 3 dies hard on it: only the item it
+     holds is lost, as a located Shard_lost diagnostic, and the items
+     never handed out (4 and 5) go to the surviving worker. *)
   let results =
     Shard.map ~jobs:2
       ~f:(fun ~seed:_ i -> if i = 3 then Unix._exit 7 else i * 2)
@@ -137,12 +137,10 @@ let test_worker_crash () =
     (fun i r ->
       match r with
       | Ok v ->
-          check_bool (Printf.sprintf "item %d survives" i) true
-            (i <> 3 && i <> 5);
+          check_bool (Printf.sprintf "item %d survives" i) true (i <> 3);
           check_int (Printf.sprintf "item %d value" i) (i * 2) v
       | Error d ->
-          check_bool (Printf.sprintf "item %d is a loss" i) true
-            (i = 3 || i = 5);
+          check_bool (Printf.sprintf "item %d is a loss" i) true (i = 3);
           check_bool "kind is shard-lost" true
             (d.Diagnostic.kind = Diagnostic.Shard_lost);
           check_bool "diagnostic locates the item" true
@@ -196,9 +194,9 @@ let test_map_drains_workers_together () =
   check_bool "every result delivered" true
     (results = [ Ok "saw"; Ok big; Ok ""; Ok "" ])
 
-(* A worker that stalls past the budget loses exactly its undelivered
-   items; the other worker's items and the stalled worker's earlier
-   ones all arrive. *)
+(* A worker that stalls past the budget loses only the item it holds:
+   the other worker takes every later item, and every other item
+   arrives. *)
 let test_map_timeout_keeps_delivered () =
   List.iter
     (fun stall ->
@@ -211,7 +209,7 @@ let test_map_timeout_keeps_delivered () =
       in
       List.iteri
         (fun i r ->
-          let lost = i >= stall && i mod 2 = stall mod 2 in
+          let lost = i = stall in
           match r with
           | Ok v ->
               check_bool (Printf.sprintf "stall %d: item %d delivered" stall i)
@@ -227,6 +225,93 @@ let test_map_timeout_keeps_delivered () =
                    "exceeded its 0.5s wall-clock budget"))
         results)
     [ 2; 3 ]
+
+(* Every worker dies: item 0 arrives, and each other item comes back as
+   a located Shard_lost; nothing raises. The worker that ran item 0 then
+   takes item 2, so items 1 and 2 are lost by the workers that held them
+   and items 3-5, never handed out, name no worker. *)
+let test_map_every_worker_dies () =
+  let results =
+    Shard.map ~jobs:2
+      ~f:(fun ~seed:_ i -> if i >= 1 then Unix._exit 9 else i)
+      [ 0; 1; 2; 3; 4; 5 ]
+  in
+  check_int "one result per item" 6 (List.length results);
+  List.iteri
+    (fun i r ->
+      match r with
+      | Ok v ->
+          check_int "only item 0 arrives" 0 i;
+          check_int "value" 0 v
+      | Error d ->
+          check_bool (Printf.sprintf "item %d is a loss" i) true (i >= 1);
+          check_bool "kind is shard-lost" true
+            (d.Diagnostic.kind = Diagnostic.Shard_lost);
+          check_bool "diagnostic locates the item" true
+            (d.Diagnostic.line = Some i);
+          if i <= 2 then
+            check_bool
+              (Printf.sprintf "item %d: the exit code of its worker" i)
+              true
+              (contains d.Diagnostic.message "exited with code 9")
+          else begin
+            check_bool
+              (Printf.sprintf "item %d: never run" i)
+              true
+              (contains d.Diagnostic.message
+                 (Printf.sprintf "item %d of 6 was never run: no worker left" i));
+            check_bool
+              (Printf.sprintf "item %d: names no worker" i)
+              false
+              (contains d.Diagnostic.message "worker 0"
+              || contains d.Diagnostic.message "worker 1")
+          end)
+    results
+
+(* A worker reads its next index on stdin. The worker that runs item 1
+   closes it, delivers, and exits at its next read, while the other
+   worker is still on item 0; so the parent's write of index 2 meets a
+   pipe with no reader. The parent must survive the write, and the
+   index goes to the other worker. *)
+let test_map_worker_exits_before_reading () =
+  let results =
+    Shard.map ~jobs:2
+      ~f:(fun ~seed:_ i ->
+        if i = 1 then Unix.close Unix.stdin else Unix.sleepf 0.1;
+        i)
+      [ 0; 1; 2; 3; 4; 5 ]
+  in
+  check_bool "every item delivered" true
+    (results = List.map (fun i -> Ok i) [ 0; 1; 2; 3; 4; 5 ])
+
+(* [--engine reference] really runs the reference engine: its merged
+   dump equals the VM's, and its shards never lower (only VM lowering
+   bumps [session.lower.*]). *)
+let test_collect_reference_engine () =
+  let benches = [ Spec.find "mcf"; Spec.find "art" ] in
+  let collect engine =
+    Shard.collect_workloads ~jobs:2 ~metrics:true ~engine benches
+  in
+  let vm = collect Interp.Vm and reference = collect Interp.Reference in
+  check_int "no shard lost" 0
+    (List.length vm.Shard.lost + List.length reference.Shard.lost);
+  check_string "reference dump = VM dump"
+    (Raw.to_string vm.Shard.raw)
+    (Raw.to_string reference.Shard.raw);
+  let lowered (c : Shard.collected) =
+    List.exists
+      (fun (_, snap) ->
+        List.exists
+          (fun (name, v) ->
+            String.length name > 14
+            && String.sub name 0 14 = "session.lower."
+            && v <> Metrics.Counter 0)
+          snap)
+      c.Shard.shard_metrics
+  in
+  check_int "a snapshot per shard" 2 (List.length reference.Shard.shard_metrics);
+  check_bool "the VM shards lower" true (lowered vm);
+  check_bool "the reference shards never lower" false (lowered reference)
 
 (* {2 The perf gate} *)
 
@@ -373,6 +458,12 @@ let suite =
       test_map_timeout_keeps_delivered;
     Alcotest.test_case "worker exception costs one item" `Quick
       test_worker_exception;
+    Alcotest.test_case "every worker dies: each item a located loss" `Quick
+      test_map_every_worker_dies;
+    Alcotest.test_case "worker exiting before its next index" `Quick
+      test_map_worker_exits_before_reading;
+    Alcotest.test_case "collect with the reference engine" `Quick
+      test_collect_reference_engine;
     Alcotest.test_case "gate semantics" `Quick test_gate_semantics;
     Alcotest.test_case "gate smoke on a subset + JSON round-trip" `Slow
       test_gate_smoke_subset;
