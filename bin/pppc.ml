@@ -522,6 +522,11 @@ let via_daemon ~socket ~deadline_ms ~required ~req ~accept ~fallback =
         exit Daemon_client.Exit.degraded
       end
 
+(* A diagnostic list a daemon reply carries in its meta, printed where
+   the in-process path prints its own. *)
+let meta_diagnostics meta field =
+  Option.fold ~none:[] ~some:Diagnostic.list_of_json (List.assoc_opt field meta)
+
 (* Collect every built-in workload under the worker pool and merge the
    shards; [pppc collect bench:all]. *)
 let collect_all ~scale ~engine ~jobs ~warm ~output ~shard_dir ~metrics_wanted
@@ -742,6 +747,8 @@ let merge_cmd =
           ~required:daemon_required
           ~req:(Daemon_ops.Merge { dumps; decay })
           ~accept:(fun body meta ->
+            Format.eprintf "%a" Diagnostic.pp_list
+              (meta_diagnostics meta "diagnostics");
             (match (List.assoc_opt "mass" meta, List.assoc_opt "lost" meta) with
             | Some (Jsonx.Int mass), Some (Jsonx.Int lost) ->
                 Format.eprintf "merged %d dumps: count mass %d, lost %d@."
@@ -927,6 +934,8 @@ let opt_cmd =
                      plans = None;
                    })
               ~accept:(fun body meta ->
+                Format.eprintf "%a" Diagnostic.pp_list
+                  (meta_diagnostics meta "profile_diagnostics");
                 (match List.assoc_opt "plans_imported" meta with
                 | Some (Jsonx.Int n) when n > 0 ->
                     Format.eprintf

@@ -172,32 +172,6 @@ let encode_reply = function
            [ ("ok", Jsonx.Bool false); ("code", Jsonx.Str code);
              ("diagnostics", Diagnostic.list_to_json diagnostics) ])
 
-let kind_of_name =
-  let kinds =
-    Diagnostic.
-      [ Corrupt; Stale; Unknown_routine; Truncated; Exhausted; Saturated;
-        Shard_lost; Io; Unreachable; Deadline_exceeded; Degraded; Quarantined ]
-  in
-  fun name ->
-    List.find_opt (fun k -> Diagnostic.kind_name k = name) kinds
-
-let diagnostic_of_json j =
-  let kind =
-    match str_member j "kind" with
-    | Some n -> ( match kind_of_name n with Some k -> k | None -> Diagnostic.Io)
-    | None -> Diagnostic.Io
-  in
-  let severity =
-    match str_member j "severity" with
-    | Some "warning" -> Diagnostic.Warning
-    | _ -> Diagnostic.Error
-  in
-  let line = int_member j "line" in
-  let token = str_member j "token" in
-  let routine = str_member j "routine" in
-  let message = Option.value ~default:"" (str_member j "message") in
-  Diagnostic.make ~severity ?line ?token ?routine kind message
-
 let decode_reply payload =
   match Jsonx.of_string payload with
   | exception Jsonx.Parse_error msg -> Error ("malformed reply JSON: " ^ msg)
@@ -214,12 +188,79 @@ let decode_reply payload =
       | Some (Jsonx.Bool false) ->
           let code = Option.value ~default:"error" (str_member j "code") in
           let diagnostics =
-            match Jsonx.member j "diagnostics" with
-            | Some (Jsonx.Arr ds) -> List.map diagnostic_of_json ds
-            | _ -> []
+            Option.fold ~none:[] ~some:Diagnostic.list_of_json
+              (Jsonx.member j "diagnostics")
           in
           Ok (Failed { code; diagnostics })
       | _ -> Error "reply has no ok field")
+
+let served = ("served_from_store", Jsonx.Bool true)
+
+(* [served] as it prints among an object's fields. *)
+let served_text =
+  let obj = Jsonx.to_string (Jsonx.Obj [ served ]) in
+  String.sub obj 1 (String.length obj - 2)
+
+let okay_prefix = {|{"ok":true,"body":"|}
+let meta_open = {|,"meta":{|}
+
+let is_at s i sub =
+  i + String.length sub <= String.length s
+  && String.equal (String.sub s i (String.length sub)) sub
+
+(* The index just past the string literal whose contents start at [i]:
+   its closing quote is the first one preceded by an even run of
+   backslashes. *)
+let rec after_string s i =
+  match String.index_from_opt s i '"' with
+  | None -> None
+  | Some q ->
+      let rec run_start k =
+        if k > i && s.[k - 1] = '\\' then run_start (k - 1) else k
+      in
+      if (q - run_start q) land 1 = 0 then Some (q + 1)
+      else after_string s (q + 1)
+
+(* The index of the bracket that closes the container whose contents
+   start at [i]. *)
+let closing_bracket s i =
+  let n = String.length s in
+  let rec go depth i =
+    if i >= n then None
+    else
+      match String.unsafe_get s i with
+      | '"' -> Option.bind (after_string s (i + 1)) (go depth)
+      | '{' | '[' -> go (depth + 1) (i + 1)
+      | '}' | ']' -> if depth = 0 then Some i else go (depth - 1) (i + 1)
+      | _ -> go depth (i + 1)
+  in
+  go 0 i
+
+(* An encoded [Okay] reply is [{"ok":true,"body":"...","meta":{...}}]:
+   [served] goes in front of meta's closing brace, the second-to-last
+   byte of a complete reply. That brace is found by walking the brackets
+   outside string literals, never decoding a string; only a complete
+   reply closes meta right there, so a truncated one is refused. *)
+let mark_served encoded =
+  let n = String.length encoded in
+  if not (String.starts_with ~prefix:okay_prefix encoded) then None
+  else
+    match after_string encoded (String.length okay_prefix) with
+    | Some j when is_at encoded j meta_open -> (
+        let meta = j + String.length meta_open in
+        match closing_bracket encoded meta with
+        | Some close when close = n - 2 && encoded.[n - 1] = '}' ->
+            let field =
+              if close = meta then served_text else "," ^ served_text
+            in
+            let f = String.length field in
+            let out = Bytes.create (n + f) in
+            Bytes.blit_string encoded 0 out 0 close;
+            Bytes.blit_string field 0 out close f;
+            Bytes.blit_string encoded close out (close + f) 2;
+            Some (Bytes.unsafe_to_string out)
+        | _ -> None)
+    | _ -> None
 
 (* ---- execution --------------------------------------------------------- *)
 

@@ -69,6 +69,17 @@ val decode_request : string -> (envelope, string) result
 val encode_reply : reply -> string
 val decode_reply : string -> (reply, string) result
 
+val served : string * Ppp_obs.Jsonx.t
+(** [("served_from_store", Bool true)], the meta field that marks a reply
+    the daemon answered from its store. *)
+
+val mark_served : string -> string option
+(** [mark_served (encode_reply (Okay {body; meta}))] is
+    [Some (encode_reply (Okay {body; meta = meta @ [served]}))], spliced
+    into the bytes without decoding the body: a stored reply is relayed
+    at the cost of one copy. [None] for a [Failed] reply and for bytes
+    that are not a whole encoded [Okay] reply (truncated, say). *)
+
 val handle : chaos:bool -> request -> reply
 (** Execute a request in this process (the supervised worker's main
     loop, and the client's in-process degradation path). [chaos:false]

@@ -42,7 +42,8 @@ let default_config ~socket_path ~store_dir =
 let client_io_budget = 2.0
 
 type job = {
-  env : Ops.envelope;
+  env : Ops.envelope;  (* as forwarded to a worker *)
+  slot : (string * string) option;  (* store kind and key of its result *)
   mutable client : Unix.file_descr option;  (* None once answered/gone *)
   deadline : float;
   mutable attempts : int;
@@ -159,26 +160,26 @@ let kill_worker t w =
 
 (* ---- replying to clients ----------------------------------------------- *)
 
-let answer t job reply =
+(* [encoded] is a whole encoded reply: a worker's or the store's bytes
+   are relayed as they are. *)
+let answer t job encoded =
   match job.client with
   | None -> ()
   | Some fd ->
       job.client <- None;
       let deadline = Unix.gettimeofday () +. client_io_budget in
-      (match Wire.write_frame ~deadline fd (Ops.encode_reply reply) with
+      (match Wire.write_frame ~deadline fd encoded with
       | Ok () -> ()
       | Error _ -> log t "client went away before the reply");
       close_quiet fd
 
+let answer_reply t job reply = answer t job (Ops.encode_reply reply)
+
 let answer_failed t job code msg kind =
-  answer t job
+  answer_reply t job
     (Ops.Failed { code; diagnostics = [ Diagnostic.make kind msg ] })
 
 (* ---- store serving ----------------------------------------------------- *)
-
-(* Cache identity of a request: its canonical encoding with the
-   client-specific fields zeroed. *)
-let cache_key env = Ops.encode_request { env with Ops.id = 0; deadline_ms = 0 }
 
 (* Sampling parameters are part of a collect's identity: a sampled dump
    must never be served where an exact one was asked for (or vice
@@ -202,77 +203,87 @@ let merge_key ~decay dumps =
   if decay >= 1.0 then List.sort compare crcs |> String.concat "+"
   else Printf.sprintf "decay=%h+" decay ^ String.concat "+" crcs
 
-let served_meta = ("served_from_store", Jsonx.Bool true)
+(* An [Opt]'s identity: the request as its client sent it, with the
+   client-specific fields zeroed, and the digest of the plan bundle the
+   server injects into it. Equal requests with equal injected bundles
+   share a key, as they would if the bundle were part of it, but the key
+   stays the size of the program: the bundle (85–187 KB at scale 1)
+   travels, hex-encoded, only to a worker, and only on a miss. *)
+let opt_key env ~plans =
+  let sent = Ops.encode_request { env with Ops.id = 0; deadline_ms = 0 } in
+  match plans with
+  | None -> sent
+  | Some text -> sent ^ " plans-md5=" ^ Digest.to_hex (Digest.string text)
 
-(* A store hit short-circuits the worker pool entirely. *)
-let serve_from_store t (env : Ops.envelope) =
+(* Where a request's result lives in the store, if anywhere. *)
+let store_slot (env : Ops.envelope) ~plans =
   match env.Ops.req with
   | Ops.Collect { bench; scale; sample_rate; burst; sample_seed } ->
-      Store.get t.store ~kind:"profile"
-        ~key:(collect_key ~bench ~scale ~sample_rate ~burst ~sample_seed)
-      |> Option.map (fun body ->
-             Ops.Okay
-               {
-                 body;
-                 meta =
-                   [ ("bench", Jsonx.Str bench); ("scale", Jsonx.Int scale);
-                     served_meta ];
-               })
-  | Ops.Merge { dumps; decay } ->
-      Store.get t.store ~kind:"merge" ~key:(merge_key ~decay dumps)
-      |> Option.map (fun body -> Ops.Okay { body; meta = [ served_meta ] })
-  | Ops.Opt _ -> (
-      match Store.get t.store ~kind:"opt" ~key:(cache_key env) with
-      | None -> None
-      | Some encoded -> (
-          (* The stored value is a whole encoded reply; decode to make
-             sure we never relay bytes that stopped parsing. *)
-          match Ops.decode_reply encoded with
-          | Ok (Ops.Okay { body; meta }) ->
-              Some (Ops.Okay { body; meta = meta @ [ served_meta ] })
-          | Ok (Ops.Failed _) | Error _ -> None))
+      Some
+        ("profile", collect_key ~bench ~scale ~sample_rate ~burst ~sample_seed)
+  | Ops.Merge { dumps; decay } -> Some ("merge", merge_key ~decay dumps)
+  | Ops.Opt _ -> Some ("opt", opt_key env ~plans)
   | _ -> None
+
+(* An [Opt] with no plan bundle resumes from the plans persisted under
+   its program name — the daemon-side half of incremental
+   re-optimization across client invocations. *)
+let stored_plans t (env : Ops.envelope) =
+  match env.Ops.req with
+  | Ops.Opt { plans = None; name; _ } ->
+      Store.get t.store ~kind:"plans" ~key:name
+  | _ -> None
+
+let with_plans (env : Ops.envelope) text =
+  match env.Ops.req with
+  | Ops.Opt o ->
+      { env with Ops.req = Ops.Opt { o with plans = Some (Hex.encode text) } }
+  | _ -> env
+
+(* A store hit short-circuits the worker pool entirely, as an encoded
+   reply. An [Opt] entry is the reply a worker encoded, relayed with
+   [served_from_store] spliced in: [Store.get] has checked its CRC. *)
+let serve_from_store t (env : Ops.envelope) (kind, key) =
+  Option.bind (Store.get t.store ~kind ~key) (fun stored ->
+      match env.Ops.req with
+      | Ops.Collect { bench; scale; _ } ->
+          Some
+            (Ops.encode_reply
+               (Ops.Okay
+                  {
+                    body = stored;
+                    meta =
+                      [ ("bench", Jsonx.Str bench); ("scale", Jsonx.Int scale);
+                        Ops.served ];
+                  }))
+      | Ops.Merge _ ->
+          Some
+            (Ops.encode_reply (Ops.Okay { body = stored; meta = [ Ops.served ] }))
+      | Ops.Opt _ -> Ops.mark_served stored
+      | _ -> None)
 
 let put_logged t ~kind ~key value =
   match Store.put t.store ~kind ~key value with
   | Ok () -> ()
   | Error d -> log t "store put failed: %a" Diagnostic.pp d
 
-(* Persist what a successful reply taught us. *)
-let absorb_reply t (env : Ops.envelope) reply =
-  match (env.Ops.req, reply) with
-  | Ops.Collect { bench; scale; sample_rate; burst; sample_seed }, Ops.Okay { body; _ }
-    ->
-      put_logged t ~kind:"profile"
-        ~key:(collect_key ~bench ~scale ~sample_rate ~burst ~sample_seed)
-        body
-  | Ops.Merge { dumps; decay }, Ops.Okay { body; _ } ->
-      put_logged t ~kind:"merge" ~key:(merge_key ~decay dumps) body
-  | Ops.Opt { name; _ }, Ops.Okay { meta; _ } ->
-      put_logged t ~kind:"opt" ~key:(cache_key env) (Ops.encode_reply reply);
-      (match List.assoc_opt "plans" meta with
+(* Persist what a successful reply taught us: a profile or a merged
+   dump as its body, an [Opt] as the worker's encoded reply [payload],
+   plus the plans it exported under its program name. *)
+let absorb_reply t (job : job) payload reply =
+  match (job.slot, job.env.Ops.req, reply) with
+  | Some (kind, key), Ops.Opt { name; _ }, Ops.Okay { meta; _ } -> (
+      put_logged t ~kind ~key payload;
+      match List.assoc_opt "plans" meta with
       | Some (Jsonx.Str hex) -> (
           match Hex.decode hex with
           | Some plans when plans <> "" ->
               put_logged t ~kind:"plans" ~key:name plans
           | _ -> ())
       | _ -> ())
+  | Some (kind, key), (Ops.Collect _ | Ops.Merge _), Ops.Okay { body; _ } ->
+      put_logged t ~kind ~key body
   | _ -> ()
-
-(* An [Opt] with no plan bundle resumes from the plans persisted under
-   its program name — the daemon-side half of incremental
-   re-optimization across client invocations. *)
-let inject_plans t (env : Ops.envelope) =
-  match env.Ops.req with
-  | Ops.Opt ({ plans = None; name; _ } as o) -> (
-      match Store.get t.store ~kind:"plans" ~key:name with
-      | Some text ->
-          {
-            env with
-            Ops.req = Ops.Opt { o with plans = Some (Hex.encode text) };
-          }
-      | None -> env)
-  | _ -> env
 
 (* ---- parent-inline requests -------------------------------------------- *)
 
@@ -366,11 +377,13 @@ let worker_event t w =
           | Some job -> (
               w.job <- None;
               w.failures <- 0;
+              (* Decoded only to check it and to read what the store
+                 keeps; the client gets the worker's bytes. *)
               match Ops.decode_reply payload with
               | Ok reply ->
-                  absorb_reply t job.env reply;
+                  absorb_reply t job payload reply;
                   t.served <- t.served + 1;
-                  answer t job reply
+                  answer t job payload
               | Error msg ->
                   answer_failed t job "worker-lost"
                     (Printf.sprintf "worker reply unparsable: %s" msg)
@@ -453,7 +466,8 @@ let accept_client t =
           | Error msg ->
               let job =
                 { env = { Ops.id = 0; deadline_ms = 0; req = Ops.Ping };
-                  client = Some client; deadline = io_deadline; attempts = 0 }
+                  slot = None; client = Some client; deadline = io_deadline;
+                  attempts = 0 }
               in
               answer_failed t job "bad-request" msg Diagnostic.Corrupt
           | Ok env -> (
@@ -464,27 +478,33 @@ let accept_client t =
               let deadline =
                 Unix.gettimeofday () +. (Float.of_int budget_ms /. 1000.)
               in
-              let job = { env; client = Some client; deadline; attempts = 0 } in
+              let job =
+                { env; slot = None; client = Some client; deadline; attempts = 0 }
+              in
               match env.Ops.req with
               | Ops.Ping ->
                   t.served <- t.served + 1;
-                  answer t job (Ops.Okay { body = "pong"; meta = [] })
+                  answer_reply t job (Ops.Okay { body = "pong"; meta = [] })
               | Ops.Status ->
                   t.served <- t.served + 1;
-                  answer t job (status_reply t)
+                  answer_reply t job (status_reply t)
               | Ops.Shutdown ->
                   t.served <- t.served + 1;
-                  answer t job (Ops.Okay { body = "bye"; meta = [] });
+                  answer_reply t job (Ops.Okay { body = "bye"; meta = [] });
                   t.running <- false
               | _ -> (
-                  let env = inject_plans t env in
-                  let job = { job with env } in
-                  match serve_from_store t env with
-                  | Some reply ->
+                  let plans = stored_plans t env in
+                  let slot = store_slot env ~plans in
+                  match Option.bind slot (serve_from_store t env) with
+                  | Some encoded ->
                       t.served <- t.served + 1;
                       Metrics.incr m_store_served;
-                      answer t job reply
+                      answer t job encoded
                   | None ->
+                      let env =
+                        Option.fold ~none:env ~some:(with_plans env) plans
+                      in
+                      let job = { job with env; slot } in
                       let in_flight =
                         Array.fold_left
                           (fun n w -> if w.job <> None then n + 1 else n)

@@ -27,7 +27,18 @@
       re-requests; [Opt] requests that carry no plan bundle resume from
       the routine plans persisted under the program's name, which is
       what makes a warm daemon's [--iterate] cheaper than a cold
-      process. *)
+      process. An [Opt] entry is keyed by the request as its client sent
+      it ([id] and [deadline_ms] zeroed) plus the MD5 of the plan bundle
+      the server injects, so its key is the size of the program, and the
+      bundle is hex-encoded into the request only when a worker must
+      compute it. The entry holds the worker's encoded reply; a hit
+      relays those bytes with [served_from_store] spliced into the meta
+      ({!Ops.mark_served}), so a hit decodes and encodes no JSON. The
+      injected bundle is part of the key, so an identical [Opt] misses
+      twice before it hits: once with no plans stored, once with the
+      plans its first reply stored. An [Opt] entry written under the
+      older key, which held the bundle's hex, is never served again: its
+      request misses once. *)
 
 type config = {
   socket_path : string;

@@ -18,16 +18,23 @@ type t =
 
 exception Parse_error of string
 
-val pp : Format.formatter -> t -> unit
-(** Compact rendering with no insignificant whitespace. Non-finite
-    floats render as [null] and strings are escaped to pure ASCII
-    ([\u00XX] for bytes outside the printable range), so output is
-    always standard JSON whatever bytes the values carry. *)
-
 val to_string : t -> string
+(** Compact rendering with no insignificant whitespace, printed into one
+    buffer. Non-finite floats render as [null] and strings are escaped
+    to pure ASCII ([\u00XX] for bytes outside the printable range), so
+    output is always standard JSON whatever bytes the values carry. *)
+
+val pp : Format.formatter -> t -> unit
+(** [to_string]'s text on a formatter. *)
 
 val of_string : string -> t
-(** @raise Parse_error on malformed input. *)
+(** The round trip is exact for strings: [of_string (to_string (Str s))]
+    is [Str s] for every byte string [s], since [\u0000] to [\u00ff]
+    decode to that byte. A code point above [0xff] decodes to ['?'].
+    Floats come back rounded to 12 significant digits, as [Int] when
+    that leaves a whole number written without a point.
+    @raise Parse_error on malformed input, with the byte offset where
+    parsing stopped. *)
 
 val member : t -> string -> t option
 (** [member (Obj _) key] looks up a field; [None] for other

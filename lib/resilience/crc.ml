@@ -1,20 +1,50 @@
-(* Table-driven reflected CRC-32 with polynomial 0xEDB88320, computed on
-   native ints (a 32-bit value fits unboxed) and converted to [int32]
-   only at the interface. *)
+(* Reflected CRC-32 with polynomial 0xEDB88320, computed on native ints
+   (a 32-bit value fits unboxed) and converted to [int32] only at the
+   interface. Slice-by-8: [tables] holds eight 256-entry tables end to
+   end, table [k] advancing a byte's contribution past [k] more zero
+   bytes, so each step folds eight input bytes with eight independent
+   lookups instead of a chain of eight. Wire frames, store objects and
+   profile-dump sections run it over hundreds of kilobytes. *)
 
-let table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
+let tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- t.(prev land 0xFF) lxor (prev lsr 8)
+    done
+  done;
+  t
+
+let[@inline] lookup k idx = Array.unsafe_get tables ((k lsl 8) lor idx)
+let[@inline] byte s i = Char.code (String.unsafe_get s i)
 
 let update crc s =
+  let n = String.length s in
   let c = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
-  for i = 0 to String.length s - 1 do
-    let idx = (!c lxor Char.code (String.unsafe_get s i)) land 0xFF in
-    c := Array.unsafe_get table idx lxor (!c lsr 8)
+  let i = ref 0 in
+  while !i + 8 <= n do
+    let j = !i and x = !c in
+    c :=
+      lookup 7 ((x lxor byte s j) land 0xFF)
+      lxor lookup 6 (((x lsr 8) lxor byte s (j + 1)) land 0xFF)
+      lxor lookup 5 (((x lsr 16) lxor byte s (j + 2)) land 0xFF)
+      lxor lookup 4 ((x lsr 24) lxor byte s (j + 3))
+      lxor lookup 3 (byte s (j + 4))
+      lxor lookup 2 (byte s (j + 5))
+      lxor lookup 1 (byte s (j + 6))
+      lxor lookup 0 (byte s (j + 7));
+    i := j + 8
+  done;
+  for j = !i to n - 1 do
+    c := lookup 0 ((!c lxor byte s j) land 0xFF) lxor (!c lsr 8)
   done;
   Int32.of_int (!c lxor 0xFFFFFFFF)
 

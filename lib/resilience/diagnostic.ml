@@ -96,3 +96,26 @@ let to_json d =
     ]
 
 let list_to_json ds = Jsonx.Arr (List.map to_json ds)
+
+(* The inverse of [to_json], lenient the way a reader of another
+   process's output must be: an unknown kind reads as [Io], a missing
+   severity as [Error]. *)
+let of_json j =
+  let str key =
+    match Jsonx.member j key with Some (Jsonx.Str s) -> Some s | _ -> None
+  in
+  let kind =
+    Option.bind (str "kind") (fun n ->
+        List.find_opt (fun k -> kind_name k = n) all_kinds)
+  in
+  let severity =
+    match str "severity" with Some "warning" -> Warning | _ -> Error
+  in
+  let line =
+    match Jsonx.member j "line" with Some (Jsonx.Int l) -> Some l | _ -> None
+  in
+  make ~severity ?line ?token:(str "token") ?routine:(str "routine")
+    (Option.value ~default:Io kind)
+    (Option.value ~default:"" (str "message"))
+
+let list_of_json j = List.map of_json (Jsonx.to_list j)

@@ -82,3 +82,11 @@ val pp_list : Format.formatter -> t list -> unit
 
 val to_json : t -> Ppp_obs.Jsonx.t
 val list_to_json : t list -> Ppp_obs.Jsonx.t
+
+val of_json : Ppp_obs.Jsonx.t -> t
+(** Inverse of {!to_json}; an unknown kind reads as [Io] and a missing
+    severity as [Error], so a reply from another build still prints.
+    Bumps the kind's metric like {!make}. *)
+
+val list_of_json : Ppp_obs.Jsonx.t -> t list
+(** Inverse of {!list_to_json}; [[]] for anything but an array. *)

@@ -197,6 +197,56 @@ let test_ops_merge_diagnostics_once () =
         (Jsonx.to_string (List.assoc "diagnostics" meta))
   | Ops.Failed _ -> Alcotest.fail "merge request failed"
 
+(* A stored reply gains [served_from_store] by a splice that must give
+   the bytes a decode, an append and an encode would: with empty and
+   non-empty meta, and with bodies and meta whose strings hold quotes,
+   backslashes and brackets. Nothing but a whole [Okay] reply is
+   spliced. *)
+let test_ops_mark_served () =
+  let okays =
+    [ ("", []);
+      ("routine f {}\n", [ ("k", Jsonx.Int 7) ]);
+      ( "quote\" back\\slash \\\" }}]{ \x00\xff\\",
+        [ ("nested", Jsonx.Obj [ ("meta", Jsonx.Obj []) ]);
+          ("s", Jsonx.Str "}\"{\\"); ("a", Jsonx.Arr [ Jsonx.Obj [] ]) ] );
+      ("x", [ ("e", Jsonx.Obj []) ]) ]
+  in
+  List.iter
+    (fun (body, meta) ->
+      let encoded = Ops.encode_reply (Ops.Okay { body; meta }) in
+      Alcotest.(check (option string))
+        (Printf.sprintf "splice into %S" encoded)
+        (Some (Ops.encode_reply (Ops.Okay { body; meta = meta @ [ Ops.served ] })))
+        (Ops.mark_served encoded);
+      for n = 0 to String.length encoded - 1 do
+        if Ops.mark_served (String.sub encoded 0 n) <> None then
+          Alcotest.failf "a %d-byte prefix of %S was spliced" n encoded
+      done;
+      let n = String.length encoded in
+      List.iter
+        (fun damaged ->
+          if Ops.mark_served damaged <> None then
+            Alcotest.failf "%S was spliced" damaged)
+        [ encoded ^ "}"; encoded ^ " "; String.sub encoded 0 (n - 1) ^ "]" ])
+    okays;
+  Alcotest.(check (option string)) "a failed reply is not spliced" None
+    (Ops.mark_served
+       (Ops.encode_reply
+          (Ops.Failed
+             { code = "error"; diagnostics = [ Diagnostic.make Diagnostic.Io "x" ] })))
+
+let prop_mark_served =
+  QCheck.Test.make ~count:300 ~name:"ops: mark_served equals decode, append, encode"
+    QCheck.(
+      pair string
+        (make
+           Gen.(
+             list_size (0 -- 4)
+               (pair (string_size ~gen:char (0 -- 6)) Test_obs.json_gen))))
+    (fun (body, meta) ->
+      Ops.mark_served (Ops.encode_reply (Ops.Okay { body; meta }))
+      = Some (Ops.encode_reply (Ops.Okay { body; meta = meta @ [ Ops.served ] })))
+
 (* {2 Store} *)
 
 let test_store_roundtrip () =
@@ -382,9 +432,8 @@ let fnv1a64 s =
     s;
   Printf.sprintf "%016Lx" !h
 
-let test_store_reads_hand_written_format () =
-  let kind = "opt" and key = "{\"op\":\"opt\",\"name\":\"k\x00\xff\"}" in
-  let payload = "reply body\nwith \x00 bytes\n" in
+(* An object file's name and bytes, and its journal line. *)
+let hand_written ~kind ~key payload =
   let crc s = Printf.sprintf "%08lx" (Ppp_resilience.Crc.string s) in
   let fields =
     Printf.sprintf "kind=%s key=%s len=%d crc=%s" kind (printf_hex key)
@@ -396,6 +445,12 @@ let test_store_reads_hand_written_format () =
     let body = "put " ^ fields in
     Printf.sprintf "%s #crc=%s\n" body (crc body)
   in
+  (obj_name, obj, journal)
+
+let test_store_reads_hand_written_format () =
+  let kind = "opt" and key = "{\"op\":\"opt\",\"name\":\"k\x00\xff\"}" in
+  let payload = "reply body\nwith \x00 bytes\n" in
+  let obj_name, obj, journal = hand_written ~kind ~key payload in
   let dir = tmpdir () in
   let objects = Filename.concat dir "objects" in
   Unix.mkdir objects 0o755;
@@ -420,8 +475,8 @@ let test_store_reads_hand_written_format () =
   Alcotest.(check string) "put writes the same journal line" journal
     (read_file (Filename.concat dir2 "journal.log"))
 
-(* An [Opt] key carries a whole program and plan bundle: hundreds of
-   kilobytes of header hex. *)
+(* An [Opt] key carries a whole program, and the profile dump when the
+   request sends one: hundreds of kilobytes of header hex. *)
 let test_store_large_key () =
   let key = String.init 200_000 (fun i -> Char.chr ((i * 7919) land 0xff)) in
   let payload = "served" in
@@ -551,11 +606,10 @@ let prop_session_plans_never_raise =
 
 (* {2 End-to-end: a real server process} *)
 
-(* Fork a one-worker server on a fresh store, wait until it answers a
-   ping, run [f socket] and shut the server down. [None] when it never
-   became ready. *)
-let with_server f =
-  let dir = tmpdir () in
+(* Fork a one-worker server on the store under [dir] (a fresh one by
+   default), wait until it answers a ping, run [f socket] and shut the
+   server down. [None] when it never became ready. *)
+let with_server ?(dir = tmpdir ()) f =
   let socket = Filename.concat dir "pppd.sock" in
   let cfg =
     {
@@ -647,6 +701,112 @@ let test_server_serves_repeated_opt () =
   | Some _ -> Alcotest.fail "an opt request failed"
   | None -> Alcotest.fail "daemon never became ready"
 
+(* A store written by the previous key format. Its [profile], [merge]
+   and [plans] entries keep their keys and are served. Its [opt] entry
+   was keyed by the request with the injected plan bundle as hex; it
+   opens cleanly but is never served: the request misses once, is
+   recomputed, and hits from then on. No [opt] key holds the bundle. *)
+let test_server_reads_older_store () =
+  let name = "bzip2@older-store" in
+  let req ?(name = name) plans =
+    Ops.Opt
+      {
+        name;
+        program = Ppp_ir.Pp_ir.to_string (bench_program "bzip2");
+        profile = None;
+        iterate = 3;
+        plans;
+      }
+  in
+  (* Under another name: the forked worker inherits this process's
+     sessions, and one that has run [name] would import nothing. *)
+  let plans =
+    match Ops.handle ~chaos:false (req ~name:(name ^ "/plans") None) with
+    | Ops.Okay { meta; _ } -> (
+        match List.assoc_opt "plans" meta with
+        | Some (Jsonx.Str hex) -> Option.get (Hex.decode hex)
+        | _ -> Alcotest.fail "no plans in the reply")
+    | Ops.Failed _ -> Alcotest.fail "in-process opt failed"
+  in
+  let older_opt_key =
+    Ops.encode_request
+      { Ops.id = 0; deadline_ms = 0; req = req (Some (Hex.encode plans)) }
+  in
+  let merge_key =
+    List.map (fun d -> Printf.sprintf "%08lx" (Ppp_resilience.Crc.string d)) [ "a"; "b" ]
+    |> List.sort compare |> String.concat "+"
+  in
+  let dir = tmpdir () in
+  let store = Filename.concat dir "store" in
+  let objects = Filename.concat store "objects" in
+  Unix.mkdir store 0o755;
+  Unix.mkdir objects 0o755;
+  List.iter
+    (fun (kind, key, payload) ->
+      let file, obj, _ = hand_written ~kind ~key payload in
+      write_raw (Filename.concat objects file) obj)
+    [ ("opt", older_opt_key, Ops.encode_reply (Ops.Okay { body = "stale"; meta = [] }));
+      ("plans", name, plans);
+      ("profile", "mcf/scale=1", "stored profile");
+      ("merge", merge_key, "stored merge") ];
+  let replies =
+    with_server ~dir (fun socket ->
+        let call r = Client.call ~socket ~deadline_ms:60_000 r in
+        let status = call Ops.Status in
+        let collect =
+          call
+            (Ops.Collect
+               { bench = "mcf"; scale = 1; sample_rate = 1;
+                 burst = Ppp_interp.Sampling.default_burst; sample_seed = 0 })
+        in
+        let merge = call (Ops.Merge { dumps = [ "b"; "a" ]; decay = 1.0 }) in
+        let o1 = call (req None) in
+        let o2 = call (req None) in
+        (status, collect, merge, o1, o2))
+  in
+  let served meta = List.assoc_opt "served_from_store" meta = Some (Jsonx.Bool true) in
+  (match replies with
+  | Some (Ok (_, st), Ok (cb, cm), Ok (mb, mm), Ok (b1, m1), Ok (b2, m2)) ->
+      Alcotest.(check bool) "nothing quarantined" true
+        (List.assoc_opt "store_quarantined" st = Some (Jsonx.Int 0));
+      Alcotest.(check (pair string bool)) "profile entry served"
+        ("stored profile", true) (cb, served cm);
+      Alcotest.(check (pair string bool)) "merge entry served"
+        ("stored merge", true) (mb, served mm);
+      Alcotest.(check bool) "older opt entry not served" false
+        (served m1 || b1 = "stale");
+      Alcotest.(check bool) "plans entry imported" true
+        (match List.assoc_opt "plans_imported" m1 with
+        | Some (Jsonx.Int n) -> n > 0
+        | _ -> false);
+      Alcotest.(check bool) "the recomputed reply is served next" true (served m2);
+      Alcotest.(check string) "same body" b1 b2
+  | Some _ -> Alcotest.fail "a request failed"
+  | None -> Alcotest.fail "daemon never became ready");
+  let plan_hex = Hex.encode plans in
+  List.iter
+    (fun path ->
+      if Filename.check_suffix (Filename.basename path) ".obj"
+         && String.starts_with ~prefix:"opt-" (Filename.basename path)
+      then
+        let contents = read_file path in
+        let header = String.sub contents 0 (String.index contents '\n') in
+        let key =
+          List.find_map
+            (fun f ->
+              if String.starts_with ~prefix:"key=" f then
+                Hex.decode (String.sub f 4 (String.length f - 4))
+              else None)
+            (String.split_on_char ' ' header)
+        in
+        match key with
+        | Some key ->
+            (* Shorter than the bundle's hex, so it cannot hold it. *)
+            if key <> older_opt_key && String.length key >= String.length plan_hex
+            then Alcotest.failf "%s keys by the plan bundle" path
+        | None -> Alcotest.failf "%s has no key" path)
+    (obj_files store)
+
 let suite =
   [
     Alcotest.test_case "wire: frames round-trip" `Quick test_wire_roundtrip;
@@ -680,6 +840,10 @@ let suite =
       test_server_e2e;
     Alcotest.test_case "server: a repeated opt is served from the store"
       `Quick test_server_serves_repeated_opt;
+    Alcotest.test_case "server: an older store's entries" `Quick
+      test_server_reads_older_store;
+    Alcotest.test_case "ops: mark_served splices the served field" `Quick
+      test_ops_mark_served;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_store_salvage; prop_session_plans_never_raise ]
+      [ prop_store_salvage; prop_session_plans_never_raise; prop_mark_served ]

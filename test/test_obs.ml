@@ -114,6 +114,311 @@ let test_json_roundtrip () =
   | exception Jsonx.Parse_error _ -> ()
   | _ -> Alcotest.fail "expected parse error"
 
+(* {2 The JSON codec against its previous implementation}
+
+   [Oracle] is the [Format]-based printer and the option-per-byte parser
+   that [Jsonx] replaced, kept verbatim but for one line: [\u0080] to
+   [\u00ff] decode to their byte (the old parser turned them into ['?'],
+   though its own printer writes every byte above 0x7e that way). *)
+module Oracle = struct
+  open Jsonx
+
+  let escape s =
+    let b = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 || Char.code c >= 0x7f ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+
+  let pp_float ppf f =
+    if Float.is_integer f && Float.abs f < 1e15 then
+      Format.fprintf ppf "%.1f" f
+    else if Float.is_finite f then Format.fprintf ppf "%.12g" f
+    else Format.pp_print_string ppf "null"
+
+  let rec pp ppf = function
+    | Null -> Format.pp_print_string ppf "null"
+    | Bool b -> Format.pp_print_string ppf (if b then "true" else "false")
+    | Int i -> Format.pp_print_int ppf i
+    | Float f -> pp_float ppf f
+    | Str s -> Format.fprintf ppf "\"%s\"" (escape s)
+    | Arr [] -> Format.pp_print_string ppf "[]"
+    | Arr l ->
+        Format.pp_print_char ppf '[';
+        List.iteri
+          (fun i v ->
+            if i > 0 then Format.pp_print_char ppf ',';
+            pp ppf v)
+          l;
+        Format.pp_print_char ppf ']'
+    | Obj [] -> Format.pp_print_string ppf "{}"
+    | Obj fields ->
+        Format.pp_print_char ppf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Format.pp_print_char ppf ',';
+            Format.fprintf ppf "\"%s\":" (escape k);
+            pp ppf v)
+          fields;
+        Format.pp_print_char ppf '}'
+
+  let to_string v = Format.asprintf "%a" pp v
+
+  type parser_state = { src : string; mutable pos : int }
+
+  let fail st msg =
+    raise (Parse_error (Printf.sprintf "%s at offset %d" msg st.pos))
+
+  let peek st =
+    if st.pos < String.length st.src then Some st.src.[st.pos] else None
+
+  let advance st = st.pos <- st.pos + 1
+
+  let rec skip_ws st =
+    match peek st with
+    | Some (' ' | '\t' | '\n' | '\r') ->
+        advance st;
+        skip_ws st
+    | _ -> ()
+
+  let expect st c =
+    match peek st with
+    | Some c' when c' = c -> advance st
+    | _ -> fail st (Printf.sprintf "expected %C" c)
+
+  let literal st word value =
+    let n = String.length word in
+    if st.pos + n <= String.length st.src && String.sub st.src st.pos n = word
+    then begin
+      st.pos <- st.pos + n;
+      value
+    end
+    else fail st (Printf.sprintf "expected %s" word)
+
+  let parse_string st =
+    expect st '"';
+    let b = Buffer.create 16 in
+    let rec loop () =
+      match peek st with
+      | None -> fail st "unterminated string"
+      | Some '"' -> advance st
+      | Some '\\' -> (
+          advance st;
+          match peek st with
+          | None -> fail st "unterminated escape"
+          | Some c ->
+              advance st;
+              (match c with
+              | '"' -> Buffer.add_char b '"'
+              | '\\' -> Buffer.add_char b '\\'
+              | '/' -> Buffer.add_char b '/'
+              | 'b' -> Buffer.add_char b '\b'
+              | 'f' -> Buffer.add_char b '\012'
+              | 'n' -> Buffer.add_char b '\n'
+              | 'r' -> Buffer.add_char b '\r'
+              | 't' -> Buffer.add_char b '\t'
+              | 'u' ->
+                  if st.pos + 4 > String.length st.src then
+                    fail st "truncated \\u escape";
+                  let hex = String.sub st.src st.pos 4 in
+                  let code =
+                    try int_of_string ("0x" ^ hex)
+                    with _ -> fail st "bad \\u escape"
+                  in
+                  st.pos <- st.pos + 4;
+                  (* The one change: was [code < 0x80]. *)
+                  if code < 0x100 then Buffer.add_char b (Char.chr code)
+                  else Buffer.add_char b '?'
+              | _ -> fail st "unknown escape");
+              loop ())
+      | Some c ->
+          advance st;
+          Buffer.add_char b c;
+          loop ()
+    in
+    loop ();
+    Buffer.contents b
+
+  let parse_number st =
+    let start = st.pos in
+    let is_num_char = function
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | _ -> false
+    in
+    while match peek st with Some c -> is_num_char c | None -> false do
+      advance st
+    done;
+    let text = String.sub st.src start (st.pos - start) in
+    match int_of_string_opt text with
+    | Some i -> Int i
+    | None -> (
+        match float_of_string_opt text with
+        | Some f -> Float f
+        | None -> fail st "malformed number")
+
+  let rec parse_value st =
+    skip_ws st;
+    match peek st with
+    | None -> fail st "unexpected end of input"
+    | Some '"' -> Str (parse_string st)
+    | Some '{' ->
+        advance st;
+        skip_ws st;
+        if peek st = Some '}' then begin
+          advance st;
+          Obj []
+        end
+        else begin
+          let fields = ref [] in
+          let rec fields_loop () =
+            skip_ws st;
+            let key = parse_string st in
+            skip_ws st;
+            expect st ':';
+            let v = parse_value st in
+            fields := (key, v) :: !fields;
+            skip_ws st;
+            match peek st with
+            | Some ',' ->
+                advance st;
+                fields_loop ()
+            | Some '}' -> advance st
+            | _ -> fail st "expected ',' or '}'"
+          in
+          fields_loop ();
+          Obj (List.rev !fields)
+        end
+    | Some '[' ->
+        advance st;
+        skip_ws st;
+        if peek st = Some ']' then begin
+          advance st;
+          Arr []
+        end
+        else begin
+          let items = ref [] in
+          let rec items_loop () =
+            let v = parse_value st in
+            items := v :: !items;
+            skip_ws st;
+            match peek st with
+            | Some ',' ->
+                advance st;
+                items_loop ()
+            | Some ']' -> advance st
+            | _ -> fail st "expected ',' or ']'"
+          in
+          items_loop ();
+          Arr (List.rev !items)
+        end
+    | Some 't' -> literal st "true" (Bool true)
+    | Some 'f' -> literal st "false" (Bool false)
+    | Some 'n' -> literal st "null" Null
+    | Some ('-' | '0' .. '9') -> parse_number st
+    | Some c -> fail st (Printf.sprintf "unexpected character %C" c)
+
+  let of_string s =
+    let st = { src = s; pos = 0 } in
+    let v = parse_value st in
+    skip_ws st;
+    if st.pos <> String.length s then fail st "trailing garbage";
+    v
+end
+
+(* Arbitrary documents: strings over every byte, floats with their
+   special and boundary values, nesting a few levels deep. *)
+let json_gen =
+  let open QCheck.Gen in
+  let bytes n = string_size ~gen:char (0 -- n) in
+  let float_gen =
+    oneof
+      [ float;
+        oneofl
+          [ 0.; -0.; 1.; -2.5; 0.1; 1e15; -1e15; 999999999999999.; 1e-7;
+            Float.nan; Float.infinity; Float.neg_infinity; Float.max_float;
+            Float.min_float; 123456789012.345 ] ]
+  in
+  let leaf =
+    frequency
+      [ (1, return Jsonx.Null);
+        (1, map (fun b -> Jsonx.Bool b) bool);
+        (2, map (fun i -> Jsonx.Int i) (oneof [ int; small_signed_int ]));
+        (2, map (fun f -> Jsonx.Float f) float_gen);
+        (3, map (fun s -> Jsonx.Str s) (bytes 24)) ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [ (3, leaf);
+               (1, map (fun l -> Jsonx.Arr l) (list_size (0 -- 4) (self (n / 3))));
+               ( 1,
+                 map
+                   (fun l -> Jsonx.Obj l)
+                   (list_size (0 -- 4) (pair (bytes 8) (self (n / 3)))) ) ])
+
+let json_arb = QCheck.make ~print:Oracle.to_string json_gen
+
+let parse_with f s =
+  match f s with v -> Ok v | exception Jsonx.Parse_error msg -> Error msg
+
+let prop_json_prints_as_before =
+  QCheck.Test.make ~count:1000 ~name:"json: to_string equals the Format printer"
+    json_arb (fun v -> Jsonx.to_string v = Oracle.to_string v)
+
+(* The same value, or the same message with the same offset, on printed
+   text and on every single-byte deletion from it. *)
+let prop_json_parses_as_before =
+  QCheck.Test.make ~count:300
+    ~name:"json: of_string equals the old parser, deletions included" json_arb
+    (fun v ->
+      let text = Jsonx.to_string v in
+      let agrees s = parse_with Jsonx.of_string s = parse_with Oracle.of_string s in
+      agrees text
+      && List.for_all
+           (fun i ->
+             agrees
+               (String.sub text 0 i
+               ^ String.sub text (i + 1) (String.length text - i - 1)))
+           (List.init (String.length text) Fun.id))
+
+let prop_json_strings_round_trip =
+  QCheck.Test.make ~count:1000 ~name:"json: any byte string round-trips"
+    QCheck.string (fun s ->
+      Jsonx.of_string (Jsonx.to_string (Jsonx.Str s)) = Jsonx.Str s)
+
+let test_json_errors () =
+  List.iter
+    (fun (text, msg) ->
+      Alcotest.(check (result reject string))
+        (Printf.sprintf "%S" text) (Error msg)
+        (Result.map ignore (parse_with Jsonx.of_string text)))
+    [ ("", "unexpected end of input at offset 0");
+      ("\"abc", "unterminated string at offset 4");
+      ("\"a\\", "unterminated escape at offset 3");
+      ("\"\\u12", "truncated \\u escape at offset 3");
+      ("\"\\uzz00\"", "bad \\u escape at offset 3");
+      ("\"\\q\"", "unknown escape at offset 3");
+      ("[1 2]", "expected ',' or ']' at offset 3");
+      ("{\"a\":1;", "expected ',' or '}' at offset 6");
+      ("{\"a\" 1}", "expected ':' at offset 5");
+      ("tru", "expected true at offset 0");
+      ("-", "malformed number at offset 1");
+      ("1 x", "trailing garbage at offset 2");
+      ("@", "unexpected character '@' at offset 0") ];
+  Alcotest.(check bool) "\\u00ff decodes to its byte" true
+    (Jsonx.of_string "\"\\u00ff\\u0080\\u0100\"" = Jsonx.Str "\xff\x80?")
+
 let test_interp_counters_match_outcome () =
   with_metrics @@ fun () ->
   let o = Interp.run (program ()) in
@@ -259,6 +564,10 @@ let suite =
     Alcotest.test_case "disabled metrics are no-ops" `Quick test_disabled_is_noop;
     Alcotest.test_case "instruments record" `Quick test_instruments_record;
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
+    Alcotest.test_case "json errors keep their messages" `Quick test_json_errors;
+    QCheck_alcotest.to_alcotest prop_json_prints_as_before;
+    QCheck_alcotest.to_alcotest prop_json_parses_as_before;
+    QCheck_alcotest.to_alcotest prop_json_strings_round_trip;
     Alcotest.test_case "interp counters match outcome" `Quick
       test_interp_counters_match_outcome;
     Alcotest.test_case "instrumented run counters" `Quick

@@ -89,6 +89,31 @@ let prop_crc_matches_reference =
       Crc.string a = crc_reference a
       && Crc.update (Crc.string a) b = crc_reference (a ^ b))
 
+(* [Crc.update] folds eight bytes per step and the rest one at a time:
+   every length up to 64 covers each tail length behind zero to seven
+   whole steps. *)
+let test_crc_every_length () =
+  check_bool "check value" true (Crc.string "123456789" = 0xCBF43926l);
+  let s = String.init 64 (fun i -> Char.chr ((i * 151 + 17) land 0xff)) in
+  for n = 0 to 64 do
+    let prefix = String.sub s 0 n in
+    check_bool (Printf.sprintf "length %d" n) true
+      (Crc.string prefix = crc_reference prefix)
+  done
+
+let prop_crc_split_points =
+  QCheck.Test.make ~count:300 ~name:"crc over random split points"
+    QCheck.(pair (string_of_size Gen.(0 -- 200)) (small_list small_nat))
+    (fun (s, cuts) ->
+      let n = String.length s in
+      let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) in
+      let crc, last =
+        List.fold_left
+          (fun (crc, from) cut -> (Crc.update crc (String.sub s from (cut - from)), cut))
+          (0l, 0) cuts
+      in
+      Crc.update crc (String.sub s last (n - last)) = crc_reference s)
+
 let parse src = Ppp_ir.Parse.program_of_string src
 
 let test_fingerprint_strict_vs_loose () =
@@ -333,6 +358,8 @@ let suite =
   [
     Alcotest.test_case "crc known answer" `Quick test_crc_known_answer;
     QCheck_alcotest.to_alcotest prop_crc_matches_reference;
+    Alcotest.test_case "crc at every length to 64" `Quick test_crc_every_length;
+    QCheck_alcotest.to_alcotest prop_crc_split_points;
     Alcotest.test_case "hex codec" `Quick test_hex_codec;
     QCheck_alcotest.to_alcotest prop_hex_roundtrip;
     Alcotest.test_case "fingerprint strict vs loose" `Quick
