@@ -4,6 +4,7 @@ module Hex = Ppp_resilience.Hex
 module Profile_io = Ppp_profile.Profile_io
 module Interp = Ppp_interp.Interp
 module Session = Ppp_session.Session
+module Trace = Ppp_obs.Trace
 module H = Ppp_harness.Pipeline
 
 type request =
@@ -272,16 +273,45 @@ let fail code fmt =
 
 (* Resident per-program-name sessions: the reason a warm daemon beats a
    cold process. Keyed by name, synced to each request's program, so an
-   edited program naturally dirties only the routines it changed. *)
-let sessions : (string, Session.t) Hashtbl.t = Hashtbl.create 8
+   edited program naturally dirties only the routines it changed. At
+   most [max_sessions] stay resident; a new name evicts the least
+   recently used one, so a worker's memory is bounded by the bound, not
+   by the names it has ever seen. *)
+let max_sessions = 32
+
+type resident = { session : Session.t; mutable last_use : int }
+
+let sessions : (string, resident) Hashtbl.t = Hashtbl.create max_sessions
+let uses = ref 0
+let evictions = ref 0
 
 let session_for name =
+  incr uses;
   match Hashtbl.find_opt sessions name with
-  | Some s -> s
+  | Some r ->
+      r.last_use <- !uses;
+      r.session
   | None ->
-      let s = Session.create ~name () in
-      Hashtbl.add sessions name s;
-      s
+      if Hashtbl.length sessions >= max_sessions then begin
+        let lru =
+          Hashtbl.fold
+            (fun n r acc ->
+              match acc with
+              | Some (_, u) when u <= r.last_use -> acc
+              | _ -> Some (n, r.last_use))
+            sessions None
+        in
+        Option.iter
+          (fun (n, _) ->
+            Hashtbl.remove sessions n;
+            incr evictions)
+          lru
+      end;
+      let session = Session.create ~name () in
+      Hashtbl.add sessions name { session; last_use = !uses };
+      session
+
+let session_counts () = (Hashtbl.length sessions, !evictions)
 
 let handle_collect ~bench ~scale ~sample_rate ~burst ~sample_seed =
   match Ppp_workloads.Spec.find_opt bench with
@@ -346,6 +376,9 @@ let handle_opt ~name ~program ~profile ~iterate ~plans =
   | exception Invalid_argument msg -> fail "bad-request" "ill-formed program: %s" msg
   | p -> (
       let session = session_for name in
+      (* The run slot serves the runs of one request; between requests a
+         resident session holds no outcome. *)
+      Fun.protect ~finally:(fun () -> Session.forget_run session) @@ fun () ->
       let imported, import_diags =
         match plans with
         | None -> (0, [])
@@ -356,11 +389,17 @@ let handle_opt ~name ~program ~profile ~iterate ~plans =
             | Some text ->
                 (* import_plans fingerprint-checks every record itself,
                    but it needs the session synced to this program first. *)
+                Trace.with_span "plan-import" @@ fun () ->
                 ignore (Session.sync session p);
                 Session.import_plans session p text)
       in
+      let print_program p =
+        Trace.with_span "print-program" (fun () -> Ppp_ir.Pp_ir.to_string p)
+      in
       let finish ~optimized ~extra_meta =
-        let plans_out = Session.export_plans session in
+        let plans_out =
+          Trace.with_span "plan-export" (fun () -> Session.export_plans session)
+        in
         Okay
           {
             body = optimized;
@@ -390,7 +429,7 @@ let handle_opt ~name ~program ~profile ~iterate ~plans =
                  gens)
           in
           finish
-            ~optimized:(Ppp_ir.Pp_ir.to_string last.H.prep.H.optimized)
+            ~optimized:(print_program last.H.prep.H.optimized)
             ~extra_meta:[ ("generations", gen_meta) ]
       end
       else
@@ -398,7 +437,7 @@ let handle_opt ~name ~program ~profile ~iterate ~plans =
         | None ->
             let prep = H.prepare ~session ~name p in
             finish
-              ~optimized:(Ppp_ir.Pp_ir.to_string prep.H.optimized)
+              ~optimized:(print_program prep.H.optimized)
               ~extra_meta:[]
         | Some dump -> (
             match Profile_io.load p dump with
@@ -406,7 +445,7 @@ let handle_opt ~name ~program ~profile ~iterate ~plans =
             | Ok loaded ->
                 let prep = H.prepare_with_profile ~session ~name ~loaded p in
                 finish
-                  ~optimized:(Ppp_ir.Pp_ir.to_string prep.H.optimized)
+                  ~optimized:(print_program prep.H.optimized)
                   ~extra_meta:
                     [ ( "matched_fraction",
                         Jsonx.Float loaded.Profile_io.matched_fraction );
@@ -417,7 +456,7 @@ let handle_opt ~name ~program ~profile ~iterate ~plans =
 let handle_status () =
   let stats =
     Hashtbl.fold
-      (fun name s acc ->
+      (fun name { session = s; _ } acc ->
         let st = Session.stats s in
         Jsonx.Obj
           [ ("name", Jsonx.Str name); ("hits", Jsonx.Int st.Session.hits);
@@ -430,7 +469,9 @@ let handle_status () =
       body = "ok";
       meta =
         [ ("pid", Jsonx.Int (Unix.getpid ()));
-          ("sessions", Jsonx.Arr stats) ];
+          ("sessions", Jsonx.Arr stats);
+          ("sessions_resident", Jsonx.Int (Hashtbl.length sessions));
+          ("session_evictions", Jsonx.Int !evictions) ];
     }
 
 let handle ~chaos req =

@@ -11,10 +11,11 @@
     travel hex-encoded.
 
     {!handle} is the worker-side interpreter: it holds a resident
-    {!Ppp_session.Session} per program name, so repeated [Opt] requests
-    for the same program reuse memoized analyses and [--iterate]
-    resumes across client invocations. It never raises — failures come
-    back as [Failed] replies with classified diagnostics. *)
+    {!Ppp_session.Session} per program name, up to {!max_sessions} of
+    them, so repeated [Opt] requests for the same program reuse memoized
+    analyses and runs, and [--iterate] resumes across client
+    invocations. It never raises — failures come back as [Failed]
+    replies with classified diagnostics. *)
 
 type request =
   | Ping
@@ -79,6 +80,14 @@ val mark_served : string -> string option
     into the bytes without decoding the body: a stored reply is relayed
     at the cost of one copy. [None] for a [Failed] reply and for bytes
     that are not a whole encoded [Okay] reply (truncated, say). *)
+
+val max_sessions : int
+(** How many per-name sessions {!handle} keeps resident: 32. A request
+    under a new name beyond that evicts the least recently used one. *)
+
+val session_counts : unit -> int * int
+(** The resident session count and the evictions so far, in this
+    process. *)
 
 val handle : chaos:bool -> request -> reply
 (** Execute a request in this process (the supervised worker's main

@@ -56,6 +56,8 @@ type worker = {
   mutable job : job option;
   mutable failures : int;  (* consecutive, drives backoff *)
   mutable restart_at : float;
+  mutable sessions : int * int;
+      (* resident sessions and evictions, as of the worker's last reply *)
 }
 
 type t = {
@@ -79,6 +81,24 @@ let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* ---- workers ----------------------------------------------------------- *)
 
+(* A worker's frame is the encoded reply, then one line with the
+   worker's resident session count and evictions, which [status] sums
+   over the pool. The parent relays only the reply. *)
+let worker_frame reply =
+  let resident, evicted = Ops.session_counts () in
+  Printf.sprintf "%s\n%d %d" (Ops.encode_reply reply) resident evicted
+
+let split_worker_frame payload =
+  let whole = (payload, None) in
+  match String.rindex_opt payload '\n' with
+  | None -> whole
+  | Some i -> (
+      let tail = String.sub payload (i + 1) (String.length payload - i - 1) in
+      match List.map int_of_string_opt (String.split_on_char ' ' tail) with
+      | [ Some resident; Some evicted ] ->
+          (String.sub payload 0 i, Some (resident, evicted))
+      | _ -> whole)
+
 (* The worker child: frames in, frames out, exit on any stream error.
    Never touches the store, the listen socket or other clients. *)
 let worker_main ~chaos fd =
@@ -96,7 +116,7 @@ let worker_main ~chaos fd =
                 }
           | Ok env -> Ops.handle ~chaos env.Ops.req
         in
-        (match Wire.write_frame fd (Ops.encode_reply reply) with
+        (match Wire.write_frame fd (worker_frame reply) with
         | Ok () -> loop ()
         | Error _ -> Unix._exit 0)
   in
@@ -130,6 +150,7 @@ let spawn_worker t w =
       w.pid <- pid;
       w.fd <- Some parent_end;
       w.job <- None;
+      w.sessions <- (0, 0);
       w.restart_at <- 0.;
       log t "worker %d up (pid %d)" w.slot pid
 
@@ -204,16 +225,27 @@ let merge_key ~decay dumps =
   else Printf.sprintf "decay=%h+" decay ^ String.concat "+" crcs
 
 (* An [Opt]'s identity: the request as its client sent it, with the
-   client-specific fields zeroed, and the digest of the plan bundle the
-   server injects into it. Equal requests with equal injected bundles
-   share a key, as they would if the bundle were part of it, but the key
-   stays the size of the program: the bundle (85–187 KB at scale 1)
-   travels, hex-encoded, only to a worker, and only on a miss. *)
+   client-specific fields and the profile dump zeroed, then the digest of
+   the dump and of the plan bundle the server injects into it. Equal
+   requests with equal dumps and injected bundles share a key, as they
+   would if both were part of it, but the key stays the size of the
+   program: a dump (256 KB for crafty) travels only to a worker, and the
+   bundle (85–187 KB at scale 1) only on a miss. *)
 let opt_key env ~plans =
-  let sent = Ops.encode_request { env with Ops.id = 0; deadline_ms = 0 } in
-  match plans with
-  | None -> sent
-  | Some text -> sent ^ " plans-md5=" ^ Digest.to_hex (Digest.string text)
+  let md5 tag text =
+    Printf.sprintf " %s-md5=%s" tag (Digest.to_hex (Digest.string text))
+  in
+  let env, profile =
+    match env.Ops.req with
+    | Ops.Opt ({ profile = Some dump; _ } as o) ->
+        ( { env with Ops.req = Ops.Opt { o with profile = None } },
+          md5 "profile" dump )
+    | _ -> (env, "")
+  in
+  String.concat ""
+    [ Ops.encode_request { env with Ops.id = 0; deadline_ms = 0 };
+      profile;
+      Option.fold ~none:"" ~some:(md5 "plans") plans ]
 
 (* Where a request's result lives in the store, if anywhere. *)
 let store_slot (env : Ops.envelope) ~plans =
@@ -291,6 +323,12 @@ let status_reply t =
   let workers_up =
     Array.fold_left (fun n w -> if w.pid > 0 then n + 1 else n) 0 t.pool
   in
+  let resident, evictions =
+    Array.fold_left
+      (fun (r, e) w ->
+        if w.pid > 0 then (r + fst w.sessions, e + snd w.sessions) else (r, e))
+      (0, 0) t.pool
+  in
   Ops.Okay
     {
       body = "ok";
@@ -303,7 +341,9 @@ let status_reply t =
           ("served", Jsonx.Int t.served);
           ("queued", Jsonx.Int (Queue.length t.queue));
           ("store_entries", Jsonx.Int (List.length (Store.entries t.store)));
-          ("store_quarantined", Jsonx.Int (Store.quarantined t.store)) ];
+          ("store_quarantined", Jsonx.Int (Store.quarantined t.store));
+          ("sessions_resident", Jsonx.Int resident);
+          ("session_evictions", Jsonx.Int evictions) ];
     }
 
 (* ---- dispatch ---------------------------------------------------------- *)
@@ -369,7 +409,7 @@ let worker_event t w =
   | None -> ()
   | Some fd -> (
       match Wire.read_frame ~deadline:(Unix.gettimeofday () +. client_io_budget) fd with
-      | Ok payload -> (
+      | Ok frame -> (
           match w.job with
           | None ->
               (* A frame with no job in flight is a protocol violation. *)
@@ -377,6 +417,8 @@ let worker_event t w =
           | Some job -> (
               w.job <- None;
               w.failures <- 0;
+              let payload, sessions = split_worker_frame frame in
+              Option.iter (fun s -> w.sessions <- s) sessions;
               (* Decoded only to check it and to read what the store
                  keeps; the client gets the worker's bytes. *)
               match Ops.decode_reply payload with
@@ -561,7 +603,15 @@ let run cfg =
   Unix.listen listen_fd 16;
   let pool =
     Array.init cfg.workers (fun slot ->
-        { slot; pid = -1; fd = None; job = None; failures = 0; restart_at = 0. })
+        {
+          slot;
+          pid = -1;
+          fd = None;
+          job = None;
+          failures = 0;
+          restart_at = 0.;
+          sessions = (0, 0);
+        })
   in
   let t =
     {

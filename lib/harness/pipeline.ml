@@ -190,7 +190,7 @@ let layout_of_flags ~(flags : opt_flags) session p (o : Interp.outcome) =
    bodies that no longer exist once a trace is duplicated, so a changed
    program gets a fresh edge profile before inlining consumes it.
    Mismatched or stale traces degrade to diagnostics, never errors. *)
-let superblock_phase ~(flags : opt_flags) ~session ~cache ~phases
+let superblock_phase ~(flags : opt_flags) ~session ~phases
     ~(loaded : Profile_io.loaded) p =
   if not flags.superblocks then (p, Superblock.empty_stats, loaded.Profile_io.edges, [])
   else begin
@@ -218,19 +218,18 @@ let superblock_phase ~(flags : opt_flags) ~session ~cache ~phases
       (p, stats, loaded.Profile_io.edges, diags)
     else begin
       ignore (Session.sync session p');
-      let o = timed phases "sb-profile" (fun () -> Interp.run ?cache p') in
+      let o = timed phases "sb-profile" (fun () -> Session.run session p') in
       (p', stats, Option.get o.Interp.edge_profile, diags @ fuel_diags "sb-profile" o)
     end
   end
 
 let prepare ?session ?(flags = default_flags) ~name p =
   let session = make_session ?session ~name () in
-  let cache = Session.lower_cache session in
   let phases = ref [] in
   Trace.with_span ~args:[ ("bench", name) ] "prepare" @@ fun () ->
   ignore (Session.sync session p);
   let orig_outcome =
-    timed phases "edge-profile" (fun () -> Interp.run ?cache p)
+    timed phases "edge-profile" (fun () -> Session.run session p)
   in
   let ep0 = Option.get orig_outcome.Interp.edge_profile in
   let inlined, inline_stats =
@@ -238,7 +237,7 @@ let prepare ?session ?(flags = default_flags) ~name p =
         Ppp_opt.Inline.run p ~block_freq:(block_freq_fn session p ep0))
   in
   ignore (Session.sync session inlined);
-  let o1 = timed phases "re-profile" (fun () -> Interp.run ?cache inlined) in
+  let o1 = timed phases "re-profile" (fun () -> Session.run session inlined) in
   let ep1 = Option.get o1.Interp.edge_profile in
   let optimized, unroll_stats =
     timed phases "unroll" (fun () ->
@@ -246,7 +245,7 @@ let prepare ?session ?(flags = default_flags) ~name p =
   in
   ignore (Session.sync session optimized);
   let base_outcome =
-    timed phases "base-run" (fun () -> Interp.run ?cache optimized)
+    timed phases "base-run" (fun () -> Session.run session optimized)
   in
   {
     bench_name = name;
@@ -271,13 +270,12 @@ let prepare ?session ?(flags = default_flags) ~name p =
 let prepare_with_profile ?session ?(flags = default_flags) ~name
     ~(loaded : Profile_io.loaded) p =
   let session = make_session ?session ~name () in
-  let cache = Session.lower_cache session in
   let phases = ref [] in
   Trace.with_span ~args:[ ("bench", name) ] "prepare-with-profile" @@ fun () ->
   ignore (Session.sync session p);
   let confidence = loaded.Profile_io.matched_fraction in
   let sb_p, superblock_stats, ep0, sb_diags =
-    superblock_phase ~flags ~session ~cache ~phases ~loaded p
+    superblock_phase ~flags ~session ~phases ~loaded p
   in
   (* Confidence-weighted hotness: salvaged counts must clear a higher bar
      before they justify inlining a call site. *)
@@ -290,7 +288,7 @@ let prepare_with_profile ?session ?(flags = default_flags) ~name
           ~block_freq:(block_freq_fn session sb_p ep0))
   in
   ignore (Session.sync session inlined);
-  let o1 = timed phases "re-profile" (fun () -> Interp.run ?cache inlined) in
+  let o1 = timed phases "re-profile" (fun () -> Session.run session inlined) in
   let ep1 = Option.get o1.Interp.edge_profile in
   let optimized, unroll_stats =
     timed phases "unroll" (fun () ->
@@ -298,7 +296,7 @@ let prepare_with_profile ?session ?(flags = default_flags) ~name
   in
   ignore (Session.sync session optimized);
   let base_outcome =
-    timed phases "base-run" (fun () -> Interp.run ?cache optimized)
+    timed phases "base-run" (fun () -> Session.run session optimized)
   in
   {
     bench_name = name;
@@ -322,12 +320,11 @@ let prepare_with_profile ?session ?(flags = default_flags) ~name
 
 let prepare_unoptimized ?session ~name p =
   let session = make_session ?session ~name () in
-  let cache = Session.lower_cache session in
   let phases = ref [] in
   Trace.with_span ~args:[ ("bench", name) ] "prepare" @@ fun () ->
   ignore (Session.sync session p);
   let orig_outcome =
-    timed phases "edge-profile" (fun () -> Interp.run ?cache p)
+    timed phases "edge-profile" (fun () -> Session.run session p)
   in
   {
     bench_name = name;
@@ -807,26 +804,26 @@ let reoptimize ?session ?(config = Config.ppp) ?(flags = default_flags)
       match !prev with
       | None -> (prepare ~session ~flags ~name !cur, 1.0)
       | Some (p : prepared) -> (
-          (* Hand the previous generation's profile through the wire
-             format and the stale matcher, as a staged optimizer with an
-             offline profile store would; on an unchanged program it
-             matches exactly (fraction 1.0). *)
-          let text =
-            if drift then
-              Profile_io.Raw.to_string
-                (Profile_io.Raw.merge_decayed
-                   ~decay:(Option.value ~default:1.0 decay)
-                   (List.rev !history))
-            else begin
-              let buf = Buffer.create 65536 in
-              let ppf = Format.formatter_of_buffer buf in
-              Profile_io.save ?edges:p.base_outcome.Interp.edge_profile
-                ?paths:p.base_outcome.Interp.path_profile ppf p.optimized;
-              Format.pp_print_flush ppf ();
-              Buffer.contents buf
-            end
+          (* Hand the previous generation's profile on through the stale
+             matcher, as a staged optimizer with an offline profile store
+             would: the raw dump its text would hold, loaded exactly as
+             that text would load. On an unchanged program it matches
+             exactly (fraction 1.0). *)
+          let handed =
+            Trace.with_span "profile-handoff" @@ fun () ->
+            let raw =
+              if drift then
+                Profile_io.Raw.merge_decayed
+                  ~decay:(Option.value ~default:1.0 decay)
+                  (List.rev !history)
+              else
+                Profile_io.Raw.of_program
+                  ?edges:p.base_outcome.Interp.edge_profile
+                  ?paths:p.base_outcome.Interp.path_profile p.optimized
+            in
+            Profile_io.of_raw !cur raw
           in
-          match Profile_io.load !cur text with
+          match handed with
           | Ok loaded ->
               ( prepare_with_profile ~session ~flags ~name ~loaded !cur,
                 loaded.Profile_io.matched_fraction )
@@ -836,6 +833,7 @@ let reoptimize ?session ?(config = Config.ppp) ?(flags = default_flags)
        so only routines the optimizers dirtied are re-planned. *)
     let reused = ref 0 and planned = ref 0 in
     let inst =
+      Trace.with_span "reinstrument" @@ fun () ->
       instrument_via_session ~mode:Session.Sticky
         ~on_reuse:(fun _ -> incr reused)
         ~on_plan:(fun _ -> incr planned)
@@ -847,12 +845,16 @@ let reoptimize ?session ?(config = Config.ppp) ?(flags = default_flags)
          any): the loop exercises the VM exactly as a deployed optimizer
          would, and the differential suite keeps layout honest. Under
          [sampling] the collector runs bursty, so [instr_overhead]
-         reflects the sampled cost. *)
+         reflects the sampled cost. Only its costs and tables are read,
+         so it neither counts edges nor traces paths. *)
+      Trace.with_span "instrumented-run" @@ fun () ->
       Interp.run
         ?cache:(Session.lower_cache session)
         ~config:
           {
             Interp.default_config with
+            collect_edges = false;
+            trace_paths = false;
             instrumentation = Some inst.Instrument.rt;
             layout = prep.layout;
             sampling;
@@ -878,11 +880,12 @@ let reoptimize ?session ?(config = Config.ppp) ?(flags = default_flags)
           ?paths prep.optimized
         :: !history
     end;
-    let gen_decisions = decisions prep in
-    let prev_decisions =
-      match !prev with None -> [] | Some p -> decisions p
-    in
-    gens :=
+    let g =
+      Trace.with_span "decisions" @@ fun () ->
+      let gen_decisions = decisions prep in
+      let prev_decisions =
+        match !prev with None -> [] | Some p -> decisions p
+      in
       {
         gen;
         prep;
@@ -896,7 +899,8 @@ let reoptimize ?session ?(config = Config.ppp) ?(flags = default_flags)
           Ppp_opt.Decision.diff ~previous:prev_decisions
             ~current:gen_decisions;
       }
-      :: !gens;
+    in
+    gens := g :: !gens;
     prev := Some prep;
     cur := prep.optimized
   done;

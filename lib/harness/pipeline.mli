@@ -11,6 +11,10 @@
     dominators, loop nests, flow contexts, definite-flow DPs, structural
     lowerings, placement decisions) shared by all phases and all four
     profiling methods, and carried across re-optimization generations.
+    Every default-config run of a preparation goes through
+    {!Ppp_session.Session.run}, so a phase whose program an optimizer
+    pass left unchanged reuses the run before it; its span and its
+    [phase_ms] entry remain.
     Callers may pass their own session (e.g. one warmed on a previous
     generation, or a disabled one to measure the uncached cost); by
     default each [prepare] creates a fresh enabled session, so results
@@ -248,9 +252,9 @@ type generation = {
       (** routines whose placement was carried over unchanged from an
           earlier generation (sticky reuse) *)
   matched_fraction : float;
-      (** how much of the previous generation's saved profile survived
-          the {!Ppp_profile.Profile_io} round-trip (1.0 for the first
-          generation, which profiles fresh) *)
+      (** how much of the previous generation's profile survived the
+          hand-off through {!Ppp_profile.Profile_io.of_raw} (1.0 for the
+          first generation, which profiles fresh) *)
   instr_overhead : float;  (** overhead of this generation's instrumented run *)
   decisions : Ppp_opt.Decision.t list;
       (** this generation's full optimizer decision log *)
@@ -272,15 +276,20 @@ val reoptimize :
   generation list
 (** Run [iterations] (default 1) optimize–profile–re-instrument
     generations against one shared session. Generation 1 profiles fresh;
-    each later generation saves the previous generation's profile,
-    reloads it against the previous optimized program through the
-    stale-matching loader, re-optimizes, and re-instruments under
-    [config] (default PPP) with {e sticky} placement reuse — only
-    routines dirtied by superblock formation, inlining or unrolling are
-    re-planned, every untouched routine keeps its instrumentation. The
-    generation's instrumented run is executed end-to-end
-    ([instr_overhead]), under the generation's block layout when
-    [flags.layout] is on. [flags.superblocks] feeds each generation's
+    each later generation hands the previous generation's profile on as
+    a {!Ppp_profile.Profile_io.Raw.t} and loads it against the previous
+    optimized program with {!Ppp_profile.Profile_io.of_raw} (what its
+    saved text would load, without the text), re-optimizes, and
+    re-instruments under [config] (default PPP) with {e sticky}
+    placement reuse — only routines dirtied by superblock formation,
+    inlining or unrolling are re-planned, every untouched routine keeps
+    its instrumentation. The generation's instrumented run is executed
+    end-to-end ([instr_overhead]), under the generation's block layout
+    when [flags.layout] is on; only its costs and tables are read, so it
+    neither counts edges nor traces paths. The hand-off, the
+    re-instrumentation, the instrumented run and the decision log each
+    have a trace span ([profile-handoff], [reinstrument],
+    [instrumented-run], [decisions]). [flags.superblocks] feeds each generation's
     decoded hot paths into {!Ppp_opt.Superblock.form} from generation 2
     onward — the paper's loop, closed.
 

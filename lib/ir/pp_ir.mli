@@ -1,9 +1,7 @@
-(** Pretty-printing of IR to the textual [.pir] format accepted by
-    {!Parse}. [Parse.program_of_string (to_string p)] reproduces [p]
-    exactly (a property test enforces the round trip). *)
+(** Printing of IR to the textual [.pir] format accepted by {!Parse}.
+    [Parse.program_of_string (to_string p)] reproduces [p] exactly (a
+    property test enforces the round trip). *)
 
-val pp_operand : Format.formatter -> Ir.operand -> unit
-val pp_instr : Format.formatter -> Ir.instr -> unit
-val pp_routine : Format.formatter -> Ir.routine -> unit
-val pp_program : Format.formatter -> Ir.program -> unit
 val to_string : Ir.program -> string
+(** The program's text, ending in a newline, written into one buffer in
+    time linear in its length. *)

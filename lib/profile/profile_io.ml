@@ -667,17 +667,19 @@ type loaded = {
   dropped_counts : int;
 }
 
-(* A routine is described only when the dump has a [routine] header for
+(* The salvage step of {!load} and {!of_raw}: move each routine of
+   [routines] (with the line of its header, when it came from text) onto
+   the program. A routine is described only when the dump has counts for
    it: programs carry many cold library routines that record no counts.
-   Paths are added in canonical order, so a loaded table iterates (and
-   [Path_profile.hot_paths] breaks ties) the same way whatever order the
-   parser met them in. *)
-let load (p : Ir.program) text =
-  let raw, headers = Raw.parse_with_headers text in
+   [dropped] starts at the mass the parser already lost, [parse_diags]
+   are the parser's. Paths are added in canonical order, so a loaded
+   table iterates (and [Path_profile.hot_paths] breaks ties) the same way
+   whatever order the parser met them in. *)
+let apply (p : Ir.program) raw ~routines ~dropped ~parse_diags =
   let edges = Edge_profile.create_program p in
   let paths = Path_profile.create_program p in
   let verdicts_rev = ref [] in
-  let applied = ref 0 and dropped = ref (Raw.lost raw) and stale = ref 0 in
+  let applied = ref 0 and dropped = ref dropped and stale = ref 0 in
   let settle add key c =
     match key with
     | Some k ->
@@ -690,7 +692,7 @@ let load (p : Ir.program) text =
       match Ir.find_routine p name with
       | None ->
           verdicts_rev :=
-            Diagnostic.errorf ~line ~token:name ~routine:name Unknown_routine
+            Diagnostic.errorf ?line ~token:name ~routine:name Unknown_routine
               "no such routine in this program"
             :: !verdicts_rev;
           let drop _ c = dropped := !dropped + c in
@@ -716,7 +718,7 @@ let load (p : Ir.program) text =
                 (fun (path, c) -> settle (Path_profile.add pp) (m.path path) c)
                 (Raw.P.entries per))
             (Hashtbl.find_opt raw.Raw.paths name))
-    headers;
+    routines;
   let applied = !applied and dropped = !dropped in
   let total = applied + dropped in
   let matched_fraction =
@@ -726,7 +728,7 @@ let load (p : Ir.program) text =
   Obs.add m_salvaged applied;
   Obs.add m_dropped dropped;
   Obs.add m_stale !stale;
-  let diagnostics = Raw.diagnostics raw @ List.rev !verdicts_rev in
+  let diagnostics = parse_diags @ List.rev !verdicts_rev in
   if applied = 0 && Diagnostic.count_errors diagnostics > 0 then
     Error diagnostics
   else
@@ -740,3 +742,28 @@ let load (p : Ir.program) text =
         salvaged_counts = applied;
         dropped_counts = dropped;
       }
+
+let load (p : Ir.program) text =
+  let raw, headers = Raw.parse_with_headers text in
+  apply p raw
+    ~routines:(List.map (fun (name, line) -> (name, Some line)) headers)
+    ~dropped:(Raw.lost raw) ~parse_diags:(Raw.diagnostics raw)
+
+(* [load p (Raw.to_string raw)] without the text. The routines are those
+   the text would give a [routine] header, in the order of their first
+   one: those with edge counts, then those with only path counts, each by
+   name. The text carries neither [raw]'s lost mass nor its diagnostics,
+   so neither is read here. *)
+let of_raw (p : Ir.program) raw =
+  let counted tbl entries =
+    Raw.sorted_keys tbl
+    |> List.filter (fun name -> entries (Hashtbl.find tbl name) <> [])
+  in
+  let with_edges = counted raw.Raw.edges Raw.E.entries in
+  let paths_only =
+    counted raw.Raw.paths Raw.P.entries
+    |> List.filter (fun name -> not (List.mem name with_edges))
+  in
+  apply p raw
+    ~routines:(List.map (fun name -> (name, None)) (with_edges @ paths_only))
+    ~dropped:0 ~parse_diags:[]

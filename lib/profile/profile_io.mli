@@ -199,3 +199,16 @@ module Raw : sig
   val iter_edges : t -> string -> (int -> int -> unit) -> unit
   (** Iterate the routine's edge counts; no-op for an absent routine. *)
 end
+
+val of_raw :
+  Ppp_ir.Ir.program ->
+  Raw.t ->
+  (loaded, Ppp_resilience.Diagnostic.t list) result
+(** [of_raw p raw] is [load p (Raw.to_string raw)] without rendering or
+    parsing the text: the same salvage rule, the same tables (paths added
+    in the same canonical order), fraction, counts and diagnostics. The
+    one difference is that an [Unknown_routine] verdict has no line, as
+    there is no text to point into. [raw]'s {!Raw.lost} mass and
+    {!Raw.diagnostics} are ignored, because its text does not carry
+    them. This is how {!Ppp_harness.Pipeline.reoptimize} hands each
+    generation's profile to the next. *)

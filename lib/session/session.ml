@@ -8,6 +8,7 @@ module Flow_dp = Ppp_flow.Flow_dp
 module Instrument = Ppp_core.Instrument
 module Lower = Ppp_interp.Lower
 module Fingerprint = Ppp_resilience.Fingerprint
+module Interp = Ppp_interp.Interp
 module Obs = Ppp_obs.Metrics
 
 let m_view_hit = Obs.counter "session.view.hit"
@@ -24,6 +25,8 @@ let m_place_hit = Obs.counter "session.place.hit"
 let m_place_miss = Obs.counter "session.place.miss"
 let m_layout_hit = Obs.counter "session.layout.hit"
 let m_layout_miss = Obs.counter "session.layout.miss"
+let m_run_hit = Obs.counter "session.run.hit"
+let m_run_miss = Obs.counter "session.run.miss"
 let m_invalidate = Obs.counter "session.invalidate"
 let m_evict = Obs.counter "session.evict"
 
@@ -58,6 +61,27 @@ type counts = {
   mutable c_misses : int;
   mutable c_invalidations : int;
   mutable c_evictions : int;
+  mutable c_run_hits : int;
+  mutable c_run_misses : int;
+}
+
+(* What decides a default-config run's outcome: every routine's
+   fingerprint (the table [sync] computed for the program), its
+   parameter and register counts, the arrays and the entry routine. *)
+type run_key = {
+  k_table : (string * int) list;
+  k_regs : (int * int) list;
+  k_arrays : (string * int) list;
+  k_main : string;
+}
+
+type run_memo = {
+  r_key : run_key;
+  r_outcome : Interp.outcome;
+  r_replay : (string * int) list option;
+      (* The counters outside [session.*] the run advanced, and by how
+         much, so a hit leaves the metrics as the run would have; [None]
+         when metrics were off during the run. *)
 }
 
 type t = {
@@ -65,6 +89,9 @@ type t = {
   s_enabled : bool;
   slots : (string, entry list) Hashtbl.t;
   mutable last_table : (string * int) list;
+  mutable synced : Ir.program option;
+      (* the program [last_table] was computed for, by physical identity *)
+  mutable last_run : run_memo option;
   (* Last physical routine seen per name, with its fingerprint, so
      repeated artifact lookups on the same object skip re-hashing. *)
   fp_memo : (string, Ir.routine * int) Hashtbl.t;
@@ -79,6 +106,8 @@ type stats = {
   misses : int;
   invalidations : int;
   evictions : int;
+  run_hits : int;
+  run_misses : int;
 }
 
 let name t = t.s_name
@@ -305,6 +334,7 @@ let sync t (p : Ir.program) =
   in
   let old = t.last_table in
   t.last_table <- table;
+  t.synced <- Some p;
   List.iter
     (fun (nm, _) ->
       if not (List.mem_assoc nm table) then begin
@@ -340,6 +370,76 @@ let invalidate t names =
       Obs.incr m_invalidate)
     names
 
+(* {2 The run memo}
+
+   One slot: the pipeline's default-config runs repeat the run just
+   before them when an optimizer pass changed nothing, so the last
+   outcome is the one worth keeping. *)
+
+let counters_outside_session () =
+  List.filter_map
+    (function
+      | name, Obs.Counter n when not (String.starts_with ~prefix:"session." name)
+        ->
+          Some (name, n)
+      | _ -> None)
+    (Obs.snapshot ())
+
+let advanced ~before ~after =
+  let was = Hashtbl.of_seq (List.to_seq before) in
+  List.filter_map
+    (fun (name, n) ->
+      let d = n - Option.value ~default:0 (Hashtbl.find_opt was name) in
+      if d <> 0 then Some (name, d) else None)
+    after
+
+let run t (p : Ir.program) =
+  let key =
+    match t.synced with
+    | Some q when q == p && t.s_enabled ->
+        Some
+          {
+            k_table = t.last_table;
+            k_regs =
+              List.map (fun (r : Ir.routine) -> (r.Ir.nparams, r.Ir.nregs))
+                p.Ir.routines;
+            k_arrays = p.Ir.arrays;
+            k_main = p.Ir.main;
+          }
+    | _ -> None
+  in
+  let metrics = Obs.enabled () in
+  match (key, t.last_run) with
+  | Some k, Some m when m.r_key = k && ((not metrics) || m.r_replay <> None) ->
+      t.counts.c_run_hits <- t.counts.c_run_hits + 1;
+      Obs.incr m_run_hit;
+      Option.iter
+        (List.iter (fun (name, d) -> Obs.add (Obs.counter name) d))
+        m.r_replay;
+      m.r_outcome
+  | _ ->
+      t.counts.c_run_misses <- t.counts.c_run_misses + 1;
+      Obs.incr m_run_miss;
+      let before = if metrics then Some (counters_outside_session ()) else None in
+      let o = Interp.run ?cache:t.lower p in
+      Option.iter
+        (fun k ->
+          t.last_run <-
+            Some
+              {
+                r_key = k;
+                r_outcome = o;
+                r_replay =
+                  Option.map
+                    (fun before ->
+                      advanced ~before ~after:(counters_outside_session ()))
+                    before;
+              })
+        key;
+      o
+
+let forget_run t = t.last_run <- None
+
 let warm t (p : Ir.program) =
   ignore (sync t p);
   if t.s_enabled then begin
@@ -364,10 +464,19 @@ let create ?(enabled = true) ~name () =
       s_enabled = enabled;
       slots = Hashtbl.create 64;
       last_table = [];
+      synced = None;
+      last_run = None;
       fp_memo = Hashtbl.create 64;
       lower = (if enabled then Some (Lower.create_cache ()) else None);
       counts =
-        { c_hits = 0; c_misses = 0; c_invalidations = 0; c_evictions = 0 };
+        {
+          c_hits = 0;
+          c_misses = 0;
+          c_invalidations = 0;
+          c_evictions = 0;
+          c_run_hits = 0;
+          c_run_misses = 0;
+        };
     }
   in
   (match t.lower with
@@ -381,6 +490,8 @@ let stats t =
     misses = t.counts.c_misses;
     invalidations = t.counts.c_invalidations;
     evictions = t.counts.c_evictions;
+    run_hits = t.counts.c_run_hits;
+    run_misses = t.counts.c_run_misses;
   }
 
 (* {2 Persistence of placement plans}
@@ -559,8 +670,8 @@ let import_plans t (p : Ir.program) text =
 let pp_stats ppf t =
   Format.fprintf ppf
     "session %s (cache %s): %d hits, %d misses, %d invalidations, %d \
-     evictions"
+     evictions, %d run hits"
     t.s_name
     (if t.s_enabled then "on" else "off")
     t.counts.c_hits t.counts.c_misses t.counts.c_invalidations
-    t.counts.c_evictions
+    t.counts.c_evictions t.counts.c_run_hits

@@ -37,6 +37,10 @@
     recomputed eagerly — a dirty routine simply opens a fresh slot entry
     on its next access.
 
+    A program run is an artifact too. The session keeps the outcome of
+    its last default-config run ({!run}), which the pipeline's phases
+    repeat whenever an optimizer pass changed nothing.
+
     Every lookup feeds the [session.*] metrics of {!Ppp_obs.Metrics}
     ([session.KIND.hit] / [session.KIND.miss], [session.invalidate],
     [session.evict], and [session.lower.*] from {!Ppp_interp.Lower}), and
@@ -137,6 +141,32 @@ val layout :
     just as expensive to rediscover. Invalidated with the entry when the
     routine's fingerprint changes. Counted under [session.layout.*]. *)
 
+(** {2 Runs} *)
+
+val run : t -> Ppp_ir.Ir.program -> Ppp_interp.Interp.outcome
+(** [Interp.run ?cache:(lower_cache t) p] under the default config,
+    memoized in one slot. The slot holds the last such run of a program
+    this session synced, keyed by the fingerprint table {!sync} computed
+    for it plus every routine's parameter and register counts, the
+    arrays and the entry routine. A program other than the one {!sync}
+    saw last (by physical identity) always misses, and a disabled
+    session memoizes nothing.
+
+    A hit returns the stored outcome itself, shared: its profiles are
+    mutable accumulators, and every reader must treat them as
+    read-only. With {!Ppp_obs.Metrics} enabled, a hit adds the counter
+    increments the stored run made outside [session.*], so metrics read
+    as if the run had happened; a run stored while metrics were off
+    misses once metrics are on. Counted under [session.run.hit] /
+    [session.run.miss] and in {!stats}' [run_hits] / [run_misses].
+    @raise Ppp_interp.Interp.Runtime_error as [Interp.run] does; a
+    failed run is not stored. *)
+
+val forget_run : t -> unit
+(** Empty the run slot. A session that outlives the results holding its
+    last outcome (a daemon's resident session, between requests) calls
+    this, so that it keeps no outcome alive by itself. *)
+
 (** {2 Lowering} *)
 
 val lower_cache : t -> Ppp_interp.Lower.cache option
@@ -185,10 +215,13 @@ type stats = {
   misses : int;
   invalidations : int;
   evictions : int;
+  run_hits : int;  (** {!run} calls served from the slot *)
+  run_misses : int;  (** {!run} calls that ran the program *)
 }
 (** Per-session mirror of the [session.*] counters (excluding
     [session.lower.*], which are global to the process); maintained even
-    while {!Ppp_obs.Metrics} is disabled. *)
+    while {!Ppp_obs.Metrics} is disabled. [hits] and [misses] count
+    analysis artifacts only; runs have their own pair. *)
 
 val stats : t -> stats
 val pp_stats : Format.formatter -> t -> unit

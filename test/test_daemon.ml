@@ -807,6 +807,147 @@ let test_server_reads_older_store () =
         | None -> Alcotest.failf "%s has no key" path)
     (obj_files store)
 
+(* An [opt --profile] entry is keyed by the request with its dump
+   zeroed, plus the dump's digest: the key stays the size of the
+   program. A store written before keeps serving a request without a
+   profile, whose key did not change, and its [opt --profile] entry
+   (keyed by the whole dump) opens cleanly, misses once, then hits. *)
+let test_server_keys_profile_by_digest () =
+  let program = Ppp_ir.Pp_ir.to_string (bench_program "bzip2") in
+  let dump =
+    let p = bench_program "bzip2" in
+    let o = Ppp_interp.Interp.run p in
+    Format.asprintf "%t" (fun ppf ->
+        Ppp_profile.Profile_io.save ?edges:o.Ppp_interp.Interp.edge_profile
+          ?paths:o.Ppp_interp.Interp.path_profile ppf p)
+  in
+  let name = "bzip2@profile-key" in
+  let req ?(name = name) ?(iterate = 1) profile =
+    Ops.Opt { name; program; profile; iterate; plans = None }
+  in
+  let plans =
+    match
+      Ops.handle ~chaos:false (req ~name:(name ^ "/plans") (Some dump))
+    with
+    | Ops.Okay { meta; _ } -> (
+        match List.assoc_opt "plans" meta with
+        | Some (Jsonx.Str hex) -> Option.get (Hex.decode hex)
+        | _ -> Alcotest.fail "no plans in the reply")
+    | Ops.Failed _ -> Alcotest.fail "in-process opt --profile failed"
+  in
+  let sent r = Ops.encode_request { Ops.id = 0; deadline_ms = 0; req = r } in
+  let older_profile_key =
+    sent (req (Some dump)) ^ " plans-md5=" ^ Digest.to_hex (Digest.string plans)
+  in
+  let plain = req ~name:(name ^ "/plain") ~iterate:3 None in
+  let dir = tmpdir () in
+  let store = Filename.concat dir "store" in
+  let objects = Filename.concat store "objects" in
+  Unix.mkdir store 0o755;
+  Unix.mkdir objects 0o755;
+  List.iter
+    (fun (kind, key, payload) ->
+      let file, obj, _ = hand_written ~kind ~key payload in
+      write_raw (Filename.concat objects file) obj)
+    [ ( "opt", older_profile_key,
+        Ops.encode_reply (Ops.Okay { body = "stale"; meta = [] }) );
+      ( "opt", sent plain,
+        Ops.encode_reply (Ops.Okay { body = "kept"; meta = [] }) );
+      ("plans", name, plans) ];
+  let replies =
+    with_server ~dir (fun socket ->
+        let call r = Client.call ~socket ~deadline_ms:60_000 r in
+        let status = call Ops.Status in
+        let kept = call plain in
+        let o1 = call (req (Some dump)) in
+        let o2 = call (req (Some dump)) in
+        (status, kept, o1, o2))
+  in
+  let served meta =
+    List.assoc_opt "served_from_store" meta = Some (Jsonx.Bool true)
+  in
+  (match replies with
+  | Some (Ok (_, st), Ok (kb, km), Ok (b1, m1), Ok (b2, m2)) ->
+      Alcotest.(check bool) "nothing quarantined" true
+        (List.assoc_opt "store_quarantined" st = Some (Jsonx.Int 0));
+      Alcotest.(check (pair string bool)) "an opt without a profile keeps its key"
+        ("kept", true) (kb, served km);
+      Alcotest.(check bool) "the older opt --profile entry is not served" false
+        (served m1 || b1 = "stale");
+      Alcotest.(check bool) "the recomputed reply is served next" true (served m2);
+      Alcotest.(check string) "same body" b1 b2
+  | Some _ -> Alcotest.fail "a request failed"
+  | None -> Alcotest.fail "daemon never became ready");
+  let suffix =
+    " profile-md5=" ^ Digest.to_hex (Digest.string dump) ^ " plans-md5="
+    ^ Digest.to_hex (Digest.string plans)
+  in
+  let profile_keys =
+    List.filter_map
+      (fun path ->
+        let file = Filename.basename path in
+        if not (String.starts_with ~prefix:"opt-" file) then None
+        else
+          let contents = read_file path in
+          let header = String.sub contents 0 (String.index contents '\n') in
+          List.find_map
+            (fun f ->
+              if String.starts_with ~prefix:"key=" f then
+                Hex.decode (String.sub f 4 (String.length f - 4))
+              else None)
+            (String.split_on_char ' ' header))
+      (obj_files store)
+    |> List.filter (fun key -> key <> older_profile_key && key <> sent plain)
+  in
+  Alcotest.(check int) "one new opt entry" 1 (List.length profile_keys);
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) "keyed by the dump's digest" true
+        (String.length key < String.length dump
+        && String.ends_with ~suffix key))
+    profile_keys
+
+(* A worker keeps at most [Ops.max_sessions] sessions: 100 never-seen
+   names leave 32 resident, evict the rest in LRU order, and the live
+   heap stops growing once the table is full. *)
+let test_ops_sessions_bounded () =
+  let program =
+    "main main\n\nroutine main(0) regs 3 {\nentry:\n  r0 = 0\n  r1 = 0\n\
+     \  jump head\nhead:\n  r2 = r1 < 40\n  br r2, body, done\nbody:\n\
+     \  r0 = r0 + r1\n  r1 = r1 + 1\n  jump head\ndone:\n  ret r0\n}\n"
+  in
+  let send k =
+    match
+      Ops.handle ~chaos:false
+        (Ops.Opt
+           { name = Printf.sprintf "bounded@%d" k; program; profile = None;
+             iterate = 3; plans = None })
+    with
+    | Ops.Okay _ -> ()
+    | Ops.Failed { diagnostics; _ } ->
+        Alcotest.failf "request %d failed: %a" k Diagnostic.pp_list diagnostics
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let resident0, evicted0 = Ops.session_counts () in
+  let base = live_words () in
+  for k = 0 to Ops.max_sessions - 1 do send k done;
+  let full = live_words () in
+  for k = Ops.max_sessions to 99 do send k done;
+  let after = live_words () in
+  let resident, evicted = Ops.session_counts () in
+  Alcotest.(check int) "32 sessions resident" 32 resident;
+  Alcotest.(check int) "evictions: 68 from a fresh worker"
+    (evicted0 + resident0 + 68) evicted;
+  (* Filling the table costs [full - base] for up to 32 new sessions;
+     68 more names must not cost a quarter of that again. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap bounded (%d words -> %d -> %d)" base full after)
+    true
+    (after - full <= (max 0 (full - base) / 4) + 16_384)
+
 let suite =
   [
     Alcotest.test_case "wire: frames round-trip" `Quick test_wire_roundtrip;
@@ -844,6 +985,10 @@ let suite =
       test_server_reads_older_store;
     Alcotest.test_case "ops: mark_served splices the served field" `Quick
       test_ops_mark_served;
+    Alcotest.test_case "server: opt --profile is keyed by the dump's digest"
+      `Quick test_server_keys_profile_by_digest;
+    Alcotest.test_case "ops: at most 32 resident sessions" `Quick
+      test_ops_sessions_bounded;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_store_salvage; prop_session_plans_never_raise; prop_mark_served ]

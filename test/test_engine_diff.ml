@@ -226,6 +226,47 @@ let bare_config () =
         (methods p))
     Spec.all
 
+(* The instrumented run of [Pipeline.reoptimize] neither counts edges
+   nor traces paths, because only its costs and tables are read. Neither
+   may depend on the two: a PPP run without them has the outcome, costs
+   and table contents of one with them, at full fuel and at budgets that
+   exhaust mid-run. *)
+let untraced_instrumented () =
+  List.iter
+    (fun (bench : Spec.bench) ->
+      let p = bench.Spec.build ~scale:1 in
+      let ep = prior_edges p in
+      let full = (Interp.run p).Interp.dyn_instrs in
+      List.iter
+        (fun fuel ->
+          let run traced =
+            Interp.run
+              ~config:
+                {
+                  Interp.default_config with
+                  Interp.fuel;
+                  collect_edges = traced;
+                  trace_paths = traced;
+                  instrumentation =
+                    Some (Instrument.instrument p ep Config.ppp).Instrument.rt;
+                }
+              p
+          in
+          let traced = run true in
+          Alcotest.(check string)
+            (Printf.sprintf "%s/fuel=%d: untraced = traced" bench.Spec.bench_name
+               fuel)
+            (digest p
+               {
+                 traced with
+                 Interp.edge_profile = None;
+                 path_profile = None;
+                 dyn_paths = 0;
+               })
+            (digest p (run false)))
+        [ Interp.default_config.Interp.fuel; full / 3; 5_000 ])
+    Spec.all
+
 (* The interp.* and rt.* metrics streams must be engine-invariant. *)
 let metrics_diff () =
   let p = (Spec.find "vpr").Spec.build ~scale:1 in
@@ -469,4 +510,6 @@ let suite =
         derived_tiered;
       QCheck_alcotest.to_alcotest qcheck_derived;
       QCheck_alcotest.to_alcotest qcheck_diff;
+      Alcotest.test_case "untraced PPP run = traced PPP run" `Quick
+        untraced_instrumented;
     ]

@@ -243,6 +243,134 @@ let test_path_hash_spreads () =
   Alcotest.(check int) "the polymorphic hash collides them all" 4096
     (Hashtbl.stats poly).Hashtbl.max_bucket_length
 
+(* {2 The hand-off without text: [of_raw p raw = load p (Raw.to_string raw)]} *)
+
+module Diagnostic = Ppp_resilience.Diagnostic
+module Raw = Profile_io.Raw
+
+(* Everything a load result holds, in iteration order: each routine's
+   edge counters, and its paths in the order its table iterates them.
+   An [Unknown_routine] verdict loses its line, the one thing only text
+   can locate. *)
+let observed p result =
+  let unlocated =
+    List.map (fun (d : Diagnostic.t) ->
+        if d.Diagnostic.kind = Diagnostic.Unknown_routine then
+          { d with Diagnostic.line = None }
+        else d)
+  in
+  match result with
+  | Error ds -> Error (unlocated ds)
+  | Ok (l : Profile_io.loaded) ->
+      let edges =
+        List.map
+          (fun (r : Ir.routine) ->
+            let t = Edge_profile.routine l.Profile_io.edges r.Ir.name in
+            let g = Ppp_ir.Cfg_view.graph (Ppp_ir.Cfg_view.of_routine r) in
+            let acc = ref [] in
+            Ppp_cfg.Graph.iter_edges g (fun e ->
+                acc := Edge_profile.freq t e :: !acc);
+            (r.Ir.name, List.rev !acc))
+          p.Ir.routines
+      in
+      let paths = ref [] in
+      Path_profile.iter_routines l.Profile_io.paths (fun name t ->
+          let acc = ref [] in
+          Path_profile.iter t (fun path n -> acc := (path, n) :: !acc);
+          paths := (name, List.rev !acc) :: !paths);
+      Ok
+        ( edges,
+          List.rev !paths,
+          unlocated l.Profile_io.diagnostics,
+          ( l.Profile_io.matched_fraction,
+            l.Profile_io.stale_routines,
+            l.Profile_io.salvaged_counts,
+            l.Profile_io.dropped_counts ) )
+
+let check_of_raw what p raw =
+  check_bool
+    (what ^ ": of_raw = load of the text")
+    true
+    (observed p (Profile_io.of_raw p raw)
+    = observed p (Profile_io.load p (Raw.to_string raw)))
+
+let raw_of_run p =
+  let o = Interp.run p in
+  Raw.of_program ?edges:o.Interp.edge_profile ?paths:o.Interp.path_profile p
+
+let test_of_raw_workloads () =
+  List.iter
+    (fun (b : Ppp_workloads.Spec.bench) ->
+      let p = b.Ppp_workloads.Spec.build ~scale:1 in
+      check_of_raw b.Ppp_workloads.Spec.bench_name p (raw_of_run p))
+    Ppp_workloads.Spec.all
+
+(* A dump of program [s] applied to program [s+1]: stale salvage, and
+   routines the newer program no longer has. *)
+let test_of_raw_stale () =
+  let programs = Array.init 41 (fun seed -> Ppp_workloads.Gen.program ~seed) in
+  let unknown = ref 0 and stale = ref 0 in
+  for s = 0 to 39 do
+    let raw = raw_of_run programs.(s) in
+    check_of_raw
+      (Printf.sprintf "seed %d -> %d" s (s + 1))
+      programs.(s + 1) raw;
+    match Profile_io.of_raw programs.(s + 1) raw with
+    | Error ds | Ok { Profile_io.diagnostics = ds; _ } ->
+        List.iter
+          (fun (d : Diagnostic.t) ->
+            match d.Diagnostic.kind with
+            | Diagnostic.Unknown_routine -> incr unknown
+            | Diagnostic.Stale -> incr stale
+            | _ -> ())
+          ds
+  done;
+  check_bool "some routines were unknown" true (!unknown > 0);
+  check_bool "some routines were stale" true (!stale > 0);
+  (* Edge counts from one program and path counts from another: the
+     text heads the routines with edge counts first. *)
+  for s = 0 to 19 do
+    let o = Interp.run programs.(s) and o' = Interp.run programs.(s + 1) in
+    let raw =
+      Raw.merge
+        [ Raw.of_program ?paths:o.Interp.path_profile programs.(s);
+          Raw.of_program ?edges:o'.Interp.edge_profile programs.(s + 1) ]
+    in
+    check_of_raw (Printf.sprintf "paths of %d, edges of %d" s (s + 1))
+      programs.(s + 1) raw
+  done
+
+(* Decayed merges of dumps from different builds carry lost mass,
+   decayed-away counts and Stale diagnostics, none of which the text
+   holds. *)
+let test_of_raw_merge_decayed () =
+  let bzip2 = Option.get (Ppp_workloads.Spec.find_opt "bzip2") in
+  let builds =
+    List.map (fun scale -> bzip2.Ppp_workloads.Spec.build ~scale) [ 1; 2; 3 ]
+  in
+  List.iter
+    (fun decay ->
+      let merged = Raw.merge_decayed ~decay (List.map raw_of_run builds) in
+      if decay < 1.0 then
+        check_bool "the merge decayed mass away" true (Raw.lost merged > 0);
+      check_bool "the merge has diagnostics" true (Raw.diagnostics merged <> []);
+      List.iteri
+        (fun i p ->
+          check_of_raw (Printf.sprintf "decay %g onto build %d" decay i) p merged)
+        builds)
+    [ 0.5; 0.9; 1.0 ];
+  let gens =
+    Array.init 6 (fun seed -> Ppp_workloads.Gen.program ~seed:(100 + seed))
+  in
+  let merged =
+    Raw.merge_decayed ~decay:0.7 (Array.to_list (Array.map raw_of_run gens))
+  in
+  check_bool "the generated merge lost mass" true (Raw.lost merged > 0);
+  Array.iteri
+    (fun i p ->
+      check_of_raw (Printf.sprintf "generated merge onto %d" i) p merged)
+    gens
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_profile_roundtrip;
@@ -262,4 +390,10 @@ let suite =
       test_unknown_routine_is_located;
     Alcotest.test_case "load conserves count mass across CFG changes" `Quick
       test_load_conserves_mass;
+    Alcotest.test_case "of_raw loads what the text loads: workloads" `Quick
+      test_of_raw_workloads;
+    Alcotest.test_case "of_raw loads what the text loads: stale dumps" `Quick
+      test_of_raw_stale;
+    Alcotest.test_case "of_raw loads what the text loads: decayed merges"
+      `Quick test_of_raw_merge_decayed;
   ]

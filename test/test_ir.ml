@@ -160,6 +160,99 @@ let prop_roundtrip =
       let p2 = Parse.program_of_string (Pp_ir.to_string p) in
       p = p2)
 
+(* The printer the buffer writer replaced, on [Format] with vertical
+   boxes: the reference the writer must match byte for byte. *)
+module Format_printer = struct
+  let pp_operand ppf = function
+    | Ir.Reg r -> Format.fprintf ppf "r%d" r
+    | Ir.Imm i -> Format.fprintf ppf "%d" i
+
+  let pp_instr ppf = function
+    | Ir.Mov (d, v) -> Format.fprintf ppf "r%d = %a" d pp_operand v
+    | Ir.Binop (d, op, a, b) ->
+        Format.fprintf ppf "r%d = %a %s %a" d pp_operand a (Ir.binop_name op)
+          pp_operand b
+    | Ir.Load (d, arr, idx) ->
+        Format.fprintf ppf "r%d = %s[%a]" d arr pp_operand idx
+    | Ir.Store (arr, idx, v) ->
+        Format.fprintf ppf "%s[%a] = %a" arr pp_operand idx pp_operand v
+    | Ir.Call (dst, callee, args) -> (
+        let pp_args ppf args =
+          Format.pp_print_list
+            ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
+            pp_operand ppf args
+        in
+        match dst with
+        | Some d -> Format.fprintf ppf "r%d = call %s(%a)" d callee pp_args args
+        | None -> Format.fprintf ppf "call %s(%a)" callee pp_args args)
+    | Ir.Out v -> Format.fprintf ppf "out %a" pp_operand v
+
+  let pp_term blocks ppf = function
+    | Ir.Jump l -> Format.fprintf ppf "jump %s" blocks.(l).Ir.label
+    | Ir.Branch (c, l1, l2) ->
+        Format.fprintf ppf "br %a, %s, %s" pp_operand c blocks.(l1).Ir.label
+          blocks.(l2).Ir.label
+    | Ir.Return None -> Format.fprintf ppf "ret"
+    | Ir.Return (Some v) -> Format.fprintf ppf "ret %a" pp_operand v
+
+  let pp_routine ppf (r : Ir.routine) =
+    Format.fprintf ppf "@[<v>routine %s(%d) regs %d {" r.name r.nparams r.nregs;
+    Array.iter
+      (fun (b : Ir.block) ->
+        Format.fprintf ppf "@,%s:" b.label;
+        Array.iter (fun i -> Format.fprintf ppf "@,  %a" pp_instr i) b.instrs;
+        Format.fprintf ppf "@,  %a" (pp_term r.blocks) b.term)
+      r.blocks;
+    Format.fprintf ppf "@,}@]"
+
+  let pp_program ppf (p : Ir.program) =
+    Format.fprintf ppf "@[<v>";
+    List.iter
+      (fun (name, size) -> Format.fprintf ppf "array %s %d@,@," name size)
+      p.arrays;
+    Format.fprintf ppf "main %s@," p.main;
+    List.iter (fun r -> Format.fprintf ppf "@,%a@," pp_routine r) p.routines;
+    Format.fprintf ppf "@]"
+
+  let to_string p = Format.asprintf "%a@." pp_program p
+end
+
+(* Long lines too: a call past the margin, and wide registers and
+   constants. *)
+let test_printer_matches_format () =
+  let programs =
+    List.concat_map
+      (fun (b : Ppp_workloads.Spec.bench) ->
+        List.map (fun scale -> b.Ppp_workloads.Spec.build ~scale) [ 1; 3 ])
+      Ppp_workloads.Spec.all
+    @ List.init 200 (fun seed -> Ppp_workloads.Gen.program ~seed)
+    @ List.map
+        (fun (g : Ppp_harness.Pipeline.generation) ->
+          g.Ppp_harness.Pipeline.prep.Ppp_harness.Pipeline.optimized)
+        (Ppp_harness.Pipeline.reoptimize ~iterations:2
+           ~flags:
+             { Ppp_harness.Pipeline.default_flags with
+               Ppp_harness.Pipeline.superblocks = true }
+           ~name:"bzip2"
+           ((Ppp_workloads.Spec.find "bzip2").Ppp_workloads.Spec.build ~scale:1))
+    @ [
+        Parse.program_of_string
+          "array a_very_long_array_name_indeed 1000000\n\
+           routine f(9) regs 12 { entry: ret r0 }\n\
+           routine main(0) regs 2000 { entry: \
+           r1999 = call f(1000000000, 2000000000, -3000000000, r1, r2, r3, \
+           r1500, 4000000000, 5000000000)\n\
+           a_very_long_array_name_indeed[r1999] = -123456789012\n\
+           out r1999\n ret r1999 }";
+      ]
+  in
+  List.iteri
+    (fun i p ->
+      Alcotest.(check string)
+        (Printf.sprintf "program %d prints as before" i)
+        (Format_printer.to_string p) (Pp_ir.to_string p))
+    programs
+
 let prop_generated_well_formed =
   QCheck.Test.make ~name:"generated programs are well-formed" ~count:60
     QCheck.(small_int)
@@ -176,4 +269,6 @@ let suite =
     Alcotest.test_case "negative immediates" `Quick test_parse_negative_imm;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_generated_well_formed;
+    Alcotest.test_case "printer matches the Format printer" `Quick
+      test_printer_matches_format;
   ]

@@ -500,6 +500,74 @@ let test_trace_spans_pipeline () =
       | _ -> Alcotest.fail "event lacks a name")
     trace_events
 
+(* Observability changes no result: a cold [--iterate 3] request, plain
+   and in drift mode, computes the same generations and the same daemon
+   reply with traces and metrics on as with them off, and the trace
+   names every phase of the loop and of the request. *)
+let test_obs_on_off_cold_request () =
+  let module Ops = Ppp_daemon.Ops in
+  let p = (Ppp_workloads.Spec.find "bzip2").Ppp_workloads.Spec.build ~scale:1 in
+  let program = Ppp_ir.Pp_ir.to_string p in
+  let summary gens =
+    List.map
+      (fun (g : H.generation) ->
+        ( (g.H.gen, g.H.dirty, g.H.reinstrumented, g.H.reused_plans),
+          (g.H.matched_fraction, g.H.instr_overhead, g.H.decisions),
+          Ppp_ir.Pp_ir.to_string g.H.prep.H.optimized ))
+      gens
+  in
+  let loops () =
+    ( summary (H.reoptimize ~iterations:3 ~name:"obs" p),
+      summary
+        (H.reoptimize ~iterations:3 ~name:"obs"
+           ~sampling:(Ppp_interp.Sampling.spec ~seed:3 ~denom:8 ())
+           ~decay:0.5 p) )
+  in
+  let plans =
+    match
+      Ops.handle ~chaos:false
+        (Ops.Opt
+           { name = "obs-plans"; program; profile = None; iterate = 3;
+             plans = None })
+    with
+    | Ops.Okay { meta; _ } -> (
+        match List.assoc_opt "plans" meta with
+        | Some (Jsonx.Str hex) -> hex
+        | _ -> Alcotest.fail "no plans in the reply")
+    | Ops.Failed _ -> Alcotest.fail "opt failed"
+  in
+  let request name =
+    Ops.encode_reply
+      (Ops.handle ~chaos:false
+         (Ops.Opt { name; program; profile = None; iterate = 3; plans = Some plans }))
+  in
+  let loops_off = loops () and reply_off = request "obs-off" in
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Trace.start ();
+  let loops_on, reply_on =
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.stop ();
+        Metrics.set_enabled false)
+      (fun () ->
+        let l = loops () in
+        (l, request "obs-on"))
+  in
+  Alcotest.(check bool) "generations identical with observability on" true
+    (loops_on = loops_off);
+  Alcotest.(check string) "reply identical with observability on" reply_off
+    reply_on;
+  let names = List.map (fun (e : Trace.event) -> e.Trace.name) (Trace.events ()) in
+  List.iter
+    (fun expected ->
+      Alcotest.(check bool)
+        (Printf.sprintf "span %s present" expected)
+        true (List.mem expected names))
+    [ "prepare"; "prepare-with-profile"; "profile-handoff"; "reinstrument";
+      "instrumented-run"; "decisions"; "plan-import"; "plan-export";
+      "print-program" ]
+
 let test_metrics_sink_files () =
   with_metrics @@ fun () ->
   let o = Interp.run (program ()) in
@@ -577,4 +645,6 @@ let suite =
     Alcotest.test_case "empty trace file valid" `Quick
       test_empty_trace_file_is_valid;
     Alcotest.test_case "heat dot" `Quick test_heat_dot;
+    Alcotest.test_case "observability on/off: a cold request" `Quick
+      test_obs_on_off_cold_request;
   ]

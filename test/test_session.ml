@@ -235,6 +235,112 @@ let test_iterate_all_workloads () =
         >= List.length p.Ir.routines + dirty_later))
     Spec.all
 
+(* {2 The run memo}
+
+   A disabled session memoizes nothing, so it is the reference for every
+   field of a generation that does not depend on the session's plan
+   reuse: what was dirtied, the profile hand-off, the decisions and the
+   optimized program. Plan reuse is pinned by its rule instead
+   (generation 1 plans everything, later ones exactly the dirtied
+   routines); it is also why the instrumented overhead is the session's
+   own business: a reused plan instruments what it was made for. Every
+   outcome the memo served must equal a fresh run of its program. A pass
+   whose touched set is empty returns its input, so the programs a
+   reoptimize run executes with the default config are the input plus
+   one per pass that changed something; the one-slot memo must run each
+   of them once. *)
+
+let outcome_text p (o : Interp.outcome) =
+  Format.asprintf "%a %a %d %d %d %d %b@.%t"
+    Fmt.(option int) o.Interp.return_value
+    Fmt.(list int) o.Interp.output
+    o.Interp.base_cost o.Interp.instr_cost o.Interp.dyn_instrs
+    o.Interp.dyn_paths
+    (o.Interp.termination = Interp.Finished)
+    (fun ppf ->
+      Profile_io.save ?edges:o.Interp.edge_profile
+        ?paths:o.Interp.path_profile ppf p)
+
+let test_run_memo_transparent () =
+  List.iter
+    (fun (b : Spec.bench) ->
+      let name = b.Spec.bench_name in
+      let p = b.Spec.build ~scale:1 in
+      let on = Session.create ~name () in
+      let off = Session.create ~enabled:false ~name () in
+      let g_on = H.reoptimize ~session:on ~iterations:3 ~name p in
+      let g_off = H.reoptimize ~session:off ~iterations:3 ~name p in
+      List.iter2
+        (fun (a : H.generation) (c : H.generation) ->
+          let what field = Printf.sprintf "%s gen %d: %s" name a.H.gen field in
+          let total = List.length a.H.prep.H.optimized.Ir.routines in
+          Alcotest.(check (list string)) (what "dirty") c.H.dirty a.H.dirty;
+          Alcotest.(check bool) (what "matched fraction") true
+            (a.H.matched_fraction = c.H.matched_fraction);
+          Alcotest.(check bool) (what "decisions") true
+            (a.H.decisions = c.H.decisions
+            && a.H.decision_diff = c.H.decision_diff);
+          Alcotest.(check string) (what "optimized program")
+            (Ppp_ir.Pp_ir.to_string c.H.prep.H.optimized)
+            (Ppp_ir.Pp_ir.to_string a.H.prep.H.optimized);
+          Alcotest.(check (pair int int)) (what "disabled session plans all")
+            (total, 0) (c.H.reinstrumented, c.H.reused_plans);
+          let replanned =
+            if a.H.gen = 1 then total else List.length a.H.dirty
+          in
+          Alcotest.(check (pair int int)) (what "enabled session reuses plans")
+            (replanned, total - replanned)
+            (a.H.reinstrumented, a.H.reused_plans);
+          let fresh q (o : Interp.outcome) field =
+            Alcotest.(check string) (what field)
+              (outcome_text q (Interp.run q))
+              (outcome_text q o)
+          in
+          fresh a.H.prep.H.optimized a.H.prep.H.base_outcome
+            "base outcome = a fresh run";
+          if a.H.gen = 1 then
+            fresh p a.H.prep.H.orig_outcome "first outcome = a fresh run")
+        g_on g_off;
+      let changing =
+        List.fold_left
+          (fun n (g : H.generation) ->
+            let changed touched = if touched = [] then 0 else 1 in
+            n
+            + changed g.H.prep.H.inline_stats.Ppp_opt.Inline.touched
+            + changed g.H.prep.H.unroll_stats.Ppp_opt.Unroll.touched)
+          0 g_on
+      in
+      let st_on = Session.stats on and st_off = Session.stats off in
+      Alcotest.(check int) (name ^ ": the disabled session runs every time") 0
+        st_off.Session.run_hits;
+      Alcotest.(check int)
+        (name ^ ": every run is served or run")
+        st_off.Session.run_misses
+        (st_on.Session.run_hits + st_on.Session.run_misses);
+      Alcotest.(check int)
+        (name ^ ": each distinct program runs once")
+        (1 + changing) st_on.Session.run_misses)
+    Spec.all
+
+(* A program the session has not just synced misses, even if it is the
+   one in the slot; synced again, it hits and shares the outcome. *)
+let test_run_memo_needs_sync () =
+  let p = (bench "mcf").Spec.build ~scale:1 in
+  let s = Session.create ~name:"mcf" () in
+  ignore (Session.sync s p);
+  let o1 = Session.run s p in
+  let o2 = Session.run s p in
+  Alcotest.(check bool) "a synced repeat shares the outcome" true (o1 == o2);
+  let copy = { p with Ir.main = p.Ir.main } in
+  let o3 = Session.run s copy in
+  Alcotest.(check bool) "an unsynced program runs" true (o3 != o1);
+  ignore (Session.sync s copy);
+  Alcotest.(check bool) "synced, an equal program hits" true
+    (Session.run s copy == o1);
+  let st = Session.stats s in
+  Alcotest.(check (pair int int)) "run hits and misses" (2, 2)
+    (st.Session.run_hits, st.Session.run_misses)
+
 (* {2 Retention across generations} *)
 
 let test_retention_flip_flop () =
@@ -311,4 +417,8 @@ let suite =
       test_disabled_session_counts_misses;
     Alcotest.test_case "warm shard parents keep collection identical" `Quick
       test_shard_warm_identical;
+    Alcotest.test_case "run memo: same generations as a disabled session"
+      `Slow test_run_memo_transparent;
+    Alcotest.test_case "run memo: only a just-synced program hits" `Quick
+      test_run_memo_needs_sync;
   ]
