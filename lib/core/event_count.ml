@@ -1,4 +1,5 @@
 module Graph = Ppp_cfg.Graph
+module Spanning_tree = Ppp_cfg.Spanning_tree
 module Routine_ctx = Ppp_flow.Routine_ctx
 
 type t = {
@@ -7,51 +8,21 @@ type t = {
   chord : bool array;
 }
 
-(* Union-find for Kruskal. *)
-let find parent i =
-  let rec go i = if parent.(i) = i then i else go parent.(i) in
-  let root = go i in
-  let rec compress i =
-    if parent.(i) <> root then begin
-      let next = parent.(i) in
-      parent.(i) <- root;
-      compress next
-    end
-  in
-  compress i;
-  root
-
 let compute ctx ~hot ~numbering ~weight =
   let g = Routine_ctx.graph ctx in
   let n = Graph.num_nodes g in
-  let nedges = Graph.num_edges g in
-  let hot_edges =
-    Graph.fold_edges g ~init:[] ~f:(fun acc e -> if hot.(e) then e :: acc else acc)
-  in
-  let sorted = List.stable_sort (fun a b -> compare (weight b) (weight a)) hot_edges in
-  let parent = Array.init n (fun i -> i) in
-  let in_tree = Array.make (max 1 nedges) false in
-  List.iter
-    (fun e ->
-      let u = find parent (Graph.src g e) and v = find parent (Graph.dst g e) in
-      if u <> v then begin
-        parent.(u) <- v;
-        in_tree.(e) <- true
-      end)
-    sorted;
+  let tree = Spanning_tree.compute ~member:(fun e -> hot.(e)) ~weight g in
   (* Node potentials over the (undirected) spanning forest: crossing a
      tree edge u -> v in its own direction adds Val. *)
   let phi = Array.make n 0 in
   let visited = Array.make n false in
   let tree_adj = Array.make n [] in
-  List.iter
-    (fun e ->
-      if in_tree.(e) then begin
+  Graph.iter_edges g (fun e ->
+      if Spanning_tree.in_tree tree e then begin
         let u = Graph.src g e and v = Graph.dst g e in
         tree_adj.(u) <- (e, v, true) :: tree_adj.(u);
         tree_adj.(v) <- (e, u, false) :: tree_adj.(v)
-      end)
-    hot_edges;
+      end);
   let rec dfs v =
     visited.(v) <- true;
     List.iter
@@ -69,16 +40,16 @@ let compute ctx ~hot ~numbering ~weight =
   for v = 0 to n - 1 do
     if not visited.(v) then dfs v
   done;
-  let incs = Array.make (max 1 nedges) 0 in
-  let chord = Array.make (max 1 nedges) false in
-  List.iter
-    (fun e ->
-      if not in_tree.(e) then begin
+  (* Placement plans keep [t] for as long as a session keeps them, so
+     it holds the chord set, not the tree. *)
+  let incs = Array.make (max 1 (Graph.num_edges g)) 0 in
+  let chord = Array.make (max 1 (Graph.num_edges g)) false in
+  Graph.iter_edges g (fun e ->
+      if Spanning_tree.is_chord tree e then begin
         chord.(e) <- true;
         let u = Graph.src g e and v = Graph.dst g e in
         incs.(e) <- Numbering.value numbering e + phi.(u) - phi.(v)
-      end)
-    hot_edges;
+      end);
   { init = phi.(Routine_ctx.exit ctx); incs; chord }
 
 let init t = t.init

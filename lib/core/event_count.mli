@@ -1,8 +1,12 @@
 (** Ball's event-counting reassignment of edge values (Section 3.1).
 
-    Picks a maximum-weight spanning tree of the (undirected view of the)
-    hot sub-DAG and moves all increments onto the chords, so predicted
-    high-frequency edges carry no instrumentation. With node potentials
+    Takes a maximum-weight spanning tree of the (undirected view of the)
+    hot sub-DAG from {!Ppp_cfg.Spanning_tree} (the tree the VM's edge
+    counters use too) and moves all increments onto its chords, so
+    predicted high-frequency edges carry no instrumentation. Weight ties
+    go to the higher edge id. This module keeps only what is particular
+    to path numbering: the node potentials and the chord increments.
+    With node potentials
     [phi] computed over the tree (crossing a tree edge [u -> v] adds
     [Val]), each chord gets [inc = Val + phi(src) - phi(dst)], and every
     entry-to-exit path satisfies

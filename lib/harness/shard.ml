@@ -310,9 +310,10 @@ type collected = {
 (* Bursty sampled collection of one program: paths come from PPP
    instrumentation run under the sampling controller, not from the
    engine's exact tracer. A cheap edge-only run supplies the
-   instrumenter's self advice; the dump then carries the exact edge
-   profile plus inverse-rate path estimates, so sampled dumps merge
-   uniformly with unsampled ones. *)
+   instrumenter's self advice and the dump's exact edge profile (the
+   sampled run would count the same edges, so it counts none); the dump
+   adds inverse-rate path estimates, so sampled dumps merge uniformly
+   with unsampled ones. *)
 let collect_sampled ?cache ?engine ~spec p =
   let advice =
     Interp.run ?cache ?engine
@@ -326,6 +327,7 @@ let collect_sampled ?cache ?engine ~spec p =
       ~config:
         {
           Interp.default_config with
+          collect_edges = false;
           trace_paths = false;
           instrumentation = Some inst.Instrument.rt;
           sampling = Some spec;
@@ -336,7 +338,7 @@ let collect_sampled ?cache ?engine ~spec p =
     Instrument.decoded_profile ~denom:spec.Sampling.denom inst
       o.Interp.instr_state p
   in
-  Profile_io.Raw.of_program ?edges:o.Interp.edge_profile ~paths p
+  Profile_io.Raw.of_program ~edges:ep ~paths p
 
 let collect_one ?prebuilt ?engine ?sampling ~seed ~scale ~metrics
     (b : Spec.bench) =

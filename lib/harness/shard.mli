@@ -78,7 +78,9 @@ val collect_sampled :
     recovered path counts are scaled back by the inverse rate
     ({!Ppp_interp.Instr_rt.scaled_count}). The resulting dump carries
     the exact edge profile plus full-run path {e estimates} — it merges
-    uniformly with unsampled dumps. Deterministic for a given
+    uniformly with unsampled dumps. The dump's edges are the advice
+    run's: sampling never changes an edge count, so the instrumented
+    run counts no edges. Deterministic for a given
     [(spec, program)] pair, and identical under either [engine]
     (default {!Ppp_interp.Interp.Vm}; [cache] serves only the VM). *)
 

@@ -14,7 +14,7 @@
      whether it ends the current path, the edge's Ball–Larus value and
      restart value for the path tracer, the specialized instrumentation
      actions and their precomputed total cost, and which of these give
-     the edge any work at all, all sit in the opcode;
+     the edge any work at all (the [work] bits), all sit in the opcode;
    - register indices are validated here, so the VM may use unchecked
      register accesses; an out-of-range index lowers to a [Trap] that
      faults only if executed, like the reference engine's lazy error.
@@ -32,14 +32,22 @@
    run's instrumentation pre-actions. A {!cache} keyed by routine
    fingerprint keeps structural plans warm between runs; mutable run
    state (edge counters, path count tables, array contents) is always
-   fresh, so a cached run is byte-identical to a cold one. *)
+   fresh, so a cached run is byte-identical to a cold one.
+
+   A run that counts edges without tracing paths counts only the chords
+   of a spanning tree of each routine's CFG: [mark_chords] rebuilds the
+   terminators the same way specialization does, setting the chord bit,
+   and the cache keeps the tree and the marked stream beside the
+   structural plan. No other run computes a tree. *)
 
 module Graph = Ppp_cfg.Graph
 module Loop = Ppp_cfg.Loop
 module Path_numbering = Ppp_cfg.Path_numbering
+module Spanning_tree = Ppp_cfg.Spanning_tree
 module Ir = Ppp_ir.Ir
 module Cfg_view = Ppp_ir.Cfg_view
 module Edge_profile = Ppp_profile.Edge_profile
+module Static_est = Ppp_profile.Static_est
 module Fingerprint = Ppp_resilience.Fingerprint
 module Obs = Ppp_obs.Metrics
 
@@ -70,10 +78,16 @@ type edge_ops = {
   acts : pre_action array;
   acts_cost : int; (* total Cost.action of the list *)
   act_kinds : int array; (* Instr_rt.action_index per action, for metrics *)
-  work : int;
-      (* 2 when [acts] is non-empty; else 1 when the tracer has work here
-         (a non-zero [path_add], a path end or a cut); else 0 *)
+  work : int; (* work_tracer, work_actions and work_chord bits *)
 }
+
+(* What an edge asks of [Vm.traverse], one bit per kind of work: the
+   tracer's (a non-zero [path_add], a path end or a cut), its actions (a
+   non-empty [acts]), and counting it (a chord of the run's spanning
+   tree, only in runs that count edges without tracing paths). *)
+let work_tracer = 1
+let work_actions = 2
+let work_chord = 4
 
 type op =
   | Fuel of { count : int; cost : int }
@@ -159,6 +173,9 @@ type plan = {
   r_id : int; (* this routine's plan index in its program *)
   nregs : int;
   edge_counts : Edge_profile.t option;
+  chords : Spanning_tree.t option;
+      (* the tree whose chords carry work_chord in every variant: only
+         when the run counts edges without tracing paths *)
   paths : Path_counts.t option;
 }
 
@@ -254,7 +271,8 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
       acts_cost = 0;
       act_kinds = [||];
       work =
-        (if path_add <> 0 || ends_path || path_restart >= 0 then 1 else 0);
+        (if path_add <> 0 || ends_path || path_restart >= 0 then work_tracer
+         else 0);
     }
   in
   (* Emission: [pending] accumulates the current straight-line run of
@@ -477,48 +495,69 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
       | None -> 0);
     nregs = r.Ir.nregs;
     edge_counts = None;
+    chords = None;
     paths = None;
   }
 
 let structural_variant (p : plan) = p.variants.(p.v_plain)
 
-(* Rebuild only the terminator opcodes of a structural plan, attaching
-   the run's instrumentation actions. Everything else — including the
-   Fuel segmentation and the per-op cost table — is instrumentation-
-   independent (action costs are charged by [Vm.traverse] from
-   [acts_cost]), so the arrays are shared. *)
-let specialize_code ~ri ~table (splan : plan) =
-  Obs.incr m_lower_specialize;
-  let spec (eo : edge_ops) =
-    match ri.Instr_rt.edge_actions.(eo.edge) with
-    | [] -> eo
-    | src_acts ->
-        {
-          eo with
-          acts = Array.of_list (List.map (compile_action table) src_acts);
-          acts_cost = Cost.actions ~table:ri.Instr_rt.table src_acts;
-          act_kinds = Array.of_list (List.map Instr_rt.action_index src_acts);
-          work = 2;
-        }
-  in
+(* Rebuild only the terminator opcodes of a stream, with [f] applied to
+   each edge's bookkeeping. Everything else — including the Fuel
+   segmentation and the per-op cost table — is shared. *)
+let map_edges f code =
   Array.map
     (function
-      | Jump { target; edge } -> Jump { target; edge = spec edge }
+      | Jump { target; edge } -> Jump { target; edge = f edge }
       | Branch_r { cond; then_; then_edge; else_; else_edge } ->
           Branch_r
-            {
-              cond;
-              then_;
-              then_edge = spec then_edge;
-              else_;
-              else_edge = spec else_edge;
-            }
-      | Branch_const { target; edge } -> Branch_const { target; edge = spec edge }
-      | Return_r { src; edge } -> Return_r { src; edge = spec edge }
-      | Return_i { imm; edge } -> Return_i { imm; edge = spec edge }
-      | Return_none { edge } -> Return_none { edge = spec edge }
+            { cond; then_; then_edge = f then_edge; else_; else_edge = f else_edge }
+      | Branch_const { target; edge } -> Branch_const { target; edge = f edge }
+      | Return_r { src; edge } -> Return_r { src; edge = f edge }
+      | Return_i { imm; edge } -> Return_i { imm; edge = f edge }
+      | Return_none { edge } -> Return_none { edge = f edge }
       | op -> op)
-    (structural_variant splan).v_code
+    code
+
+(* Attach the run's instrumentation actions to a plain stream. Action
+   costs are charged by [Vm.traverse] from [acts_cost], so the cost
+   table stays the plain stream's. *)
+let specialize_code ~ri ~table code =
+  Obs.incr m_lower_specialize;
+  map_edges
+    (fun eo ->
+      match ri.Instr_rt.edge_actions.(eo.edge) with
+      | [] -> eo
+      | src_acts ->
+          {
+            eo with
+            acts = Array.of_list (List.map (compile_action table) src_acts);
+            acts_cost = Cost.actions ~table:ri.Instr_rt.table src_acts;
+            act_kinds = Array.of_list (List.map Instr_rt.action_index src_acts);
+            work = eo.work lor work_actions;
+          })
+    code
+
+(* The maximum spanning tree whose chords an edges-only run counts:
+   weighted by the static estimate, with the virtual exit -> entry edge
+   forced in. A routine the estimate cannot weigh (a cycle unreachable
+   from the entry leaves no topological order) gets uniform weights. *)
+let chord_tree view =
+  let weight =
+    match Static_est.edge_freqs view with
+    | freqs -> fun e -> freqs.(e)
+    | exception Invalid_argument _ -> fun _ -> 1.0
+  in
+  Spanning_tree.compute
+    ~force:(Cfg_view.exit view, Cfg_view.entry view)
+    ~weight (Cfg_view.graph view)
+
+let mark_chords tree code =
+  map_edges
+    (fun eo ->
+      if Spanning_tree.is_chord tree eo.edge then
+        { eo with work = eo.work lor work_chord }
+      else eo)
+    code
 
 (* ------------------------------------------------------------------ *)
 (* Structural-plan cache.
@@ -537,6 +576,9 @@ type centry = {
          source order. Offsets are baked into the opcodes, so a plan is
          only reusable under the exact same order. *)
   splan : plan;
+  mutable c_chords : (Spanning_tree.t * op array) option;
+      (* the chord tree and the chord-marked plain stream, made by the
+         first edges-only run that uses the entry *)
 }
 
 type cache = {
@@ -613,34 +655,61 @@ let program ?cache ~(config : Engine.config) ~instr_tables (p : Ir.program) =
             Some o
         | _ -> None)
   in
+  (* A run that counts edges without tracing paths counts chords only. *)
+  let counts_chords = config.Engine.collect_edges && not config.Engine.trace_paths in
+  let chords_of splan =
+    let tree = chord_tree splan.view in
+    (tree, mark_chords tree (structural_variant splan).v_code)
+  in
+  let memo_chords e =
+    match e.c_chords with
+    | Some c -> c
+    | None ->
+        let c = chords_of e.splan in
+        e.c_chords <- Some c;
+        c
+  in
+  (* The structural plan, and the chord tree and marked stream when the
+     run counts chords. *)
   let structural (r : Ir.routine) =
     let order = order_of r in
     match structs with
     | None ->
         Obs.incr m_lower_miss;
-        lower_structural ?analysis ?order ~arrays ~routine_index:index r
-    | Some tbl -> (
+        let splan = lower_structural ?analysis ?order ~arrays ~routine_index:index r in
+        (splan, if counts_chords then Some (chords_of splan) else None)
+    | Some tbl ->
         let fp = Fingerprint.routine r in
-        match Hashtbl.find_opt tbl r.Ir.name with
-        | Some e when e.fp = fp && e.c_nregs = r.Ir.nregs && e.c_order = order
-          ->
-            Obs.incr m_lower_hit;
-            e.splan
-        | _ ->
-            Obs.incr m_lower_miss;
-            let splan =
-              lower_structural ?analysis ?order ~arrays ~routine_index:index r
-            in
-            Hashtbl.replace tbl r.Ir.name
-              { fp; c_nregs = r.Ir.nregs; c_order = order; splan };
-            splan)
+        let e =
+          match Hashtbl.find_opt tbl r.Ir.name with
+          | Some e when e.fp = fp && e.c_nregs = r.Ir.nregs && e.c_order = order
+            ->
+              Obs.incr m_lower_hit;
+              e
+          | _ ->
+              Obs.incr m_lower_miss;
+              let splan =
+                lower_structural ?analysis ?order ~arrays ~routine_index:index r
+              in
+              let e =
+                { fp; c_nregs = r.Ir.nregs; c_order = order; splan; c_chords = None }
+              in
+              Hashtbl.replace tbl r.Ir.name e;
+              e
+        in
+        (e.splan, if counts_chords then Some (memo_chords e) else None)
   in
   let plans =
     Array.of_list
       (List.map
          (fun (r : Ir.routine) ->
-           let splan = structural r in
+           let splan, chords = structural r in
            let sv = structural_variant splan in
+           let sv =
+             match chords with
+             | None -> sv
+             | Some (_, marked) -> { sv with v_code = marked }
+           in
            (* The run's variant table is always a fresh array (and the
               plan a fresh record): [tier_up] swaps [cur] and appends
               variants mid-run, and neither may leak into the cached
@@ -653,7 +722,7 @@ let program ?cache ~(config : Engine.config) ~instr_tables (p : Ir.program) =
                  | None -> ([| sv |], 0, 0)
                  | Some ri ->
                      let table = Hashtbl.find_opt instr_tables r.Ir.name in
-                     let icode = specialize_code ~ri ~table splan in
+                     let icode = specialize_code ~ri ~table sv.v_code in
                      ( [|
                          {
                            v_kind = Instrumented;
@@ -676,9 +745,8 @@ let program ?cache ~(config : Engine.config) ~instr_tables (p : Ir.program) =
              (* A run that traces paths derives its edge counts from them
                 (see [Vm.run]), so it keeps no per-edge counter. *)
              edge_counts =
-               (if config.Engine.collect_edges && not config.Engine.trace_paths
-                then Some (Edge_profile.create ~nedges)
-                else None);
+               (if counts_chords then Some (Edge_profile.create ~nedges) else None);
+             chords = Option.map fst chords;
              paths =
                (if config.Engine.trace_paths then Some (Path_counts.create ())
                 else None);
@@ -697,8 +765,9 @@ let program ?cache ~(config : Engine.config) ~instr_tables (p : Ir.program) =
    optimized generation. With a genuine block order this re-lowers the
    routine structurally (against the program's live array refs — only
    opcode placement changes, never contents) and appends the result to
-   the variant table; with no order the plain variant already is the
-   optimized body (instrumentation stripped, current placement kept).
+   the variant table, its chords marked as in the run's other variants;
+   with no order the plain variant already is the optimized body
+   (instrumentation stripped, current placement kept).
    Either way only [cur] moves: frames in flight keep their entry-time
    variant until their next back-edge OSR point, and the swap never
    touches any other routine's plan. *)
@@ -726,6 +795,12 @@ let tier_up ?cache (prog : program) ~idx ~order ~gen =
           ~routine_index:prog.index r
       in
       let sv = structural_variant splan in
+      let code =
+        match plan.chords with
+        | None -> sv.v_code
+        | Some tree -> mark_chords tree sv.v_code
+      in
       plan.variants <-
-        Array.append plan.variants [| { sv with v_kind = Optimized gen } |];
+        Array.append plan.variants
+          [| { sv with v_kind = Optimized gen; v_code = code } |];
       plan.cur <- Array.length plan.variants - 1

@@ -37,12 +37,28 @@ type edge_ops = {
   acts_cost : int;  (** precomputed total {!Cost.action} of the list *)
   act_kinds : int array;  (** {!Instr_rt.action_index} per action *)
   work : int;
-      (** what the edge asks of {!Vm}'s [traverse]: [2] when [acts] is
-          non-empty, else [1] when the path tracer has work here (a
-          non-zero [path_add], a path end or a cut), else [0]. A run
-          traverses the edges whose [work] exceeds its floor, so one
-          comparison per edge serves every profiling mode. *)
+      (** what the edge asks of {!Vm}'s [traverse], as bits:
+          {!work_tracer}, {!work_actions} and {!work_chord}. A run
+          traverses the edges whose [work] shares a bit with its mask,
+          so one load and one test per edge serve every profiling
+          mode. *)
 }
+
+val work_tracer : int
+(** The path tracer has work on the edge: a non-zero [path_add], a path
+    end or a cut. Set in every stream; only a run that traces paths
+    reads it. *)
+
+val work_actions : int
+(** The edge's [acts] is non-empty. Set by specialization, so only an
+    instrumented variant carries it. *)
+
+val work_chord : int
+(** The edge is a chord of the routine's [chords] tree. Set only in a
+    run that counts edges without tracing paths, and there in every
+    variant: the instrumented and plain streams and every tier-up
+    generation. Such a run counts an edge only when it crosses a chord
+    (or an edge with actions); {!Vm} solves the tree edges at the end. *)
 
 type op =
   | Fuel of { count : int; cost : int }
@@ -125,7 +141,15 @@ type plan = {
   nregs : int;
   edge_counts : Ppp_profile.Edge_profile.t option;
       (** live edge counters: only when the run counts edges without
-          tracing paths (a tracing run derives its edge counts) *)
+          tracing paths (a tracing run derives its edge counts). They
+          count the chords of [chords]; the tree edges are solved from
+          them when the run ends. *)
+  chords : Ppp_cfg.Spanning_tree.t option;
+      (** only with [edge_counts]: a maximum spanning tree of the CFG
+          weighted by {!Ppp_profile.Static_est} (uniform when the
+          estimate cannot weigh the routine), with the virtual
+          [exit -> entry] edge forced in. Its chords carry
+          {!work_chord}. *)
   paths : Path_counts.t option;  (** traced path counts, when tracing *)
 }
 
@@ -162,7 +186,10 @@ val is_identity_order : int array -> bool
     and the array set, because Call opcodes embed callee plan indices
     and Load/Store opcodes embed backing-array refs. Mutable run state
     (array contents, edge counters, path count tables) is recreated or wiped
-    per run, so cached runs are byte-identical to cold ones.
+    per run, so cached runs are byte-identical to cold ones. A run that
+    counts edges without tracing paths also takes each routine's chord
+    tree and chord-marked stream from its cache entry, made by the first
+    such run; a structural lowering computes no tree.
 
     Cache traffic is observable through the [session.lower.*] metrics:
     [hit], [miss] (also counted for uncached runs — a cold run is all

@@ -20,11 +20,17 @@
      out-of-range instructions lower to [Trap]); array accesses keep
      their semantic bounds check with the reference engine's message.
 
-   A run that traces paths keeps no edge counter: each edge's count is
-   the sum over the traced paths that cross it, plus the in-flight
-   prefix of every frame still live when fuel runs out (see
-   [derive_in_flight]). So such a run pays only for the tracer's own work
-   per edge, and most edges need none. *)
+   No run counts every edge. A run that traces paths keeps no edge
+   counter: each edge's count is the sum over the traced paths that
+   cross it, plus the in-flight prefix of every frame still live when
+   fuel runs out (see [derive_in_flight]). So such a run pays only for
+   the tracer's own work per edge, and most edges need none. A run that
+   counts edges without tracing paths counts only the chords of each
+   routine's spanning tree ([Lower.work_chord]); at the end it solves
+   every tree edge by flow conservation, after giving each frame still
+   live one unit of flow from its block to the exit (see
+   [complete_edges]). Which edges a run traverses is one bit test per
+   edge against its [work_mask]. *)
 
 module Graph = Ppp_cfg.Graph
 module Path_numbering = Ppp_cfg.Path_numbering
@@ -74,10 +80,10 @@ type state = {
   mutable instr_cost : int;
   mutable dyn_paths : int;
   mutable out_rev : int list;
-  work_floor : int;
-      (* traverse an edge whose [work] exceeds this: -1 while counting
-         edges without tracing (every edge), 0 while tracing (actions or
-         tracer work), 1 otherwise (actions only) *)
+  work_mask : int;
+      (* traverse an edge whose [work] has one of these bits: actions
+         always, plus the tracer's while tracing, or chords while
+         counting edges without tracing *)
   trace_on : bool;
   obs_on : bool; (* metrics flag, latched at run start *)
   count_calls : bool; (* metrics or telemetry want the call total *)
@@ -222,13 +228,15 @@ let store d (a : L.arr) i v =
   Array.unsafe_set d i v
 
 (* An edge's bookkeeping. The dispatch loop calls this only for an edge
-   with work ([has_work]): every edge when the run counts edges without
-   tracing paths; an edge with actions or tracer work when it traces
-   paths; otherwise only an edge whose action list is non-empty. So
-   without counting or tracing, an uninstrumented stream (plain,
-   off-burst or tiered-up) pays nothing per edge, and a tracing run
-   skips every edge with Ball–Larus value 0 that neither ends nor cuts a
-   path. *)
+   with work ([has_work]): a chord or an edge with actions when the run
+   counts edges without tracing paths; an edge with actions or tracer
+   work when it traces paths; otherwise only an edge whose action list
+   is non-empty. So without counting or tracing, an uninstrumented
+   stream (plain, off-burst or tiered-up) pays nothing per edge, a
+   tracing run skips every edge with Ball–Larus value 0 that neither
+   ends nor cuts a path, and a counting run skips every tree edge
+   without actions (a tree edge it does count is solved over at the
+   end). *)
 let traverse st (frame : frame) (plan : L.plan) (eo : L.edge_ops) =
   (match plan.L.edge_counts with
   | Some c -> Edge_profile.incr c eo.L.edge
@@ -277,7 +285,7 @@ let traverse st (frame : frame) (plan : L.plan) (eo : L.edge_ops) =
     done
   end
 
-let[@inline] has_work st (eo : L.edge_ops) = eo.L.work > st.work_floor
+let[@inline] has_work st (eo : L.edge_ops) = eo.L.work land st.work_mask <> 0
 
 (* Execute a fully-paid pure op during the exhaustion remainder. Ops
    that can transfer control (Call, terminators) never appear here:
@@ -691,6 +699,26 @@ let derive_in_flight ?cache st (derived : Edge_profile.t array) =
       @ Path_numbering.decode_prefix tr f.trace_reg ~at)
   done
 
+(* A run that counted only chords: fuel ran out with frames [0, depth)
+   live, each one unit of flow stopped at the block of its saved pc (the
+   same block [derive_in_flight] decodes a prefix up to). With those
+   sinks, conservation fixes every tree edge's count. *)
+let complete_edges st =
+  let sinks = Array.make (Array.length st.plans) [] in
+  for i = 0 to st.depth - 1 do
+    let f = st.frames.(i) in
+    let id = f.plan.L.r_id in
+    sinks.(id) <- block_at f.plan.L.variants.(f.f_var) f.pc :: sinks.(id)
+  done;
+  Array.iter
+    (fun (plan : L.plan) ->
+      match (plan.L.edge_counts, plan.L.chords) with
+      | Some c, Some tree ->
+          Edge_profile.complete c (Cfg_view.graph plan.L.view) tree
+            ~sinks:sinks.(plan.L.r_id)
+      | _ -> ())
+    st.plans
+
 let run ?cache ~(config : E.config) (p : Ir.program) =
   E.validate_call_arities p;
   let instr_tables =
@@ -732,10 +760,10 @@ let run ?cache ~(config : E.config) (p : Ir.program) =
       instr_cost = 0;
       dyn_paths = 0;
       out_rev = [];
-      work_floor =
-        (if config.E.trace_paths then 0
-         else if config.E.collect_edges then -1
-         else 1);
+      work_mask =
+        (if config.E.trace_paths then L.work_tracer lor L.work_actions
+         else if config.E.collect_edges then L.work_chord lor L.work_actions
+         else L.work_actions);
       trace_on = config.E.trace_paths;
       obs_on = E.Obs.enabled ();
       count_calls = E.Obs.enabled () || Option.is_some config.E.telemetry;
@@ -795,6 +823,7 @@ let run ?cache ~(config : E.config) (p : Ir.program) =
     else None
   in
   Option.iter (derive_in_flight ?cache st) derived;
+  if config.E.collect_edges && not config.E.trace_paths then complete_edges st;
   let edge_profile =
     if config.E.collect_edges then begin
       let ep = Edge_profile.create_program p in

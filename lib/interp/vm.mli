@@ -11,7 +11,12 @@
     every frame still live at fuel exhaustion, which each frame's trace
     register recovers ({!Ppp_cfg.Path_numbering.decode_prefix}). So it
     dispatches [traverse] only on an edge with tracer work or actions
-    ({!Lower.edge_ops}[.work]).
+    ({!Lower.edge_ops}[.work]). A run that counts edges without tracing
+    paths counts only the chords of each routine's spanning tree
+    ({!Lower.work_chord}) and edges with actions; when it ends, one unit
+    of flow is sunk at the block of every frame still live, and every
+    tree edge is solved by flow conservation
+    ({!Ppp_profile.Edge_profile.complete}).
     Byte-identical in observable behavior to the reference tree-walker —
     the differential suite in [test/test_engine_diff.ml] holds it to
     that. Use {!Interp.run}, which dispatches here by default. *)

@@ -11,6 +11,8 @@ let add t e n = t.(e) <- t.(e) + n
 let freq t e = t.(e)
 let total t = Array.fold_left ( + ) 0 t
 
+let complete t g tree ~sinks = ignore (Ppp_cfg.Spanning_tree.solve tree g ~sinks t)
+
 type program = (string, t) Hashtbl.t
 
 let create_program (p : Ir.program) =

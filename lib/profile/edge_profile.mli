@@ -2,7 +2,10 @@
 
     The paper assumes edge profiles are essentially free to collect
     (Section 2 cites 0.5–3% with sampling or hardware support), so the
-    interpreter collects them without charging instrumentation cost. *)
+    interpreter collects them without charging instrumentation cost.
+    The VM keeps that cost low too: a run that counts edges without
+    tracing paths counts only the chords of a spanning tree and fills in
+    the tree edges at the end of the run ({!complete}). *)
 
 type t
 (** Edge counts for one routine. *)
@@ -13,6 +16,15 @@ val add : t -> Ppp_cfg.Graph.edge -> int -> unit
 val freq : t -> Ppp_cfg.Graph.edge -> int
 val total : t -> int
 (** Sum of all edge counts. *)
+
+val complete :
+  t -> Ppp_cfg.Graph.t -> Ppp_cfg.Spanning_tree.t -> sinks:Ppp_cfg.Graph.node list -> unit
+(** [complete t g tree ~sinks]: counts that hold only the chords of
+    [tree] (a tree over every edge of the routine's CFG [g], with the
+    virtual [exit -> entry] edge forced in) become the whole edge
+    profile: each tree edge gets the count flow conservation forces
+    ({!Ppp_cfg.Spanning_tree.solve}). [sinks] holds the block of every
+    activation still in flight when the run stopped, one entry each. *)
 
 type program
 (** Edge profiles for every routine of a program, by routine name. *)

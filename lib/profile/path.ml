@@ -3,7 +3,14 @@ module Cfg_view = Ppp_ir.Cfg_view
 
 type t = Graph.edge list
 
-let compare = Stdlib.compare
+(* Lexicographic by edge id, a prefix before its extensions: the order
+   polymorphic compare gives int lists, without its generic walk. *)
+let rec compare (a : t) (b : t) =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: xs, y :: ys -> ( match Int.compare x y with 0 -> compare xs ys | c -> c)
 let equal (a : t) b = a = b
 
 (* FNV-1a over every edge id, then a shift to fold the high bits into the

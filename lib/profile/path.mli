@@ -10,6 +10,8 @@
 type t = Ppp_cfg.Graph.edge list
 
 val compare : t -> t -> int
+(** Lexicographic by edge id, a path before its extensions. *)
+
 val equal : t -> t -> bool
 
 val hash : t -> int

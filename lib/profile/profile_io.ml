@@ -159,7 +159,12 @@ module Raw = struct
     | Some per -> Int_tbl.iter f per
 
   (* The per-routine counter tables, keyed by edge id or by path. *)
-  module Counts (H : Hashtbl.S) = struct
+  module Counts
+      (H : Hashtbl.S)
+      (K : sig
+        val compare : H.key -> H.key -> int
+      end) =
+  struct
     let table tbl name =
       match Hashtbl.find_opt tbl name with
       | Some per -> per
@@ -194,14 +199,15 @@ module Raw = struct
           H.iter (fun k c -> f n per' k c) per)
         src
 
-    (* Nonzero counters in canonical (sorted) order. *)
+    (* Nonzero counters in canonical (sorted) order: keys are unique, so
+       their order alone decides. *)
     let entries per =
       H.fold (fun k c acc -> if c > 0 then (k, c) :: acc else acc) per []
-      |> List.sort compare
+      |> List.sort (fun (a, _) (b, _) -> K.compare a b)
   end
 
-  module E = Counts (Int_tbl)
-  module P = Counts (Path.Tbl)
+  module E = Counts (Int_tbl) (Int)
+  module P = Counts (Path.Tbl) (Path)
 
   let mass t = sat_add (E.mass t.edges) (P.mass t.paths)
 
@@ -590,61 +596,130 @@ module Raw = struct
          (fun i t -> scale_weight (decay ** float_of_int (n - 1 - i)) t)
          inputs)
 
-  (* {3 Canonical writer} *)
+  (* {3 Canonical writer}
+
+     Every line is rendered once, with no formatter in between: the cfg
+     descriptions straight into the dump's buffer, and each section's
+     body into its own string first, so that the section header can
+     carry the body's CRC and line count. *)
 
   let sorted_keys tbl =
-    Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
+    Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort String.compare
 
-  let save ppf t =
-    Format.fprintf ppf "ppp-profile v2@.";
+  let add_int b n = Buffer.add_string b (string_of_int n)
+
+  (* A section's lines, each ending in a newline: a [routine] line for
+     every routine with a nonzero counter, then its counters. *)
+  let section_body tbl entries ~bytes_per_entry render =
+    let per =
+      List.filter_map
+        (fun name ->
+          match entries (Hashtbl.find tbl name) with
+          | [] -> None
+          | es -> Some (name, es))
+        (sorted_keys tbl)
+    in
+    let lines = List.fold_left (fun n (_, es) -> n + 1 + List.length es) 0 per in
+    let b = Buffer.create (16 + (bytes_per_entry * lines)) in
+    List.iter
+      (fun (name, es) ->
+        Buffer.add_string b "routine ";
+        Buffer.add_string b name;
+        Buffer.add_char b '\n';
+        List.iter
+          (fun (k, c) ->
+            render b k c;
+            Buffer.add_char b '\n')
+          es)
+      per;
+    (Buffer.contents b, lines)
+
+  (* The CRC covers the lines joined by newlines: the body without its
+     last newline. *)
+  let add_section out name (body, lines) =
+    Buffer.add_string out "section ";
+    Buffer.add_string out name;
+    Buffer.add_string out " crc=";
+    Buffer.add_string out
+      (Crc.to_hex (Crc.substring body 0 (max 0 (String.length body - 1))));
+    Buffer.add_string out " lines=";
+    add_int out lines;
+    Buffer.add_char out '\n';
+    Buffer.add_string out body
+
+  let to_string t =
+    let edges =
+      section_body t.edges E.entries ~bytes_per_entry:12 (fun b id c ->
+          Buffer.add_char b 'e';
+          add_int b id;
+          Buffer.add_char b ' ';
+          add_int b c)
+    in
+    let paths =
+      section_body t.paths P.entries ~bytes_per_entry:48 (fun b path c ->
+          add_int b c;
+          Buffer.add_string b " :";
+          List.iter
+            (fun e ->
+              Buffer.add_char b ' ';
+              add_int b e)
+            path)
+    in
+    let names = sorted_keys t.descs in
+    let descs_bytes =
+      List.fold_left
+        (fun n name ->
+          let d = Hashtbl.find t.descs name in
+          n + 64 + (48 * Array.length d.Stale_match.labels)
+          + (16 * Array.length d.Stale_match.edges))
+        0 names
+    in
+    let out =
+      Buffer.create
+        (128 + descs_bytes + String.length (fst edges) + String.length (fst paths))
+    in
+    Buffer.add_string out "ppp-profile v2\n";
     List.iter
       (fun name ->
         let d = Hashtbl.find t.descs name in
-        Format.fprintf ppf "cfg routine=%s fp=%s blocks=%d edges=%d@." name
-          (Fingerprint.to_hex d.Stale_match.fingerprint)
-          (Array.length d.Stale_match.strict)
-          (Array.length d.Stale_match.edges);
+        Buffer.add_string out "cfg routine=";
+        Buffer.add_string out name;
+        Buffer.add_string out " fp=";
+        Buffer.add_string out (Fingerprint.to_hex d.Stale_match.fingerprint);
+        Buffer.add_string out " blocks=";
+        add_int out (Array.length d.Stale_match.strict);
+        Buffer.add_string out " edges=";
+        add_int out (Array.length d.Stale_match.edges);
+        Buffer.add_char out '\n';
         Array.iteri
           (fun i lbl ->
-            Format.fprintf ppf "b %s %s %s@." lbl
-              (Fingerprint.to_hex d.Stale_match.strict.(i))
-              (Fingerprint.to_hex d.Stale_match.loose.(i)))
+            Buffer.add_string out "b ";
+            Buffer.add_string out lbl;
+            Buffer.add_char out ' ';
+            Buffer.add_string out (Fingerprint.to_hex d.Stale_match.strict.(i));
+            Buffer.add_char out ' ';
+            Buffer.add_string out (Fingerprint.to_hex d.Stale_match.loose.(i));
+            Buffer.add_char out '\n')
           d.Stale_match.labels;
         Array.iteri
-          (fun i (s, dst) -> Format.fprintf ppf "e %d %d %d@." i s dst)
+          (fun i (src, dst) ->
+            Buffer.add_string out "e ";
+            add_int out i;
+            Buffer.add_char out ' ';
+            add_int out src;
+            Buffer.add_char out ' ';
+            add_int out dst;
+            Buffer.add_char out '\n')
           d.Stale_match.edges)
-      (sorted_keys t.descs);
-    let lines_of tbl entries render =
-      List.concat_map
-        (fun name ->
-          let entries = entries (Hashtbl.find tbl name) in
-          if entries = [] then []
-          else
-            Printf.sprintf "routine %s" name
-            :: List.map (fun (k, c) -> render k c) entries)
-        (sorted_keys tbl)
-    in
-    let section name lines =
-      Format.fprintf ppf "section %s crc=%s lines=%d@." name
-        (Crc.to_hex (crc_lines lines))
-        (List.length lines);
-      List.iter (fun l -> Format.fprintf ppf "%s@." l) lines
-    in
-    section "edges"
-      (lines_of t.edges E.entries (fun id c -> Printf.sprintf "e%d %d" id c));
-    section "paths"
-      (lines_of t.paths P.entries (fun path c ->
-           Printf.sprintf "%d :%s" c
-             (String.concat ""
-                (List.map (fun e -> " " ^ string_of_int e) path))));
-    Format.fprintf ppf "end@."
+      names;
+    add_section out "edges" edges;
+    add_section out "paths" paths;
+    Buffer.add_string out "end\n";
+    Buffer.contents out
 
-  let to_string t =
-    let buf = Buffer.create 4096 in
-    let ppf = Format.formatter_of_buffer buf in
-    save ppf t;
-    Format.pp_print_flush ppf ();
-    Buffer.contents buf
+  let save ppf t =
+    Format.pp_print_string ppf (to_string t);
+    Format.pp_print_flush ppf ()
 
   let save_file ~path t = Ppp_obs.Sink.write_atomic ~path (to_string t)
 end

@@ -26,10 +26,12 @@ let tables =
 let[@inline] lookup k idx = Array.unsafe_get tables ((k lsl 8) lor idx)
 let[@inline] byte s i = Char.code (String.unsafe_get s i)
 
-let update crc s =
-  let n = String.length s in
+let update_sub crc s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Crc.substring";
+  let n = pos + len in
   let c = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
-  let i = ref 0 in
+  let i = ref pos in
   while !i + 8 <= n do
     let j = !i and x = !c in
     c :=
@@ -48,7 +50,9 @@ let update crc s =
   done;
   Int32.of_int (!c lxor 0xFFFFFFFF)
 
+let update crc s = update_sub crc s 0 (String.length s)
 let string s = update 0l s
+let substring s pos len = update_sub 0l s pos len
 
 let to_hex crc = Printf.sprintf "%08lx" crc
 

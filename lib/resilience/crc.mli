@@ -7,6 +7,11 @@
 val string : string -> int32
 (** CRC-32 of the whole string ([0l] for the empty string). *)
 
+val substring : string -> int -> int -> int32
+(** [substring s pos len] is [string (String.sub s pos len)] without the
+    copy.
+    @raise Invalid_argument if the range is not within [s]. *)
+
 val update : int32 -> string -> int32
 (** [update crc s] extends a finalized CRC with more bytes:
     [update (string a) b = string (a ^ b)]. *)

@@ -4,7 +4,9 @@
    path profiles, frequency-table state, and the interp.*/rt.* metrics —
    across all 18 workloads x {none, PP, TPP, PPP} x {full, starved fuel},
    plus QCheck-generated random programs and a fine-grained fuel sweep
-   that walks the exhaustion point through batched segments. *)
+   that walks the exhaustion point through batched segments. Runs that
+   count edges without tracing paths, where the VM counts only spanning
+   tree chords, get the same treatment. *)
 
 module Graph = Ppp_cfg.Graph
 module Loop = Ppp_cfg.Loop
@@ -16,6 +18,10 @@ module Path_profile = Ppp_profile.Path_profile
 module Interp = Ppp_interp.Interp
 module Instr_rt = Ppp_interp.Instr_rt
 module Tier = Ppp_interp.Tier
+module Sampling = Ppp_interp.Sampling
+module Lower = Ppp_interp.Lower
+module Spanning_tree = Ppp_cfg.Spanning_tree
+module Static_est = Ppp_profile.Static_est
 module Spec = Ppp_workloads.Spec
 module Gen = Ppp_workloads.Gen
 module Config = Ppp_core.Config
@@ -432,19 +438,19 @@ let derived_cut () =
    edge (OSR), and fuel runs out while they execute it. The planner
    reverses every block after the entry, so that variant has its own
    block offsets. *)
-let derived_tiered () =
-  let p = Ppp_ir.Parse.program_of_string recursive_src in
+let tiered_recursive_config p =
   let instrumentation =
     Some (Instrument.instrument p (prior_edges p) Config.pp).Instrument.rt
   in
-  let config =
-    {
-      Interp.default_config with
-      Interp.instrumentation;
-      tier =
-        Some (Tier.spec ~threshold:4 ~plan:(Test_tier.reversal_planner p) ());
-    }
-  in
+  {
+    Interp.default_config with
+    Interp.instrumentation;
+    tier = Some (Tier.spec ~threshold:4 ~plan:(Test_tier.reversal_planner p) ());
+  }
+
+let derived_tiered () =
+  let p = Ppp_ir.Parse.program_of_string recursive_src in
+  let config = tiered_recursive_config p in
   Obs.set_enabled true;
   Obs.reset ();
   let full = Interp.run ~engine:Interp.Vm ~config p in
@@ -494,6 +500,225 @@ let qcheck_diff =
         p;
       true)
 
+(* {2 Edges-only runs}
+
+   A VM run that counts edges without tracing paths counts only the
+   chords of each routine's spanning tree and solves the tree edges when
+   the run ends, after sinking one unit of flow at the block of every
+   frame still live when fuel runs out. Every variant carries the chord
+   marks: the instrumented and plain streams a sampled run swaps
+   between, and every tier-up generation. *)
+
+let edges_only config =
+  { config with Interp.collect_edges = true; trace_paths = false }
+
+(* Uninstrumented, PPP, PPP sampled at 1/16 and PPP tiered under a
+   planner that reverses every block after the entry, so each tier-up
+   generation is a re-lowering with its own offsets. *)
+let edges_only_modes p =
+  let instrumentation =
+    Some (Instrument.instrument p (prior_edges p) Config.ppp).Instrument.rt
+  in
+  let ppp = { Interp.default_config with Interp.instrumentation } in
+  List.map
+    (fun (name, config) -> (name, edges_only config))
+    [
+      ("none", Interp.default_config);
+      ("ppp", ppp);
+      ("ppp sampled 1/16", { ppp with sampling = Some (Sampling.spec ~seed:7 ~denom:16 ()) });
+      ( "ppp tiered",
+        { ppp with tier = Some (Tier.spec ~threshold:2 ~plan:(Test_tier.reversal_planner p) ()) } );
+    ]
+
+let edges_only_workloads () =
+  List.iter
+    (fun (bench : Spec.bench) ->
+      let p = bench.Spec.build ~scale:1 in
+      let full = (Interp.run p).Interp.dyn_instrs in
+      List.iter
+        (fun (mname, config) ->
+          List.iter
+            (fun fuel ->
+              check_diff
+                (Printf.sprintf "%s/%s/edges-only/fuel=%d" bench.Spec.bench_name mname fuel)
+                { config with Interp.fuel }
+                p)
+            [ Interp.default_config.Interp.fuel; full / 3; 5_000 ])
+        (edges_only_modes p))
+    Spec.all
+
+let edges_only_fuel_sweep () =
+  let p = (Spec.find "bzip2").Spec.build ~scale:1 in
+  List.iter
+    (fun (mname, config) ->
+      List.iter
+        (fun fuel ->
+          check_diff
+            (Printf.sprintf "%s/edges-only/fuel=%d" mname fuel)
+            { config with Interp.fuel }
+            p)
+        (List.init 120 succ @ [ 503; 2_000; 10_007; 60_013 ]))
+    (edges_only_modes p)
+
+let edges_only_recursive () =
+  let p = Ppp_ir.Parse.program_of_string recursive_src in
+  List.iter
+    (fun (mname, instrumentation) ->
+      let outs =
+        every_budget ("recursive/edges-only/" ^ mname)
+          (edges_only { Interp.default_config with Interp.instrumentation })
+          p
+      in
+      Alcotest.(check bool)
+        (mname ^ ": fuel runs out six frames deep")
+        true
+        (List.exists (fun o -> stack_depth o = 6) outs))
+    (methods p)
+
+let edges_only_cut () =
+  ignore
+    (every_budget "2^70 paths/edges-only"
+       (edges_only Interp.default_config)
+       (too_many_paths_program ()))
+
+let edges_only_tiered () =
+  let p = Ppp_ir.Parse.program_of_string recursive_src in
+  let outs =
+    every_budget "tiered recursive/edges-only"
+      (edges_only (tiered_recursive_config p))
+      p
+  in
+  Alcotest.(check bool) "fuel runs out after the swap, frames live" true
+    (List.exists
+       (fun o -> o.Interp.tier_decisions <> [] && stack_depth o >= 2)
+       outs)
+
+let qcheck_edges_only =
+  QCheck.Test.make ~count:40 ~name:"random programs, random budgets: edges-only"
+    QCheck.(pair small_int (int_bound 1_000_000))
+    (fun (seed, r) ->
+      let p = Gen.program ~seed in
+      let full = Interp.run ~engine:Interp.Reference p in
+      let fuel = 1 + (r mod max 1 full.Interp.dyn_instrs) in
+      List.iter
+        (fun (mname, instrumentation) ->
+          check_diff
+            (Printf.sprintf "gen(seed=%d)/%s/edges-only/fuel=%d" seed mname fuel)
+            (edges_only { Interp.default_config with Interp.instrumentation; fuel })
+            p)
+        (List.filter (fun (m, _) -> m = "none" || m = "ppp") (methods p));
+      true)
+
+(* A routine whose blocks 3 and 4 form a cycle no path from the entry
+   reaches, with an edge out of it into the reachable exit block, and a
+   second unreachable cycle (5, 6) on its own. Neither [Ppp_ir.Parse]
+   nor [Ppp_ir.Builder] makes one. The static estimate cannot order
+   such a graph, so the chord tree falls back to uniform weights. *)
+let unreachable_cycle_program () =
+  let block label instrs term = { Ir.label; instrs; term } in
+  let main =
+    {
+      Ir.name = "main";
+      nparams = 0;
+      nregs = 2;
+      blocks =
+        [|
+          block "entry" [| Ir.Mov (0, Ir.Imm 0) |] (Ir.Jump 1);
+          block "head"
+            [| Ir.Binop (0, Ir.Add, Ir.Reg 0, Ir.Imm 1); Ir.Binop (1, Ir.Lt, Ir.Reg 0, Ir.Imm 5) |]
+            (Ir.Branch (Ir.Reg 1, 1, 2));
+          block "done" [| Ir.Out (Ir.Reg 0) |] (Ir.Return (Some (Ir.Reg 0)));
+          block "u1" [| Ir.Out (Ir.Imm 1) |] (Ir.Jump 4);
+          block "u2" [||] (Ir.Branch (Ir.Reg 1, 3, 2));
+          block "v1" [||] (Ir.Jump 6);
+          block "v2" [||] (Ir.Jump 5);
+        |];
+    }
+  in
+  { Ir.arrays = []; routines = [ main ]; main = "main" }
+
+let edges_only_unreachable_cycle () =
+  let p = unreachable_cycle_program () in
+  (match Static_est.edge_freqs (Cfg_view.of_routine (Ir.routine p "main")) with
+  | _ -> Alcotest.fail "the static estimate weighs an unreachable cycle"
+  | exception Invalid_argument _ -> ());
+  check_diff "unreachable cycle/edges-only" (edges_only Interp.default_config) p;
+  ignore
+    (every_budget "unreachable cycle/edges-only" (edges_only Interp.default_config) p)
+
+(* Only an edges-only run marks chords, and there every variant carries
+   exactly the chords of the plan's tree: the instrumented and plain
+   streams and a tier-up re-lowering. *)
+let chord_marks () =
+  let p = (Spec.find "vpr").Spec.build ~scale:1 in
+  let instrumentation =
+    Some (Instrument.instrument p (prior_edges p) Config.ppp).Instrument.rt
+  in
+  let lower config =
+    let instr_tables =
+      match instrumentation with
+      | Some i -> Instr_rt.init_state ~policy:config.Interp.overflow_policy i
+      | None -> Hashtbl.create 1
+    in
+    Lower.program ~config ~instr_tables p
+  in
+  let edges (v : Lower.variant) =
+    Array.fold_left
+      (fun acc op ->
+        match op with
+        | Lower.Jump { edge; _ } | Lower.Branch_const { edge; _ }
+        | Lower.Return_r { edge; _ } | Lower.Return_i { edge; _ }
+        | Lower.Return_none { edge } ->
+            edge :: acc
+        | Lower.Branch_r { then_edge; else_edge; _ } -> then_edge :: else_edge :: acc
+        | _ -> acc)
+      [] v.Lower.v_code
+  in
+  let marked (eo : Lower.edge_ops) = eo.Lower.work land Lower.work_chord <> 0 in
+  List.iter
+    (fun (label, config) ->
+      Array.iter
+        (fun (plan : Lower.plan) ->
+          Alcotest.(check bool) (label ^ ": no tree") true (plan.Lower.chords = None);
+          Array.iter
+            (fun v ->
+              Alcotest.(check bool) (label ^ ": no chord marks") false
+                (List.exists marked (edges v)))
+            plan.Lower.variants)
+        (lower config).Lower.plans)
+    [
+      ("plain", { Interp.default_config with Interp.collect_edges = false; trace_paths = false });
+      ("traced", { Interp.default_config with Interp.instrumentation });
+    ];
+  let prog = lower (edges_only { Interp.default_config with Interp.instrumentation }) in
+  Array.iter
+    (fun (plan : Lower.plan) ->
+      let nblocks = Array.length plan.Lower.routine.Ir.blocks in
+      if nblocks >= 3 then
+        Lower.tier_up prog ~idx:plan.Lower.r_id
+          ~order:(Some (Array.init nblocks (fun i -> if i = 0 then 0 else nblocks - i)))
+          ~gen:1)
+    prog.Lower.plans;
+  Array.iter
+    (fun (plan : Lower.plan) ->
+      let tree = Option.get plan.Lower.chords in
+      Alcotest.(check bool)
+        (plan.Lower.routine.Ir.name ^ ": a tier-up generation") true
+        (Array.length plan.Lower.routine.Ir.blocks < 3
+        || Array.length plan.Lower.variants >= 2);
+      Array.iter
+        (fun v ->
+          List.iter
+            (fun (eo : Lower.edge_ops) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: edge %d marked iff a chord" plan.Lower.routine.Ir.name
+                   eo.Lower.edge)
+                (Spanning_tree.is_chord tree eo.Lower.edge)
+                (marked eo))
+            (edges v))
+        plan.Lower.variants)
+    prog.Lower.plans
+
 let suite =
   List.map workload_case Spec.all
   @ [
@@ -512,4 +737,17 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_diff;
       Alcotest.test_case "untraced PPP run = traced PPP run" `Quick
         untraced_instrumented;
+      Alcotest.test_case "edges-only: workloads x modes x budgets" `Quick
+        edges_only_workloads;
+      Alcotest.test_case "edges-only: fuel sweep" `Quick edges_only_fuel_sweep;
+      Alcotest.test_case "edges-only: recursion at every budget" `Quick
+        edges_only_recursive;
+      Alcotest.test_case "edges-only: cut routine at every budget" `Quick
+        edges_only_cut;
+      Alcotest.test_case "edges-only: tiered OSR at every budget" `Quick
+        edges_only_tiered;
+      Alcotest.test_case "edges-only: unreachable cycle" `Quick
+        edges_only_unreachable_cycle;
+      Alcotest.test_case "edges-only: chord marks on every variant" `Quick chord_marks;
+      QCheck_alcotest.to_alcotest qcheck_edges_only;
     ]

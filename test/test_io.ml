@@ -371,6 +371,102 @@ let test_of_raw_merge_decayed () =
       check_of_raw (Printf.sprintf "generated merge onto %d" i) p merged)
     gens
 
+(* The canonical writer as it stood when each line went through
+   [Format] with a flush: kept here so the one-buffer writer is held to
+   the same bytes. *)
+let format_writer raw =
+  let module Raw = Profile_io.Raw in
+  let module Fp = Ppp_resilience.Fingerprint in
+  let module Sm = Ppp_resilience.Stale_match in
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  Format.fprintf ppf "ppp-profile v2@.";
+  let names = Raw.routines raw in
+  List.iter
+    (fun name ->
+      match Raw.desc raw name with
+      | None -> ()
+      | Some d ->
+          Format.fprintf ppf "cfg routine=%s fp=%s blocks=%d edges=%d@." name
+            (Fp.to_hex d.Sm.fingerprint) (Array.length d.Sm.strict)
+            (Array.length d.Sm.edges);
+          Array.iteri
+            (fun i lbl ->
+              Format.fprintf ppf "b %s %s %s@." lbl (Fp.to_hex d.Sm.strict.(i))
+                (Fp.to_hex d.Sm.loose.(i)))
+            d.Sm.labels;
+          Array.iteri
+            (fun i (s, dst) -> Format.fprintf ppf "e %d %d %d@." i s dst)
+            d.Sm.edges)
+    names;
+  let lines_of iter render =
+    List.concat_map
+      (fun name ->
+        let acc = ref [] in
+        iter raw name (fun k c -> if c > 0 then acc := (k, c) :: !acc);
+        match List.sort compare !acc with
+        | [] -> []
+        | entries ->
+            Printf.sprintf "routine %s" name
+            :: List.map (fun (k, c) -> render k c) entries)
+      names
+  in
+  let section name lines =
+    Format.fprintf ppf "section %s crc=%s lines=%d@." name
+      (Crc.to_hex (Crc.string (String.concat "\n" lines)))
+      (List.length lines);
+    List.iter (fun l -> Format.fprintf ppf "%s@." l) lines
+  in
+  section "edges" (lines_of Raw.iter_edges (fun id c -> Printf.sprintf "e%d %d" id c));
+  section "paths"
+    (lines_of Raw.iter_paths (fun path c ->
+         Printf.sprintf "%d :%s" c
+           (String.concat "" (List.map (fun e -> " " ^ string_of_int e) path))));
+  Format.fprintf ppf "end@.";
+  Format.pp_print_flush ppf ();
+  Buffer.contents buf
+
+(* The 18 workloads' exact and sampled dumps, their merges as a collect
+   round makes them, a decayed merge of the two, and dumps with empty
+   sections: [Raw.to_string] and [Raw.save] write the Format writer's
+   bytes. *)
+let test_writer_bytes () =
+  let module Raw = Profile_io.Raw in
+  let same label raw =
+    let expected = format_writer raw in
+    Alcotest.(check string) (label ^ ": to_string") expected (Raw.to_string raw);
+    Alcotest.(check string) (label ^ ": save") expected
+      (Format.asprintf "%a" Raw.save raw)
+  in
+  let per =
+    List.map
+      (fun (b : Ppp_workloads.Spec.bench) ->
+        let name = b.Ppp_workloads.Spec.bench_name in
+        let p = b.Ppp_workloads.Spec.build ~scale:1 in
+        let o = Interp.run p in
+        let exact =
+          Raw.of_program ?edges:o.Interp.edge_profile ?paths:o.Interp.path_profile p
+        in
+        let sampled =
+          Ppp_harness.Shard.collect_sampled
+            ~spec:(Ppp_interp.Sampling.spec ~seed:42 ~denom:16 ())
+            p
+        in
+        same (name ^ " exact") exact;
+        same (name ^ " sampled") sampled;
+        same (name ^ " no counts") (Raw.of_program p);
+        same (name ^ " edges only") (Raw.of_program ?edges:o.Interp.edge_profile p);
+        let prefixed raw = Raw.rename (fun r -> name ^ "/" ^ r) raw in
+        (prefixed exact, prefixed sampled))
+      Ppp_workloads.Spec.all
+  in
+  let exact = Raw.merge (List.map fst per) in
+  let sampled = Raw.merge (List.map snd per) in
+  same "merged exact" exact;
+  same "merged sampled" sampled;
+  same "decayed" (Raw.merge_decayed ~decay:0.5 [ exact; sampled; sampled ]);
+  same "empty" (Raw.empty ())
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_profile_roundtrip;
@@ -396,4 +492,5 @@ let suite =
       test_of_raw_stale;
     Alcotest.test_case "of_raw loads what the text loads: decayed merges"
       `Quick test_of_raw_merge_decayed;
+    Alcotest.test_case "one-buffer writer = Format writer" `Quick test_writer_bytes;
   ]

@@ -1,11 +1,13 @@
 (* Cross-cutting property tests against brute force on randomly
    generated programs: dominators, potential-flow enumeration, flow-value
-   algebra, and numbering/event-counting invariants checked directly on
-   DAGs rather than through the interpreter. *)
+   algebra, numbering/event-counting invariants checked directly on
+   DAGs rather than through the interpreter, and the shared spanning
+   tree on random multigraphs. *)
 
 module Graph = Ppp_cfg.Graph
 module Loop = Ppp_cfg.Loop
 module Path_numbering = Ppp_cfg.Path_numbering
+module Spanning_tree = Ppp_cfg.Spanning_tree
 module Order = Ppp_cfg.Order
 module Dom = Ppp_cfg.Dom
 module Ir = Ppp_ir.Ir
@@ -300,6 +302,132 @@ let prop_flowval_shift =
       = Flowval.total_flow a ~metric:Metric.Unit_flow
       && Flowval.cardinal s = Flowval.cardinal a)
 
+(* {2 The shared spanning tree} *)
+
+(* A random multigraph: 2..10 nodes, entry 0, exit the last node, and
+   random edges with self-loops and parallel edges; some nodes get no
+   edge or lie out of the entry's reach. Weights are small integers, so
+   ties are common. *)
+let random_multigraph seed =
+  let rng = Random.State.make [| seed |] in
+  let n = 2 + Random.State.int rng 9 in
+  let g = Graph.create () in
+  Graph.add_nodes g n;
+  for _ = 1 to Random.State.int rng (3 * n) do
+    let u = Random.State.int rng n in
+    let v = if Random.State.int rng 6 = 0 then u else Random.State.int rng n in
+    ignore (Graph.add_edge g u v);
+    if Random.State.int rng 5 = 0 then ignore (Graph.add_edge g u v)
+  done;
+  let w = Array.init (max 1 (Graph.num_edges g)) (fun _ -> float (Random.State.int rng 4)) in
+  (rng, g, w)
+
+(* Kruskal as documented: the forced edge first, then by weight
+   descending, ties to the higher edge id. *)
+let reference_tree g w ~force:(fu, fv) =
+  let parent = Array.init (Graph.num_nodes g) Fun.id in
+  let rec find i = if parent.(i) = i then i else find parent.(i) in
+  let join u v =
+    let ru = find u and rv = find v in
+    ru <> rv
+    && begin
+         parent.(ru) <- rv;
+         true
+       end
+  in
+  ignore (join fu fv);
+  let order =
+    List.sort
+      (fun a b -> match Float.compare w.(b) w.(a) with 0 -> Int.compare b a | c -> c)
+      (List.init (Graph.num_edges g) Fun.id)
+  in
+  let in_tree = Array.make (max 1 (Graph.num_edges g)) false in
+  List.iter (fun e -> if join (Graph.src g e) (Graph.dst g e) then in_tree.(e) <- true) order;
+  (in_tree, find)
+
+let prop_spanning_tree_spans =
+  QCheck.Test.make
+    ~name:"spanning tree: holds the forced edge, spans each component, Kruskal order"
+    ~count:300
+    QCheck.(small_int)
+    (fun seed ->
+      let _, g, w = random_multigraph seed in
+      let n = Graph.num_nodes g in
+      let force = (n - 1, 0) in
+      let t = Spanning_tree.compute ~force ~weight:(fun e -> w.(e)) g in
+      let expected, _ = reference_tree g w ~force in
+      (* The forced edge and the tree edges form a forest: adding them in
+         that order never closes a cycle, and every edge's ends end up
+         joined. *)
+      let parent = Array.init n Fun.id in
+      let rec find i = if parent.(i) = i then i else find parent.(i) in
+      let join u v =
+        let ru = find u and rv = find v in
+        ru <> rv
+        && begin
+             parent.(ru) <- rv;
+             true
+           end
+      in
+      let forced_in = join (fst force) (snd force) in
+      let acyclic =
+        Graph.fold_edges g ~init:true ~f:(fun ok e ->
+            if Spanning_tree.in_tree t e then join (Graph.src g e) (Graph.dst g e) && ok
+            else ok)
+      in
+      let spans =
+        Graph.fold_edges g ~init:true ~f:(fun ok e ->
+            ok && find (Graph.src g e) = find (Graph.dst g e))
+      in
+      forced_in && acyclic && spans
+      && Graph.fold_edges g ~init:true ~f:(fun ok e ->
+             ok
+             && Spanning_tree.in_tree t e = expected.(e)
+             && Spanning_tree.is_chord t e = not expected.(e)))
+
+(* Walks from the entry along random out-edges: one that reaches the
+   exit is complete, one that stops early (step budget spent or no
+   out-edge) is cut short and leaves a sink where it stopped. Given the
+   chord counts and the sinks, [solve] must recover every tree edge's
+   count, whatever the tree edges held before, and the number of walks
+   as the forced edge's. *)
+let prop_spanning_tree_solve =
+  QCheck.Test.make ~name:"spanning tree: solve recovers random walks' tree edges"
+    ~count:300
+    QCheck.(small_int)
+    (fun seed ->
+      let rng, g, w = random_multigraph seed in
+      let n = Graph.num_nodes g in
+      let exit = n - 1 in
+      let t = Spanning_tree.compute ~force:(exit, 0) ~weight:(fun e -> w.(e)) g in
+      let truth = Array.make (max 1 (Graph.num_edges g)) 0 in
+      let sinks = ref [] in
+      let walks = 1 + Random.State.int rng 4 in
+      for _ = 1 to walks do
+        let rec walk v steps =
+          if v = exit then ()
+          else
+            match Graph.out_edges g v with
+            | [] -> sinks := v :: !sinks
+            | _ when steps = 0 -> sinks := v :: !sinks
+            | outs ->
+                let e = List.nth outs (Random.State.int rng (List.length outs)) in
+                truth.(e) <- truth.(e) + 1;
+                walk (Graph.dst g e) (steps - 1)
+        in
+        walk 0 (Random.State.int rng 40)
+      done;
+      let counts =
+        Array.mapi
+          (fun e c ->
+            if e < Graph.num_edges g && Spanning_tree.in_tree t e then
+              Random.State.int rng 100
+            else c)
+          truth
+      in
+      let forced = Spanning_tree.solve t g ~sinks:!sinks counts in
+      forced = walks && counts = truth)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_dominators_brute_force;
@@ -313,4 +441,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_flowval_union_assoc;
     QCheck_alcotest.to_alcotest prop_flowval_total_additive;
     QCheck_alcotest.to_alcotest prop_flowval_shift;
+    QCheck_alcotest.to_alcotest prop_spanning_tree_spans;
+    QCheck_alcotest.to_alcotest prop_spanning_tree_solve;
   ]
