@@ -5,8 +5,7 @@
 
    Usage: main.exe [FLAG ...] [ACTION | SECTION ...]
 
-   With neither, prints every table and figure and runs the timing
-   section.
+   With neither, prints every table and figure.
 
    Actions print the paper's tables: table1, table2, fig9 | fig10 |
    fig11, fig12, fig13, sec8.1, tables (all of them).
@@ -25,8 +24,6 @@
      throughput  VM and reference-engine Minstr/s, profiling off and
                  with edges + path tracing on             (wall clock)
      prepare     preparation time per phase             (wall clock)
-     timing      Bechamel ns per run, plain and per profiler
-                                                         (wall clock)
 
    Flags:
      --scale N          larger inputs (default 1)
@@ -210,7 +207,7 @@ let () =
     !named;
   let machine = !jobs > 1 || !smoke in
   let named =
-    if !named = [] && not machine then [ "tables"; "timing" ] else List.rev !named
+    if !named = [] && not machine then [ "tables" ] else List.rev !named
   in
   let sections = R.select named in
   if !jobs > 1 then

@@ -32,19 +32,29 @@ open Cmdliner
 
 exception Cli_error of string
 
+(* Exit with this code: raised, not called, so that [with_obs] still
+   writes its sinks on the way out. *)
+exception Quit of int
+
 let cli_error fmt = Format.kasprintf (fun s -> raise (Cli_error s)) fmt
+
+(* [Some NAME] for a [bench:NAME] program. *)
+let bench_of spec =
+  match String.index_opt spec ':' with
+  | Some i when String.sub spec 0 i = "bench" ->
+      Some (String.sub spec (i + 1) (String.length spec - i - 1))
+  | _ -> None
 
 let load_program spec ~scale =
   Trace.with_span ~args:[ ("program", spec) ] "parse" @@ fun () ->
-  match String.index_opt spec ':' with
-  | Some i when String.sub spec 0 i = "bench" ->
-      let name = String.sub spec (i + 1) (String.length spec - i - 1) in
-      (match Ppp_workloads.Spec.find_opt name with
+  match bench_of spec with
+  | Some name -> (
+      match Ppp_workloads.Spec.find_opt name with
       | Some b -> b.Ppp_workloads.Spec.build ~scale
       | None ->
           cli_error "unknown benchmark %S (run `pppc benches` to list them)"
             name)
-  | _ -> (
+  | None -> (
       (* Well-formedness checking of a user-supplied program raises
          Invalid_argument from inside the parser; that is bad input, not
          a bug, so report it like a parse error. *)
@@ -124,6 +134,7 @@ let handle_errors f =
       in
       Format.eprintf "%a@." Diagnostic.pp d;
       exit 2
+  | Quit code -> exit code
   | Cli_error msg
   | Sys_error msg
   (* an unwritable --metrics-out/--trace-out surfaces from with_obs's
@@ -497,35 +508,26 @@ let daemon_args =
   in
   Term.(const (fun s d r -> (s, d, r)) $ socket $ deadline $ required)
 
-(* Run [req] against the daemon and hand a successful reply to [accept].
-   Unreachable/shed degrades to [fallback] (exit 12) unless [required]
-   (exit 10); a timeout is terminal (exit 11): the budget is spent, so
-   silently redoing the work in-process would break the bound. *)
-let via_daemon ~socket ~deadline_ms ~required ~req ~accept ~fallback =
+(* Send [req] to the daemon and print its reply. Unreachable/shed
+   degrades to [fallback] (exit 12) unless [required] (exit 10); a
+   timeout is terminal (exit 11): the budget is spent, so silently
+   redoing the work in-process would break the bound. *)
+let via_daemon ~socket ~deadline_ms ~required ~output ?name ~fallback req =
   match Daemon_client.call ~socket ~deadline_ms req with
-  | Ok (body, meta) -> accept body meta
-  | Error Daemon_client.Timeout ->
-      Format.eprintf "%a@." Diagnostic.pp
-        (Daemon_client.failure_diagnostic Daemon_client.Timeout);
-      exit Daemon_client.Exit.request_timeout
-  | Error (Daemon_client.Remote (_, ds)) ->
-      Format.eprintf "%a" Diagnostic.pp_list ds;
-      exit 2
-  | Error ((Daemon_client.Unreachable _ | Daemon_client.Shed) as f) ->
+  | Ok (body, meta) -> Daemon_ops.print ?output ?name (Daemon_ops.Okay { body; meta })
+  | Error (Daemon_client.Remote (code, diagnostics)) ->
+      Daemon_ops.print (Daemon_ops.Failed { code; diagnostics });
+      raise (Quit 2)
+  | Error f ->
       Format.eprintf "%a@." Diagnostic.pp (Daemon_client.failure_diagnostic f);
-      if required then exit Daemon_client.Exit.daemon_unreachable
-      else begin
-        Format.eprintf "%a@." Diagnostic.pp
-          (Diagnostic.make ~severity:Diagnostic.Warning Diagnostic.Degraded
-             "falling back to the in-process path");
-        fallback ();
-        exit Daemon_client.Exit.degraded
-      end
-
-(* A diagnostic list a daemon reply carries in its meta, printed where
-   the in-process path prints its own. *)
-let meta_diagnostics meta field =
-  Option.fold ~none:[] ~some:Diagnostic.list_of_json (List.assoc_opt field meta)
+      if f = Daemon_client.Timeout then
+        raise (Quit Daemon_client.Exit.request_timeout);
+      if required then raise (Quit Daemon_client.Exit.daemon_unreachable);
+      Format.eprintf "%a@." Diagnostic.pp
+        (Diagnostic.make ~severity:Diagnostic.Warning Diagnostic.Degraded
+           "falling back to the in-process path");
+      fallback ();
+      raise (Quit Daemon_client.Exit.degraded)
 
 (* Collect every built-in workload under the worker pool and merge the
    shards; [pppc collect bench:all]. *)
@@ -563,7 +565,7 @@ let collect_all ~scale ~engine ~jobs ~warm ~output ~shard_dir ~metrics_wanted
     jobs
     (Profile_io.Raw.mass c.Shard.raw)
     (Profile_io.Raw.lost c.Shard.raw);
-  if c.Shard.lost <> [] then exit 3
+  if c.Shard.lost <> [] then raise (Quit 3)
 
 let collect_cmd =
   let output_arg =
@@ -627,57 +629,35 @@ let collect_cmd =
           if denom <= 1 then None
           else Some (Sampling.spec ~denom ~burst ~seed:sample_seed ())
         in
-        let local_single () =
-          with_obs obs (fun () ->
-              let p = load_program spec ~scale in
-              match sampling with
-              | Some spec ->
-                  let raw = Shard.collect_sampled ~engine ~spec p in
-                  let text = Profile_io.Raw.to_string raw in
-                  (match output with
-                  | None -> print_string text
-                  | Some path -> write_file path text)
-              | None ->
-                  let o = Interp.run ~engine p in
-                  let write ppf =
-                    Ppp_profile.Profile_io.save ?edges:o.Interp.edge_profile
-                      ?paths:o.Interp.path_profile ppf p
-                  in
-                  (match output with
-                  | None -> write Format.std_formatter
-                  | Some path -> write_file path (Format.asprintf "%t" write)))
-        in
-        if spec = "bench:all" then begin
-          if daemon <> None then
-            cli_error "--daemon serves one workload per request, not bench:all";
-          with_obs obs (fun () ->
-              collect_all ~scale ~engine ~jobs ~warm ~output ~shard_dir
-                ~metrics_wanted:(Option.is_some (fst obs)) ~sampling)
-        end
-        else
+        let daemon =
           match daemon with
-          | None -> local_single ()
+          | None -> None
+          | Some _ when spec = "bench:all" ->
+              cli_error "--daemon serves one workload per request, not bench:all"
           | Some socket -> (
-              match String.index_opt spec ':' with
-              | Some i when String.sub spec 0 i = "bench" ->
-                  let bench =
-                    String.sub spec (i + 1) (String.length spec - i - 1)
-                  in
-                  via_daemon ~socket ~deadline_ms:daemon_deadline_ms
-                    ~required:daemon_required
-                    ~req:
-                      (Daemon_ops.Collect
-                         { bench; scale; sample_rate = denom; burst;
-                           sample_seed })
-                    ~accept:(fun body _meta ->
-                      match output with
-                      | None -> print_string body
-                      | Some path -> write_file path body)
-                    ~fallback:local_single
-              | _ ->
+              match bench_of spec with
+              | Some bench -> Some (socket, bench)
+              | None ->
                   cli_error
                     "--daemon needs a bench:NAME program (got %S): the daemon \
-                     does not read local files" spec))
+                     does not read local files" spec)
+        in
+        let in_process () =
+          Daemon_ops.print ?output
+            (Daemon_ops.collect ~engine ?sampling (load_program spec ~scale))
+        in
+        with_obs obs (fun () ->
+            if spec = "bench:all" then
+              collect_all ~scale ~engine ~jobs ~warm ~output ~shard_dir
+                ~metrics_wanted:(Option.is_some (fst obs)) ~sampling
+            else
+              match daemon with
+              | None -> in_process ()
+              | Some (socket, bench) ->
+                  via_daemon ~socket ~deadline_ms:daemon_deadline_ms
+                    ~required:daemon_required ~output ~fallback:in_process
+                    (Daemon_ops.Collect
+                       { bench; scale; sample_rate = denom; burst; sample_seed })))
   in
   let doc =
     "Run a program and dump its edge and path profiles as text (validated \
@@ -718,44 +698,16 @@ let merge_cmd =
     handle_errors @@ fun () ->
     if not (decay > 0.0 && decay <= 1.0) then
       cli_error "--decay must be in (0, 1] (got %g)" decay;
-    let emit text = match output with
-      | None -> print_string text
-      | Some path -> write_file path text
-    in
-    let local () =
-      let inputs =
-        List.map (fun path -> Profile_io.Raw.parse (read_file path)) files
-      in
-      let merged =
-        if decay < 1.0 then Profile_io.Raw.merge_decayed ~decay inputs
-        else Profile_io.Raw.merge inputs
-      in
-      (match Profile_io.Raw.diagnostics merged with
-      | [] -> ()
-      | ds -> Format.eprintf "%a" Diagnostic.pp_list ds);
-      Format.eprintf "merged %d dumps: count mass %d, lost %d@."
-        (List.length files)
-        (Profile_io.Raw.mass merged)
-        (Profile_io.Raw.lost merged);
-      emit (Profile_io.Raw.to_string merged)
+    let in_process () =
+      Daemon_ops.print ?output
+        (Daemon_ops.merge ~decay (List.map read_file files))
     in
     match daemon with
-    | None -> local ()
+    | None -> in_process ()
     | Some socket ->
-        let dumps = List.map read_file files in
         via_daemon ~socket ~deadline_ms:daemon_deadline_ms
-          ~required:daemon_required
-          ~req:(Daemon_ops.Merge { dumps; decay })
-          ~accept:(fun body meta ->
-            Format.eprintf "%a" Diagnostic.pp_list
-              (meta_diagnostics meta "diagnostics");
-            (match (List.assoc_opt "mass" meta, List.assoc_opt "lost" meta) with
-            | Some (Jsonx.Int mass), Some (Jsonx.Int lost) ->
-                Format.eprintf "merged %d dumps: count mass %d, lost %d@."
-                  (List.length files) mass lost
-            | _ -> ());
-            emit body)
-          ~fallback:local
+          ~required:daemon_required ~output ~fallback:in_process
+          (Daemon_ops.Merge { dumps = List.map read_file files; decay })
   in
   let doc =
     "Merge profile dumps (e.g. per-shard dumps from $(b,collect \
@@ -819,90 +771,25 @@ let opt_cmd =
   let action spec scale output profile iterate superblocks layout no_cache
       (daemon, daemon_deadline_ms, daemon_required) =
     handle_errors (fun () ->
-        let flags = { H.default_flags with H.superblocks; H.layout } in
-        let pp_sb_stats (s : Ppp_opt.Superblock.stats) =
-          if superblocks then
-            Format.eprintf
-              "superblocks: straightened %d routines (%d blocks duplicated, \
-               %d jumps merged, %d hot paths no longer matched)@."
-              s.Ppp_opt.Superblock.routines_optimized
-              s.Ppp_opt.Superblock.blocks_duplicated
-              s.Ppp_opt.Superblock.jumps_merged
-              (List.length s.Ppp_opt.Superblock.mismatches)
-        in
-        let pp_layout (prep : H.prepared) =
-          if layout then
-            Format.eprintf "layout: %d routines laid out for fall-through@."
-              (match prep.H.layout with
-              | Some t -> Hashtbl.length t
-              | None -> 0)
-        in
-        let local () =
-        let p = load_program spec ~scale in
-        if iterate > 1 then begin
-          if profile <> None then
+        let in_process () =
+          let p = load_program spec ~scale in
+          if iterate > 1 && profile <> None then
             cli_error "--profile cannot be combined with --iterate";
-          let session = session_of ~no_cache spec in
-          let gens =
-            H.reoptimize ~session ~flags ~iterations:iterate ~name:spec p
+          let profile =
+            Option.map
+              (fun path ->
+                match Profile_io.load p (read_file path) with
+                | Ok loaded -> loaded
+                | Error ds ->
+                    Format.eprintf "%a" Diagnostic.pp_list ds;
+                    cli_error "profile %S could not be salvaged" path)
+              profile
           in
-          List.iter
-            (fun (g : H.generation) ->
-              Format.eprintf
-                "gen %d: dirty %d, re-instrumented %d, reused %d plans, \
-                 profile matched %.1f%%, instrumented overhead %.1f%%@."
-                g.H.gen (List.length g.H.dirty) g.H.reinstrumented
-                g.H.reused_plans
-                (100. *. g.H.matched_fraction)
-                (100. *. g.H.instr_overhead);
-              pp_sb_stats g.H.prep.H.superblock_stats;
-              pp_layout g.H.prep)
-            gens;
-          Format.eprintf "%a@." Session.pp_stats session;
-          let last = List.nth gens (List.length gens - 1) in
-          let text = Ppp_ir.Pp_ir.to_string last.H.prep.H.optimized in
-          match output with
-          | Some path -> write_file path text
-          | None -> print_string text
-        end
-        else begin
-        let session = session_of ~no_cache spec in
-        let prep =
-          match profile with
-          | None -> H.prepare ~session ~flags ~name:spec p
-          | Some path -> (
-              match Profile_io.load p (read_file path) with
-              | Error ds ->
-                  Format.eprintf "%a" Diagnostic.pp_list ds;
-                  cli_error "profile %S could not be salvaged" path
-              | Ok loaded ->
-                  if loaded.Profile_io.diagnostics <> [] then
-                    Format.eprintf "%a" Diagnostic.pp_list
-                      loaded.Profile_io.diagnostics;
-                  Format.eprintf
-                    "profile: %.1f%% of recorded counts matched (%d stale \
-                     routines salvaged, %d counts dropped)@."
-                    (100. *. loaded.Profile_io.matched_fraction)
-                    loaded.Profile_io.stale_routines
-                    loaded.Profile_io.dropped_counts;
-                  H.prepare_with_profile ~session ~flags ~name:spec ~loaded p)
-        in
-        let text = Ppp_ir.Pp_ir.to_string prep.H.optimized in
-        (match output with
-        | Some path -> write_file path text
-        | None -> print_string text);
-        Format.eprintf
-          "inlined %d sites (%.0f%% of dynamic calls); unrolled %d loops (avg \
-           factor %.2f); speedup %.3f@."
-          prep.H.inline_stats.Ppp_opt.Inline.sites_inlined
-          (100. *. Ppp_opt.Inline.pct_dynamic_inlined prep.H.inline_stats)
-          prep.H.unroll_stats.Ppp_opt.Unroll.loops_unrolled
-          prep.H.unroll_stats.Ppp_opt.Unroll.avg_dynamic_factor
-          (float_of_int prep.H.orig_outcome.Interp.base_cost
-          /. float_of_int prep.H.base_outcome.Interp.base_cost);
-        pp_sb_stats prep.H.superblock_stats;
-        pp_layout prep
-        end
+          Daemon_ops.print ?output ~name:spec
+            (Daemon_ops.opt
+               ~flags:{ H.default_flags with H.superblocks; H.layout }
+               ~session:(session_of ~no_cache spec) ?profile ~iterate ~name:spec
+               p)
         in
         match daemon with
         | Some _ when superblocks || layout ->
@@ -913,43 +800,23 @@ let opt_cmd =
               (Diagnostic.make ~severity:Diagnostic.Warning Diagnostic.Degraded
                  "--superblocks/--layout are computed in-process; ignoring \
                   --daemon for this request");
-            local ()
-        | None -> local ()
+            in_process ()
+        | None -> in_process ()
         | Some socket ->
             let program =
-              match String.index_opt spec ':' with
-              | Some i when String.sub spec 0 i = "bench" ->
-                  Ppp_ir.Pp_ir.to_string (load_program spec ~scale)
-              | _ -> read_file spec
+              if bench_of spec = None then read_file spec
+              else Ppp_ir.Pp_ir.to_string (load_program spec ~scale)
             in
             via_daemon ~socket ~deadline_ms:daemon_deadline_ms
-              ~required:daemon_required
-              ~req:
-                (Daemon_ops.Opt
-                   {
-                     name = spec;
-                     program;
-                     profile = Option.map read_file profile;
-                     iterate;
-                     plans = None;
-                   })
-              ~accept:(fun body meta ->
-                Format.eprintf "%a" Diagnostic.pp_list
-                  (meta_diagnostics meta "profile_diagnostics");
-                (match List.assoc_opt "plans_imported" meta with
-                | Some (Jsonx.Int n) when n > 0 ->
-                    Format.eprintf
-                      "resumed from %d persisted placement plan%s@." n
-                      (if n = 1 then "" else "s")
-                | _ -> ());
-                (match List.assoc_opt "served_from_store" meta with
-                | Some (Jsonx.Bool true) ->
-                    Format.eprintf "served from the daemon store@."
-                | _ -> ());
-                match output with
-                | None -> print_string body
-                | Some path -> write_file path body)
-              ~fallback:local)
+              ~required:daemon_required ~output ~name:spec ~fallback:in_process
+              (Daemon_ops.Opt
+                 {
+                   name = spec;
+                   program;
+                   profile = Option.map read_file profile;
+                   iterate;
+                   plans = None;
+                 }))
   in
   let doc =
     "Apply profile-guided inlining and unrolling; print the result. With \

@@ -263,6 +263,244 @@ let mark_served encoded =
         | _ -> None)
     | _ -> None
 
+(* ---- the requests both paths serve ------------------------------------- *)
+
+let with_meta f = function
+  | Okay { body; meta } -> Okay { body; meta = f meta }
+  | Failed _ as failed -> failed
+
+let ints = List.map (fun (k, v) -> (k, Jsonx.Int v))
+
+let collect ?engine ?sampling p =
+  let raw =
+    match sampling with
+    | None ->
+        let o = Interp.run ?engine p in
+        Profile_io.Raw.of_program ?edges:o.Interp.edge_profile
+          ?paths:o.Interp.path_profile p
+    | Some spec -> Ppp_harness.Shard.collect_sampled ?engine ~spec p
+  in
+  let meta =
+    match sampling with
+    | None -> []
+    | Some s ->
+        ints Ppp_interp.Sampling.[ ("sample_rate", s.denom); ("burst", s.burst) ]
+  in
+  Okay { body = Profile_io.Raw.to_string raw; meta }
+
+let merge ~decay dumps =
+  let raws = List.map Profile_io.Raw.parse dumps in
+  let merged =
+    if decay >= 1.0 then Profile_io.Raw.merge raws
+    else Profile_io.Raw.merge_decayed ~decay raws
+  in
+  Okay
+    {
+      body = Profile_io.Raw.to_string merged;
+      meta =
+        ints
+          [ ("dumps", List.length dumps); ("mass", Profile_io.Raw.mass merged);
+            ("lost", Profile_io.Raw.lost merged) ]
+        @ [ ( "diagnostics",
+              Diagnostic.list_to_json (Profile_io.Raw.diagnostics merged) ) ];
+    }
+
+(* What the passes [flags] turn on did to one preparation. *)
+let passes_meta (flags : H.opt_flags) (prep : H.prepared) =
+  let s = prep.H.superblock_stats in
+  (if flags.H.superblocks then
+     [ ( "superblocks",
+         Jsonx.Obj
+           (ints
+              Ppp_opt.Superblock.
+                [ ("routines", s.routines_optimized);
+                  ("blocks_duplicated", s.blocks_duplicated);
+                  ("jumps_merged", s.jumps_merged);
+                  ("mismatches", List.length s.mismatches) ]) ) ]
+   else [])
+  @
+  if flags.H.layout then
+    ints [ ("layout", Option.fold ~none:0 ~some:Hashtbl.length prep.H.layout) ]
+  else []
+
+let opt ?(flags = H.default_flags) ~session ?profile ~iterate ~name p =
+  let print_program p =
+    Trace.with_span "print-program" (fun () -> Ppp_ir.Pp_ir.to_string p)
+  in
+  if iterate > 1 then begin
+    if Option.is_some profile then
+      invalid_arg "Ops.opt: a profile drives a single generation";
+    let before = Session.stats session in
+    let gens = H.reoptimize ~session ~flags ~iterations:iterate ~name p in
+    let after = Session.stats session in
+    let gen_meta (g : H.generation) =
+      Jsonx.Obj
+        (ints
+           [ ("gen", g.H.gen); ("dirty", List.length g.H.dirty);
+             ("reinstrumented", g.H.reinstrumented);
+             ("reused_plans", g.H.reused_plans) ]
+        @ [ ("matched_fraction", Jsonx.Float g.H.matched_fraction) ]
+        @ ints
+            [ ("instr_cost", g.H.instr_cost);
+              ("instr_base_cost", g.H.instr_base_cost) ]
+        @ passes_meta flags g.H.prep)
+    in
+    let last = List.nth gens (List.length gens - 1) in
+    Okay
+      {
+        body = print_program last.H.prep.H.optimized;
+        meta =
+          [ ("generations", Jsonx.Arr (List.map gen_meta gens));
+            ( "session",
+              Jsonx.Obj
+                (("cache", Jsonx.Bool (Session.enabled session))
+                :: ints
+                    Session.
+                      [ ("hits", after.hits - before.hits);
+                        ("misses", after.misses - before.misses);
+                        ( "invalidations",
+                          after.invalidations - before.invalidations );
+                        ("evictions", after.evictions - before.evictions);
+                        ("run_hits", after.run_hits - before.run_hits);
+                        ("run_misses", after.run_misses - before.run_misses) ])
+            ) ];
+      }
+  end
+  else
+    let prep, profile_meta =
+      match profile with
+      | None -> (H.prepare ~session ~flags ~name p, [])
+      | Some loaded ->
+          ( H.prepare_with_profile ~session ~flags ~name ~loaded p,
+            Profile_io.
+              [ ("matched_fraction", Jsonx.Float loaded.matched_fraction);
+                ("profile_diagnostics", Diagnostic.list_to_json loaded.diagnostics);
+                ("stale_routines", Jsonx.Int loaded.stale_routines);
+                ("dropped_counts", Jsonx.Int loaded.dropped_counts) ] )
+    in
+    let inl = prep.H.inline_stats and unr = prep.H.unroll_stats in
+    Okay
+      {
+        body = print_program prep.H.optimized;
+        meta =
+          profile_meta
+          @ ints
+              Ppp_opt.Inline.
+                [ ("sites_inlined", inl.sites_inlined);
+                  ("dynamic_calls_inlined", inl.dynamic_calls_inlined);
+                  ("dynamic_calls_total", inl.dynamic_calls_total);
+                  ("loops_unrolled", unr.Ppp_opt.Unroll.loops_unrolled) ]
+          @ [ ("avg_unroll_factor", Jsonx.Float unr.Ppp_opt.Unroll.avg_dynamic_factor) ]
+          @ ints
+              [ ("orig_base_cost", prep.H.orig_outcome.Interp.base_cost);
+                ("base_cost", prep.H.base_outcome.Interp.base_cost) ]
+          @ passes_meta flags prep;
+      }
+
+(* ---- rendering --------------------------------------------------------- *)
+
+let pp_summary ?name ppf = function
+  | Failed { diagnostics; _ } -> Diagnostic.pp_list ppf diagnostics
+  | Okay { meta; _ } ->
+      (* A field raises [Not_found] when it is missing or mistyped, and
+         [each] then skips its line: a field an older server did not
+         send prints nothing. *)
+      let field fields key = List.assoc key fields in
+      let int fields key =
+        match field fields key with Jsonx.Int i -> i | _ -> raise Not_found
+      in
+      let num fields key =
+        match field fields key with
+        | Jsonx.Float f -> f
+        | Jsonx.Int i -> float_of_int i
+        | _ -> raise Not_found
+      in
+      let obj = function Jsonx.Obj o -> o | _ -> raise Not_found in
+      let pct a b =
+        100. *. if b = 0 then 0.0 else float_of_int a /. float_of_int b
+      in
+      let each f = try f () with Not_found -> () in
+      let line fmt = Format.fprintf ppf (fmt ^^ "@.") in
+      let diagnostics key =
+        each (fun () ->
+            Diagnostic.pp_list ppf (Diagnostic.list_of_json (field meta key)))
+      in
+      let passes fields =
+        each (fun () ->
+            let s = obj (field fields "superblocks") in
+            line
+              "superblocks: straightened %d routines (%d blocks duplicated, \
+               %d jumps merged, %d hot paths no longer matched)"
+              (int s "routines") (int s "blocks_duplicated")
+              (int s "jumps_merged") (int s "mismatches"));
+        each (fun () ->
+            line "layout: %d routines laid out for fall-through"
+              (int fields "layout"))
+      in
+      diagnostics "diagnostics";
+      each (fun () ->
+          match int meta "plans_imported" with
+          | 0 -> ()
+          | n ->
+              line "resumed from %d persisted placement plan%s" n
+                (if n = 1 then "" else "s"));
+      diagnostics "profile_diagnostics";
+      each (fun () ->
+          line
+            "profile: %.1f%% of recorded counts matched (%d stale routines \
+             salvaged, %d counts dropped)"
+            (100. *. num meta "matched_fraction")
+            (int meta "stale_routines") (int meta "dropped_counts"));
+      each (fun () ->
+          line "merged %d dumps: count mass %d, lost %d" (int meta "dumps")
+            (int meta "mass") (int meta "lost"));
+      each (fun () ->
+          Jsonx.to_list (field meta "generations")
+          |> List.iter (fun g ->
+                 each (fun () ->
+                     let g = obj g in
+                     line
+                       "gen %d: dirty %d, re-instrumented %d, reused %d \
+                        plans, profile matched %.1f%%, instrumented overhead \
+                        %.1f%%"
+                       (int g "gen") (int g "dirty") (int g "reinstrumented")
+                       (int g "reused_plans")
+                       (100. *. num g "matched_fraction")
+                       (pct (int g "instr_cost") (int g "instr_base_cost"));
+                     passes g)));
+      each (fun () ->
+          let s = obj (field meta "session") in
+          match (name, field s "cache") with
+          | Some name, Jsonx.Bool enabled ->
+              line "%a"
+                (Session.pp_counts ~name ~enabled)
+                { Session.hits = int s "hits"; misses = int s "misses";
+                  invalidations = int s "invalidations";
+                  evictions = int s "evictions"; run_hits = int s "run_hits";
+                  run_misses = int s "run_misses" }
+          | _ -> ());
+      each (fun () ->
+          line
+            "inlined %d sites (%.0f%% of dynamic calls); unrolled %d loops \
+             (avg factor %.2f); speedup %.3f"
+            (int meta "sites_inlined")
+            (pct (int meta "dynamic_calls_inlined") (int meta "dynamic_calls_total"))
+            (int meta "loops_unrolled") (num meta "avg_unroll_factor")
+            (float_of_int (int meta "orig_base_cost")
+            /. float_of_int (int meta "base_cost")));
+      passes meta;
+      if List.assoc_opt (fst served) meta = Some (snd served) then
+        line "served from the daemon store"
+
+let print ?output ?name reply =
+  (match (reply, output) with
+  | Failed _, _ -> ()
+  | Okay { body; _ }, Some path -> Ppp_obs.Sink.write_atomic ~path body
+  | Okay { body; _ }, None ->
+      print_string body;
+      flush stdout);
+  pp_summary ?name Format.err_formatter reply
+
 (* ---- execution --------------------------------------------------------- *)
 
 let fail code fmt =
@@ -324,44 +562,19 @@ let handle_collect ~bench ~scale ~sample_rate ~burst ~sample_seed =
                 "unknown benchmark %S" bench ];
         }
   | Some b ->
-      let p = b.Ppp_workloads.Spec.build ~scale in
-      let body =
-        if sample_rate <= 1 then
-          let o = Interp.run p in
-          Format.asprintf "%t" (fun ppf ->
-              Profile_io.save ?edges:o.Interp.edge_profile
-                ?paths:o.Interp.path_profile ppf p)
+      let sampling =
+        if sample_rate <= 1 then None
         else
-          let spec =
-            Ppp_interp.Sampling.spec ~burst ~seed:sample_seed
-              ~denom:sample_rate ()
-          in
-          Profile_io.Raw.to_string (Ppp_harness.Shard.collect_sampled ~spec p)
+          Some
+            (Ppp_interp.Sampling.spec ~burst ~seed:sample_seed
+               ~denom:sample_rate ())
       in
-      let meta =
-        [ ("bench", Jsonx.Str bench); ("scale", Jsonx.Int scale) ]
-        @
-        if sample_rate <= 1 then []
-        else [ ("sample_rate", Jsonx.Int sample_rate); ("burst", Jsonx.Int burst) ]
-      in
-      Okay { body; meta }
+      with_meta
+        (fun meta -> ("bench", Jsonx.Str bench) :: ("scale", Jsonx.Int scale) :: meta)
+        (collect ?sampling (b.Ppp_workloads.Spec.build ~scale))
 
-let handle_merge ~dumps ~decay =
-  let raws = List.map Profile_io.Raw.parse dumps in
-  let merged =
-    if decay >= 1.0 then Profile_io.Raw.merge raws
-    else Profile_io.Raw.merge_decayed ~decay raws
-  in
-  Okay
-    {
-      body = Profile_io.Raw.to_string merged;
-      meta =
-        [ ("mass", Jsonx.Int (Profile_io.Raw.mass merged));
-          ("lost", Jsonx.Int (Profile_io.Raw.lost merged));
-          ( "diagnostics",
-            Diagnostic.list_to_json (Profile_io.Raw.diagnostics merged) ) ];
-    }
-
+(* The request is checked and its profile loaded before [session_for]: a
+   rejected request must not evict a resident session. *)
 let handle_opt ~name ~program ~profile ~iterate ~plans =
   match Ppp_ir.Parse.program_of_string program with
   | exception Ppp_ir.Parse.Error e ->
@@ -374,84 +587,46 @@ let handle_opt ~name ~program ~profile ~iterate ~plans =
                 e.Ppp_ir.Parse.message ];
         }
   | exception Invalid_argument msg -> fail "bad-request" "ill-formed program: %s" msg
+  | _ when iterate > 1 && profile <> None ->
+      fail "bad-request" "profile cannot be combined with iterate"
   | p -> (
-      let session = session_for name in
-      (* The run slot serves the runs of one request; between requests a
-         resident session holds no outcome. *)
-      Fun.protect ~finally:(fun () -> Session.forget_run session) @@ fun () ->
-      let imported, import_diags =
-        match plans with
-        | None -> (0, [])
-        | Some hex -> (
-            match Hex.decode hex with
-            | None ->
-                (0, [ Diagnostic.make Diagnostic.Corrupt "plans field is not hex" ])
-            | Some text ->
-                (* import_plans fingerprint-checks every record itself,
-                   but it needs the session synced to this program first. *)
-                Trace.with_span "plan-import" @@ fun () ->
-                ignore (Session.sync session p);
-                Session.import_plans session p text)
-      in
-      let print_program p =
-        Trace.with_span "print-program" (fun () -> Ppp_ir.Pp_ir.to_string p)
-      in
-      let finish ~optimized ~extra_meta =
+      let serve profile =
+        let session = session_for name in
+        (* The run slot serves the runs of one request; between requests
+           a resident session holds no outcome. *)
+        Fun.protect ~finally:(fun () -> Session.forget_run session) @@ fun () ->
+        let imported, import_diags =
+          match plans with
+          | None -> (0, [])
+          | Some hex -> (
+              match Hex.decode hex with
+              | None ->
+                  (0, [ Diagnostic.make Diagnostic.Corrupt "plans field is not hex" ])
+              | Some text ->
+                  (* import_plans fingerprint-checks every record itself,
+                     but it needs the session synced to this program first. *)
+                  Trace.with_span "plan-import" @@ fun () ->
+                  ignore (Session.sync session p);
+                  Session.import_plans session p text)
+        in
+        let reply = opt ~session ?profile ~iterate ~name p in
         let plans_out =
           Trace.with_span "plan-export" (fun () -> Session.export_plans session)
         in
-        Okay
-          {
-            body = optimized;
-            meta =
-              extra_meta
-              @ [ ("plans", Jsonx.Str (Hex.encode plans_out));
-                  ("plans_imported", Jsonx.Int imported);
-                  ("diagnostics", Diagnostic.list_to_json import_diags) ];
-          }
+        with_meta
+          (fun meta ->
+            meta
+            @ [ ("plans", Jsonx.Str (Hex.encode plans_out));
+                ("plans_imported", Jsonx.Int imported);
+                ("diagnostics", Diagnostic.list_to_json import_diags) ])
+          reply
       in
-      if iterate > 1 then begin
-        if profile <> None then
-          fail "bad-request" "profile cannot be combined with iterate"
-        else
-          let gens = H.reoptimize ~session ~iterations:iterate ~name p in
-          let last = List.nth gens (List.length gens - 1) in
-          let gen_meta =
-            Jsonx.Arr
-              (List.map
-                 (fun (g : H.generation) ->
-                   Jsonx.Obj
-                     [ ("gen", Jsonx.Int g.H.gen);
-                       ("dirty", Jsonx.Int (List.length g.H.dirty));
-                       ("reinstrumented", Jsonx.Int g.H.reinstrumented);
-                       ("reused_plans", Jsonx.Int g.H.reused_plans);
-                       ("matched_fraction", Jsonx.Float g.H.matched_fraction) ])
-                 gens)
-          in
-          finish
-            ~optimized:(print_program last.H.prep.H.optimized)
-            ~extra_meta:[ ("generations", gen_meta) ]
-      end
-      else
-        match profile with
-        | None ->
-            let prep = H.prepare ~session ~name p in
-            finish
-              ~optimized:(print_program prep.H.optimized)
-              ~extra_meta:[]
-        | Some dump -> (
-            match Profile_io.load p dump with
-            | Error ds -> Failed { code = "bad-request"; diagnostics = ds }
-            | Ok loaded ->
-                let prep = H.prepare_with_profile ~session ~name ~loaded p in
-                finish
-                  ~optimized:(print_program prep.H.optimized)
-                  ~extra_meta:
-                    [ ( "matched_fraction",
-                        Jsonx.Float loaded.Profile_io.matched_fraction );
-                      ( "profile_diagnostics",
-                        Diagnostic.list_to_json loaded.Profile_io.diagnostics )
-                    ]))
+      match profile with
+      | None -> serve None
+      | Some dump -> (
+          match Profile_io.load p dump with
+          | Error ds -> Failed { code = "bad-request"; diagnostics = ds }
+          | Ok loaded -> serve (Some loaded)))
 
 let handle_status () =
   let stats =
@@ -480,7 +655,7 @@ let handle ~chaos req =
     | Ping -> Okay { body = "pong"; meta = [] }
     | Collect { bench; scale; sample_rate; burst; sample_seed } ->
         handle_collect ~bench ~scale ~sample_rate ~burst ~sample_seed
-    | Merge { dumps; decay } -> handle_merge ~dumps ~decay
+    | Merge { dumps; decay } -> merge ~decay dumps
     | Opt { name; program; profile; iterate; plans } ->
         handle_opt ~name ~program ~profile ~iterate ~plans
     | Status -> handle_status ()

@@ -10,12 +10,15 @@
     serialization for domain data; binary-unsafe fields (marshaled plans)
     travel hex-encoded.
 
-    {!handle} is the worker-side interpreter: it holds a resident
-    {!Ppp_session.Session} per program name, up to {!max_sessions} of
-    them, so repeated [Opt] requests for the same program reuse memoized
-    analyses and runs, and [--iterate] resumes across client
-    invocations. It never raises — failures come back as [Failed]
-    replies with classified diagnostics. *)
+    {!collect}, {!merge} and {!opt} build the reply to a request from
+    inputs already in memory; [pppc] calls them in process, and
+    {!handle}, the worker-side interpreter, calls them for [pppd]. It
+    holds a resident {!Ppp_session.Session} per program name, up to
+    {!max_sessions} of them, so repeated [Opt] requests for the same
+    program reuse memoized analyses and runs, and [--iterate] resumes
+    across client invocations. It never raises — failures come back as
+    [Failed] replies with classified diagnostics. {!print} renders any
+    reply the way [pppc] shows it, whichever path built it. *)
 
 type request =
   | Ping
@@ -81,6 +84,55 @@ val mark_served : string -> string option
     at the cost of one copy. [None] for a [Failed] reply and for bytes
     that are not a whole encoded [Okay] reply (truncated, say). *)
 
+(** {2 The requests both paths serve}
+
+    Each builds an [Okay] reply whose body is the request's text result
+    and whose meta carries every number and diagnostic {!print} shows. *)
+
+val collect :
+  ?engine:Ppp_interp.Interp.engine ->
+  ?sampling:Ppp_interp.Sampling.spec ->
+  Ppp_ir.Ir.program ->
+  reply
+(** One program's v2 profile dump: from an exact run of [engine]
+    (default the VM), or under [sampling]
+    ({!Ppp_harness.Shard.collect_sampled}), whose rate and burst the meta
+    records. *)
+
+val merge : decay:float -> string list -> reply
+(** The merge of these v2 dumps ([decay] as in [Merge]); the meta holds
+    the input count, the merged count mass and lost count, and every
+    diagnostic the inputs and the merge raised. *)
+
+val opt :
+  ?flags:Ppp_harness.Pipeline.opt_flags ->
+  session:Ppp_session.Session.t ->
+  ?profile:Ppp_profile.Profile_io.loaded ->
+  iterate:int ->
+  name:string ->
+  Ppp_ir.Ir.program ->
+  reply
+(** The optimized program's [.pir] text. With [iterate > 1], that many
+    re-optimization generations against [session], and the meta holds
+    each generation's counts and instrumented costs and the session
+    counts this request added. Otherwise one preparation, from [profile]
+    if given, and the meta holds its inline and unroll stats, both base
+    costs, and the profile's match, salvage counts and diagnostics. The
+    superblock and layout counts are there when [flags] turn those
+    passes on. @raise Invalid_argument for a [profile] with
+    [iterate > 1]. *)
+
+val pp_summary : ?name:string -> Format.formatter -> reply -> unit
+(** Each line and diagnostic list a reply's meta carries, in the order
+    [pppc] has always printed them, then whether the store served it.
+    The session line is labelled with the request's [name]. A line
+    whose fields the meta lacks, or the session line without [name],
+    prints nothing. A [Failed] reply prints its diagnostics. *)
+
+val print : ?output:string -> ?name:string -> reply -> unit
+(** An [Okay] reply's body to [output] (written atomically) or stdout,
+    then {!pp_summary} on stderr. *)
+
 val max_sessions : int
 (** How many per-name sessions {!handle} keeps resident: 32. A request
     under a new name beyond that evicts the least recently used one. *)
@@ -90,6 +142,10 @@ val session_counts : unit -> int * int
     process. *)
 
 val handle : chaos:bool -> request -> reply
-(** Execute a request in this process (the supervised worker's main
-    loop, and the client's in-process degradation path). [chaos:false]
+(** Serve a request in this process, as the supervised worker's main
+    loop does: build the inputs of {!collect}, {!merge} or {!opt} from
+    it (the bench build, the program parse, the profile load, the
+    resident session and its imported plans) and call it. An [Opt]
+    reply's meta also holds the session's exported plans. A request
+    rejected as malformed takes no resident session. [chaos:false]
     rejects [Stall]/[Crash] with code ["unsupported"]. Never raises. *)

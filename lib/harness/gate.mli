@@ -4,13 +4,12 @@
 
     The gated metrics are the [bounds] of {!Report.sections}: for every
     benchmark and every section object both documents carry, each
-    [Ceiling] (cost-model overheads, sampled overheads, wall-clock
-    ratios) fails when it rises more than [pct] percent above the
-    baseline, and each [Floor] (layout and tiering improvements, sampled
-    overlaps, drift stability, the VM/reference throughput ratio) fails
-    when it sinks more than [pct] percent below it. Sampling points are
-    matched by rate denominator; wall-clock timings are gated as ratios
-    to the plain run.
+    [Ceiling] (cost-model overheads, sampled overheads) fails when it
+    rises more than [pct] percent above the baseline, and each [Floor]
+    (layout and tiering improvements, sampled overlaps, drift stability,
+    the VM/reference throughput ratio) fails when it sinks more than
+    [pct] percent below it. Sampling points are matched by rate
+    denominator.
 
     Benchmarks present in the baseline but missing from the current
     document, and schema mismatches, are failures too — a gate that

@@ -764,6 +764,8 @@ type generation = {
   reused_plans : int;
   matched_fraction : float;
   instr_overhead : float;
+  instr_cost : int;
+  instr_base_cost : int;
   decisions : Ppp_opt.Decision.t list;
   decision_diff : Ppp_opt.Decision.diff;
       (* vs the previous generation's log; generation 1 diffs against the
@@ -894,6 +896,8 @@ let reoptimize ?session ?(config = Config.ppp) ?(flags = default_flags)
         reused_plans = !reused;
         matched_fraction;
         instr_overhead = Interp.overhead instr_outcome;
+        instr_cost = instr_outcome.Interp.instr_cost;
+        instr_base_cost = instr_outcome.Interp.base_cost;
         decisions = gen_decisions;
         decision_diff =
           Ppp_opt.Decision.diff ~previous:prev_decisions

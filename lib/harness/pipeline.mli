@@ -256,6 +256,10 @@ type generation = {
           hand-off through {!Ppp_profile.Profile_io.of_raw} (1.0 for the
           first generation, which profiles fresh) *)
   instr_overhead : float;  (** overhead of this generation's instrumented run *)
+  instr_cost : int;
+  instr_base_cost : int;
+      (** that run's instrumentation and base costs, whose ratio is
+          [instr_overhead] *)
   decisions : Ppp_opt.Decision.t list;
       (** this generation's full optimizer decision log *)
   decision_diff : Ppp_opt.Decision.diff;

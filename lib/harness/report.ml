@@ -912,7 +912,7 @@ let drift =
         (avg "drift_stability") (avg "full_stability") (List.length rows)
         drift_min_stability)
 
-(* {3 Wall-clock sections: throughput, prepare, timing}
+(* {3 Wall-clock sections: throughput and prepare}
 
    Nondeterministic, so a sharded run (whose document must be
    byte-identical at every -j) refuses them. Profiling bookkeeping the
@@ -1051,77 +1051,7 @@ let prepare =
           );
         ])
 
-(* Bechamel's OLS estimate, in ns per run, of the optimized program
-   plain ("base") and under each path profiler's instrumentation. *)
-let timing_of pb =
-  let open Bechamel in
-  let open Toolkit in
-  let p = pb.prep.Pipeline.optimized in
-  let ep = Option.get pb.prep.Pipeline.base_outcome.Interp.edge_profile in
-  let variants =
-    ("base", None)
-    :: List.map
-         (fun (m, c) -> (m, Some (Instrument.instrument p ep c).Instrument.rt))
-         [ ("pp", Config.pp); ("tpp", Config.tpp); ("ppp", Config.ppp) ]
-  in
-  let tests =
-    List.map
-      (fun (m, instrumentation) ->
-        Test.make ~name:m
-          (Staged.stage (fun () ->
-               ignore (Interp.run ~config:{ quiet with instrumentation } p))))
-      variants
-  in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let raw =
-    Benchmark.all cfg Instance.[ monotonic_clock ]
-      (Test.make_grouped ~name:"t" ~fmt:"%s/%s" tests)
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  List.filter_map
-    (fun (m, _) ->
-      match Option.bind (Hashtbl.find_opt results ("t/" ^ m)) Analyze.OLS.estimates with
-      | Some [ ns ] -> Some (m, ns)
-      | _ -> None)
-    variants
-
-let timing =
-  section "timing" ~wall_clock:true (memo timing_of)
-    ~render:(fun ppf rows ->
-      Format.fprintf ppf
-        "@[<v>Wall-clock interpreter timing (Bechamel, monotonic clock)@,\
-         Overhead = instrumented time / base time - 1; compare with Figure \
-         12's cost-model overheads.@,@,";
-      Format.fprintf ppf "%-9s | %12s | %7s %7s %7s@," "bench" "base ns" "PP"
-        "TPP" "PPP";
-      List.iter
-        (fun (pb, t) ->
-          let get m = List.assoc_opt m t in
-          match (get "base", get "pp", get "tpp", get "ppp") with
-          | Some base, Some pp, Some tpp, Some ppp when base > 0.0 ->
-              let ov x = 100.0 *. ((x /. base) -. 1.0) in
-              Format.fprintf ppf "%-9s | %12.0f | %6.1f%% %6.1f%% %6.1f%%@,"
-                (bench_name pb) base (ov pp) (ov tpp) (ov ppp)
-          | _ -> Format.fprintf ppf "%-9s | (no estimate)@," (bench_name pb))
-        rows;
-      Format.fprintf ppf "@]@.")
-    ~json:(fun t -> J.Obj (List.map (fun (m, ns) -> (m ^ "_ns", J.Float ns)) t))
-    ~bounds:
-      (List.map
-         (fun m ->
-           ( "timing." ^ m ^ "_ns",
-             (fun j ->
-               match (num j [ "base_ns" ], num j [ m ^ "_ns" ]) with
-               | Some base, Some v when base > 0.0 -> Some (v /. base)
-               | _ -> None),
-             Ceiling ))
-         [ "pp"; "tpp"; "ppp" ])
-
-let sections =
-  [ methods; layout; sampling; tiered; drift; throughput; prepare; timing ]
+let sections = [ methods; layout; sampling; tiered; drift; throughput; prepare ]
 
 let find_section name = List.find_opt (fun s -> s.name = name) sections
 

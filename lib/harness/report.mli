@@ -57,11 +57,10 @@ val layout_of : prepared_bench -> Pipeline.layout_eval
       loop on pristine profiles vs on a sampled store merged with
       exponential decay (fixed seed and decay);
     - [throughput]: Minstr/s of the VM and the reference engine;
-    - [prepare]: preparation wall-clock per phase;
-    - [timing]: Bechamel wall-clock per run, plain and per profiler.
+    - [prepare]: preparation wall-clock per phase.
 
     The first five are deterministic, so they are safe in a document
-    that must be byte-identical at every [-j]; the last three are
+    that must be byte-identical at every [-j]; the last two are
     [wall_clock]. *)
 
 type bound = Floor | Ceiling

@@ -667,11 +667,12 @@ let import_plans t (p : Ir.program) text =
     (!imported, List.rev !diags)
   end
 
-let pp_stats ppf t =
+let pp_counts ~name ~enabled ppf s =
   Format.fprintf ppf
     "session %s (cache %s): %d hits, %d misses, %d invalidations, %d \
      evictions, %d run hits"
-    t.s_name
-    (if t.s_enabled then "on" else "off")
-    t.counts.c_hits t.counts.c_misses t.counts.c_invalidations
-    t.counts.c_evictions t.counts.c_run_hits
+    name
+    (if enabled then "on" else "off")
+    s.hits s.misses s.invalidations s.evictions s.run_hits
+
+let pp_stats ppf t = pp_counts ~name:t.s_name ~enabled:t.s_enabled ppf (stats t)

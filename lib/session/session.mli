@@ -225,3 +225,8 @@ type stats = {
 
 val stats : t -> stats
 val pp_stats : Format.formatter -> t -> unit
+
+val pp_counts :
+  name:string -> enabled:bool -> Format.formatter -> stats -> unit
+(** {!pp_stats}'s line for counts taken elsewhere: those of one request
+    against a resident session, say. *)

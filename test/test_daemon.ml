@@ -948,6 +948,91 @@ let test_ops_sessions_bounded () =
     true
     (after - full <= (max 0 (full - base) / 4) + 16_384)
 
+(* A rejected [Opt] takes no resident session, so it evicts none: a
+   profile with [iterate > 1], and a dump no routine can be salvaged
+   from, are both refused before a session is looked up. *)
+let test_ops_rejected_opt_takes_no_session () =
+  let p = (Ppp_workloads.Spec.find "mcf").Ppp_workloads.Spec.build ~scale:1 in
+  let good =
+    match Ops.collect p with
+    | Ops.Okay { body; _ } -> body
+    | Ops.Failed _ -> Alcotest.fail "collect failed"
+  in
+  let header = String.sub good 0 (String.index good '\n' + 1) in
+  let before = Ops.session_counts () in
+  List.iteri
+    (fun k (profile, iterate) ->
+      match
+        Ops.handle ~chaos:false
+          (Ops.Opt
+             { name = Printf.sprintf "rejected@%d" k;
+               program = Ppp_ir.Pp_ir.to_string p; profile = Some profile;
+               iterate; plans = None })
+      with
+      | Ops.Failed { code = "bad-request"; _ } -> ()
+      | _ -> Alcotest.failf "request %d was not rejected" k)
+    [ (good, 3); (header ^ "\xff\xfegarbage line\n", 1) ];
+  Alcotest.(check (pair int int)) "resident sessions and evictions" before
+    (Ops.session_counts ())
+
+(* [pppc] renders a reply the same whether it built the reply in process
+   or decoded it off the wire. *)
+let test_ops_decoded_reply_renders_alike () =
+  let build name scale =
+    (Ppp_workloads.Spec.find name).Ppp_workloads.Spec.build ~scale
+  in
+  let dump name scale =
+    match Ops.collect (build name scale) with
+    | Ops.Okay { body; _ } -> body
+    | Ops.Failed _ -> Alcotest.fail "collect failed"
+  in
+  let opt ?profile name iterate =
+    Ops.Opt
+      { name = "render@" ^ name; program = Ppp_ir.Pp_ir.to_string (build name 1);
+        profile; iterate; plans = None }
+  in
+  let good = dump "mcf" 1 in
+  let corrupt =
+    String.sub good 0 (String.index good '\n' + 1) ^ "\xff\xfegarbage line\n"
+  in
+  let render r =
+    match r with
+    | Ops.Okay { body; _ } ->
+        body ^ Format.asprintf "%a" (Ops.pp_summary ~name:"render") r
+    | Ops.Failed _ -> Alcotest.fail "request failed"
+  in
+  List.iter
+    (fun (label, req, shown) ->
+      let reply = Ops.handle ~chaos:false req in
+      let text = render reply in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s shows %S" label shown)
+        true
+        (Test_interp.contains ~sub:shown text);
+      match Ops.decode_reply (Ops.encode_reply reply) with
+      | Ok decoded -> Alcotest.(check string) label text (render decoded)
+      | Error e -> Alcotest.failf "%s: decode_reply failed: %s" label e)
+    [ ("bzip2 --iterate 3", opt "bzip2" 3, "\nsession render (cache on)");
+      ("crafty --profile", opt ~profile:(dump "crafty" 1) "crafty" 1, "\ninlined ");
+      ( "crafty, a stale profile",
+        opt ~profile:(dump "crafty" 2) "crafty" 1,
+        " stale routines salvaged" );
+      ( "merge of a good and a corrupt dump",
+        Ops.Merge { dumps = [ good; corrupt ]; decay = 1.0 },
+        "garbage" ) ];
+  (* An older server's merge reply has no input count: its diagnostics
+     print, its merge line does not. *)
+  match Ops.handle ~chaos:false (Ops.Merge { dumps = [ good; corrupt ]; decay = 1.0 }) with
+  | Ops.Okay { body; meta } ->
+      let text =
+        render (Ops.Okay { body; meta = List.remove_assoc "dumps" meta })
+      in
+      Alcotest.(check (pair bool bool)) "an older reply prints what it has"
+        (true, false)
+        ( Test_interp.contains ~sub:"garbage" text,
+          Test_interp.contains ~sub:"merged " text )
+  | Ops.Failed _ -> Alcotest.fail "merge failed"
+
 let suite =
   [
     Alcotest.test_case "wire: frames round-trip" `Quick test_wire_roundtrip;
@@ -989,6 +1074,10 @@ let suite =
       `Quick test_server_keys_profile_by_digest;
     Alcotest.test_case "ops: at most 32 resident sessions" `Quick
       test_ops_sessions_bounded;
+    Alcotest.test_case "ops: a rejected opt takes no resident session" `Quick
+      test_ops_rejected_opt_takes_no_session;
+    Alcotest.test_case "ops: a decoded reply renders like the in-memory one"
+      `Quick test_ops_decoded_reply_renders_alike;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_store_salvage; prop_session_plans_never_raise; prop_mark_served ]
