@@ -263,7 +263,7 @@ let run_cmd =
               let t =
                 Trace.with_span "tiered-run" (fun () ->
                     H.tiered_run ~threshold:tier_threshold ?budget:tier_budget
-                      prep Config.ppp)
+                      ~engine prep Config.ppp)
               in
               let o = t.H.t_outcome in
               List.iter (fun v -> Format.printf "%d@." v) o.Interp.output;
@@ -771,25 +771,28 @@ let opt_cmd =
   let action spec scale output profile iterate superblocks layout no_cache
       (daemon, daemon_deadline_ms, daemon_required) =
     handle_errors (fun () ->
+        (* A request either path would reject fails here, before a
+           daemon is asked, so it prints and exits alike on both. *)
+        let p = load_program spec ~scale in
+        if iterate > 1 && profile <> None then
+          cli_error "--profile cannot be combined with --iterate";
+        let dump = Option.map (fun path -> (path, read_file path)) profile in
+        let loaded =
+          Option.map
+            (fun (path, text) ->
+              match Profile_io.load p text with
+              | Ok loaded -> loaded
+              | Error ds ->
+                  Format.eprintf "%a" Diagnostic.pp_list ds;
+                  cli_error "profile %S could not be salvaged" path)
+            dump
+        in
         let in_process () =
-          let p = load_program spec ~scale in
-          if iterate > 1 && profile <> None then
-            cli_error "--profile cannot be combined with --iterate";
-          let profile =
-            Option.map
-              (fun path ->
-                match Profile_io.load p (read_file path) with
-                | Ok loaded -> loaded
-                | Error ds ->
-                    Format.eprintf "%a" Diagnostic.pp_list ds;
-                    cli_error "profile %S could not be salvaged" path)
-              profile
-          in
           Daemon_ops.print ?output ~name:spec
             (Daemon_ops.opt
                ~flags:{ H.default_flags with H.superblocks; H.layout }
-               ~session:(session_of ~no_cache spec) ?profile ~iterate ~name:spec
-               p)
+               ~session:(session_of ~no_cache spec) ?profile:loaded ~iterate
+               ~name:spec p)
         in
         match daemon with
         | Some _ when superblocks || layout ->
@@ -805,7 +808,7 @@ let opt_cmd =
         | Some socket ->
             let program =
               if bench_of spec = None then read_file spec
-              else Ppp_ir.Pp_ir.to_string (load_program spec ~scale)
+              else Ppp_ir.Pp_ir.to_string p
             in
             via_daemon ~socket ~deadline_ms:daemon_deadline_ms
               ~required:daemon_required ~output ~name:spec ~fallback:in_process
@@ -813,7 +816,7 @@ let opt_cmd =
                  {
                    name = spec;
                    program;
-                   profile = Option.map read_file profile;
+                   profile = Option.map snd dump;
                    iterate;
                    plans = None;
                  }))

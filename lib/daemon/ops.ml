@@ -272,14 +272,7 @@ let with_meta f = function
 let ints = List.map (fun (k, v) -> (k, Jsonx.Int v))
 
 let collect ?engine ?sampling p =
-  let raw =
-    match sampling with
-    | None ->
-        let o = Interp.run ?engine p in
-        Profile_io.Raw.of_program ?edges:o.Interp.edge_profile
-          ?paths:o.Interp.path_profile p
-    | Some spec -> Ppp_harness.Shard.collect_sampled ?engine ~spec p
-  in
+  let raw = Ppp_harness.Shard.collect_program ?engine ?sampling p in
   let meta =
     match sampling with
     | None -> []

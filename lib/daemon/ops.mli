@@ -94,10 +94,10 @@ val collect :
   ?sampling:Ppp_interp.Sampling.spec ->
   Ppp_ir.Ir.program ->
   reply
-(** One program's v2 profile dump: from an exact run of [engine]
-    (default the VM), or under [sampling]
-    ({!Ppp_harness.Shard.collect_sampled}), whose rate and burst the meta
-    records. *)
+(** One program's v2 profile dump, made as a shard worker makes it
+    ({!Ppp_harness.Shard.collect_program}): from an exact run of
+    [engine] (default the VM), or under [sampling], whose rate and burst
+    the meta records. *)
 
 val merge : decay:float -> string list -> reply
 (** The merge of these v2 dumps ([decay] as in [Merge]); the meta holds

@@ -204,8 +204,8 @@ let answer_failed t job code msg kind =
 
 (* Sampling parameters are part of a collect's identity: a sampled dump
    must never be served where an exact one was asked for (or vice
-   versa). The unsampled key keeps its historical shape, so a store
-   written by an older daemon stays valid. *)
+   versa). The unsampled key keeps its historical shape, so an older
+   daemon's entry is found, and replaced once (see [serve_from_store]). *)
 let collect_key ~bench ~scale ~sample_rate ~burst ~sample_seed =
   if sample_rate <= 1 then Printf.sprintf "%s/scale=%d" bench scale
   else
@@ -272,49 +272,33 @@ let with_plans (env : Ops.envelope) text =
       { env with Ops.req = Ops.Opt { o with plans = Some (Hex.encode text) } }
   | _ -> env
 
-(* A store hit short-circuits the worker pool entirely, as an encoded
-   reply. An [Opt] entry is the reply a worker encoded, relayed with
-   [served_from_store] spliced in: [Store.get] has checked its CRC. *)
-let serve_from_store t (env : Ops.envelope) (kind, key) =
-  Option.bind (Store.get t.store ~kind ~key) (fun stored ->
-      match env.Ops.req with
-      | Ops.Collect { bench; scale; _ } ->
-          Some
-            (Ops.encode_reply
-               (Ops.Okay
-                  {
-                    body = stored;
-                    meta =
-                      [ ("bench", Jsonx.Str bench); ("scale", Jsonx.Int scale);
-                        Ops.served ];
-                  }))
-      | Ops.Merge _ ->
-          Some
-            (Ops.encode_reply (Ops.Okay { body = stored; meta = [ Ops.served ] }))
-      | Ops.Opt _ -> Ops.mark_served stored
-      | _ -> None)
+(* A store hit short-circuits the worker pool entirely: an entry is the
+   reply a worker encoded, relayed with [served_from_store] spliced in
+   ([Store.get] has checked its CRC). An entry that is no whole reply —
+   an older store's bare profile or merged dump — misses, and the
+   recomputed reply overwrites it. *)
+let serve_from_store t (kind, key) =
+  Option.bind (Store.get t.store ~kind ~key) Ops.mark_served
 
 let put_logged t ~kind ~key value =
   match Store.put t.store ~kind ~key value with
   | Ok () -> ()
   | Error d -> log t "store put failed: %a" Diagnostic.pp d
 
-(* Persist what a successful reply taught us: a profile or a merged
-   dump as its body, an [Opt] as the worker's encoded reply [payload],
-   plus the plans it exported under its program name. *)
+(* Persist what a successful reply taught us: the worker's encoded
+   reply [payload] under the request's slot, plus the plans an [Opt]
+   exported under its program name. *)
 let absorb_reply t (job : job) payload reply =
-  match (job.slot, job.env.Ops.req, reply) with
-  | Some (kind, key), Ops.Opt { name; _ }, Ops.Okay { meta; _ } -> (
+  match (job.slot, reply) with
+  | Some (kind, key), Ops.Okay { meta; _ } -> (
       put_logged t ~kind ~key payload;
-      match List.assoc_opt "plans" meta with
-      | Some (Jsonx.Str hex) -> (
+      match (job.env.Ops.req, List.assoc_opt "plans" meta) with
+      | Ops.Opt { name; _ }, Some (Jsonx.Str hex) -> (
           match Hex.decode hex with
           | Some plans when plans <> "" ->
               put_logged t ~kind:"plans" ~key:name plans
           | _ -> ())
       | _ -> ())
-  | Some (kind, key), (Ops.Collect _ | Ops.Merge _), Ops.Okay { body; _ } ->
-      put_logged t ~kind ~key body
   | _ -> ()
 
 (* ---- parent-inline requests -------------------------------------------- *)
@@ -537,7 +521,7 @@ let accept_client t =
               | _ -> (
                   let plans = stored_plans t env in
                   let slot = store_slot env ~plans in
-                  match Option.bind slot (serve_from_store t env) with
+                  match Option.bind slot (serve_from_store t) with
                   | Some encoded ->
                       t.served <- t.served + 1;
                       Metrics.incr m_store_served;

@@ -716,7 +716,7 @@ type tiered = {
 }
 
 let tiered_run ?(threshold = Ppp_interp.Tier.default_threshold)
-    ?(budget = Ppp_interp.Tier.default_budget) ?sampling prepared
+    ?(budget = Ppp_interp.Tier.default_budget) ?sampling ?engine prepared
     (config : Config.t) =
   let config = Config.degrade ~confidence:prepared.confidence config in
   Trace.with_span ~args:[ ("config", config.Config.name) ] "tiered-run"
@@ -727,7 +727,7 @@ let tiered_run ?(threshold = Ppp_interp.Tier.default_threshold)
       ~plan:(tier_planner prepared inst) ()
   in
   let outcome =
-    Interp.run
+    Interp.run ?engine
       ?cache:(Session.lower_cache prepared.session)
       ~config:
         {

@@ -340,6 +340,14 @@ let collect_sampled ?cache ?engine ~spec p =
   in
   Profile_io.Raw.of_program ~edges:ep ~paths p
 
+let collect_program ?cache ?engine ?sampling p =
+  match sampling with
+  | None ->
+      let o = Interp.run ?cache ?engine p in
+      Profile_io.Raw.of_program ?edges:o.Interp.edge_profile
+        ?paths:o.Interp.path_profile p
+  | Some spec -> collect_sampled ?cache ?engine ~spec p
+
 let collect_one ?prebuilt ?engine ?sampling ~seed ~scale ~metrics
     (b : Spec.bench) =
   if metrics then begin
@@ -351,19 +359,13 @@ let collect_one ?prebuilt ?engine ?sampling ~seed ~scale ~metrics
     | Some (p, session) -> (p, Ppp_session.Session.lower_cache session)
     | None -> (b.Spec.build ~scale, None)
   in
-  let raw =
-    match sampling with
-    | None ->
-        let o = Interp.run ?cache ?engine p in
-        Profile_io.Raw.of_program ?edges:o.Interp.edge_profile
-          ?paths:o.Interp.path_profile p
-    | Some template ->
-        let spec =
-          Sampling.spec ~burst:template.Sampling.burst ~seed
-            ~denom:template.Sampling.denom ()
-        in
-        collect_sampled ?cache ?engine ~spec p
+  let sampling =
+    Option.map
+      (fun (t : Sampling.spec) ->
+        Sampling.spec ~burst:t.Sampling.burst ~seed ~denom:t.Sampling.denom ())
+      sampling
   in
+  let raw = collect_program ?cache ?engine ?sampling p in
   let snap = if metrics then Metrics.snapshot () else [] in
   (b.Spec.bench_name, Profile_io.Raw.to_string raw, snap)
 

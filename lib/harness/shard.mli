@@ -84,6 +84,16 @@ val collect_sampled :
     [(spec, program)] pair, and identical under either [engine]
     (default {!Ppp_interp.Interp.Vm}; [cache] serves only the VM). *)
 
+val collect_program :
+  ?cache:Ppp_interp.Lower.cache ->
+  ?engine:Ppp_interp.Interp.engine ->
+  ?sampling:Ppp_interp.Sampling.spec ->
+  Ppp_ir.Ir.program ->
+  Ppp_profile.Profile_io.Raw.t
+(** One program's profile, as a shard worker and a daemon [Collect]
+    make it: exact edges and paths from one traced run, or
+    {!collect_sampled} under [sampling]. *)
+
 type collected = {
   raw : Ppp_profile.Profile_io.Raw.t;
       (** the merged profile; its diagnostics cover parse/merge issues *)

@@ -48,19 +48,16 @@ let exec_binop = Engine.exec_binop
 (* The reference engine: a direct tree-walk over the IR. It is the
    executable specification the flat VM is differentially tested
    against, so it stays deliberately simple — one charge per
-   instruction, a frame list, a path-edge list per frame. *)
+   instruction, a frame list, a path-edge list per frame. Which stream a
+   frame runs (instrumented, off-burst or tiered up) is [Resolve]'s
+   answer, the same policy the VM follows. *)
 
 (* Per-routine execution plan, precomputed once per run. *)
 type plan = {
   routine : Ir.routine;
   view : Cfg_view.t;
-  p_index : int; (* position in the program's routine list — the same
-                    index the VM's plan array (and the tier controller)
-                    uses for this routine *)
-  p_instrumented : bool; (* the routine has instrumentation actions, so
-                            the VM gives it a distinct instrumented
-                            variant; tells the mirror whether an
-                            order-less tier-up still changes streams *)
+  p_index : int; (* position in the program's routine list: the
+                    routine's index in [Resolve] *)
   is_back : bool array; (* edge -> ends the current path *)
   edge_counts : Edge_profile.t option;
   trace : Path_profile.t option;
@@ -74,10 +71,8 @@ type frame = {
   regs : int array;
   mutable block : int;
   mutable ip : int;
-  mutable f_on : bool; (* bursty sampling: instrumentation actions live *)
-  mutable f_tiered : bool; (* this frame runs the routine's post-swap
-                              stream (entered after the swap, or crossed
-                              onto it at a back-edge OSR point) *)
+  mutable stream : int; (* [Resolve]'s stream id; actions run only on
+                           [Resolve.instr] *)
   mutable path_reg : int;
   mutable path_rev : int list;
   ret_to : Ir.reg option; (* caller register receiving our return value *)
@@ -95,13 +90,7 @@ type state = {
   mutable out_rev : int list;
   trace_on : bool;
   obs_on : bool; (* metrics flag, latched at run start *)
-  sampler : Sampling.t option; (* bursty collection sampling, None = off *)
-  tier : Tier.t option; (* tier controller, mirrored 1:1 with the VM *)
-  swapped : bool array; (* routine -> its tier-up changed the executing
-                           stream (the VM's [cur <> v_instr] test) *)
-  reordered : bool array; (* routine -> its tier-up installed a genuine
-                             re-layout (validated exactly as
-                             [Lower.tier_up] does) *)
+  res : Resolve.t; (* which stream each frame runs *)
   mutable obs_calls : int;
   obs_actions : int array; (* executions per Instr_rt.action kind *)
 }
@@ -138,16 +127,10 @@ let make_plan (config : config) instr_tables ~index (r : Ir.routine) =
             in
             (acts, costs, tbl))
   in
-  let p_instrumented =
-    match config.instrumentation with
-    | None -> false
-    | Some instr -> Hashtbl.mem instr r.name
-  in
   {
     routine = r;
     view;
     p_index = index;
-    p_instrumented;
     is_back;
     edge_counts;
     trace;
@@ -174,10 +157,9 @@ let traverse st frame e ~ends_path =
       frame.path_rev <- []
     end
   end;
-  (* Off-burst, the frame behaves as if uninstrumented: no actions, no
-     instr cost. Mirrors the VM executing the plain opcode stream, whose
-     edge_ops carry empty action lists. *)
-  let acts = if frame.f_on then plan.actions.(e) else [||] in
+  (* Off-burst or tiered up, the frame runs uninstrumented: no actions,
+     no instr cost. *)
+  let acts = if frame.stream = Resolve.instr then plan.actions.(e) else [||] in
   if Array.length acts > 0 then begin
     let costs = plan.action_costs.(e) in
     for i = 0 to Array.length acts - 1 do
@@ -222,20 +204,6 @@ let run_reference ~(config : config) (p : Ir.program) =
     p.routines;
   let arrays = Hashtbl.create 7 in
   List.iter (fun (name, size) -> Hashtbl.replace arrays name (Array.make size 0)) p.arrays;
-  (* Same normalization as the VM: sampling only gates instrumentation
-     actions, so it is inert without instrumentation. *)
-  let sampler =
-    match (config.sampling, config.instrumentation) with
-    | Some spec, Some _ -> Some (Sampling.start spec)
-    | _ -> None
-  in
-  (* Same normalization again for tiering (see [Vm.run]). *)
-  let nroutines = List.length p.routines in
-  let tier =
-    match (config.tier, config.instrumentation) with
-    | Some spec, Some _ -> Some (Tier.start spec ~nroutines)
-    | _ -> None
-  in
   let st =
     {
       plans;
@@ -249,40 +217,10 @@ let run_reference ~(config : config) (p : Ir.program) =
       out_rev = [];
       trace_on = config.trace_paths;
       obs_on = Engine.Obs.enabled ();
-      sampler;
-      tier;
-      swapped = Array.make (max 1 nroutines) false;
-      reordered = Array.make (max 1 nroutines) false;
+      res = Resolve.start config ~tables:instr_tables p;
       obs_calls = 0;
       obs_actions = Array.make Instr_rt.num_action_kinds 0;
     }
-  in
-  (* The mirror of [Vm.tier_fire]: gather the routine's live path
-     counters, let the controller decide, and record what the swap
-     changed — with the planner's order validated exactly as
-     [Lower.tier_up] validates it, so the mirror's notion of "the
-     executing stream changed" is the VM's [cur <> v_instr] test. *)
-  let ref_fire (plan : plan) tc =
-    let counters =
-      match plan.table with
-      | None -> []
-      | Some t ->
-          let acc = ref [] in
-          Instr_rt.Table.iter_nonzero t (fun k c -> acc := (k, c) :: !acc);
-          List.rev !acc
-    in
-    let order =
-      Tier.fire tc ~idx:plan.p_index ~name:plan.routine.Ir.name ~counters
-    in
-    let reordered =
-      match order with
-      | Some o ->
-          Lower.valid_order ~nblocks:(Array.length plan.routine.Ir.blocks) o
-          && not (Lower.is_identity_order o)
-      | None -> false
-    in
-    st.reordered.(plan.p_index) <- reordered;
-    st.swapped.(plan.p_index) <- reordered || plan.p_instrumented
   in
   let new_frame name ret_to =
     let plan =
@@ -290,92 +228,28 @@ let run_reference ~(config : config) (p : Ir.program) =
       | Some pl -> pl
       | None -> error "unknown routine %s" name
     in
-    (* The frame-entry variant-resolution point, in the VM's canonical
-       order: (1) tier trip — the fire may swap this very routine right
-       now; (2) the sampling tick, ALWAYS taken when a sampler exists,
-       so burst chronology is independent of tier decisions; (3) the
-       resolution — a tiered routine's frames run its post-swap stream
-       with instrumentation off, otherwise the burst decision picks
-       between the instrumented and plain streams. *)
-    (match st.tier with
-    | Some tc -> if Tier.trip tc plan.p_index then ref_fire plan tc
-    | None -> ());
-    let on =
-      match st.sampler with None -> true | Some s -> Sampling.tick s
-    in
-    let tiered = st.swapped.(plan.p_index) in
-    (match st.tier with
-    | Some tc -> if tiered then Tier.note_entry_swap tc
-    | None -> ());
     {
       plan;
       regs = Array.make plan.routine.Ir.nregs 0;
       block = 0;
       ip = 0;
-      f_on = on && not tiered;
-      f_tiered = tiered;
+      stream = Resolve.enter st.res plan.p_index;
       path_reg = 0;
       path_rev = [];
       ret_to;
     }
   in
-  (* The back-edge variant-resolution point, mirroring [Vm.redecide]
-     move for move: tier trip first (the fire may swap this routine),
-     then the unconditional sampling tick, then the resolution. A swap
-     wins over the burst decision: the first back edge a pre-swap frame
-     takes after its routine tiers up crosses it onto the post-swap
-     stream (OSR) and turns instrumentation off for good. The traversed
-     edge's old path is already recorded, so the new mode applies from
-     the path beginning at the loop header. On a sampling off->on swap,
-     re-arm the path register with the initialization suffix (the
-     actions after the last counting one) of the instrumented edge — the
-     count itself belongs to the off-burst stretch and is not
-     recorded. *)
+  (* A path-ending back edge is a resolution point. The traversed edge's
+     old path is already recorded, so a new stream applies from the path
+     beginning at the loop header; a switch onto the instrumented stream
+     re-arms the path register for it. *)
   let redecide frame e =
-    let plan = frame.plan in
-    (match st.tier with
-    | Some tc -> if Tier.trip tc plan.p_index then ref_fire plan tc
-    | None -> ());
-    let on =
-      match st.sampler with None -> frame.f_on | Some s -> Sampling.tick s
-    in
-    if st.swapped.(plan.p_index) then begin
-      if not frame.f_tiered then begin
-        (* The VM notes an OSR swap only when the frame's stream
-           actually changes: an off-burst frame already on the plain
-           stream is bitwise where an order-less tier-up lands it. *)
-        (match st.tier with
-        | Some tc ->
-            if frame.f_on || st.reordered.(plan.p_index) then
-              Tier.note_osr_swap tc
-        | None -> ());
-        frame.f_tiered <- true;
-        frame.f_on <- false
-      end
+    let r = frame.plan.p_index in
+    let s = Resolve.back_edge st.res r ~from:frame.stream in
+    if s <> frame.stream then begin
+      if s = Resolve.instr then frame.path_reg <- Resolve.rearm st.res r e;
+      frame.stream <- s
     end
-    else if on <> frame.f_on then
-      if not on then frame.f_on <- false
-      else begin
-        frame.f_on <- true;
-        let acts = plan.actions.(e) in
-        let n = Array.length acts in
-        let rec after_last_count i acc =
-          if i >= n then acc
-          else
-            match acts.(i) with
-            | Instr_rt.Set_r _ | Instr_rt.Add_r _ ->
-                after_last_count (i + 1) acc
-            | _ -> after_last_count (i + 1) (i + 1)
-        in
-        let i0 = after_last_count 0 0 in
-        frame.path_reg <- 0;
-        for i = i0 to n - 1 do
-          match acts.(i) with
-          | Instr_rt.Set_r v -> frame.path_reg <- v
-          | Instr_rt.Add_r v -> frame.path_reg <- frame.path_reg + v
-          | _ -> ()
-        done
-      end
   in
   let return_value = ref None in
   let main_frame = new_frame p.main None in
@@ -498,12 +372,7 @@ let run_reference ~(config : config) (p : Ir.program) =
       ~base_cost:st.base_cost ~instr_cost:st.instr_cost
       ~dyn_instrs:st.dyn_instrs ~dyn_paths:st.dyn_paths ~calls:st.obs_calls
       ~actions:st.obs_actions;
-    (match st.sampler with
-    | Some s ->
-        Instr_rt.flush_sample_metrics ~on_ticks:(Sampling.on_ticks s)
-          ~off_ticks:(Sampling.off_ticks s) ~bursts:(Sampling.bursts s)
-    | None -> ());
-    match st.tier with Some tc -> Tier.flush_metrics tc | None -> ()
+    Resolve.flush_metrics st.res
   end;
   {
     return_value = !return_value;
@@ -516,8 +385,7 @@ let run_reference ~(config : config) (p : Ir.program) =
     edge_profile;
     path_profile;
     instr_state = (if Option.is_some config.instrumentation then Some instr_tables else None);
-    tier_decisions =
-      (match st.tier with Some tc -> Tier.decisions tc | None -> []);
+    tier_decisions = Resolve.decisions st.res;
   }
 
 (* ------------------------------------------------------------------ *)

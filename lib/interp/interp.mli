@@ -60,10 +60,11 @@ type config = Engine.config = {
           loop-back-edge OSR point. Program outcomes are byte-identical
           with tiering on or off, in both engines; the recorded profile
           freezes per routine at its swap, and [instr_cost] drops. Inert
-          without [instrumentation]. The reference engine mirrors the
-          controller's decisions (same trips, same swap log) without
-          having variants to swap, which is what lets the differential
-          suite compare tiered runs engine-to-engine. *)
+          without [instrumentation]. Both engines take their trips,
+          swaps and swap log from one policy ({!Resolve}); the
+          reference engine has no code to re-lower and tracks only
+          which stream each frame runs, so the differential suite
+          compares tiered runs engine-to-engine. *)
 }
 
 val default_config : config
@@ -89,8 +90,8 @@ type outcome = Engine.outcome = {
   instr_state : Instr_rt.state option;
   tier_decisions : Tier.decision list;
       (** the tier controller's swap log in firing order; empty unless
-          [tier] is set. Engine-invariant: the reference mirror reaches
-          the same decisions at the same trip counts. *)
+          [tier] is set. Engine-invariant: both engines reach the same
+          decisions at the same trip counts through {!Resolve}. *)
 }
 
 val overhead : outcome -> float

@@ -162,7 +162,7 @@ let proxy_of_plan (plan : Lower.plan) ~freq =
           charge ~at ~target:then_ (freq then_edge.Lower.edge);
           charge ~at ~target:else_ (freq else_edge.Lower.edge)
       | _ -> ())
-    plan.Lower.variants.(plan.Lower.cur).Lower.v_code;
+    (Lower.structural_variant plan).Lower.v_code;
   { transfers = !transfers; taken = !taken; local = !local }
 
 (* The program-wide proxy of [p] under block layout [layout] (identity

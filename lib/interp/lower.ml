@@ -159,17 +159,11 @@ type plan = {
   routine : Ir.routine;
   view : Cfg_view.t;
   mutable variants : variant array;
-      (* every lowered body of this routine; grown by [tier_up] *)
-  v_instr : int;
-      (* the variant new frames enter while collecting: the specialized
-         [Instrumented] stream, or [v_plain] when uninstrumented *)
+      (* every lowered body of this routine, indexed as [Resolve]
+         numbers streams: the [Instrumented] stream first (or the plain
+         one alone, when uninstrumented), then the plain stream, then
+         the generation [tier_up] appends *)
   v_plain : int; (* the structural (uninstrumented) stream *)
-  mutable cur : int;
-      (* the variant new frames resolve to once tiered: starts at
-         [v_instr]; a tier-up swap retargets it at an [Optimized]
-         generation (or [v_plain] when only stripping instrumentation).
-         [cur <> v_instr] is the "this routine has tiered up" test both
-         the frame-entry and back-edge OSR resolution points use. *)
   r_id : int; (* this routine's plan index in its program *)
   nregs : int;
   edge_counts : Edge_profile.t option;
@@ -227,6 +221,9 @@ let is_identity_order order =
   let n = Array.length order in
   let rec go i = i >= n || (order.(i) = i && go (i + 1)) in
   go 0
+
+let genuine_order ~nblocks order =
+  valid_order ~nblocks order && not (is_identity_order order)
 
 let analyze ?analysis (r : Ir.routine) =
   match analysis with
@@ -486,9 +483,7 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
     view;
     variants =
       [| { v_kind = Plain; v_code = code; v_costs = costs; v_offsets = block_offset } |];
-    v_instr = 0;
     v_plain = 0;
-    cur = 0;
     r_id =
       (match Hashtbl.find_opt routine_index r.Ir.name with
       | Some i -> i
@@ -649,9 +644,7 @@ let program ?cache ~(config : Engine.config) ~instr_tables (p : Ir.program) =
     | None -> None
     | Some tbl -> (
         match Hashtbl.find_opt tbl r.Ir.name with
-        | Some o
-          when valid_order ~nblocks:(Array.length r.Ir.blocks) o
-               && not (is_identity_order o) ->
+        | Some o when genuine_order ~nblocks:(Array.length r.Ir.blocks) o ->
             Some o
         | _ -> None)
   in
@@ -711,15 +704,15 @@ let program ?cache ~(config : Engine.config) ~instr_tables (p : Ir.program) =
              | Some (_, marked) -> { sv with v_code = marked }
            in
            (* The run's variant table is always a fresh array (and the
-              plan a fresh record): [tier_up] swaps [cur] and appends
-              variants mid-run, and neither may leak into the cached
-              structural plan shared with the next run. *)
-           let variants, v_instr, v_plain =
+              plan a fresh record): [tier_up] appends a variant mid-run,
+              and it may not leak into the cached structural plan shared
+              with the next run. *)
+           let variants, v_plain =
              match config.Engine.instrumentation with
-             | None -> ([| sv |], 0, 0)
+             | None -> ([| sv |], 0)
              | Some instr -> (
                  match Hashtbl.find_opt instr r.Ir.name with
-                 | None -> ([| sv |], 0, 0)
+                 | None -> ([| sv |], 0)
                  | Some ri ->
                      let table = Hashtbl.find_opt instr_tables r.Ir.name in
                      let icode = specialize_code ~ri ~table sv.v_code in
@@ -732,16 +725,13 @@ let program ?cache ~(config : Engine.config) ~instr_tables (p : Ir.program) =
                          };
                          sv;
                        |],
-                       0,
                        1 ))
            in
            let nedges = Graph.num_edges (Cfg_view.graph splan.view) in
            {
              splan with
              variants;
-             v_instr;
              v_plain;
-             cur = v_instr;
              (* A run that traces paths derives its edge counts from them
                 (see [Vm.run]), so it keeps no per-edge counter. *)
              edge_counts =
@@ -761,46 +751,30 @@ let program ?cache ~(config : Engine.config) ~instr_tables (p : Ir.program) =
   { plans; index; main; arrays }
 
 (* ------------------------------------------------------------------ *)
-(* Mid-run tier-up: retire routine [idx]'s instrumented variant for an
-   optimized generation. With a genuine block order this re-lowers the
-   routine structurally (against the program's live array refs — only
-   opcode placement changes, never contents) and appends the result to
-   the variant table, its chords marked as in the run's other variants;
-   with no order the plain variant already is the optimized body
-   (instrumentation stripped, current placement kept).
-   Either way only [cur] moves: frames in flight keep their entry-time
-   variant until their next back-edge OSR point, and the swap never
-   touches any other routine's plan. *)
+(* Mid-run tier-up: mint routine [idx]'s optimized generation by
+   re-lowering it structurally under [order] (against the program's live
+   array refs — only opcode placement changes, never contents), its
+   chords marked as in the run's other variants, and append it to the
+   variant table. Which stream frames run, and when they cross onto the
+   new one, is [Resolve]'s business; no other routine's plan is
+   touched. *)
 
 let m_lower_tier = Obs.counter "session.lower.tier_up"
 
 let tier_up ?cache (prog : program) ~idx ~order ~gen =
   let plan = prog.plans.(idx) in
-  let r = plan.routine in
-  let order =
-    match order with
-    | Some o
-      when valid_order ~nblocks:(Array.length r.Ir.blocks) o
-           && not (is_identity_order o) ->
-        Some o
-    | _ -> None
+  assert (Array.length plan.variants = plan.v_plain + 1);
+  Obs.incr m_lower_tier;
+  let analysis = Option.bind cache (fun c -> c.analysis) in
+  let splan =
+    lower_structural ?analysis ~order ~arrays:prog.arrays
+      ~routine_index:prog.index plan.routine
   in
-  match order with
-  | None -> plan.cur <- plan.v_plain
-  | Some _ ->
-      Obs.incr m_lower_tier;
-      let analysis = Option.bind cache (fun c -> c.analysis) in
-      let splan =
-        lower_structural ?analysis ?order ~arrays:prog.arrays
-          ~routine_index:prog.index r
-      in
-      let sv = structural_variant splan in
-      let code =
-        match plan.chords with
-        | None -> sv.v_code
-        | Some tree -> mark_chords tree sv.v_code
-      in
-      plan.variants <-
-        Array.append plan.variants
-          [| { sv with v_kind = Optimized gen; v_code = code } |];
-      plan.cur <- Array.length plan.variants - 1
+  let sv = structural_variant splan in
+  let code =
+    match plan.chords with
+    | None -> sv.v_code
+    | Some tree -> mark_chords tree sv.v_code
+  in
+  plan.variants <-
+    Array.append plan.variants [| { sv with v_kind = Optimized gen; v_code = code } |]

@@ -127,16 +127,12 @@ type plan = {
   routine : Ppp_ir.Ir.routine;
   view : Ppp_ir.Cfg_view.t;
   mutable variants : variant array;
-      (** every lowered body of this routine; grown by {!tier_up} *)
-  v_instr : int;
-      (** the variant new frames enter while collecting; [= v_plain]
-          when the routine is uninstrumented *)
+      (** every lowered body of this routine, indexed as {!Resolve}
+          numbers streams: variant {!Resolve.instr} is the stream a
+          frame enters while collecting (the plain one, when the routine
+          is uninstrumented), then comes the plain variant, then the
+          generation {!tier_up} appends *)
   v_plain : int;  (** the structural (uninstrumented) stream *)
-  mutable cur : int;
-      (** the variant new frames resolve to once tiered: starts at
-          [v_instr]; a tier-up swap moves it. [cur <> v_instr] is the
-          "routine has tiered up" test at both variant-resolution
-          points ({!Vm} frame entry and back-edge OSR). *)
   r_id : int;  (** this routine's plan index in its program *)
   nregs : int;
   edge_counts : Ppp_profile.Edge_profile.t option;
@@ -173,6 +169,11 @@ val is_identity_order : int array -> bool
 (** Whether [order] is [0; 1; ...; n-1] — i.e. source order, the layout
     every routine gets without a hint. Identity orders are normalized to
     "no layout" so structurally cached plans are shared. *)
+
+val genuine_order : nblocks:int -> int array -> bool
+(** A valid order other than source order: the only layout hint the
+    lowering applies, and the only tier-up order that mints a new
+    generation ({!Resolve}). *)
 
 (** {2 Structural-plan cache}
 
@@ -222,15 +223,12 @@ val program :
 val structural_variant : plan -> variant
 (** The plan's structural (plain) variant. *)
 
-val tier_up : ?cache:cache -> program -> idx:int -> order:int array option -> gen:int -> unit
-(** Mid-run tier-up of routine [idx]: retire its instrumented variant
-    for optimized generation [gen]. With a genuine (valid,
-    non-identity) [order], re-lowers the routine under that block order
-    — against the program's live arrays, so it is safe mid-execution —
-    and appends the result to the variant table; otherwise the plain
-    variant already is the optimized body. Only the plan's [cur] slot
-    moves: frames in flight keep their entry-time variant until their
-    next OSR point, and no other routine is touched. [cache] supplies
-    memoized CFG/loop analyses, never code (the order is baked into
-    opcodes, so tier-up lowerings are not cached). Counts one
-    [session.lower.tier_up] per re-lowering. *)
+val tier_up : ?cache:cache -> program -> idx:int -> order:int array -> gen:int -> unit
+(** Mid-run tier-up of routine [idx]: re-lower it under the genuine
+    block order [order] — against the program's live arrays, so it is
+    safe mid-execution — and append the result, optimized generation
+    [gen], to its variant table. Frames cross onto it only when
+    {!Resolve} says so, and no other routine is touched. [cache]
+    supplies memoized CFG/loop analyses, never code (the order is baked
+    into opcodes, so tier-up lowerings are not cached). Counts one
+    [session.lower.tier_up]. *)

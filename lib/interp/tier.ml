@@ -1,15 +1,14 @@
 (* The hotness controller behind tiered in-VM re-optimization.
 
-   Both engines drive one of these through the same protocol: [trip] at
-   every frame entry and path-ending back edge (a no-op once the
-   routine's decision is made); when it answers [true] the caller
-   gathers the routine's live path counters and calls [fire], which
-   spends budget, asks the planner for a hot-path-first block order,
-   and logs the decision. The controller never looks at the
-   engine — its state is a pure function of the trip/fire call sequence,
-   which is identical across the VM and the reference tree-walker, so
-   tier decisions (and the tier.* metrics) are engine-invariant by
-   construction. *)
+   [Resolve] drives one of these for both engines: [trip] at every
+   frame entry and path-ending back edge (a no-op once the routine's
+   decision is made); when it answers [true], [Resolve] gathers the
+   routine's live path counters and calls [fire], which spends budget,
+   asks the planner for a hot-path-first block order, and logs the
+   decision. The controller never looks at the engine — its state is a
+   pure function of the trip/fire call sequence, which one policy makes
+   for the VM and the reference tree-walker alike, so tier decisions
+   (and the tier.* metrics) are engine-invariant by construction. *)
 
 module Obs = Ppp_obs.Metrics
 

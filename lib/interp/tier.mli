@@ -7,20 +7,22 @@
     routine's trip count reaches the threshold it "fires": the engine
     gathers the routine's live path counters, the planner distils them
     into a hot-path-first block order, {!Lower.tier_up} re-lowers just
-    that routine, and the plan's current-variant slot swaps so the next
-    frame entry (or the current frame, at its next loop back edge — the
-    OSR point) executes optimized, uninstrumented code.
+    that routine, and {!Resolve} makes it the routine's current stream,
+    so the next frame entry (or the current frame, at its next loop
+    back edge — the OSR point) executes optimized, uninstrumented
+    code.
 
     The controller is engine-agnostic: its state depends only on the
-    sequence of {!trip}/{!fire} calls, which the VM and the reference
-    tree-walker issue at the same program points. Tier decisions are
-    therefore engine-invariant, which the differential suite checks.
+    sequence of {!trip}/{!fire} calls, which {!Resolve} issues for the
+    VM and the reference tree-walker at the same program points. Tier
+    decisions are therefore engine-invariant, which the differential
+    suite checks.
 
     Terminology: a {e tier-up swap} permanently retires a routine's
     instrumented variant for an optimized generation; {!Sampling}'s
     burst re-decision toggles between the instrumented and plain
     variants of the {e same} generation. Both resolve through the one
-    variant-resolution point in {!Vm}. *)
+    variant-resolution policy, {!Resolve}. *)
 
 type planner = routine:string -> counters:(int * int) list -> int array option
 (** Maps a hot routine's live counters — [(path_number, raw_count)]

@@ -51,10 +51,10 @@ type frame = {
          it. Instrumented<->plain swaps are offset-identical; a swap
          onto an optimized generation retargets the pc through the two
          offset tables (see [retarget]). *)
-  mutable f_on : bool; (* executing the instrumented variant on-burst *)
   mutable f_redecide : bool;
       (* path-ending edges are still resolution points for this frame
-         (see [must_redecide]); set at [enter] and in each [redecide] *)
+         (see [Resolve.must_redecide]); set at [enter] and in each
+         [redecide] *)
   mutable regs : int array;
   mutable pc : int;
       (* saved resume point while a callee runs; in the frame that runs
@@ -69,9 +69,6 @@ type frame = {
 
 type state = {
   plans : L.plan array;
-  prog : L.program; (* the lowered program, for mid-run tier-up *)
-  lcache : L.cache option; (* memoized analyses for tier-up lowering *)
-  itables : Instr_rt.state; (* live tables: the tier planner's input *)
   mutable frames : frame array; (* recycled; [0, depth) are live *)
   mutable depth : int;
   mutable fuel : int;
@@ -87,8 +84,8 @@ type state = {
   trace_on : bool;
   obs_on : bool; (* metrics flag, latched at run start *)
   count_calls : bool; (* metrics or telemetry want the call total *)
-  sampler : Sampling.t option; (* bursty collection sampling, None = off *)
-  tier : Tier.t option; (* hotness controller, None = untiered *)
+  res : Resolve.t; (* sampler, tier controller and current streams *)
+  redecide : bool array; (* = Resolve.must_redecide res *)
   tele : Telemetry.t option; (* latched snapshot ring, None = off *)
   mutable tele_left : int; (* instructions until the next sample *)
   mutable obs_calls : int;
@@ -107,13 +104,12 @@ let tele_sample st t =
     ~depth:st.depth
 
 let fresh_frame plan =
-  let v = plan.L.variants.(plan.L.cur) in
+  let v = plan.L.variants.(Resolve.instr) in
   {
     plan;
-    f_var = plan.L.cur;
+    f_var = Resolve.instr;
     fcode = v.L.v_code;
     fcosts = v.L.v_costs;
-    f_on = true;
     f_redecide = false;
     regs = Array.make (max 1 plan.L.nregs) 0;
     (* Every frame begins at opcode offset 0: the lowering keeps the
@@ -126,53 +122,10 @@ let fresh_frame plan =
     ret_to = -1;
   }
 
-(* A routine tripped the tier threshold: gather its live path counters,
-   let the controller (and its planner) decide the optimized block
-   order, and install the new current variant. Only this routine's plan
-   is touched — analysis of untouched routines never blocks the
-   interpreter. *)
-let tier_fire st (plan : L.plan) tc =
-  let counters =
-    match Hashtbl.find_opt st.itables plan.L.routine.Ir.name with
-    | None -> []
-    | Some tbl ->
-        let acc = ref [] in
-        Instr_rt.Table.iter_nonzero tbl (fun k c -> acc := (k, c) :: !acc);
-        List.rev !acc
-  in
-  let order =
-    Tier.fire tc ~idx:plan.L.r_id ~name:plan.L.routine.Ir.name ~counters
-  in
-  L.tier_up ?cache:st.lcache st.prog ~idx:plan.L.r_id ~order
-    ~gen:(Tier.swaps tc)
-
-(* Whether a frame of [plan] must keep resolving at its path-ending
-   edges: while a sampler ticks, or while its routine's tier decision is
-   pending. The frame keeps the answer ([f_redecide]) from its [enter]
-   or its last [redecide], so a frame that entered before its routine's
-   swap still holds [true]: its next back edge crosses it onto the new
-   variant (OSR), and only that resolution clears the flag. Without a
-   sampler, [false] is final: a decided routine's [cur] never moves
-   again, and [Tier.trip] would count nothing. *)
-let must_redecide st (plan : L.plan) =
-  Option.is_some st.sampler
-  ||
-  match st.tier with
-  | None -> false
-  | Some tc -> Tier.pending tc plan.L.r_id
-
 (* Push a zeroed frame for [plan], recycling the slot's arrays. The
    first [nargs] registers are about to be overwritten by the caller's
-   argument copy, so only the rest needs zeroing.
-
-   This is one of the two variant-resolution points (the other is
-   [redecide] at loop back edges), and both engines follow the same
-   canonical order: (1) the tier trip — a routine crossing the
-   threshold right here already enters optimized code; (2) the sampling
-   tick, unconditionally when a sampler is attached — its chronology is
-   independent of tier state, so tiering never loses or shifts bursts;
-   (3) the resolution itself — a tiered routine's current variant wins,
-   otherwise the burst decision picks instrumented vs plain. *)
+   argument copy, so only the rest needs zeroing. The frame runs the
+   variant [Resolve.enter] picks, and keeps [f_redecide] from it. *)
 let enter st plan ~nargs ret_to =
   if st.depth = Array.length st.frames then begin
     let bigger = Array.make (2 * st.depth) st.frames.(0) in
@@ -185,26 +138,12 @@ let enter st plan ~nargs ret_to =
   let f = st.frames.(st.depth) in
   st.depth <- st.depth + 1;
   f.plan <- plan;
-  (match st.tier with
-  | Some tc -> if Tier.trip tc plan.L.r_id then tier_fire st plan tc
-  | None -> ());
-  let on =
-    match st.sampler with None -> true | Some s -> Sampling.tick s
-  in
-  let v =
-    if plan.L.cur <> plan.L.v_instr then begin
-      (match st.tier with Some tc -> Tier.note_entry_swap tc | None -> ());
-      plan.L.cur
-    end
-    else if on then plan.L.v_instr
-    else plan.L.v_plain
-  in
+  let v = Resolve.enter st.res plan.L.r_id in
   let var = plan.L.variants.(v) in
   f.f_var <- v;
   f.fcode <- var.L.v_code;
   f.fcosts <- var.L.v_costs;
-  f.f_on <- on && v = plan.L.v_instr;
-  f.f_redecide <- must_redecide st plan;
+  f.f_redecide <- Array.unsafe_get st.redecide plan.L.r_id;
   let n = plan.L.nregs in
   if Array.length f.regs < n then f.regs <- Array.make n 0
   else if nargs < n then Array.fill f.regs nargs (n - nargs) 0;
@@ -343,42 +282,6 @@ let exhaust st (frame : frame) regs pc =
   frame.pc <- pc;
   raise E.Exhausted
 
-(* The instrumented stream's edge_ops for the terminator at [pc] — the
-   plain stream carries empty action lists, so an off->on transition
-   reads the path-register initialization from here. Only reached from
-   frames in the instrumented/plain pair, whose offsets coincide. *)
-let instrumented_edge (plan : L.plan) pc edge_id =
-  match plan.L.variants.(plan.L.v_instr).L.v_code.(pc) with
-  | L.Jump { edge; _ } | L.Branch_const { edge; _ } -> edge
-  | L.Branch_r { then_edge; else_edge; _ } ->
-      if then_edge.L.edge = edge_id then then_edge else else_edge
-  | _ -> assert false
-
-(* Re-arm the path register as if the instrumented back edge had just
-   initialized a fresh path: execute only the suffix *after* the last
-   counting-class action (the old path's count belongs to an off-burst
-   stretch and must not be recorded). Constant work per burst boundary;
-   charged to neither base nor instr cost. *)
-let path_init (frame : frame) (eo : L.edge_ops) =
-  let acts = eo.L.acts in
-  let n = Array.length acts in
-  let rec after_last_count i acc =
-    if i >= n then acc
-    else
-      match acts.(i) with
-      | L.Bump _ | L.Bump_plus _ | L.Bump_const _ | L.Bump_none ->
-          after_last_count (i + 1) (i + 1)
-      | L.Set_reg _ | L.Add_reg _ -> after_last_count (i + 1) acc
-  in
-  let i0 = after_last_count 0 0 in
-  frame.path_reg <- 0;
-  for i = i0 to n - 1 do
-    match acts.(i) with
-    | L.Set_reg v -> frame.path_reg <- v
-    | L.Add_reg v -> frame.path_reg <- frame.path_reg + v
-    | _ -> ()
-  done
-
 (* Map [target] — a block-start offset in [from_]'s code — to the same
    block's start in [to_]. The instrumented/plain pair shares one
    offsets table, so the common swap is free; crossing onto an
@@ -398,57 +301,27 @@ let retarget (from_ : L.variant) (to_ : L.variant) target =
     to_.L.v_offsets.(find 0)
   end
 
-(* The back-edge variant-resolution point, shared by tier-up OSR and
-   bursty sampling (the edge's old path is fully recorded by [traverse]
-   already, so no partial path can be lost). Same canonical order as
-   [enter]: tier trip, then the unconditional sampling tick, then the
-   resolution — tier override first, burst decision otherwise. Returns
-   the pc to re-enter [run_frames] with (so the dispatch loop rebinds
-   the code array), or -1 when the frame's stream is unchanged. The
-   dispatch loop calls it only while the frame's [f_redecide] holds,
-   and it refreshes that flag once the trip is made. *)
-let redecide st (frame : frame) (plan : L.plan) pc edge_id target =
-  (match st.tier with
-  | Some tc -> if Tier.trip tc plan.L.r_id then tier_fire st plan tc
-  | None -> ());
-  let on =
-    match st.sampler with None -> frame.f_on | Some s -> Sampling.tick s
-  in
-  frame.f_redecide <- must_redecide st plan;
-  if plan.L.cur <> plan.L.v_instr then
-    if frame.f_var = plan.L.cur then -1
-    else begin
-      (* OSR: this frame entered before the routine tiered up; jump
-         onto the optimized variant at the equivalent block. Stale
-         path_reg is harmless — optimized streams never bump. *)
-      let from_ = plan.L.variants.(frame.f_var) in
-      let to_ = plan.L.variants.(plan.L.cur) in
-      frame.f_var <- plan.L.cur;
-      frame.fcode <- to_.L.v_code;
-      frame.fcosts <- to_.L.v_costs;
-      frame.f_on <- false;
-      (match st.tier with Some tc -> Tier.note_osr_swap tc | None -> ());
-      retarget from_ to_ target
-    end
-  else if on = frame.f_on then -1
-  else if on then begin
-    frame.f_on <- true;
-    frame.f_var <- plan.L.v_instr;
-    let v = plan.L.variants.(plan.L.v_instr) in
-    frame.fcode <- v.L.v_code;
-    frame.fcosts <- v.L.v_costs;
-    path_init frame (instrumented_edge plan pc edge_id);
-    target
-  end
+(* A frame crossed a path-ending edge [edge_id] towards [target], with
+   [f_redecide] set: move it onto the variant [Resolve.back_edge]
+   picks. The edge's old path is fully recorded by [traverse] already,
+   so no partial path can be lost. Returns the pc to re-enter
+   [run_frames] with (so the dispatch loop rebinds the code array), or
+   -1 when the frame's stream is unchanged. A switch onto the
+   instrumented stream re-arms the path register; elsewhere a stale
+   one is harmless, as no other stream bumps a counter. *)
+let redecide st (frame : frame) (plan : L.plan) edge_id target =
+  let v = Resolve.back_edge st.res plan.L.r_id ~from:frame.f_var in
+  frame.f_redecide <- Array.unsafe_get st.redecide plan.L.r_id;
+  if v = frame.f_var then -1
   else begin
-    (* Stale path_reg is harmless off-burst: the plain stream never
-       bumps, and the next on-transition re-initializes it. *)
-    frame.f_on <- false;
-    frame.f_var <- plan.L.v_plain;
-    let v = plan.L.variants.(plan.L.v_plain) in
-    frame.fcode <- v.L.v_code;
-    frame.fcosts <- v.L.v_costs;
-    target
+    let from_ = plan.L.variants.(frame.f_var) in
+    let to_ = plan.L.variants.(v) in
+    frame.f_var <- v;
+    frame.fcode <- to_.L.v_code;
+    frame.fcosts <- to_.L.v_costs;
+    if v = Resolve.instr then
+      frame.path_reg <- Resolve.rearm st.res plan.L.r_id edge_id;
+    retarget from_ to_ target
   end
 
 let do_return st (frame : frame) value =
@@ -619,7 +492,7 @@ let rec run_frames st (frame : frame) start_pc =
     | L.Jump { target; edge } ->
         if has_work st edge then traverse st frame plan edge;
         if frame.f_redecide && edge.L.ends_path then begin
-          let t = redecide st frame plan pc edge.L.edge target in
+          let t = redecide st frame plan edge.L.edge target in
           if t >= 0 then run_frames st frame t else go target
         end
         else go target
@@ -627,7 +500,7 @@ let rec run_frames st (frame : frame) start_pc =
         if Array.unsafe_get regs cond <> 0 then begin
           if has_work st then_edge then traverse st frame plan then_edge;
           if frame.f_redecide && then_edge.L.ends_path then begin
-            let t = redecide st frame plan pc then_edge.L.edge then_ in
+            let t = redecide st frame plan then_edge.L.edge then_ in
             if t >= 0 then run_frames st frame t else go then_
           end
           else go then_
@@ -635,7 +508,7 @@ let rec run_frames st (frame : frame) start_pc =
         else begin
           if has_work st else_edge then traverse st frame plan else_edge;
           if frame.f_redecide && else_edge.L.ends_path then begin
-            let t = redecide st frame plan pc else_edge.L.edge else_ in
+            let t = redecide st frame plan else_edge.L.edge else_ in
             if t >= 0 then run_frames st frame t else go else_
           end
           else go else_
@@ -643,7 +516,7 @@ let rec run_frames st (frame : frame) start_pc =
     | L.Branch_const { target; edge } ->
         if has_work st edge then traverse st frame plan edge;
         if frame.f_redecide && edge.L.ends_path then begin
-          let t = redecide st frame plan pc edge.L.edge target in
+          let t = redecide st frame plan edge.L.edge target in
           if t >= 0 then run_frames st frame t else go target
         end
         else go target
@@ -728,30 +601,13 @@ let run ?cache ~(config : E.config) (p : Ir.program) =
   in
   let prog = L.program ?cache ~config ~instr_tables p in
   let main_plan = prog.L.plans.(prog.L.main) in
-  (* Sampling only gates instrumentation actions (edge counting and path
-     tracing are never sampled), so without instrumentation the two
-     streams coincide and the controller would only add tick work. *)
-  let sampler =
-    match (config.E.sampling, config.E.instrumentation) with
-    | Some spec, Some _ -> Some (Sampling.start spec)
-    | _ -> None
-  in
-  (* Like sampling, tiering is only meaningful against instrumentation:
-     the payoff is retiring instrumented variants, and without them the
-     plain stream already is the "optimized" body up to layout the
-     controller could not have learned anything to guide. *)
-  let tier =
-    match (config.E.tier, config.E.instrumentation) with
-    | Some spec, Some _ ->
-        Some (Tier.start spec ~nroutines:(Array.length prog.L.plans))
-    | _ -> None
+  let res =
+    Resolve.start config ~tables:instr_tables p
+      ~install:(fun ~idx ~order ~gen -> L.tier_up ?cache prog ~idx ~order ~gen)
   in
   let st =
     {
       plans = prog.L.plans;
-      prog;
-      lcache = cache;
-      itables = instr_tables;
       frames = Array.init 16 (fun _ -> fresh_frame main_plan);
       depth = 0;
       fuel = config.E.fuel;
@@ -767,8 +623,8 @@ let run ?cache ~(config : E.config) (p : Ir.program) =
       trace_on = config.E.trace_paths;
       obs_on = E.Obs.enabled ();
       count_calls = E.Obs.enabled () || Option.is_some config.E.telemetry;
-      sampler;
-      tier;
+      res;
+      redecide = Resolve.must_redecide res;
       tele = config.E.telemetry;
       tele_left =
         (match config.E.telemetry with
@@ -854,12 +710,7 @@ let run ?cache ~(config : E.config) (p : Ir.program) =
     E.flush_metrics ~fuel:config.E.fuel ~termination ~fuel_left:st.fuel
       ~base_cost:st.base_cost ~instr_cost:st.instr_cost ~dyn_instrs
       ~dyn_paths:st.dyn_paths ~calls:st.obs_calls ~actions:st.obs_actions;
-    (match st.sampler with
-    | Some s ->
-        Instr_rt.flush_sample_metrics ~on_ticks:(Sampling.on_ticks s)
-          ~off_ticks:(Sampling.off_ticks s) ~bursts:(Sampling.bursts s)
-    | None -> ());
-    match st.tier with Some tc -> Tier.flush_metrics tc | None -> ()
+    Resolve.flush_metrics res
   end;
   {
     E.return_value = st.ret_value;
@@ -874,6 +725,5 @@ let run ?cache ~(config : E.config) (p : Ir.program) =
     instr_state =
       (if Option.is_some config.E.instrumentation then Some instr_tables
        else None);
-    tier_decisions =
-      (match st.tier with Some tc -> Tier.decisions tc | None -> []);
+    tier_decisions = Resolve.decisions res;
   }

@@ -696,7 +696,7 @@ let chord_marks () =
       let nblocks = Array.length plan.Lower.routine.Ir.blocks in
       if nblocks >= 3 then
         Lower.tier_up prog ~idx:plan.Lower.r_id
-          ~order:(Some (Array.init nblocks (fun i -> if i = 0 then 0 else nblocks - i)))
+          ~order:(Array.init nblocks (fun i -> if i = 0 then 0 else nblocks - i))
           ~gen:1)
     prog.Lower.plans;
   Array.iter

@@ -29,4 +29,5 @@ let () =
       ("gate", Test_gate.suite);
       ("daemon", Test_daemon.suite);
       ("tier", Test_tier.suite);
+      ("resolve", Test_resolve.suite);
     ]

@@ -391,6 +391,26 @@ let tiered_run_pipeline () =
     (t.Pipeline.t_outcome.Interp.instr_cost < untiered.Interp.instr_cost);
   ignore ev
 
+(* The reference engine runs a tiered pipeline run like the VM, and
+   lowers nothing: a tier-up there installs no code. *)
+let tiered_run_reference () =
+  let lowered engine =
+    let p = (Spec.find "vpr").Spec.build ~scale:1 in
+    let prepared = Pipeline.prepare_unoptimized ~name:"vpr" p in
+    Obs.set_enabled true;
+    Obs.reset ();
+    let t = Pipeline.tiered_run ~engine prepared Config.ppp in
+    let s = Obs.snapshot () in
+    Obs.set_enabled false;
+    ( full_digest p t.Pipeline.t_outcome,
+      Option.value ~default:0 (Obs.counter_value s "session.lower.tier_up") )
+  in
+  let vm, vm_lowered = lowered Interp.Vm in
+  let r, r_lowered = lowered Interp.Reference in
+  Alcotest.(check string) "the VM's outcome and decisions" vm r;
+  Alcotest.(check bool) "the VM lowers a tier-up" true (vm_lowered > 0);
+  Alcotest.(check int) "the reference lowers none" 0 r_lowered
+
 (* The tier.* counter family one run flushes, with the run's outcome. *)
 let tier_family ~engine ~config p =
   Obs.set_enabled true;
@@ -510,6 +530,44 @@ let recursive_osr () =
       ("fire in loop", Tier.spec ~threshold:6 ~plan:(reversal_planner p) (), 4);
     ]
 
+(* A sampled tiered run consumes the sampler exactly as the sampled
+   untiered run does: the tick is taken at every resolution point
+   whether or not its routine has tiered up, so the same on-ticks,
+   off-ticks and bursts come out, on every workload. *)
+let sampler_chronology () =
+  let family config p =
+    Obs.set_enabled true;
+    Obs.reset ();
+    ignore (Interp.run ~engine:Interp.Vm ~config p);
+    let s = Obs.snapshot () in
+    Obs.set_enabled false;
+    List.map
+      (fun k -> Option.value ~default:0 (Obs.counter_value s ("rt.sample." ^ k)))
+      [ "on_ticks"; "off_ticks"; "bursts" ]
+  in
+  List.iter
+    (fun (b : Spec.bench) ->
+      let p = b.Spec.build ~scale:1 in
+      let config =
+        {
+          Interp.default_config with
+          Interp.instrumentation =
+            Some (Instrument.instrument p (prior_edges p) Config.ppp).Instrument.rt;
+          sampling = Some (Sampling.spec ~denom:16 ~seed:42 ());
+        }
+      in
+      let untiered = family config p in
+      Alcotest.(check bool) (b.Spec.bench_name ^ ": ticks counted") true
+        (List.hd untiered > 0);
+      List.iter
+        (fun (sname, spec) ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s/%s: the untiered run's ticks" b.Spec.bench_name sname)
+            untiered
+            (family { config with Interp.tier = Some spec } p))
+        (tier_specs p))
+    Spec.all
+
 let suite =
   List.map workload_case Spec.all
   @ [
@@ -523,4 +581,8 @@ let suite =
       Alcotest.test_case "tier.* metrics" `Quick tier_metrics;
       Alcotest.test_case "recursive routine crosses over in flight" `Quick
         recursive_osr;
+      Alcotest.test_case "tiered_run on the reference engine" `Quick
+        tiered_run_reference;
+      Alcotest.test_case "a sampled tiered run ticks like the untiered one"
+        `Quick sampler_chronology;
     ]
