@@ -23,7 +23,9 @@
                  profiles vs a sampled store merged with decay
      throughput  VM and reference-engine Minstr/s, profiling off and
                  with edges + path tracing on             (wall clock)
-     prepare     preparation time per phase             (wall clock)
+
+   Preparation phase times are trace spans (pppc report --trace-out),
+   not a section; the performance ledger (bench/ledger) owns wall clock.
 
    Flags:
      --scale N          larger inputs (default 1)

@@ -246,7 +246,7 @@ let pp_tier_decisions ppf (ds : Ppp_interp.Tier.decision list) =
     (fun (d : Ppp_interp.Tier.decision) ->
       Format.fprintf ppf "  gen %d: %s at %d trips%s@." d.Ppp_interp.Tier.d_gen
         d.Ppp_interp.Tier.d_routine d.Ppp_interp.Tier.d_trips
-        (if d.Ppp_interp.Tier.d_reordered then " (re-laid out)"
+        (if d.Ppp_interp.Tier.d_order <> None then " (re-laid out)"
          else " (instrumentation stripped)"))
     ds
 
@@ -543,8 +543,10 @@ let collect_all ~scale ~engine ~jobs ~warm ~output ~shard_dir ~metrics_wanted
   | Some dir ->
       mkdir_p dir;
       List.iter
-        (fun (name, dump) ->
-          write_file (Filename.concat dir (name ^ ".ppp")) dump)
+        (fun (name, raw) ->
+          write_file
+            (Filename.concat dir (name ^ ".ppp"))
+            (Profile_io.Raw.to_string raw))
         c.Shard.shards;
       List.iter
         (fun (name, snap) ->

@@ -360,16 +360,16 @@ let opt ?(flags = H.default_flags) ~session ?profile ~iterate ~name p =
       }
   end
   else
-    let prep, profile_meta =
+    let prep = H.prepare ~session ~flags ?profile ~name p in
+    let profile_meta =
       match profile with
-      | None -> (H.prepare ~session ~flags ~name p, [])
+      | None -> []
       | Some loaded ->
-          ( H.prepare_with_profile ~session ~flags ~name ~loaded p,
-            Profile_io.
-              [ ("matched_fraction", Jsonx.Float loaded.matched_fraction);
-                ("profile_diagnostics", Diagnostic.list_to_json loaded.diagnostics);
-                ("stale_routines", Jsonx.Int loaded.stale_routines);
-                ("dropped_counts", Jsonx.Int loaded.dropped_counts) ] )
+          Profile_io.
+            [ ("matched_fraction", Jsonx.Float loaded.matched_fraction);
+              ("profile_diagnostics", Diagnostic.list_to_json loaded.diagnostics);
+              ("stale_routines", Jsonx.Int loaded.stale_routines);
+              ("dropped_counts", Jsonx.Int loaded.dropped_counts) ]
     in
     let inl = prep.H.inline_stats and unr = prep.H.unroll_stats in
     Okay

@@ -226,40 +226,35 @@ let merge_key ~decay dumps =
 
 (* An [Opt]'s identity: the request as its client sent it, with the
    client-specific fields and the profile dump zeroed, then the digest of
-   the dump and of the plan bundle the server injects into it. Equal
-   requests with equal dumps and injected bundles share a key, as they
-   would if both were part of it, but the key stays the size of the
-   program: a dump (256 KB for crafty) travels only to a worker, and the
-   bundle (85–187 KB at scale 1) only on a miss. *)
-let opt_key env ~plans =
-  let md5 tag text =
-    Printf.sprintf " %s-md5=%s" tag (Digest.to_hex (Digest.string text))
-  in
+   the dump. The plan bundle the server injects on a miss is no part of
+   it: plans are a cache of placement work, and an [Opt]'s body does not
+   depend on them. So an identical request hits from its second send on,
+   and a hit never reads the bundle (85–187 KB at scale 1). The key stays
+   the size of the program: a dump (256 KB for crafty) travels only to a
+   worker. *)
+let opt_key env =
   let env, profile =
     match env.Ops.req with
     | Ops.Opt ({ profile = Some dump; _ } as o) ->
         ( { env with Ops.req = Ops.Opt { o with profile = None } },
-          md5 "profile" dump )
+          " profile-md5=" ^ Digest.to_hex (Digest.string dump) )
     | _ -> (env, "")
   in
-  String.concat ""
-    [ Ops.encode_request { env with Ops.id = 0; deadline_ms = 0 };
-      profile;
-      Option.fold ~none:"" ~some:(md5 "plans") plans ]
+  Ops.encode_request { env with Ops.id = 0; deadline_ms = 0 } ^ profile
 
 (* Where a request's result lives in the store, if anywhere. *)
-let store_slot (env : Ops.envelope) ~plans =
+let store_slot (env : Ops.envelope) =
   match env.Ops.req with
   | Ops.Collect { bench; scale; sample_rate; burst; sample_seed } ->
       Some
         ("profile", collect_key ~bench ~scale ~sample_rate ~burst ~sample_seed)
   | Ops.Merge { dumps; decay } -> Some ("merge", merge_key ~decay dumps)
-  | Ops.Opt _ -> Some ("opt", opt_key env ~plans)
+  | Ops.Opt _ -> Some ("opt", opt_key env)
   | _ -> None
 
-(* An [Opt] with no plan bundle resumes from the plans persisted under
-   its program name — the daemon-side half of incremental
-   re-optimization across client invocations. *)
+(* An [Opt] with no plan bundle that misses the store resumes from the
+   plans persisted under its program name — the daemon-side half of
+   incremental re-optimization across client invocations. *)
 let stored_plans t (env : Ops.envelope) =
   match env.Ops.req with
   | Ops.Opt { plans = None; name; _ } ->
@@ -519,8 +514,7 @@ let accept_client t =
                   answer_reply t job (Ops.Okay { body = "bye"; meta = [] });
                   t.running <- false
               | _ -> (
-                  let plans = stored_plans t env in
-                  let slot = store_slot env ~plans in
+                  let slot = store_slot env in
                   match Option.bind slot (serve_from_store t) with
                   | Some encoded ->
                       t.served <- t.served + 1;
@@ -528,7 +522,8 @@ let accept_client t =
                       answer t job encoded
                   | None ->
                       let env =
-                        Option.fold ~none:env ~some:(with_plans env) plans
+                        Option.fold ~none:env ~some:(with_plans env)
+                          (stored_plans t env)
                       in
                       let job = { job with env; slot } in
                       let in_flight =

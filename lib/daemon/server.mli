@@ -26,22 +26,23 @@
       persisted whole and served from the store on identical
       re-requests, so a served reply prints what its first answer
       printed, plus the served line; [Opt] requests that carry no plan
-      bundle resume from the routine plans persisted under the
-      program's name, which is what makes a warm daemon's [--iterate]
-      cheaper than a cold process. An [Opt] entry is keyed by the request as its client sent
-      it ([id] and [deadline_ms] zeroed) plus the MD5 of the plan bundle
-      the server injects, so its key is the size of the program, and the
-      bundle is hex-encoded into the request only when a worker must
-      compute it. Every entry holds the worker's encoded reply; a hit
-      relays those bytes with [served_from_store] spliced into the meta
-      ({!Ops.mark_served}), so a hit decodes and encodes no JSON. The
-      injected bundle is part of the key, so an identical [Opt] misses
-      twice before it hits: once with no plans stored, once with the
-      plans its first reply stored. An older store's [Collect] or
-      [Merge] entry, which holds a bare profile or merged dump rather
-      than a reply, misses once and is overwritten. An [Opt] entry
-      written under the older key, which held the bundle's hex, is never
-      served again: its request misses once. *)
+      bundle and miss the store resume from the routine plans persisted
+      under the program's name, which is what makes a warm daemon's
+      [--iterate] cheaper than a cold process. An [Opt] entry is keyed
+      by the request as its client sent it ([id] and [deadline_ms]
+      zeroed, a profile dump replaced by its MD5), so its key is the
+      size of the program. The plan bundle is no part of the key: an
+      [Opt]'s body does not depend on the plans injected into it, so an
+      identical [Opt] misses once, and only a miss reads the stored
+      bundle and hex-encodes it into the request a worker computes.
+      Every entry holds the worker's encoded reply; a hit relays those
+      bytes with [served_from_store] spliced into the meta
+      ({!Ops.mark_served}), so a hit decodes and encodes no JSON. An
+      older store's [Collect] or [Merge] entry, which holds a bare
+      profile or merged dump rather than a reply, misses once and is
+      overwritten. An [Opt] entry written under an older key, which
+      held the bundle's hex or its MD5, is never served again: its
+      request misses once. *)
 
 type config = {
   socket_path : string;

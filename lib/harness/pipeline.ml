@@ -51,7 +51,6 @@ type prepared = {
   diagnostics : Diagnostic.t list;
   session : Session.t;
   view_memo : (string, Cfg_view.t) Hashtbl.t;
-  phase_ms : (string * float) list;
 }
 
 (* The full decision log of a preparation, in pass order: what the
@@ -76,18 +75,6 @@ let fuel_diags phase (o : Interp.outcome) =
               with the partial profile"
              phase stack_depth);
       ]
-
-(* Time per phase, on the clock the phase's span reads; kept out of every
-   deterministic artifact: it is only surfaced behind explicit opt-in
-   flags. *)
-let timed phases label f =
-  let t0 = Trace.now_us () in
-  let r = Trace.with_span label f in
-  phases := (label, (Trace.now_us () -. t0) /. 1000.0) :: !phases;
-  r
-
-let prepare_ms prepared =
-  List.fold_left (fun acc (_, ms) -> acc +. ms) 0.0 prepared.phase_ms
 
 (* The session memoizes views once per fingerprint; the extra
    name-indexed memo keeps the frequent [views prep name] lookups (and
@@ -190,8 +177,8 @@ let layout_of_flags ~(flags : opt_flags) session p (o : Interp.outcome) =
    bodies that no longer exist once a trace is duplicated, so a changed
    program gets a fresh edge profile before inlining consumes it.
    Mismatched or stale traces degrade to diagnostics, never errors. *)
-let superblock_phase ~(flags : opt_flags) ~session ~phases
-    ~(loaded : Profile_io.loaded) p =
+let superblock_phase ~(flags : opt_flags) ~session ~(loaded : Profile_io.loaded)
+    p =
   if not flags.superblocks then (p, Superblock.empty_stats, loaded.Profile_io.edges, [])
   else begin
     let views name = Session.view session (Ir.routine p name) in
@@ -203,7 +190,7 @@ let superblock_phase ~(flags : opt_flags) ~session ~phases
     let hot_paths = List.map (fun (n, path, _) -> (n, path)) picked in
     let path_weights = List.map (fun (n, _, f) -> (n, f)) picked in
     let p', stats =
-      timed phases "superblock" (fun () ->
+      Trace.with_span "superblock" (fun () ->
           Superblock.form ~max_trace:flags.max_trace ~path_weights p ~hot_paths)
     in
     let diags =
@@ -218,91 +205,62 @@ let superblock_phase ~(flags : opt_flags) ~session ~phases
       (p, stats, loaded.Profile_io.edges, diags)
     else begin
       ignore (Session.sync session p');
-      let o = timed phases "sb-profile" (fun () -> Session.run session p') in
+      let o = Trace.with_span "sb-profile" (fun () -> Session.run session p') in
       (p', stats, Option.get o.Interp.edge_profile, diags @ fuel_diags "sb-profile" o)
     end
   end
 
-let prepare ?session ?(flags = default_flags) ~name p =
+(* Without a [profile] the preparation collects its own edge profile
+   first; with one (loaded, possibly salvaged from a stale dump) the
+   loaded counts drive it, after superblock formation when the flag is
+   on. Either way, inline, re-profile, unroll and run the result. *)
+let prepare ?session ?(flags = default_flags) ?profile ~name p =
   let session = make_session ?session ~name () in
-  let phases = ref [] in
-  Trace.with_span ~args:[ ("bench", name) ] "prepare" @@ fun () ->
+  let span = if Option.is_none profile then "prepare" else "prepare-with-profile" in
+  Trace.with_span ~args:[ ("bench", name) ] span @@ fun () ->
   ignore (Session.sync session p);
-  let orig_outcome =
-    timed phases "edge-profile" (fun () -> Session.run session p)
+  let src, superblock_stats, ep0, edge_run, diagnostics =
+    match profile with
+    | None ->
+        let o = Trace.with_span "edge-profile" (fun () -> Session.run session p) in
+        ( p,
+          Superblock.empty_stats,
+          Option.get o.Interp.edge_profile,
+          Some o,
+          fuel_diags "edge-profile" o )
+    | Some loaded ->
+        let p', stats, ep, sb_diags = superblock_phase ~flags ~session ~loaded p in
+        (p', stats, ep, None, loaded.Profile_io.diagnostics @ sb_diags)
   in
-  let ep0 = Option.get orig_outcome.Interp.edge_profile in
-  let inlined, inline_stats =
-    timed phases "inline" (fun () ->
-        Ppp_opt.Inline.run p ~block_freq:(block_freq_fn session p ep0))
-  in
-  ignore (Session.sync session inlined);
-  let o1 = timed phases "re-profile" (fun () -> Session.run session inlined) in
-  let ep1 = Option.get o1.Interp.edge_profile in
-  let optimized, unroll_stats =
-    timed phases "unroll" (fun () ->
-        Ppp_opt.Unroll.run inlined ~edge_profile:ep1)
-  in
-  ignore (Session.sync session optimized);
-  let base_outcome =
-    timed phases "base-run" (fun () -> Session.run session optimized)
-  in
-  {
-    bench_name = name;
-    original = p;
-    optimized;
-    orig_outcome;
-    base_outcome;
-    inline_stats;
-    unroll_stats;
-    superblock_stats = Superblock.empty_stats;
-    layout = layout_of_flags ~flags session optimized base_outcome;
-    confidence = 1.0;
-    diagnostics =
-      fuel_diags "edge-profile" orig_outcome
-      @ fuel_diags "re-profile" o1
-      @ fuel_diags "base" base_outcome;
-    session;
-    view_memo = Hashtbl.create 17;
-    phase_ms = List.rev !phases;
-  }
-
-let prepare_with_profile ?session ?(flags = default_flags) ~name
-    ~(loaded : Profile_io.loaded) p =
-  let session = make_session ?session ~name () in
-  let phases = ref [] in
-  Trace.with_span ~args:[ ("bench", name) ] "prepare-with-profile" @@ fun () ->
-  ignore (Session.sync session p);
-  let confidence = loaded.Profile_io.matched_fraction in
-  let sb_p, superblock_stats, ep0, sb_diags =
-    superblock_phase ~flags ~session ~phases ~loaded p
+  let confidence =
+    Option.fold ~none:1.0 ~some:(fun l -> l.Profile_io.matched_fraction) profile
   in
   (* Confidence-weighted hotness: salvaged counts must clear a higher bar
-     before they justify inlining a call site. *)
+     before they justify inlining a call site. At confidence 1.0 the bar
+     is the inliner's default, 16. *)
   let min_site_freq =
     int_of_float (Float.ceil (16.0 /. Float.max 0.05 confidence))
   in
   let inlined, inline_stats =
-    timed phases "inline" (fun () ->
-        Ppp_opt.Inline.run ~min_site_freq sb_p
-          ~block_freq:(block_freq_fn session sb_p ep0))
+    Trace.with_span "inline" (fun () ->
+        Ppp_opt.Inline.run ~min_site_freq src
+          ~block_freq:(block_freq_fn session src ep0))
   in
   ignore (Session.sync session inlined);
-  let o1 = timed phases "re-profile" (fun () -> Session.run session inlined) in
-  let ep1 = Option.get o1.Interp.edge_profile in
+  let o1 = Trace.with_span "re-profile" (fun () -> Session.run session inlined) in
   let optimized, unroll_stats =
-    timed phases "unroll" (fun () ->
-        Ppp_opt.Unroll.run inlined ~edge_profile:ep1)
+    Trace.with_span "unroll" (fun () ->
+        Ppp_opt.Unroll.run inlined ~edge_profile:(Option.get o1.Interp.edge_profile))
   in
   ignore (Session.sync session optimized);
   let base_outcome =
-    timed phases "base-run" (fun () -> Session.run session optimized)
+    Trace.with_span "base-run" (fun () -> Session.run session optimized)
   in
   {
     bench_name = name;
     original = p;
     optimized;
-    orig_outcome = o1;
+    orig_outcome = Option.value edge_run ~default:o1;
     base_outcome;
     inline_stats;
     unroll_stats;
@@ -310,21 +268,17 @@ let prepare_with_profile ?session ?(flags = default_flags) ~name
     layout = layout_of_flags ~flags session optimized base_outcome;
     confidence;
     diagnostics =
-      loaded.Profile_io.diagnostics @ sb_diags
-      @ fuel_diags "re-profile" o1
-      @ fuel_diags "base" base_outcome;
+      diagnostics @ fuel_diags "re-profile" o1 @ fuel_diags "base" base_outcome;
     session;
     view_memo = Hashtbl.create 17;
-    phase_ms = List.rev !phases;
   }
 
 let prepare_unoptimized ?session ~name p =
   let session = make_session ?session ~name () in
-  let phases = ref [] in
   Trace.with_span ~args:[ ("bench", name) ] "prepare" @@ fun () ->
   ignore (Session.sync session p);
   let orig_outcome =
-    timed phases "edge-profile" (fun () -> Session.run session p)
+    Trace.with_span "edge-profile" (fun () -> Session.run session p)
   in
   {
     bench_name = name;
@@ -356,7 +310,6 @@ let prepare_unoptimized ?session ~name p =
     diagnostics = fuel_diags "edge-profile" orig_outcome;
     session;
     view_memo = Hashtbl.create 17;
-    phase_ms = List.rev !phases;
   }
 
 let actual_profile prepared = Option.get prepared.base_outcome.Interp.path_profile
@@ -827,7 +780,7 @@ let reoptimize ?session ?(config = Config.ppp) ?(flags = default_flags)
           in
           match handed with
           | Ok loaded ->
-              ( prepare_with_profile ~session ~flags ~name ~loaded !cur,
+              ( prepare ~session ~flags ~profile:loaded ~name !cur,
                 loaded.Profile_io.matched_fraction )
           | Error _ -> (prepare ~session ~flags ~name !cur, 0.0))
     in

@@ -13,8 +13,8 @@
     profiling methods, and carried across re-optimization generations.
     Every default-config run of a preparation goes through
     {!Ppp_session.Session.run}, so a phase whose program an optimizer
-    pass left unchanged reuses the run before it; its span and its
-    [phase_ms] entry remain.
+    pass left unchanged reuses the run before it; its span remains.
+    Spans are the only record of a phase's time: see {!prepare}.
     Callers may pass their own session (e.g. one warmed on a previous
     generation, or a disabled one to measure the uncached cost); by
     default each [prepare] creates a fresh enabled session, so results
@@ -30,8 +30,8 @@ type opt_flags = {
   superblocks : bool;
       (** straighten each routine's hottest decoded trace
           ({!Ppp_opt.Superblock}) before inlining — only meaningful for
-          {!prepare_with_profile}/{!reoptimize}, which have a decoded
-          path profile to drive it *)
+          a {!prepare} given a [profile] and for {!reoptimize}, which
+          have a decoded path profile to drive it *)
   layout : bool;
       (** derive a hot-path-first block emission order from the base
           run's path profile and carry it in [prepared.layout] *)
@@ -67,10 +67,6 @@ type prepared = {
       (** the analysis store every later evaluation draws from *)
   view_memo : (string, Ppp_ir.Cfg_view.t) Hashtbl.t;
       (** name-indexed front of the session's views (internal memo) *)
-  phase_ms : (string * float) list;
-      (** wall-clock milliseconds per preparation phase, in order —
-          nondeterministic, so never included in machine-readable
-          artifacts unless explicitly requested *)
 }
 
 val decisions : prepared -> Ppp_opt.Decision.t list
@@ -81,44 +77,44 @@ val decisions : prepared -> Ppp_opt.Decision.t list
 val prepare :
   ?session:Ppp_session.Session.t ->
   ?flags:opt_flags ->
+  ?profile:Ppp_profile.Profile_io.loaded ->
   name:string ->
   Ppp_ir.Ir.program ->
   prepared
-(** @raise Ppp_interp.Interp.Runtime_error if the program faults.
+(** Optimize [p] from an edge profile: inline, re-profile, unroll, and
+    run the result (the base run every evaluation scores against).
+
+    Without [profile] the edge profile comes from a fresh run of [p].
+    With one — a previously saved, possibly stale, possibly partially
+    salvaged profile, the offline-advice half of a staged optimizer —
+    its counts drive inlining instead. The inliner's hotness bar is
+    raised in proportion to distrust ([16 / matched_fraction] calls; 16
+    at a full match and without a profile), the loaded profile's
+    diagnostics are carried into [prepared.diagnostics], and
+    [prepared.confidence] is set to the matched fraction so {!evaluate}
+    degrades its placement thresholds. With [flags.superblocks], the
+    loaded profile's hot paths first straighten each routine's hottest
+    trace ({!Ppp_opt.Superblock.form}); a program that actually changed
+    is re-profiled so inlining consumes edge counts for the bodies it
+    sees, and traces the current CFG can no longer follow become
+    [Stale] warning diagnostics rather than silent skips. Without a
+    profile, superblock formation has nothing to drive it and
+    [flags.superblocks] is ignored.
+
+    Each phase is a trace span, under a [prepare] span
+    ([prepare-with-profile] when given a profile): [edge-profile]
+    (without a profile), [superblock] and [sb-profile] (with
+    [flags.superblocks], when it changed the program), [inline],
+    [re-profile], [unroll] and [base-run].
+
+    @raise Ppp_interp.Interp.Runtime_error if the program faults.
     Fuel exhaustion does not raise: the phase keeps its partial profile
-    and records an [Exhausted] diagnostic. [flags] (default
-    {!default_flags}) can only enable [layout] here — superblock
-    formation needs a decoded profile, which a fresh preparation does
-    not have. *)
+    and records an [Exhausted] diagnostic. *)
 
 val prepare_unoptimized :
   ?session:Ppp_session.Session.t -> name:string -> Ppp_ir.Ir.program -> prepared
-(** Skip inlining and unrolling (for comparisons on original code). *)
-
-val prepare_with_profile :
-  ?session:Ppp_session.Session.t ->
-  ?flags:opt_flags ->
-  name:string ->
-  loaded:Ppp_profile.Profile_io.loaded ->
-  Ppp_ir.Ir.program ->
-  prepared
-(** Drive inlining from a previously saved (possibly stale, possibly
-    partially salvaged) profile instead of a fresh profiling run — the
-    offline-advice half of a staged optimizer. The inliner's hotness bar
-    is raised in proportion to distrust ([1 / matched_fraction]), the
-    loaded profile's diagnostics are carried into
-    [prepared.diagnostics], and [prepared.confidence] is set to the
-    matched fraction so {!evaluate} degrades its placement thresholds.
-
-    With [flags.superblocks], the loaded profile's hot paths first
-    straighten each routine's hottest trace ({!Ppp_opt.Superblock.form});
-    a program that actually changed is re-profiled (phase ["sb-profile"])
-    so inlining consumes edge counts for the bodies it sees, and traces
-    the current CFG can no longer follow become [Stale] warning
-    diagnostics rather than silent skips. *)
-
-val prepare_ms : prepared -> float
-(** Total wall-clock milliseconds of the preparation phases. *)
+(** Skip inlining and unrolling (for comparisons on original code); its
+    one run is the [edge-profile] span under [prepare]. *)
 
 val views : prepared -> string -> Ppp_ir.Cfg_view.t
 (** CFG views of the optimized program's routines, memoized through the

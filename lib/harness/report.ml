@@ -681,7 +681,7 @@ let tiered_of pb =
     tt_routines = List.length prep.Pipeline.optimized.Ppp_ir.Ir.routines;
     tt_swapped = List.length t.Pipeline.t_decisions;
     tt_reordered =
-      count (fun (d : Tier.decision) -> d.Tier.d_reordered) t.Pipeline.t_decisions;
+      count (fun (d : Tier.decision) -> d.Tier.d_order <> None) t.Pipeline.t_decisions;
     tt_untiered_instr_cost = untiered_cost;
     tt_tiered_instr_cost = tiered_cost;
     tt_saving =
@@ -912,13 +912,14 @@ let drift =
         (avg "drift_stability") (avg "full_stability") (List.length rows)
         drift_min_stability)
 
-(* {3 Wall-clock sections: throughput and prepare}
+(* {3 The wall-clock section: throughput}
 
    Nondeterministic, so a sharded run (whose document must be
-   byte-identical at every -j) refuses them. Profiling bookkeeping the
+   byte-identical at every -j) refuses it. Profiling bookkeeping the
    paper's methodology does not charge (edge collection, ground-truth
-   traces) is off while timing, except in throughput's profiling-on
-   columns, which time the default config every pipeline run uses. *)
+   traces) is off while timing, except in the profiling-on columns,
+   which time the default config every pipeline run uses. Runs are
+   timed on the clock trace spans read. *)
 
 let quiet =
   { Interp.default_config with collect_edges = false; trace_paths = false }
@@ -949,9 +950,9 @@ let throughput_of pb =
     in
     let best = ref 0.0 and spent = ref 0.0 in
     while !spent < throughput_min_time do
-      let t0 = Monotonic_clock.now () in
+      let t0 = Ppp_obs.Trace.now_us () in
       ignore (Interp.run ~engine ~config p);
-      let dt = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9 in
+      let dt = (Ppp_obs.Trace.now_us () -. t0) *. 1e-6 in
       spent := !spent +. dt;
       if dt > 0.0 then best := Float.max !best (instrs /. dt)
     done;
@@ -1028,30 +1029,7 @@ let throughput =
         (List.length rows)
         (if slow = [] then "" else "; below it:" ^ String.concat "," slow))
 
-(* Preparation wall-clock per phase: compare a run with and without
-   --no-cache to see the session's work saving. *)
-let prepare =
-  section "prepare" ~wall_clock:true (fun pb -> pb.prep)
-    ~render:(fun ppf rows ->
-      Format.fprintf ppf "@[<v>Prepare wall-time per benchmark@,";
-      List.iter
-        (fun (pb, prep) ->
-          Format.fprintf ppf "  %-9s | %8.1f ms@," (bench_name pb)
-            (Pipeline.prepare_ms prep))
-        rows;
-      Format.fprintf ppf "  %-9s | %8.1f ms@,@]@." "total"
-        (List.fold_left (fun a (_, prep) -> a +. Pipeline.prepare_ms prep) 0.0 rows))
-    ~json:(fun prep ->
-      J.Obj
-        [
-          ("total_ms", J.Float (Pipeline.prepare_ms prep));
-          ( "phases",
-            J.Obj
-              (List.map (fun (phase, ms) -> (phase, J.Float ms)) prep.Pipeline.phase_ms)
-          );
-        ])
-
-let sections = [ methods; layout; sampling; tiered; drift; throughput; prepare ]
+let sections = [ methods; layout; sampling; tiered; drift; throughput ]
 
 let find_section name = List.find_opt (fun s -> s.name = name) sections
 

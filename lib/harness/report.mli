@@ -56,12 +56,12 @@ val layout_of : prepared_bench -> Pipeline.layout_eval
     - [drift]: per-generation decision stability of the re-optimization
       loop on pristine profiles vs on a sampled store merged with
       exponential decay (fixed seed and decay);
-    - [throughput]: Minstr/s of the VM and the reference engine;
-    - [prepare]: preparation wall-clock per phase.
+    - [throughput]: Minstr/s of the VM and the reference engine.
 
     The first five are deterministic, so they are safe in a document
-    that must be byte-identical at every [-j]; the last two are
-    [wall_clock]. *)
+    that must be byte-identical at every [-j]; [throughput] is
+    [wall_clock]. A preparation's phase times are its trace spans
+    ({!Pipeline.prepare}), not a section. *)
 
 type bound = Floor | Ceiling
 (** A [Floor] regresses by sinking below the baseline, a [Ceiling] by

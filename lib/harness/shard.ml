@@ -136,8 +136,14 @@ let worker_loop ~seed ~f items wr =
           with e -> Error (Printexc.to_string e)
         in
         (* One EINTR-safe write per item: a signal landing mid-write
-           must not tear the stream. *)
-        match Robust_io.write_string wr (Marshal.to_string (idx, r) []) with
+           must not tear the stream. Without sharing, marshalling keeps
+           no table of every block it visits: for the profile of a large
+           program (crafty at scale 16) that table was the worker's peak
+           memory. *)
+        match
+          Robust_io.write_string wr
+            (Marshal.to_string (idx, r) [ Marshal.No_sharing ])
+        with
         | `Ok -> loop ()
         | `Closed | `Timeout -> ())
   in
@@ -301,7 +307,7 @@ let map (type b) ~jobs ?(seed = 0) ?timeout_s ~(f : seed:int -> 'a -> b) items
 
 type collected = {
   raw : Profile_io.Raw.t;
-  shards : (string * string) list;
+  shards : (string * Profile_io.Raw.t) list;
   shard_metrics : (string * Metrics.snapshot) list;
   metrics : Metrics.snapshot;
   lost : Diagnostic.t list;
@@ -367,7 +373,7 @@ let collect_one ?prebuilt ?engine ?sampling ~seed ~scale ~metrics
   in
   let raw = collect_program ?cache ?engine ?sampling p in
   let snap = if metrics then Metrics.snapshot () else [] in
-  (b.Spec.bench_name, Profile_io.Raw.to_string raw, snap)
+  (b.Spec.bench_name, raw, snap)
 
 let collect_workloads ~jobs ?(scale = 1) ?(metrics = false) ?(warm = false)
     ?engine ?sampling ?timeout_s benches =
@@ -403,17 +409,12 @@ let collect_workloads ~jobs ?(scale = 1) ?(metrics = false) ?(warm = false)
   let inputs = ref [] in
   List.iter
     (function
-      | Ok (name, dump, snap) ->
-          shards := (name, dump) :: !shards;
+      | Ok (name, raw, snap) ->
+          shards := (name, raw) :: !shards;
           if metrics then shard_metrics := (name, snap) :: !shard_metrics;
           (* Prefix routine names with the workload so the 18 programs
              merge into one namespace without collisions. *)
-          let raw =
-            Profile_io.Raw.rename
-              (fun r -> name ^ "/" ^ r)
-              (Profile_io.Raw.parse dump)
-          in
-          inputs := raw :: !inputs
+          inputs := Profile_io.Raw.rename (fun r -> name ^ "/" ^ r) raw :: !inputs
       | Error d -> lost := d :: !lost)
     results;
   {

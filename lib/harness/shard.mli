@@ -40,7 +40,9 @@ val map :
     Worker stdin is its index pipe and stdout is routed to [/dev/null],
     so shard chatter cannot interleave with the parent's output; [f]
     must not read stdin or rely on mutating parent state (it runs in a
-    child process).
+    child process). Each result is marshalled without sharing
+    ([Marshal.No_sharing]), so it must be acyclic, and a value shared
+    within one result arrives as separate copies.
 
     The parent drains every worker's result pipe from one [select] loop
     and takes each result as soon as its last byte arrives, so no worker
@@ -59,12 +61,15 @@ val map :
 (** {2 Sharded workload collection}
 
     The machinery behind [pppc collect bench:all -j N]: one worker item
-    per workload, each producing a canonical v2 dump plus (optionally) a
-    metrics snapshot; the parent parses the dumps back, prefixes every
-    routine with ["BENCH/"] so the 18 programs coexist in one namespace,
-    and merges them with {!Ppp_profile.Profile_io.Raw.merge}. Because
-    collection is deterministic and the merge is order-independent, the
-    merged dump is byte-identical across [-j] levels. *)
+    per workload, each producing a {!Ppp_profile.Profile_io.Raw.t} plus
+    (optionally) a metrics snapshot, sent back through the pipe as the
+    value itself ([Marshal] frames it), never as text; the parent
+    prefixes every routine with ["BENCH/"] so the 18 programs coexist in
+    one namespace, and merges them with
+    {!Ppp_profile.Profile_io.Raw.merge}. Text is rendered only by whoever
+    writes a dump out. Because collection is deterministic and the merge
+    is order-independent, the merged dump is byte-identical across [-j]
+    levels. *)
 
 val collect_sampled :
   ?cache:Ppp_interp.Lower.cache ->
@@ -97,9 +102,9 @@ val collect_program :
 type collected = {
   raw : Ppp_profile.Profile_io.Raw.t;
       (** the merged profile; its diagnostics cover parse/merge issues *)
-  shards : (string * string) list;
-      (** delivered shards, in workload order: (bench name, canonical
-          v2 dump text) — what [--shard-dir] writes out *)
+  shards : (string * Ppp_profile.Profile_io.Raw.t) list;
+      (** delivered shards, in workload order: (bench name, its
+          profile) — what [--shard-dir] renders and writes out *)
   shard_metrics : (string * Ppp_obs.Metrics.snapshot) list;
       (** per-shard metrics snapshots (empty when [metrics] is off) *)
   metrics : Ppp_obs.Metrics.snapshot;

@@ -58,9 +58,10 @@ let start ?(install = fun ~idx:_ ~order:_ ~gen:_ -> ()) (config : Engine.config)
   }
 
 (* Routine [r] tripped the threshold: hand the controller its live path
-   counters, then install what it decided. A genuine block order mints
-   an optimized generation; anything else leaves the plain stream, which
-   already is the routine stripped of its instrumentation. *)
+   counters, then install what it decided. Only a genuine block order
+   is accepted, and it mints an optimized generation; without one the
+   routine runs its plain stream, which already is the routine stripped
+   of its instrumentation. *)
 let fire t tc r =
   let routine = t.routines.(r) in
   let name = routine.Ir.name in
@@ -73,14 +74,13 @@ let fire t tc r =
         List.rev !acc
   in
   let plain = t.plain.(r) in
+  let accept = Lower.genuine_order ~nblocks:(Array.length routine.Ir.blocks) in
   t.cur.(r) <-
-    (match Tier.fire tc ~idx:r ~name ~counters with
-    | Some order
-      when Lower.genuine_order ~nblocks:(Array.length routine.Ir.blocks) order
-      ->
+    (match Tier.fire tc ~idx:r ~name ~counters ~accept with
+    | Some order ->
         t.install ~idx:r ~order ~gen:(Tier.swaps tc);
         plain + 1
-    | _ -> plain)
+    | None -> plain)
 
 (* Steps one and two of the canonical order, then the resolution. A
    trip may be the routine's tier decision: then, unless the run

@@ -28,7 +28,6 @@ type decision = {
   d_routine : string;
   d_trips : int;  (** trip count at the moment the routine tiered up *)
   d_gen : int;  (** 1-based optimized-generation number, program-wide *)
-  d_reordered : bool;  (** the planner produced a non-source block order *)
   d_order : int array option;
       (** the installed block order itself, for post-run layout scoring *)
 }
@@ -77,17 +76,25 @@ let trip t i =
     false
   end
 
-let fire t ~idx ~name ~counters =
+(* The planner's order is logged only when [accept] takes it: the
+   decision records what was installed, not what was asked for. *)
+let fire t ~idx ~name ~counters ~accept =
   t.tiered.(idx) <- true;
   t.budget_left <- t.budget_left - 1;
   t.gen <- t.gen + 1;
-  let order = match t.plan with None -> None | Some f -> f ~routine:name ~counters in
+  let order =
+    match t.plan with
+    | Some f -> (
+        match f ~routine:name ~counters with
+        | Some o when accept o -> Some o
+        | _ -> None)
+    | None -> None
+  in
   t.log_rev <-
     {
       d_routine = name;
       d_trips = Telemetry.Trips.count t.trips idx;
       d_gen = t.gen;
-      d_reordered = order <> None;
       d_order = order;
     }
     :: t.log_rev;
@@ -113,7 +120,7 @@ let flush_metrics t =
   Obs.add m_trips (Telemetry.Trips.total t.trips);
   Obs.add m_swaps t.gen;
   Obs.add m_reorders
-    (List.length (List.filter (fun d -> d.d_reordered) t.log_rev));
+    (List.length (List.filter (fun d -> d.d_order <> None) t.log_rev));
   Obs.add m_denied t.n_denied;
   Obs.add m_entry t.n_entry_swaps;
   Obs.add m_osr t.n_osr_swaps

@@ -45,10 +45,11 @@ type decision = {
   d_routine : string;
   d_trips : int;  (** trip count at the moment the routine tiered up *)
   d_gen : int;  (** 1-based optimized-generation number, program-wide *)
-  d_reordered : bool;  (** the planner produced a non-source block order *)
   d_order : int array option;
-      (** the block order the swap installed ([None] = source order) —
-          what {!Layout.program_proxy} scores after the run *)
+      (** the block order the swap installed ([None] = source order, also
+          when the planner's order was refused) — what
+          {!Layout.program_proxy} scores after the run; [Some] exactly
+          when the swap re-laid the routine out *)
 }
 
 type t
@@ -68,11 +69,19 @@ val pending : t -> int -> bool
 (** Routine [i]'s decision is still to come: its trip count is below
     the threshold. Once [false] it stays [false]. *)
 
-val fire : t -> idx:int -> name:string -> counters:(int * int) list -> int array option
+val fire :
+  t ->
+  idx:int ->
+  name:string ->
+  counters:(int * int) list ->
+  accept:(int array -> bool) ->
+  int array option
 (** Commit the tier-up [trip] demanded: spends one budget unit, marks
     the routine tiered, consults the planner, logs the decision, and
     returns the block order for the optimized variant ([None] = source
-    order). *)
+    order). A planner order [accept] refuses ({!Resolve} accepts only a
+    {!Lower.genuine_order}) is dropped before it is logged or returned,
+    so the decision's [d_order] is the order actually installed. *)
 
 val is_tiered : t -> int -> bool
 val trips : t -> Telemetry.Trips.t
@@ -91,6 +100,7 @@ val note_osr_swap : t -> unit
 val flush_metrics : t -> unit
 (** Flush the [tier.*] counter family: [tier.trips] (each routine's
     trips up to its decision, so at most threshold x routines),
-    [tier.swaps], [tier.reorders], [tier.denied_budget],
+    [tier.swaps], [tier.reorders] (decisions that installed a block
+    order), [tier.denied_budget],
     [tier.entry_swaps], [tier.osr_swaps]. Called once at run end when
     observation is on. *)

@@ -666,10 +666,41 @@ let test_server_e2e () =
   Alcotest.(check bool) "merge over the socket succeeded" true
     (Option.join merged <> None)
 
-(* The warm path. The first reply stores its plans under the program's
-   name; the server injects them into the second, identical request,
-   which changes its cache key, so the second misses too. The third
-   equals the second after injection and is served from the store. *)
+(* Plans are a cache, not an input: an [Opt]'s body is the same with
+   and without the plan bundle a daemon injects into it, so the bundle
+   can stay out of the store key. Each request runs under its own name,
+   so no resident session carries one request's work into the other. *)
+let test_ops_plans_do_not_change_the_body () =
+  List.iter
+    (fun bench ->
+      let req name plans =
+        Ops.Opt
+          { name = bench ^ name;
+            program = Ppp_ir.Pp_ir.to_string (bench_program bench);
+            profile = None; iterate = 3; plans }
+      in
+      match Ops.handle ~chaos:false (req "@no-plans" None) with
+      | Ops.Okay { body; meta } -> (
+          let plans =
+            match List.assoc_opt "plans" meta with
+            | Some (Jsonx.Str hex) -> hex
+            | _ -> Alcotest.failf "%s: no plans in the reply" bench
+          in
+          match Ops.handle ~chaos:false (req "@plans" (Some plans)) with
+          | Ops.Okay { body = body'; meta = meta' } ->
+              Alcotest.(check bool) (bench ^ ": plans imported") true
+                (match List.assoc_opt "plans_imported" meta' with
+                | Some (Jsonx.Int n) -> n > 0
+                | _ -> false);
+              Alcotest.(check string) (bench ^ ": same body") body body'
+          | Ops.Failed _ -> Alcotest.failf "%s: opt with plans failed" bench)
+      | Ops.Failed _ -> Alcotest.failf "%s: opt failed" bench)
+    [ "bzip2"; "crafty"; "vpr" ]
+
+(* The warm path. The first reply is computed and stored under the
+   request as sent; the plans it exported are stored under the program's
+   name, to be injected only into a request that misses. The second and
+   third, identical to the first, are served from the store. *)
 let test_server_serves_repeated_opt () =
   let req =
     Ops.Opt
@@ -693,19 +724,22 @@ let test_server_serves_repeated_opt () =
   match replies with
   | Some (Ok (b1, m1), Ok (b2, m2), Ok (b3, m3)) ->
       Alcotest.(check bool) "first reply is computed" false (served m1);
-      Alcotest.(check bool) "second reply is computed" false (served m2);
-      Alcotest.(check bool) "third reply is served from the store" true
-        (List.assoc_opt "served_from_store" m3 = Some (Jsonx.Bool true));
+      List.iter
+        (fun (which, m) ->
+          Alcotest.(check bool) (which ^ " reply is served from the store") true
+            (List.assoc_opt "served_from_store" m = Some (Jsonx.Bool true)))
+        [ ("second", m2); ("third", m3) ];
       Alcotest.(check string) "second body equals the first" b1 b2;
       Alcotest.(check string) "third body equals the first" b1 b3
   | Some _ -> Alcotest.fail "an opt request failed"
   | None -> Alcotest.fail "daemon never became ready"
 
-(* A store written by the previous key format. Its [profile], [merge]
-   and [plans] entries keep their keys and are served. Its [opt] entry
-   was keyed by the request with the injected plan bundle as hex; it
-   opens cleanly but is never served: the request misses once, is
-   recomputed, and hits from then on. No [opt] key holds the bundle. *)
+(* A store written by older key formats. Its [profile], [merge] and
+   [plans] entries keep their keys. Its [opt] entries were keyed by the
+   request with the injected plan bundle, as hex and then as an MD5
+   suffix; they open cleanly but are never served: the request misses
+   once, imports the stored plans, is recomputed, and hits from then
+   on. No new [opt] key holds the bundle or its digest. *)
 let test_server_reads_older_store () =
   let name = "bzip2@older-store" in
   let req ?(name = name) plans =
@@ -732,6 +766,10 @@ let test_server_reads_older_store () =
     Ops.encode_request
       { Ops.id = 0; deadline_ms = 0; req = req (Some (Hex.encode plans)) }
   in
+  let md5_opt_key =
+    Ops.encode_request { Ops.id = 0; deadline_ms = 0; req = req None }
+    ^ " plans-md5=" ^ Digest.to_hex (Digest.string plans)
+  in
   let merge_key =
     List.map (fun d -> Printf.sprintf "%08lx" (Ppp_resilience.Crc.string d)) [ "a"; "b" ]
     |> List.sort compare |> String.concat "+"
@@ -746,6 +784,7 @@ let test_server_reads_older_store () =
       let file, obj, _ = hand_written ~kind ~key payload in
       write_raw (Filename.concat objects file) obj)
     [ ("opt", older_opt_key, Ops.encode_reply (Ops.Okay { body = "stale"; meta = [] }));
+      ("opt", md5_opt_key, Ops.encode_reply (Ops.Okay { body = "stale"; meta = [] }));
       ("plans", name, plans);
       ("profile", "mcf/scale=1", "stored profile");
       ("merge", merge_key, "stored merge") ];
@@ -788,7 +827,7 @@ let test_server_reads_older_store () =
             (b1, true) (b2, served m2))
         [ ("profile", "stored profile", (cb1, cm1), (cb2, cm2));
           ("merge", "stored merge", (mb1, mm1), (mb2, mm2)) ];
-      Alcotest.(check bool) "older opt entry not served" false
+      Alcotest.(check bool) "older opt entries not served" false
         (served m1 || b1 = "stale");
       Alcotest.(check bool) "plans entry imported" true
         (match List.assoc_opt "plans_imported" m1 with
@@ -817,14 +856,18 @@ let test_server_reads_older_store () =
         match key with
         | Some key ->
             (* Shorter than the bundle's hex, so it cannot hold it. *)
-            if key <> older_opt_key && String.length key >= String.length plan_hex
+            if
+              key <> older_opt_key && key <> md5_opt_key
+              && (String.length key >= String.length plan_hex
+                 || Test_interp.contains ~sub:"plans-md5=" key)
             then Alcotest.failf "%s keys by the plan bundle" path
         | None -> Alcotest.failf "%s has no key" path)
     (obj_files store)
 
 (* An [opt --profile] entry is keyed by the request with its dump
-   zeroed, plus the dump's digest: the key stays the size of the
-   program. A store written before keeps serving a request without a
+   zeroed, plus the dump's digest and nothing else: the key stays the
+   size of the program, and the plans injected on the miss are no part
+   of it. A store written before keeps serving a request without a
    profile, whose key did not change, and its [opt --profile] entry
    (keyed by the whole dump) opens cleanly, misses once, then hits. *)
 let test_server_keys_profile_by_digest () =
@@ -893,10 +936,7 @@ let test_server_keys_profile_by_digest () =
       Alcotest.(check string) "same body" b1 b2
   | Some _ -> Alcotest.fail "a request failed"
   | None -> Alcotest.fail "daemon never became ready");
-  let suffix =
-    " profile-md5=" ^ Digest.to_hex (Digest.string dump) ^ " plans-md5="
-    ^ Digest.to_hex (Digest.string plans)
-  in
+  let suffix = " profile-md5=" ^ Digest.to_hex (Digest.string dump) in
   let profile_keys =
     List.filter_map
       (fun path ->
@@ -1138,6 +1178,8 @@ let suite =
       `Quick test_ops_decoded_reply_renders_alike;
     Alcotest.test_case "server: a stored merge or collect prints its first reply"
       `Quick test_server_serves_whole_replies;
+    Alcotest.test_case "ops: an opt's body does not depend on injected plans"
+      `Quick test_ops_plans_do_not_change_the_body;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_store_salvage; prop_session_plans_never_raise; prop_mark_served ]

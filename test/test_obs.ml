@@ -464,10 +464,13 @@ let test_instrumented_run_counters () =
   Alcotest.(check bool) "table bumped" true
     (counter "rt.array.bumps" + counter "rt.hash.bumps" > 0)
 
+(* Spans are the only record of a preparation's phase times: each phase
+   of both preparations has one. *)
 let test_trace_spans_pipeline () =
   Trace.start ();
   let prep = H.prepare_unoptimized ~name:"obs-test" (program ()) in
   let _ev = H.evaluate prep Config.ppp in
+  ignore (H.prepare ~name:"obs-test" (program ()));
   Trace.stop ();
   let events = Trace.events () in
   let names = List.map (fun (e : Trace.event) -> e.Trace.name) events in
@@ -476,7 +479,8 @@ let test_trace_spans_pipeline () =
       Alcotest.(check bool)
         (Printf.sprintf "span %s present" expected)
         true (List.mem expected names))
-    [ "prepare"; "edge-profile"; "evaluate"; "instrument"; "overhead-run"; "score" ];
+    [ "prepare"; "edge-profile"; "evaluate"; "instrument"; "overhead-run"; "score";
+      "inline"; "re-profile"; "unroll"; "base-run" ];
   List.iter
     (fun (e : Trace.event) ->
       Alcotest.(check bool) "non-negative duration" true (e.Trace.dur_us >= 0.0))
@@ -564,9 +568,32 @@ let test_obs_on_off_cold_request () =
       Alcotest.(check bool)
         (Printf.sprintf "span %s present" expected)
         true (List.mem expected names))
-    [ "prepare"; "prepare-with-profile"; "profile-handoff"; "reinstrument";
+    [ "prepare"; "prepare-with-profile"; "edge-profile"; "inline"; "re-profile";
+      "unroll"; "base-run"; "profile-handoff"; "reinstrument";
       "instrumented-run"; "decisions"; "plan-import"; "plan-export";
       "print-program" ]
+
+(* With superblocks on, a generation that prepares from the previous
+   one's profile straightens its hot traces and re-profiles the changed
+   program, each under its own span. *)
+let test_trace_spans_superblocks () =
+  let p = (Ppp_workloads.Spec.find "mcf").Ppp_workloads.Spec.build ~scale:1 in
+  Trace.start ();
+  let gens =
+    Fun.protect ~finally:Trace.stop (fun () ->
+        H.reoptimize
+          ~flags:{ H.default_flags with H.superblocks = true; layout = true }
+          ~iterations:2 ~name:"obs-sb" p)
+  in
+  Alcotest.(check bool) "generation 2 straightened a trace" true
+    ((List.nth gens 1).H.prep.H.superblock_stats.Ppp_opt.Superblock.touched <> []);
+  let names = List.map (fun (e : Trace.event) -> e.Trace.name) (Trace.events ()) in
+  List.iter
+    (fun expected ->
+      Alcotest.(check bool)
+        (Printf.sprintf "span %s present" expected)
+        true (List.mem expected names))
+    [ "prepare-with-profile"; "superblock"; "sb-profile" ]
 
 let test_metrics_sink_files () =
   with_metrics @@ fun () ->
@@ -641,6 +668,7 @@ let suite =
     Alcotest.test_case "instrumented run counters" `Quick
       test_instrumented_run_counters;
     Alcotest.test_case "pipeline trace spans" `Quick test_trace_spans_pipeline;
+    Alcotest.test_case "superblock phase spans" `Quick test_trace_spans_superblocks;
     Alcotest.test_case "metrics sink files" `Quick test_metrics_sink_files;
     Alcotest.test_case "empty trace file valid" `Quick
       test_empty_trace_file_is_valid;

@@ -294,7 +294,7 @@ let test_stale_profile_salvaged () =
         (l.Profile_io.matched_fraction <= 1.0);
       check_bool "counts were salvaged" true (l.Profile_io.salvaged_counts > 0);
       (* The salvaged profile still drives the optimizer. *)
-      let prep = H.prepare_with_profile ~name:"stale-gap" ~loaded:l p' in
+      let prep = H.prepare ~profile:l ~name:"stale-gap" p' in
       check_bool "confidence tracks the matched fraction" true
         (prep.H.confidence = l.Profile_io.matched_fraction);
       check_bool "stale diagnostics carried into the pipeline" true

@@ -155,7 +155,7 @@ let manual_roundtrips ~iterations ~name p0 =
       | None -> H.prepare ~name !cur
       | Some (p : H.prepared) -> (
           match Profile_io.load !cur (save_profile p) with
-          | Ok loaded -> H.prepare_with_profile ~name ~loaded !cur
+          | Ok loaded -> H.prepare ~profile:loaded ~name !cur
           | Error _ -> Alcotest.failf "%s: manual profile reload failed" name)
     in
     prev := Some prep;

@@ -148,7 +148,7 @@ let test_reoptimize_dirties_straightened () =
     ((Session.stats session).Session.invalidations > 0)
 
 (* reoptimize ~iterations:N is exactly N manual
-   prepare / save-profile / stale-load / prepare_with_profile round
+   prepare / save-profile / stale-load / prepare ~profile round
    trips: the loop adds orchestration, never different optimization. *)
 let test_iterate_equals_manual_roundtrips () =
   let name = "mcf" in
@@ -167,7 +167,7 @@ let test_iterate_equals_manual_roundtrips () =
     Format.pp_print_flush ppf ();
     match Profile_io.load cur (Buffer.contents buf) with
     | Ok loaded ->
-        prep := H.prepare_with_profile ~session ~flags:sb_flags ~name ~loaded cur
+        prep := H.prepare ~session ~flags:sb_flags ~profile:loaded ~name cur
     | Error ds ->
         Alcotest.failf "profile round-trip rejected: %a"
           Ppp_resilience.Diagnostic.pp_list ds
@@ -264,7 +264,7 @@ let prop_salvage_never_raises_conserves_mass =
           && path_mass loaded.Profile_io.paths <= original_mass)
 
 (* End to end: feed the pre-straightening profile of a workload through
-   save / stale-load / prepare_with_profile with superblocks on — the
+   save / stale-load / prepare ~profile with superblocks on — the
    pipeline must absorb the salvaged profile without raising and produce
    a program with unchanged outcomes. *)
 let test_salvaged_profile_closes_loop () =
@@ -281,9 +281,7 @@ let test_salvaged_profile_closes_loop () =
   | Error ds ->
       Alcotest.failf "salvage rejected: %a" Ppp_resilience.Diagnostic.pp_list ds
   | Ok loaded ->
-      let prep =
-        H.prepare_with_profile ~flags:sb_flags ~name ~loaded p'
-      in
+      let prep = H.prepare ~flags:sb_flags ~profile:loaded ~name p' in
       let o' = Interp.run prep.H.optimized in
       check_bool "output preserved through the salvaged loop" true
         (o'.Interp.output = o.Interp.output

@@ -115,7 +115,7 @@ let full_digest p (o : Interp.outcome) =
   List.iter
     (fun (d : Tier.decision) ->
       pf "tier %s trips=%d gen=%d reordered=%b\n" d.Tier.d_routine
-        d.Tier.d_trips d.Tier.d_gen d.Tier.d_reordered)
+        d.Tier.d_trips d.Tier.d_gen (d.Tier.d_order <> None))
     o.Interp.tier_decisions;
   Buffer.contents b
 
@@ -321,7 +321,7 @@ let controller_accounting () =
   Alcotest.(check bool) "below threshold" false (Tier.trip t 0);
   Alcotest.(check bool) "still below" false (Tier.trip t 0);
   Alcotest.(check bool) "crossing fires" true (Tier.trip t 0);
-  ignore (Tier.fire t ~idx:0 ~name:"a" ~counters:[]);
+  ignore (Tier.fire t ~idx:0 ~name:"a" ~counters:[] ~accept:(fun _ -> true));
   Alcotest.(check bool) "tiered" true (Tier.is_tiered t 0);
   Alcotest.(check bool) "no refire" false (Tier.trip t 0);
   for _ = 1 to 2 do
@@ -342,7 +342,7 @@ let controller_accounting () =
   | [ d ] ->
       Alcotest.(check string) "routine" "a" d.Tier.d_routine;
       Alcotest.(check int) "trips at fire" 3 d.Tier.d_trips;
-      Alcotest.(check bool) "no planner, no reorder" false d.Tier.d_reordered
+      Alcotest.(check bool) "no planner, no order" true (d.Tier.d_order = None)
   | _ -> Alcotest.fail "expected exactly one decision");
   (match Tier.spec ~threshold:0 () with
   | _ -> Alcotest.fail "threshold 0 must be rejected"
@@ -530,6 +530,61 @@ let recursive_osr () =
       ("fire in loop", Tier.spec ~threshold:6 ~plan:(reversal_planner p) (), 4);
     ]
 
+(* A planner order that [Resolve] refuses installs nothing: the
+   identity order, and one that moves the entry block. Each firing
+   routine runs its plain stream, exactly as without a planner; nothing
+   is lowered; its decision records no order; and [tier.reorders] stays
+   0 — on both engines. *)
+let refused_orders () =
+  let p = Ppp_ir.Parse.program_of_string recursive_src in
+  let instrumentation =
+    Some (Instrument.instrument p (prior_edges p) Config.pp).Instrument.rt
+  in
+  let planner order : Tier.planner =
+   fun ~routine ~counters:_ ->
+    Some (order (Array.length (Ir.routine p routine).Ir.blocks))
+  in
+  let run engine plan =
+    let config =
+      {
+        Interp.default_config with
+        Interp.instrumentation;
+        tier = Some (Tier.spec ~threshold:1 ?plan ());
+      }
+    in
+    Obs.set_enabled true;
+    Obs.reset ();
+    let o = Interp.run ~engine ~config p in
+    let s = Obs.snapshot () in
+    Obs.set_enabled false;
+    let count k = Option.value ~default:0 (Obs.counter_value s k) in
+    (o, count "tier.reorders", count "session.lower.tier_up")
+  in
+  List.iter
+    (fun (ename, engine) ->
+      let stripped, _, _ = run engine None in
+      List.iter
+        (fun (pname, order) ->
+          let label what = Printf.sprintf "%s/%s: %s" ename pname what in
+          let o, reorders, lowered = run engine (Some (planner order)) in
+          Alcotest.(check int) (label "both routines tier up") 2
+            (List.length o.Interp.tier_decisions);
+          List.iter
+            (fun (d : Tier.decision) ->
+              Alcotest.(check bool)
+                (label (d.Tier.d_routine ^ " records no order"))
+                true (d.Tier.d_order = None))
+            o.Interp.tier_decisions;
+          Alcotest.(check int) (label "no reorder counted") 0 reorders;
+          Alcotest.(check int) (label "nothing lowered") 0 lowered;
+          Alcotest.(check string) (label "the plain stream runs")
+            (full_digest p stripped) (full_digest p o))
+        [
+          ("identity", fun n -> Array.init n Fun.id);
+          ("entry moved", fun n -> Array.init n (fun i -> n - 1 - i));
+        ])
+    [ ("vm", Interp.Vm); ("reference", Interp.Reference) ]
+
 (* A sampled tiered run consumes the sampler exactly as the sampled
    untiered run does: the tick is taken at every resolution point
    whether or not its routine has tiered up, so the same on-ticks,
@@ -579,6 +634,8 @@ let suite =
       Alcotest.test_case "pipeline tiered_run + session invalidation" `Quick
         tiered_run_pipeline;
       Alcotest.test_case "tier.* metrics" `Quick tier_metrics;
+      Alcotest.test_case "a refused planner order installs nothing" `Quick
+        refused_orders;
       Alcotest.test_case "recursive routine crosses over in flight" `Quick
         recursive_osr;
       Alcotest.test_case "tiered_run on the reference engine" `Quick
