@@ -484,10 +484,11 @@ let daemon_args =
     let doc =
       "Send the request to the resident $(b,pppd) daemon listening on \
        $(docv) instead of computing in-process. A warm daemon serves \
-       repeated requests from its persistent store and resumes \
-       incremental optimization from persisted placement plans. If the \
-       daemon is unreachable or sheds the request under load, the work \
-       falls back to the in-process path and pppc exits with code 12."
+       repeated requests from its persistent store, and a worker reuses \
+       the analyses and placement plans of earlier requests for the same \
+       program name. If the daemon is unreachable or sheds the request \
+       under load, the work falls back to the in-process path and pppc \
+       exits with code 12."
     in
     Arg.(value & opt (some string) None & info [ "daemon" ] ~docv:"SOCKET" ~doc)
   in

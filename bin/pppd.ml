@@ -18,8 +18,8 @@ let socket_arg =
 let store_arg =
   let doc =
     "Directory of the persistent artifact store (created if missing): \
-     profiles, merges, optimized programs and placement plans survive \
-     daemon restarts here."
+     the replies to collect, merge and opt requests survive daemon \
+     restarts here."
   in
   Arg.(
     value

@@ -1,6 +1,5 @@
 module Jsonx = Ppp_obs.Jsonx
 module Diagnostic = Ppp_resilience.Diagnostic
-module Hex = Ppp_resilience.Hex
 module Profile_io = Ppp_profile.Profile_io
 module Interp = Ppp_interp.Interp
 module Session = Ppp_session.Session
@@ -431,12 +430,6 @@ let pp_summary ?name ppf = function
               (int fields "layout"))
       in
       diagnostics "diagnostics";
-      each (fun () ->
-          match int meta "plans_imported" with
-          | 0 -> ()
-          | n ->
-              line "resumed from %d persisted placement plan%s" n
-                (if n = 1 then "" else "s"));
       diagnostics "profile_diagnostics";
       each (fun () ->
           line
@@ -568,7 +561,7 @@ let handle_collect ~bench ~scale ~sample_rate ~burst ~sample_seed =
 
 (* The request is checked and its profile loaded before [session_for]: a
    rejected request must not evict a resident session. *)
-let handle_opt ~name ~program ~profile ~iterate ~plans =
+let handle_opt ~name ~program ~profile ~iterate =
   match Ppp_ir.Parse.program_of_string program with
   | exception Ppp_ir.Parse.Error e ->
       Failed
@@ -588,31 +581,7 @@ let handle_opt ~name ~program ~profile ~iterate ~plans =
         (* The run slot serves the runs of one request; between requests
            a resident session holds no outcome. *)
         Fun.protect ~finally:(fun () -> Session.forget_run session) @@ fun () ->
-        let imported, import_diags =
-          match plans with
-          | None -> (0, [])
-          | Some hex -> (
-              match Hex.decode hex with
-              | None ->
-                  (0, [ Diagnostic.make Diagnostic.Corrupt "plans field is not hex" ])
-              | Some text ->
-                  (* import_plans fingerprint-checks every record itself,
-                     but it needs the session synced to this program first. *)
-                  Trace.with_span "plan-import" @@ fun () ->
-                  ignore (Session.sync session p);
-                  Session.import_plans session p text)
-        in
-        let reply = opt ~session ?profile ~iterate ~name p in
-        let plans_out =
-          Trace.with_span "plan-export" (fun () -> Session.export_plans session)
-        in
-        with_meta
-          (fun meta ->
-            meta
-            @ [ ("plans", Jsonx.Str (Hex.encode plans_out));
-                ("plans_imported", Jsonx.Int imported);
-                ("diagnostics", Diagnostic.list_to_json import_diags) ])
-          reply
+        opt ~session ?profile ~iterate ~name p
       in
       match profile with
       | None -> serve None
@@ -621,27 +590,6 @@ let handle_opt ~name ~program ~profile ~iterate ~plans =
           | Error ds -> Failed { code = "bad-request"; diagnostics = ds }
           | Ok loaded -> serve (Some loaded)))
 
-let handle_status () =
-  let stats =
-    Hashtbl.fold
-      (fun name { session = s; _ } acc ->
-        let st = Session.stats s in
-        Jsonx.Obj
-          [ ("name", Jsonx.Str name); ("hits", Jsonx.Int st.Session.hits);
-            ("misses", Jsonx.Int st.Session.misses) ]
-        :: acc)
-      sessions []
-  in
-  Okay
-    {
-      body = "ok";
-      meta =
-        [ ("pid", Jsonx.Int (Unix.getpid ()));
-          ("sessions", Jsonx.Arr stats);
-          ("sessions_resident", Jsonx.Int (Hashtbl.length sessions));
-          ("session_evictions", Jsonx.Int !evictions) ];
-    }
-
 let handle ~chaos req =
   try
     match req with
@@ -649,9 +597,9 @@ let handle ~chaos req =
     | Collect { bench; scale; sample_rate; burst; sample_seed } ->
         handle_collect ~bench ~scale ~sample_rate ~burst ~sample_seed
     | Merge { dumps; decay } -> merge ~decay dumps
-    | Opt { name; program; profile; iterate; plans } ->
-        handle_opt ~name ~program ~profile ~iterate ~plans
-    | Status -> handle_status ()
+    | Opt { name; program; profile; iterate; plans = _ } ->
+        handle_opt ~name ~program ~profile ~iterate
+    | Status -> Okay { body = "ok"; meta = [] }
     | Shutdown -> Okay { body = "bye"; meta = [] }
     | Stall s ->
         if not chaos then fail "unsupported" "chaos ops are disabled"

@@ -5,20 +5,21 @@
     {!reply}. Envelopes carry a client-chosen id (echoed back, so a retry
     after a worker death can be correlated) and the request's deadline
     budget in milliseconds. All payloads are strings of the repo's
-    existing textual formats — v2 profile dumps, [.pir] program text,
-    session plan exports — so the daemon never invents a second
-    serialization for domain data; binary-unsafe fields (marshaled plans)
-    travel hex-encoded.
+    existing textual formats — v2 profile dumps and [.pir] program text
+    — so the daemon never invents a second serialization for domain
+    data, and no field travels in binary.
 
     {!collect}, {!merge} and {!opt} build the reply to a request from
     inputs already in memory; [pppc] calls them in process, and
     {!handle}, the worker-side interpreter, calls them for [pppd]. It
     holds a resident {!Ppp_session.Session} per program name, up to
     {!max_sessions} of them, so repeated [Opt] requests for the same
-    program reuse memoized analyses and runs, and [--iterate] resumes
-    across client invocations. It never raises — failures come back as
-    [Failed] replies with classified diagnostics. {!print} renders any
-    reply the way [pppc] shows it, whichever path built it. *)
+    program reuse memoized analyses and placement plans. Those sessions
+    are the only place plans live: nothing of a session is persisted,
+    and a reply carries nothing an in-process [pppc] does not print. It
+    never raises — failures come back as [Failed] replies with
+    classified diagnostics. {!print} renders any reply the way [pppc]
+    shows it, whichever path built it. *)
 
 type request =
   | Ping
@@ -47,7 +48,10 @@ type request =
       program : string;  (** [.pir] source text *)
       profile : string option;  (** optional profile dump to apply *)
       iterate : int;  (** >1 runs the incremental re-optimization loop *)
-      plans : string option;  (** hex of a session plan export to resume from *)
+      plans : string option;
+          (** ignored: the hex of a plan export, which older servers
+              injected. Kept on the wire so that stored [Opt] keys stay
+              byte-identical. *)
     }
   | Status
   | Shutdown
@@ -145,7 +149,9 @@ val handle : chaos:bool -> request -> reply
 (** Serve a request in this process, as the supervised worker's main
     loop does: build the inputs of {!collect}, {!merge} or {!opt} from
     it (the bench build, the program parse, the profile load, the
-    resident session and its imported plans) and call it. An [Opt]
-    reply's meta also holds the session's exported plans. A request
-    rejected as malformed takes no resident session. [chaos:false]
-    rejects [Stall]/[Crash] with code ["unsupported"]. Never raises. *)
+    resident session) and call it, so an [Opt] reply under a name no
+    request used before is the reply {!opt} gives with a fresh session.
+    A request rejected as malformed takes no resident session. [Ping]
+    and [Status] get fixed replies: the server answers both itself.
+    [chaos:false] rejects [Stall]/[Crash] with code ["unsupported"].
+    Never raises. *)

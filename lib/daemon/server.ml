@@ -1,10 +1,8 @@
 module Robust_io = Ppp_resilience.Robust_io
 module Diagnostic = Ppp_resilience.Diagnostic
 module Faults = Ppp_resilience.Faults
-module Hex = Ppp_resilience.Hex
 module Metrics = Ppp_obs.Metrics
 module Jsonx = Ppp_obs.Jsonx
-module Profile_io = Ppp_profile.Profile_io
 
 let m_requests = Metrics.counter "daemon.requests"
 let m_shed = Metrics.counter "daemon.shed"
@@ -212,26 +210,21 @@ let collect_key ~bench ~scale ~sample_rate ~burst ~sample_seed =
     Printf.sprintf "%s/scale=%d/rate=%d/burst=%d/seed=%d" bench scale
       sample_rate burst sample_seed
 
-(* A plain merge is order-independent, so its key sorts the input CRCs;
-   a decayed merge weights inputs by age, so its key keeps their order
-   and carries the decay. *)
+(* Each input is keyed by its MD5, as an [Opt]'s profile dump is: a
+   CRC-32 is linear, so four chosen bytes in a dump's leading comment
+   give it any other dump's CRC. A plain merge is order-independent, so
+   its key sorts the digests; a decayed merge weights inputs by age, so
+   its key keeps their order and carries the decay. *)
 let merge_key ~decay dumps =
-  let crcs =
-    List.map
-      (fun d -> Printf.sprintf "%08lx" (Ppp_resilience.Crc.string d))
-      dumps
-  in
-  if decay >= 1.0 then List.sort compare crcs |> String.concat "+"
-  else Printf.sprintf "decay=%h+" decay ^ String.concat "+" crcs
+  let digests = List.map (fun d -> Digest.to_hex (Digest.string d)) dumps in
+  if decay >= 1.0 then List.sort compare digests |> String.concat "+"
+  else Printf.sprintf "decay=%h+" decay ^ String.concat "+" digests
 
 (* An [Opt]'s identity: the request as its client sent it, with the
    client-specific fields and the profile dump zeroed, then the digest of
-   the dump. The plan bundle the server injects on a miss is no part of
-   it: plans are a cache of placement work, and an [Opt]'s body does not
-   depend on them. So an identical request hits from its second send on,
-   and a hit never reads the bundle (85–187 KB at scale 1). The key stays
-   the size of the program: a dump (256 KB for crafty) travels only to a
-   worker. *)
+   the dump. So an identical request hits from its second send on, and
+   the key stays the size of the program: a dump (256 KB for crafty)
+   travels only to a worker. *)
 let opt_key env =
   let env, profile =
     match env.Ops.req with
@@ -252,21 +245,6 @@ let store_slot (env : Ops.envelope) =
   | Ops.Opt _ -> Some ("opt", opt_key env)
   | _ -> None
 
-(* An [Opt] with no plan bundle that misses the store resumes from the
-   plans persisted under its program name — the daemon-side half of
-   incremental re-optimization across client invocations. *)
-let stored_plans t (env : Ops.envelope) =
-  match env.Ops.req with
-  | Ops.Opt { plans = None; name; _ } ->
-      Store.get t.store ~kind:"plans" ~key:name
-  | _ -> None
-
-let with_plans (env : Ops.envelope) text =
-  match env.Ops.req with
-  | Ops.Opt o ->
-      { env with Ops.req = Ops.Opt { o with plans = Some (Hex.encode text) } }
-  | _ -> env
-
 (* A store hit short-circuits the worker pool entirely: an entry is the
    reply a worker encoded, relayed with [served_from_store] spliced in
    ([Store.get] has checked its CRC). An entry that is no whole reply —
@@ -280,20 +258,11 @@ let put_logged t ~kind ~key value =
   | Ok () -> ()
   | Error d -> log t "store put failed: %a" Diagnostic.pp d
 
-(* Persist what a successful reply taught us: the worker's encoded
-   reply [payload] under the request's slot, plus the plans an [Opt]
-   exported under its program name. *)
+(* Persist a successful reply: the worker's encoded bytes [payload]
+   under the request's slot. *)
 let absorb_reply t (job : job) payload reply =
   match (job.slot, reply) with
-  | Some (kind, key), Ops.Okay { meta; _ } -> (
-      put_logged t ~kind ~key payload;
-      match (job.env.Ops.req, List.assoc_opt "plans" meta) with
-      | Ops.Opt { name; _ }, Some (Jsonx.Str hex) -> (
-          match Hex.decode hex with
-          | Some plans when plans <> "" ->
-              put_logged t ~kind:"plans" ~key:name plans
-          | _ -> ())
-      | _ -> ())
+  | Some (kind, key), Ops.Okay _ -> put_logged t ~kind ~key payload
   | _ -> ()
 
 (* ---- parent-inline requests -------------------------------------------- *)
@@ -398,8 +367,9 @@ let worker_event t w =
               w.failures <- 0;
               let payload, sessions = split_worker_frame frame in
               Option.iter (fun s -> w.sessions <- s) sessions;
-              (* Decoded only to check it and to read what the store
-                 keeps; the client gets the worker's bytes. *)
+              (* Decoded only to check it and to tell an [Okay] reply,
+                 which the store keeps; the client gets the worker's
+                 bytes. *)
               match Ops.decode_reply payload with
               | Ok reply ->
                   absorb_reply t job payload reply;
@@ -521,11 +491,7 @@ let accept_client t =
                       Metrics.incr m_store_served;
                       answer t job encoded
                   | None ->
-                      let env =
-                        Option.fold ~none:env ~some:(with_plans env)
-                          (stored_plans t env)
-                      in
-                      let job = { job with env; slot } in
+                      let job = { job with slot } in
                       let in_flight =
                         Array.fold_left
                           (fun n w -> if w.job <> None then n + 1 else n)

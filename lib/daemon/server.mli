@@ -25,24 +25,24 @@
     - {b Store serving.} [Collect], [Merge] and [Opt] replies are
       persisted whole and served from the store on identical
       re-requests, so a served reply prints what its first answer
-      printed, plus the served line; [Opt] requests that carry no plan
-      bundle and miss the store resume from the routine plans persisted
-      under the program's name, which is what makes a warm daemon's
-      [--iterate] cheaper than a cold process. An [Opt] entry is keyed
-      by the request as its client sent it ([id] and [deadline_ms]
-      zeroed, a profile dump replaced by its MD5), so its key is the
-      size of the program. The plan bundle is no part of the key: an
-      [Opt]'s body does not depend on the plans injected into it, so an
-      identical [Opt] misses once, and only a miss reads the stored
-      bundle and hex-encodes it into the request a worker computes.
+      printed, plus the served line. The store holds replies and
+      nothing else: the placement plans an [Opt] made stay in the
+      serving worker's resident session, where later requests under
+      the same program name that reach that worker reuse them (Sticky
+      reuse), and another worker or a restarted daemon re-plans.
+      An [Opt] entry is keyed by the request as its client sent it
+      ([id] and [deadline_ms] zeroed, a profile dump replaced by its
+      MD5), so its key is the size of the program and an identical
+      [Opt] misses once. A [Merge] entry is keyed by its inputs' MD5s.
       Every entry holds the worker's encoded reply; a hit relays those
       bytes with [served_from_store] spliced into the meta
       ({!Ops.mark_served}), so a hit decodes and encodes no JSON. An
       older store's [Collect] or [Merge] entry, which holds a bare
       profile or merged dump rather than a reply, misses once and is
-      overwritten. An [Opt] entry written under an older key, which
-      held the bundle's hex or its MD5, is never served again: its
-      request misses once. *)
+      overwritten. A [Merge] entry keyed by its inputs' CRC-32s, and an
+      [Opt] entry whose key held a plan bundle's hex or its MD5, are
+      never served again: their requests miss once. An older store's
+      [plans] entries are never read. *)
 
 type config = {
   socket_path : string;

@@ -1,8 +1,8 @@
 (** The daemon's persistent, content-validating artifact store.
 
-    Entries are (kind, key) pairs holding opaque byte payloads — canonical
-    v2 profile dumps, exported placement plans, optimized program text —
-    laid out one file per entry under [dir/objects/] as
+    Entries are (kind, key) pairs holding opaque byte payloads — the
+    daemon's encoded replies, which carry v2 profile dumps and optimized
+    program text — laid out one file per entry under [dir/objects/] as
     [<kind>-<fnv64(key) in hex>.obj]. Each file is self-describing:
 
     {v

@@ -1,8 +1,10 @@
 (** CRC-32 (IEEE 802.3, the zlib polynomial) over strings: the
     per-section checksums of the v2 profile format, daemon wire frames,
-    store objects and their journal lines, and persisted plans.
-    Self-contained so the profile reader needs no external dependency to
-    validate a dump. Table-driven, eight bytes per step (slice-by-8). *)
+    and store objects and their journal lines. A checksum, not a
+    digest: a few chosen bytes give any text any CRC, so a store key
+    that must tell contents apart uses MD5 ([Digest]). Self-contained
+    so the profile reader needs no external dependency to validate a
+    dump. Table-driven, eight bytes per step (slice-by-8). *)
 
 val string : string -> int32
 (** CRC-32 of the whole string ([0l] for the empty string). *)

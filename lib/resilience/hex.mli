@@ -1,7 +1,6 @@
 (** Byte strings as hex text, in time linear in their length: the one
-    codec for every binary-unsafe field the daemon writes into a text
-    format (store keys in object headers and journal lines, marshaled
-    plan bundles in request and reply JSON). *)
+    codec for the binary-unsafe field the daemon writes into a text
+    format, its store keys in object headers and journal lines. *)
 
 val encode : string -> string
 (** Two lowercase hex digits per byte, most significant nibble first. *)

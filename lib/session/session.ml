@@ -44,10 +44,8 @@ type entry = {
   mutable e_ctxs : (Edge_profile.program * Routine_ctx.t) list;
   mutable e_defs : (Routine_ctx.t * Flow_dp.t) list;
   mutable e_places :
-    (string * Edge_profile.program option * Instrument.routine_plan) list;
-      (* The profile the plan was made under, by physical identity;
-         [None] for plans imported from a persisted session, which can
-         only ever satisfy [Sticky] lookups. *)
+    (string * Edge_profile.program * Instrument.routine_plan) list;
+      (* The profile the plan was made under, by physical identity. *)
   mutable e_layouts :
     (Ppp_profile.Path_profile.program * int array option) list;
       (* Block emission orders keyed by the path profile they were
@@ -278,10 +276,7 @@ let placement_find t ~mode ~config_name ~ep r =
       List.find_opt
         (fun (cn, ep', _) ->
           String.equal cn config_name
-          &&
-          match mode with
-          | Exact -> ( match ep' with Some ep' -> ep' == ep | None -> false)
-          | Sticky -> true)
+          && match mode with Exact -> ep' == ep | Sticky -> true)
         e.e_places
     in
     match found with
@@ -297,13 +292,10 @@ let placement_store t ~config_name ~ep r plan =
     let e = entry t r in
     let rest =
       List.filter
-        (fun (cn, ep', _) ->
-          not
-            (String.equal cn config_name
-            && match ep' with Some e -> e == ep | None -> false))
+        (fun (cn, ep', _) -> not (String.equal cn config_name && ep' == ep))
         e.e_places
     in
-    e.e_places <- cap t ((config_name, Some ep, plan) :: rest)
+    e.e_places <- cap t ((config_name, ep, plan) :: rest)
   end
 
 let layout t ~paths r ~compute =
@@ -493,179 +485,6 @@ let stats t =
     run_hits = t.counts.c_run_hits;
     run_misses = t.counts.c_run_misses;
   }
-
-(* {2 Persistence of placement plans}
-
-   The daemon's persistence boundary: placement decisions — the one
-   session artifact that is expensive, profile-derived and reusable
-   across process restarts under the Sticky rule — serialize to a
-   versioned, per-record-CRC'd text-framed format. Everything else in
-   the store (views, dominators, loop nests, lowerings) is cheap to
-   recompute and deliberately not persisted. *)
-
-module Diagnostic = Ppp_resilience.Diagnostic
-module Crc = Ppp_resilience.Crc
-
-let plans_magic = "ppp-session-plans v1"
-
-let export_plans t =
-  let records = ref [] in
-  Hashtbl.iter
-    (fun name entries ->
-      List.iter
-        (fun e ->
-          (* Newest plan per config wins; [e_places] is newest-first. *)
-          let seen = Hashtbl.create 4 in
-          List.iter
-            (fun (cn, _, plan) ->
-              if not (Hashtbl.mem seen cn) then begin
-                Hashtbl.add seen cn ();
-                let blob = Marshal.to_string (plan : Instrument.routine_plan) [] in
-                records := (name, e.e_fp, cn, blob) :: !records
-              end)
-            e.e_places)
-        entries)
-    t.slots;
-  let records =
-    List.sort
-      (fun (n1, f1, c1, _) (n2, f2, c2, _) -> compare (n1, f1, c1) (n2, f2, c2))
-      !records
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf plans_magic;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (name, fp, cn, blob) ->
-      Buffer.add_string buf
-        (Printf.sprintf "plan routine=%s fp=%s config=%s len=%d crc=%s\n" name
-           (Fingerprint.to_hex fp) cn (String.length blob)
-           (Crc.to_hex (Crc.string blob)));
-      Buffer.add_string buf blob;
-      Buffer.add_char buf '\n')
-    records;
-  Buffer.add_string buf "end\n";
-  Buffer.contents buf
-
-let import_plans t (p : Ir.program) text =
-  let diags = ref [] in
-  let imported = ref 0 in
-  let diag d = diags := d :: !diags in
-  let len = String.length text in
-  let corrupt fmt = Diagnostic.errorf Diagnostic.Corrupt fmt in
-  let field line key =
-    (* [key=value] somewhere in the header line; values carry no spaces. *)
-    let tag = " " ^ key ^ "=" in
-    let tlen = String.length tag and llen = String.length line in
-    let rec find i =
-      if i + tlen > llen then None
-      else if String.sub line i tlen = tag then
-        let start = i + tlen in
-        let stop =
-          match String.index_from_opt line start ' ' with
-          | Some j -> j
-          | None -> llen
-        in
-        Some (String.sub line start (stop - start))
-      else find (i + 1)
-    in
-    find 0
-  in
-  if len < String.length plans_magic
-     || String.sub text 0 (String.length plans_magic) <> plans_magic
-  then (0, [ corrupt "persisted plans: bad or missing header" ])
-  else begin
-    let pos = ref (String.length plans_magic + 1) in
-    let finished = ref false in
-    (try
-       while (not !finished) && !pos < len do
-         let eol =
-           match String.index_from_opt text !pos '\n' with
-           | Some i -> i
-           | None -> raise Exit
-         in
-         let line = String.sub text !pos (eol - !pos) in
-         pos := eol + 1;
-         if line = "end" then finished := true
-         else if String.length line >= 5 && String.sub line 0 5 = "plan " then begin
-           match
-             ( field line "routine",
-               Option.bind (field line "fp") Fingerprint.of_hex,
-               field line "config",
-               Option.bind (field line "len") int_of_string_opt,
-               Option.bind (field line "crc") Crc.of_hex )
-           with
-           | Some rname, Some fp, Some cn, Some blen, Some crc ->
-               if !pos + blen + 1 > len then begin
-                 diag
-                   (Diagnostic.errorf Diagnostic.Truncated
-                      "persisted plan for %s ends before its %d-byte payload"
-                      rname blen);
-                 raise Exit
-               end;
-               let blob = String.sub text !pos blen in
-               pos := !pos + blen + 1;
-               if Crc.string blob <> crc then
-                 diag
-                   (Diagnostic.errorf ~routine:rname Diagnostic.Corrupt
-                      "persisted plan failed its checksum")
-               else begin
-                 match Ir.find_routine p rname with
-                 | None ->
-                     diag
-                       (Diagnostic.errorf ~severity:Diagnostic.Warning
-                          ~routine:rname Diagnostic.Unknown_routine
-                          "persisted plan for a routine the program no \
-                           longer has")
-                 | Some r ->
-                     if fingerprint t r <> fp then
-                       diag
-                         (Diagnostic.errorf ~severity:Diagnostic.Warning
-                            ~routine:rname Diagnostic.Stale
-                            "persisted plan was made for another version \
-                             of the routine")
-                     else if t.s_enabled then begin
-                       match
-                         (Marshal.from_string blob 0
-                           : Instrument.routine_plan)
-                       with
-                       | plan ->
-                           let e = entry t r in
-                           if
-                             not
-                               (List.exists
-                                  (fun (cn', _, _) -> String.equal cn cn')
-                                  e.e_places)
-                           then begin
-                             (* Append, so plans stored live in this
-                                process stay ahead of imported ones. *)
-                             e.e_places <-
-                               cap t (e.e_places @ [ (cn, None, plan) ]);
-                             incr imported
-                           end
-                       | exception _ ->
-                           diag
-                             (Diagnostic.errorf ~routine:rname
-                                Diagnostic.Corrupt
-                                "persisted plan payload does not \
-                                 deserialize")
-                     end
-               end
-           | _ ->
-               diag (corrupt "persisted plans: malformed record header");
-               raise Exit
-         end
-         else begin
-           diag (corrupt "persisted plans: unexpected line %S" line);
-           raise Exit
-         end
-       done;
-       if not !finished then
-         diag
-           (Diagnostic.make ~severity:Diagnostic.Warning Diagnostic.Truncated
-              "persisted plans: missing end marker")
-     with Exit -> ());
-    (!imported, List.rev !diags)
-  end
 
 let pp_counts ~name ~enabled ppf s =
   Format.fprintf ppf

@@ -51,7 +51,10 @@
 
     Sessions are single-process and not thread-safe; forked shard workers
     inherit a warm parent session by copy-on-write, which is safe because
-    workers never write back. *)
+    workers never write back. Nothing in a session outlives its process:
+    a daemon worker keeps its sessions resident between requests, and no
+    artifact is ever written to disk, so every plan a lookup returns was
+    made by this build for a live profile object. *)
 
 type t
 
@@ -181,34 +184,6 @@ val warm : t -> Ppp_ir.Ir.program -> unit
     lowering of every routine — e.g. in a shard parent before forking, so
     workers inherit the analyses copy-on-write. A no-op beyond the sync
     for a disabled session. *)
-
-(** {2 Persistence}
-
-    The session's persistence boundary, used by the resident daemon's
-    artifact store: placement plans — the expensive, profile-derived,
-    [Sticky]-reusable artifact — round-trip through a versioned text
-    framing with a CRC per record. Cheap structural analyses (views,
-    dominators, loops, lowerings) are recomputed, never persisted. *)
-
-val export_plans : t -> string
-(** Serialize the newest placement plan of every (routine fingerprint,
-    configuration) pair currently held: header line
-    [ppp-session-plans v1], one
-    [plan routine=N fp=HEX config=C len=L crc=HEX8] record per plan with
-    its marshaled payload, and an [end] marker. Deterministically
-    ordered. *)
-
-val import_plans :
-  t -> Ppp_ir.Ir.program -> string -> int * Ppp_resilience.Diagnostic.t list
-(** Re-adopt persisted plans into this session for routines of [p] whose
-    current fingerprint matches the record (checked before
-    deserializing, so a plan can never be applied to an edited routine).
-    Imported plans satisfy {e Sticky} placement lookups only — they were
-    not made for any live profile object — and never shadow a plan
-    stored live in this process. Never raises: corrupt, truncated, stale
-    or unknown-routine records are skipped and reported as diagnostics.
-    Returns the number of plans imported. A disabled session imports
-    nothing. *)
 
 type stats = {
   hits : int;

@@ -2,10 +2,9 @@
    real supervision: the wire framing rejects every corruption, the
    store salvages or quarantines any on-disk damage (never raises, never
    serves wrong bytes), a kill-9 mid-write leaves committed entries
-   byte-identical on reopen, and session placement plans survive the
-   export/import round-trip that daemon persistence is built on. A tiny
-   end-to-end check boots a real server process; the heavyweight
-   adversarial scenarios live in [pppc chaos]. *)
+   byte-identical on reopen, and a store entry is served only to the
+   request it answered. Small end-to-end checks boot a real server
+   process; the heavyweight adversarial scenarios live in [pppc chaos]. *)
 
 module Wire = Ppp_daemon.Wire
 module Store = Ppp_daemon.Store
@@ -13,10 +12,9 @@ module Ops = Ppp_daemon.Ops
 module Server = Ppp_daemon.Server
 module Client = Ppp_daemon.Client
 module Diagnostic = Ppp_resilience.Diagnostic
-module Faults = Ppp_resilience.Faults
+module Crc = Ppp_resilience.Crc
 module Hex = Ppp_resilience.Hex
 module Session = Ppp_session.Session
-module H = Ppp_harness.Pipeline
 module Jsonx = Ppp_obs.Jsonx
 
 let tmpdir =
@@ -168,7 +166,7 @@ let test_ops_roundtrip () =
       | Error e -> Alcotest.failf "decode_reply failed: %s" e)
     replies
 
-(* Plan bundles travel through the one hex codec. *)
+(* Store keys travel through the one hex codec. *)
 let test_ops_hex () =
   let s = String.init 256 Char.chr in
   match Hex.decode (Hex.encode s) with
@@ -291,7 +289,7 @@ let prop_store_salvage =
       let payload_b = Printf.sprintf "payload B seed=%d\n%s" seed (String.make 100 'b') in
       (match
          ( Store.put t ~kind:"profile" ~key:"a" payload_a,
-           Store.put t ~kind:"plans" ~key:"b" payload_b )
+           Store.put t ~kind:"merge" ~key:"b" payload_b )
        with
       | Ok (), Ok () -> ()
       | _ -> QCheck.Test.fail_report "put failed");
@@ -315,7 +313,7 @@ let prop_store_salvage =
           if damaged <> contents then write_raw file damaged);
       let t2, _diags = Store.open_store ~dir in
       let ok_entry key payload =
-        match Store.get t2 ~kind:(if key = "a" then "profile" else "plans") ~key with
+        match Store.get t2 ~kind:(if key = "a" then "profile" else "merge") ~key with
         | Some got -> got = payload (* never wrong bytes *)
         | None -> true (* quarantined is acceptable *)
       in
@@ -323,7 +321,7 @@ let prop_store_salvage =
       let b_ok = ok_entry "b" payload_b in
       (* At least one of the two entries was untouched and must survive. *)
       let untouched_served =
-        Store.get t2 ~kind:"plans" ~key:"b" = Some payload_b
+        Store.get t2 ~kind:"merge" ~key:"b" = Some payload_b
         || Store.get t2 ~kind:"profile" ~key:"a" = Some payload_a
       in
       Store.close t2;
@@ -538,71 +536,7 @@ let test_store_negative_len_on_get () =
     (Store.mem t ~kind:"profile" ~key:"k");
   Store.close t
 
-(* {2 Session plan persistence} *)
-
 let bench_program name = (Ppp_workloads.Spec.find name).Ppp_workloads.Spec.build ~scale:1
-
-let test_session_plans_roundtrip () =
-  let p = bench_program "bzip2" in
-  let s = Session.create ~name:"export" () in
-  let prep = H.prepare ~session:s ~name:"export" p in
-  (* Placement plans are made while instrumenting, i.e. during
-     evaluation — prepare alone only optimizes. *)
-  ignore (H.evaluate prep Ppp_core.Config.ppp);
-  let text = Session.export_plans s in
-  Alcotest.(check bool) "export has plan records" true
-    (String.length text > String.length "ppp-session-plans v1\nend\n");
-  (* Import into a fresh session synced to the same optimized program
-     the plans were made for. *)
-  let s2 = Session.create ~name:"import" () in
-  ignore (Session.sync s2 prep.H.optimized);
-  let imported, diags = Session.import_plans s2 prep.H.optimized text in
-  Alcotest.(check int) "no diagnostics on a clean import" 0 (List.length diags);
-  Alcotest.(check bool) "plans imported" true (imported > 0);
-  (* Re-export from the importing session: every imported plan is
-     retrievable again. *)
-  let text2 = Session.export_plans s2 in
-  Alcotest.(check bool) "imported plans re-export" true
-    (String.length text2 > String.length "ppp-session-plans v1\nend\n");
-  (* Importing against a different program generation never raises and
-     classifies the mismatch instead of applying a stale plan. *)
-  let s3 = Session.create ~name:"stale" () in
-  ignore (Session.sync s3 p);
-  let imported3, diags3 = Session.import_plans s3 p text in
-  Alcotest.(check bool) "stale import classified, not applied blindly" true
-    (imported3 + List.length diags3 > 0)
-
-let prop_session_plans_never_raise =
-  QCheck.Test.make ~name:"corrupted plan exports never raise, are classified"
-    ~count:40
-    QCheck.(pair small_int small_int)
-    (fun (seed, pos) ->
-      let p = bench_program "vpr" in
-      let s = Session.create ~name:"fuzz-export" () in
-      let prep = H.prepare ~session:s ~name:"fuzz-export" p in
-      ignore (H.evaluate prep Ppp_core.Config.ppp);
-      let p = prep.H.optimized in
-      let text = Session.export_plans s in
-      let n = String.length text in
-      if n = 0 then true
-      else begin
-        let rng = Faults.rng ~seed in
-        let damaged =
-          match seed mod 3 with
-          | 0 -> String.sub text 0 (pos mod n) (* truncation *)
-          | 1 ->
-              let b = Bytes.of_string text in
-              let at = pos mod n in
-              Bytes.set b at (Char.chr (Faults.int rng 256));
-              Bytes.to_string b (* byte flip *)
-          | _ -> Faults.apply rng Faults.Garbage_line text
-        in
-        let s2 = Session.create ~name:"fuzz-import" () in
-        ignore (Session.sync s2 p);
-        match Session.import_plans s2 p damaged with
-        | _imported, _diags -> true (* must simply not raise *)
-        | exception _ -> false
-      end)
 
 (* {2 End-to-end: a real server process} *)
 
@@ -666,41 +600,9 @@ let test_server_e2e () =
   Alcotest.(check bool) "merge over the socket succeeded" true
     (Option.join merged <> None)
 
-(* Plans are a cache, not an input: an [Opt]'s body is the same with
-   and without the plan bundle a daemon injects into it, so the bundle
-   can stay out of the store key. Each request runs under its own name,
-   so no resident session carries one request's work into the other. *)
-let test_ops_plans_do_not_change_the_body () =
-  List.iter
-    (fun bench ->
-      let req name plans =
-        Ops.Opt
-          { name = bench ^ name;
-            program = Ppp_ir.Pp_ir.to_string (bench_program bench);
-            profile = None; iterate = 3; plans }
-      in
-      match Ops.handle ~chaos:false (req "@no-plans" None) with
-      | Ops.Okay { body; meta } -> (
-          let plans =
-            match List.assoc_opt "plans" meta with
-            | Some (Jsonx.Str hex) -> hex
-            | _ -> Alcotest.failf "%s: no plans in the reply" bench
-          in
-          match Ops.handle ~chaos:false (req "@plans" (Some plans)) with
-          | Ops.Okay { body = body'; meta = meta' } ->
-              Alcotest.(check bool) (bench ^ ": plans imported") true
-                (match List.assoc_opt "plans_imported" meta' with
-                | Some (Jsonx.Int n) -> n > 0
-                | _ -> false);
-              Alcotest.(check string) (bench ^ ": same body") body body'
-          | Ops.Failed _ -> Alcotest.failf "%s: opt with plans failed" bench)
-      | Ops.Failed _ -> Alcotest.failf "%s: opt failed" bench)
-    [ "bzip2"; "crafty"; "vpr" ]
-
 (* The warm path. The first reply is computed and stored under the
-   request as sent; the plans it exported are stored under the program's
-   name, to be injected only into a request that misses. The second and
-   third, identical to the first, are served from the store. *)
+   request as sent; the second and third, identical to the first, are
+   served from the store. *)
 let test_server_serves_repeated_opt () =
   let req =
     Ops.Opt
@@ -734,33 +636,26 @@ let test_server_serves_repeated_opt () =
   | Some _ -> Alcotest.fail "an opt request failed"
   | None -> Alcotest.fail "daemon never became ready"
 
-(* A store written by older key formats. Its [profile], [merge] and
-   [plans] entries keep their keys. Its [opt] entries were keyed by the
-   request with the injected plan bundle, as hex and then as an MD5
-   suffix; they open cleanly but are never served: the request misses
-   once, imports the stored plans, is recomputed, and hits from then
-   on. No new [opt] key holds the bundle or its digest. *)
+(* What an older server stored under [plans]: a plan bundle. No build
+   reads one any more, so any bytes stand in for it. *)
+let stand_in_plans = "\x84\x95\xa6\xbe a plan bundle an older server stored\n"
+
+(* A store written by older key formats. Its [profile] entry keeps its
+   key. Its [merge] entry was keyed by its inputs' CRC-32s, and its
+   [opt] entries by the request with the injected plan bundle, as hex
+   and then as an MD5 suffix; they open cleanly but are never served:
+   each request misses once, is recomputed, and hits from then on. Its
+   [plans] entry is never read. No new [opt] key holds a bundle or its
+   digest. *)
 let test_server_reads_older_store () =
   let name = "bzip2@older-store" in
-  let req ?(name = name) plans =
-    Ops.Opt
-      {
-        name;
-        program = Ppp_ir.Pp_ir.to_string (bench_program "bzip2");
-        profile = None;
-        iterate = 3;
-        plans;
-      }
-  in
-  (* Under another name: the forked worker inherits this process's
-     sessions, and one that has run [name] would import nothing. *)
-  let plans =
-    match Ops.handle ~chaos:false (req ~name:(name ^ "/plans") None) with
-    | Ops.Okay { meta; _ } -> (
-        match List.assoc_opt "plans" meta with
-        | Some (Jsonx.Str hex) -> Option.get (Hex.decode hex)
-        | _ -> Alcotest.fail "no plans in the reply")
-    | Ops.Failed _ -> Alcotest.fail "in-process opt failed"
+  let program = Ppp_ir.Pp_ir.to_string (bench_program "bzip2") in
+  let req plans = Ops.Opt { name; program; profile = None; iterate = 3; plans } in
+  let plans = stand_in_plans in
+  let in_process =
+    Ops.encode_reply
+      (Ops.opt ~session:(Session.create ~name ()) ~iterate:3 ~name
+         (Ppp_ir.Parse.program_of_string program))
   in
   let older_opt_key =
     Ops.encode_request
@@ -770,8 +665,8 @@ let test_server_reads_older_store () =
     Ops.encode_request { Ops.id = 0; deadline_ms = 0; req = req None }
     ^ " plans-md5=" ^ Digest.to_hex (Digest.string plans)
   in
-  let merge_key =
-    List.map (fun d -> Printf.sprintf "%08lx" (Ppp_resilience.Crc.string d)) [ "a"; "b" ]
+  let crc_merge_key =
+    List.map (fun d -> Printf.sprintf "%08lx" (Crc.string d)) [ "a"; "b" ]
     |> List.sort compare |> String.concat "+"
   in
   let dir = tmpdir () in
@@ -787,7 +682,7 @@ let test_server_reads_older_store () =
       ("opt", md5_opt_key, Ops.encode_reply (Ops.Okay { body = "stale"; meta = [] }));
       ("plans", name, plans);
       ("profile", "mcf/scale=1", "stored profile");
-      ("merge", merge_key, "stored merge") ];
+      ("merge", crc_merge_key, "stored merge") ];
   let replies =
     with_server ~dir (fun socket ->
         let call r = Client.call ~socket ~deadline_ms:60_000 r in
@@ -829,15 +724,18 @@ let test_server_reads_older_store () =
           ("merge", "stored merge", (mb1, mm1), (mb2, mm2)) ];
       Alcotest.(check bool) "older opt entries not served" false
         (served m1 || b1 = "stale");
-      Alcotest.(check bool) "plans entry imported" true
-        (match List.assoc_opt "plans_imported" m1 with
-        | Some (Jsonx.Int n) -> n > 0
-        | _ -> false);
+      (* The in-process reply, meta included: no plan was imported. *)
+      Alcotest.(check string) "the in-process reply" in_process
+        (Ops.encode_reply (Ops.Okay { body = b1; meta = m1 }));
       Alcotest.(check bool) "the recomputed reply is served next" true (served m2);
       Alcotest.(check string) "same body" b1 b2
   | Some _ -> Alcotest.fail "a request failed"
   | None -> Alcotest.fail "daemon never became ready");
-  let plan_hex = Hex.encode plans in
+  Alcotest.(check bool) "the plans entry stays on disk" true
+    (List.exists
+       (fun path -> String.starts_with ~prefix:"plans-" (Filename.basename path))
+       (obj_files store));
+  let sent = Ops.encode_request { Ops.id = 0; deadline_ms = 0; req = req None } in
   List.iter
     (fun path ->
       if Filename.check_suffix (Filename.basename path) ".obj"
@@ -855,21 +753,17 @@ let test_server_reads_older_store () =
         in
         match key with
         | Some key ->
-            (* Shorter than the bundle's hex, so it cannot hold it. *)
-            if
-              key <> older_opt_key && key <> md5_opt_key
-              && (String.length key >= String.length plan_hex
-                 || Test_interp.contains ~sub:"plans-md5=" key)
-            then Alcotest.failf "%s keys by the plan bundle" path
+            if key <> older_opt_key && key <> md5_opt_key && key <> sent then
+              Alcotest.failf "%s is not keyed by the request as sent" path
         | None -> Alcotest.failf "%s has no key" path)
     (obj_files store)
 
 (* An [opt --profile] entry is keyed by the request with its dump
    zeroed, plus the dump's digest and nothing else: the key stays the
-   size of the program, and the plans injected on the miss are no part
-   of it. A store written before keeps serving a request without a
-   profile, whose key did not change, and its [opt --profile] entry
-   (keyed by the whole dump) opens cleanly, misses once, then hits. *)
+   size of the program. A store written before keeps serving a request
+   without a profile, whose key did not change, and its [opt --profile]
+   entry (keyed by the whole dump and a plan bundle's digest) opens
+   cleanly, misses once, then hits. *)
 let test_server_keys_profile_by_digest () =
   let program = Ppp_ir.Pp_ir.to_string (bench_program "bzip2") in
   let dump =
@@ -883,16 +777,7 @@ let test_server_keys_profile_by_digest () =
   let req ?(name = name) ?(iterate = 1) profile =
     Ops.Opt { name; program; profile; iterate; plans = None }
   in
-  let plans =
-    match
-      Ops.handle ~chaos:false (req ~name:(name ^ "/plans") (Some dump))
-    with
-    | Ops.Okay { meta; _ } -> (
-        match List.assoc_opt "plans" meta with
-        | Some (Jsonx.Str hex) -> Option.get (Hex.decode hex)
-        | _ -> Alcotest.fail "no plans in the reply")
-    | Ops.Failed _ -> Alcotest.fail "in-process opt --profile failed"
-  in
+  let plans = stand_in_plans in
   let sent r = Ops.encode_request { Ops.id = 0; deadline_ms = 0; req = r } in
   let older_profile_key =
     sent (req (Some dump)) ^ " plans-md5=" ^ Digest.to_hex (Digest.string plans)
@@ -961,6 +846,78 @@ let test_server_keys_profile_by_digest () =
         (String.length key < String.length dump
         && String.ends_with ~suffix key))
     profile_keys
+
+(* [dump] behind a leading comment line whose four solved bytes give
+   the whole text the CRC-32 [target]. For texts of one length, CRC-32
+   is affine over GF(2): flipping bit [i] of the text flips the CRC by a
+   fixed [delta i], so the 32 bits of four bytes reach any CRC by
+   Gaussian elimination over their 32 deltas. A solution holding a
+   newline would end the comment early; the comment's fixed bytes are
+   then re-picked. *)
+let with_crc ~target dump =
+  let crc s = Int32.to_int (Crc.string s) land 0xffff_ffff in
+  let rec attempt salt =
+    let text b = Printf.sprintf "# salt %d: %s\n%s" salt (Bytes.to_string b) dump in
+    let base = Bytes.make 4 'x' in
+    let flipped bits =
+      let b = Bytes.copy base in
+      for i = 0 to 31 do
+        if bits land (1 lsl i) <> 0 then
+          Bytes.set b (i / 8)
+            (Char.chr (Char.code (Bytes.get b (i / 8)) lxor (1 lsl (i mod 8))))
+      done;
+      b
+    in
+    let crc0 = crc (text base) in
+    (* basis.(k): a combination of flips whose delta has highest bit k *)
+    let basis = Array.make 32 None in
+    let rec reduce ~insert v bits k =
+      if k < 0 then Some bits
+      else if v land (1 lsl k) = 0 then reduce ~insert v bits (k - 1)
+      else
+        match basis.(k) with
+        | Some (bv, bbits) -> reduce ~insert (v lxor bv) (bits lxor bbits) (k - 1)
+        | None ->
+            if insert then basis.(k) <- Some (v, bits);
+            None
+    in
+    for i = 0 to 31 do
+      ignore (reduce ~insert:true (crc (text (flipped (1 lsl i))) lxor crc0) (1 lsl i) 31)
+    done;
+    match reduce ~insert:false (crc0 lxor target) 0 31 with
+    | Some bits when not (Bytes.contains (flipped bits) '\n') -> text (flipped bits)
+    | _ -> attempt (salt + 1)
+  in
+  attempt 0
+
+(* A [Merge] entry is keyed by its inputs' digests. A second program's
+   dump, whose leading comment gives it the first dump's CRC-32, misses
+   the store and gets its own merge. *)
+let test_server_keys_merge_by_digest () =
+  let dump bench =
+    match Ops.collect (bench_program bench) with
+    | Ops.Okay { body; _ } -> body
+    | Ops.Failed _ -> Alcotest.fail "collect failed"
+  in
+  let d1 = dump "mcf" in
+  let d2 = with_crc ~target:(Int32.to_int (Crc.string d1) land 0xffff_ffff) (dump "bzip2") in
+  Alcotest.(check int32) "the two dumps share a CRC-32" (Crc.string d1) (Crc.string d2);
+  let merge dumps = Ops.Merge { dumps; decay = 1.0 } in
+  let replies =
+    with_server (fun socket ->
+        let call r = Client.call ~socket ~deadline_ms:60_000 r in
+        let first = call (merge [ d1 ]) in
+        (first, call (merge [ d2 ])))
+  in
+  match replies with
+  | Some (Ok _, Ok (body, meta)) ->
+      Alcotest.(check bool) "the second merge is not served" false
+        (List.mem_assoc "served_from_store" meta);
+      Alcotest.(check string) "it is the second dump's merge"
+        (Ops.encode_reply (Ops.merge ~decay:1.0 [ d2 ]))
+        (Ops.encode_reply (Ops.Okay { body; meta }))
+  | Some _ -> Alcotest.fail "a merge failed"
+  | None -> Alcotest.fail "daemon never became ready"
 
 (* A worker keeps at most [Ops.max_sessions] sessions: 100 never-seen
    names leave 32 resident, evict the rest in LRU order, and the live
@@ -1131,6 +1088,32 @@ let test_ops_decoded_reply_renders_alike () =
           Test_interp.contains ~sub:"merged " text )
   | Ops.Failed _ -> Alcotest.fail "merge failed"
 
+(* A daemon's [Opt] reply is the reply [pppc] builds in process: under a
+   name no request used before, [Ops.handle] encodes the bytes [Ops.opt]
+   gives with a fresh session, and the [plans] member a request carries
+   changes nothing. *)
+let test_ops_daemon_opt_is_in_process () =
+  List.iter
+    (fun (bench, iterate) ->
+      let program = Ppp_ir.Pp_ir.to_string (bench_program bench) in
+      let name = Printf.sprintf "%s@in-process/%d" bench iterate in
+      let handled ?plans name =
+        Ops.encode_reply
+          (Ops.handle ~chaos:false
+             (Ops.Opt { name; program; profile = None; iterate; plans }))
+      in
+      let expected =
+        Ops.encode_reply
+          (Ops.opt ~session:(Session.create ~name ()) ~iterate ~name
+             (Ppp_ir.Parse.program_of_string program))
+      in
+      let label = Printf.sprintf "%s --iterate %d" bench iterate in
+      Alcotest.(check string) label expected (handled name);
+      Alcotest.(check string) (label ^ " with plans") expected
+        (handled ~plans:"junk" (name ^ "/junk")))
+    [ ("bzip2", 3); ("bzip2", 1); ("crafty", 3); ("crafty", 1); ("vpr", 3);
+      ("vpr", 1) ]
+
 let suite =
   [
     Alcotest.test_case "wire: frames round-trip" `Quick test_wire_roundtrip;
@@ -1158,8 +1141,8 @@ let suite =
       `Quick test_store_negative_len_at_reopen;
     Alcotest.test_case "store: a negative len is quarantined on get" `Quick
       test_store_negative_len_on_get;
-    Alcotest.test_case "session: plans export/import round-trip" `Quick
-      test_session_plans_roundtrip;
+    Alcotest.test_case "server: a merge is keyed by its inputs' digests"
+      `Quick test_server_keys_merge_by_digest;
     Alcotest.test_case "server: end-to-end over the socket" `Quick
       test_server_e2e;
     Alcotest.test_case "server: a repeated opt is served from the store"
@@ -1178,8 +1161,7 @@ let suite =
       `Quick test_ops_decoded_reply_renders_alike;
     Alcotest.test_case "server: a stored merge or collect prints its first reply"
       `Quick test_server_serves_whole_replies;
-    Alcotest.test_case "ops: an opt's body does not depend on injected plans"
-      `Quick test_ops_plans_do_not_change_the_body;
+    Alcotest.test_case "ops: a daemon opt reply is the in-process reply"
+      `Quick test_ops_daemon_opt_is_in_process;
   ]
-  @ List.map QCheck_alcotest.to_alcotest
-      [ prop_store_salvage; prop_session_plans_never_raise; prop_mark_served ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_store_salvage; prop_mark_served ]

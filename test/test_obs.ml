@@ -527,23 +527,10 @@ let test_obs_on_off_cold_request () =
            ~sampling:(Ppp_interp.Sampling.spec ~seed:3 ~denom:8 ())
            ~decay:0.5 p) )
   in
-  let plans =
-    match
-      Ops.handle ~chaos:false
-        (Ops.Opt
-           { name = "obs-plans"; program; profile = None; iterate = 3;
-             plans = None })
-    with
-    | Ops.Okay { meta; _ } -> (
-        match List.assoc_opt "plans" meta with
-        | Some (Jsonx.Str hex) -> hex
-        | _ -> Alcotest.fail "no plans in the reply")
-    | Ops.Failed _ -> Alcotest.fail "opt failed"
-  in
   let request name =
     Ops.encode_reply
       (Ops.handle ~chaos:false
-         (Ops.Opt { name; program; profile = None; iterate = 3; plans = Some plans }))
+         (Ops.Opt { name; program; profile = None; iterate = 3; plans = None }))
   in
   let loops_off = loops () and reply_off = request "obs-off" in
   Metrics.set_enabled true;
@@ -570,8 +557,7 @@ let test_obs_on_off_cold_request () =
         true (List.mem expected names))
     [ "prepare"; "prepare-with-profile"; "edge-profile"; "inline"; "re-profile";
       "unroll"; "base-run"; "profile-handoff"; "reinstrument";
-      "instrumented-run"; "decisions"; "plan-import"; "plan-export";
-      "print-program" ]
+      "instrumented-run"; "decisions"; "print-program" ]
 
 (* With superblocks on, a generation that prepares from the previous
    one's profile straightens its hot traces and re-profiles the changed
