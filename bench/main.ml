@@ -21,6 +21,8 @@
                  instrumentation cost, installed-layout proxy scores
      drift       re-optimization loop decision stability, pristine
                  profiles vs a sampled store merged with decay
+     quality     each method's estimated profile scored against the
+                 measured truth (the rows of pppc report)
      throughput  VM and reference-engine Minstr/s, profiling off and
                  with edges + path tracing on             (wall clock)
 
@@ -62,6 +64,8 @@
                  9 benchmarks
      drift       the drift loop's generation-2 decision stability
                  averages at least 40%
+     quality     each method's worst-workload overlap with the measured
+                 truth is at least edge 10%, pp 70%, tpp 70%, ppp 60%
      throughput  every benchmark's VM runs at least 1.5x as fast as the
                  reference engine, profiling off and on
 

@@ -22,7 +22,6 @@ module Quality = Ppp_quality.Quality
 module Quality_report = Ppp_harness.Quality_report
 module Gate = Ppp_harness.Gate
 module Report = Ppp_harness.Report
-module Stale_match = Ppp_resilience.Stale_match
 module Sampling = Ppp_interp.Sampling
 module Daemon_client = Ppp_daemon.Client
 module Daemon_ops = Ppp_daemon.Ops
@@ -1194,15 +1193,7 @@ let report_cmd =
     in
     Arg.(value & opt (some int) None & info [ "telemetry" ] ~docv:"N" ~doc)
   in
-  let floors_arg =
-    let doc =
-      "Gate the report's summary against this committed floors document \
-       (schema ppp-quality-floors/1): any method whose worst-workload \
-       overlap drops below its floor fails the command (exit 1)."
-    in
-    Arg.(value & opt (some string) None & info [ "floors" ] ~docv:"FILE" ~doc)
-  in
-  let action scale bench output html iterate telemetry floors no_cache obs =
+  let action scale bench output html iterate telemetry no_cache obs =
     handle_errors (fun () ->
         with_obs obs @@ fun () ->
         let names = Option.map (String.split_on_char ',') bench in
@@ -1239,23 +1230,11 @@ let report_cmd =
             write_file path (text ^ "\n");
             Format.eprintf "wrote %s@." path
         | None -> print_endline text);
-        (match html with
+        match html with
         | Some path ->
             write_file path (html_report doc);
             Format.eprintf "wrote %s@." path
-        | None -> ());
-        match floors with
-        | None -> ()
-        | Some path -> (
-            let floors_doc = Jsonx.of_string (read_file path) in
-            match Gate.check_floors ~floors:floors_doc ~report:doc with
-            | [] ->
-                Format.eprintf "quality floors: every method clears %s@." path
-            | fails ->
-                Format.eprintf "quality floors: %d method(s) below %s@."
-                  (List.length fails) path;
-                Format.eprintf "%a" Gate.pp_failures fails;
-                exit 1))
+        | None -> ())
   in
   let doc =
     "Build the profile-quality report (schema ppp-quality/1): per \
@@ -1263,13 +1242,14 @@ let report_cmd =
      measured truth (weighted overlap, hot precision/recall/coverage, \
      per-routine divergence, composite), the optimizer decision log \
      (with per-generation diffs under $(b,--iterate)), and optionally a \
-     live VM telemetry series. $(b,--floors) gates the summary against \
-     committed per-method overlap floors."
+     live VM telemetry series. Each row is the bench harness's quality \
+     section, whose per-method overlap floors its gate checks \
+     ($(b,bench/main.exe quality --baseline FILE))."
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
       const action $ scale_arg $ bench_arg $ output_arg $ html_arg
-      $ iterate_arg $ telemetry_arg $ floors_arg $ no_cache_arg $ obs_args)
+      $ iterate_arg $ telemetry_arg $ no_cache_arg $ obs_args)
 
 (* {2 compare} *)
 
@@ -1297,47 +1277,45 @@ let compare_cmd =
     in
     let raw_a = parse a_path in
     let raw_b = parse b_path in
+    (* The candidate's counts move onto the reference's CFG descriptions
+       by the salvage rule merge and load apply, so dumps of different
+       program versions compare path by path. The move's own
+       diagnostics follow the candidate's parse diagnostics. *)
+    let moved = Profile_io.Raw.onto ~reference:raw_a raw_b in
+    let moved_diags =
+      List.filteri
+        (fun i _ -> i >= List.length (Profile_io.Raw.diagnostics raw_b))
+        (Profile_io.Raw.diagnostics moved)
+    in
+    Format.eprintf "%a" Diagnostic.pp_list moved_diags;
+    let stale =
+      List.length
+        (List.filter
+           (fun (d : Diagnostic.t) -> d.Diagnostic.kind = Diagnostic.Stale)
+           moved_diags)
+    in
+    let dropped = Profile_io.Raw.lost moved - Profile_io.Raw.lost raw_b in
     let metric = Ppp_profile.Metric.Branch_flow in
     let reference = Quality.of_dump ~metric raw_a in
-    let qb = Quality.of_dump ~metric raw_b in
-    let descs_a = Quality.descs_of_dump raw_a in
-    let descs_b = Quality.descs_of_dump raw_b in
-    (* Dumps of the same program version compare directly; when any
-       routine's CFG fingerprint disagrees, the candidate is routed into
-       the reference's edge space through the stale matcher and the
-       unmappable mass is accounted in the output. *)
-    let needs_remap =
-      List.exists
-        (fun r ->
-          match (descs_a r, descs_b r) with
-          | Some da, Some db ->
-              da.Stale_match.fingerprint <> db.Stale_match.fingerprint
-          | _ -> false)
-        (Profile_io.Raw.routines raw_b)
-    in
-    let candidate, remap_fields =
-      if needs_remap then begin
-        let q, stats = Quality.remap ~descs:descs_b ~target:descs_a qb in
-        Format.eprintf
-          "candidate remapped through stale matching: %d routines matched, \
-           %d dropped; %d counts kept, %d dropped@."
-          stats.Quality.routines_matched stats.Quality.routines_dropped
-          stats.Quality.mass_kept stats.Quality.mass_dropped;
-        (q, [ ("remap", Quality.remap_stats_json stats) ])
-      end
-      else (qb, [])
-    in
+    let candidate = Quality.of_dump ~metric moved in
     let json =
       match Quality.comparison_json ~reference ~candidate () with
       | Jsonx.Obj fields ->
           Jsonx.Obj
             ([
-               ("schema", Jsonx.Str "ppp-compare/1");
+               ("schema", Jsonx.Str "ppp-compare/2");
                ("reference", Jsonx.Str a_path);
                ("candidate", Jsonx.Str b_path);
-               ("remapped", Jsonx.Bool needs_remap);
+               ("remapped", Jsonx.Bool (stale > 0));
+               ( "remap",
+                 Jsonx.Obj
+                   [
+                     ("stale_routines", Jsonx.Int stale);
+                     ("counts_kept", Jsonx.Int (Profile_io.Raw.mass moved));
+                     ("counts_dropped", Jsonx.Int dropped);
+                   ] );
              ]
-            @ fields @ remap_fields)
+            @ fields)
       | other -> other
     in
     let text = Jsonx.to_string (Jsonx.canonical json) in
@@ -1350,12 +1328,15 @@ let compare_cmd =
       (Quality.composite ~reference ~candidate ())
   in
   let doc =
-    "Compare two saved profile dumps program-free (schema ppp-compare/1): \
+    "Compare two saved profile dumps program-free (schema ppp-compare/2): \
      weighted overlap, hot-set precision/recall/flow-coverage, \
      per-routine divergence and the composite score, weighting paths by \
-     branch flow from the dumps' own CFG descriptions. Dumps of \
-     different program versions are made comparable by routing the \
-     candidate through the stale matcher."
+     branch flow from the dumps' own CFG descriptions. The candidate's \
+     counts are first moved onto the reference's CFGs by the salvage \
+     rule $(b,merge) and $(b,opt --profile) apply, so dumps of different \
+     program versions compare path by path; the $(b,remap) object counts \
+     the routines moved through stale matching and the counts kept and \
+     dropped."
   in
   Cmd.v (Cmd.info "compare" ~doc)
     Term.(const action $ a_arg $ b_arg $ output_arg)

@@ -221,16 +221,18 @@ let merge_key ~decay dumps =
   else Printf.sprintf "decay=%h+" decay ^ String.concat "+" digests
 
 (* An [Opt]'s identity: the request as its client sent it, with the
-   client-specific fields and the profile dump zeroed, then the digest of
-   the dump. So an identical request hits from its second send on, and
-   the key stays the size of the program: a dump (256 KB for crafty)
-   travels only to a worker. *)
+   client-specific fields, the ignored [plans] member and the profile
+   dump zeroed, then the digest of the dump. So an identical request
+   hits from its second send on, and the key stays the size of the
+   program: a dump (256 KB for crafty) travels only to a worker. *)
 let opt_key env =
   let env, profile =
     match env.Ops.req with
-    | Ops.Opt ({ profile = Some dump; _ } as o) ->
-        ( { env with Ops.req = Ops.Opt { o with profile = None } },
-          " profile-md5=" ^ Digest.to_hex (Digest.string dump) )
+    | Ops.Opt o ->
+        ( { env with Ops.req = Ops.Opt { o with profile = None; plans = None } },
+          match o.profile with
+          | Some dump -> " profile-md5=" ^ Digest.to_hex (Digest.string dump)
+          | None -> "" )
     | _ -> (env, "")
   in
   Ops.encode_request { env with Ops.id = 0; deadline_ms = 0 } ^ profile

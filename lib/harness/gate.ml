@@ -83,33 +83,6 @@ let floors ~sections doc =
         s.floor)
     sections
 
-let check ~baseline ~current ~pct =
-  (run ~strict:false ~baseline ~current ~pct ()).failures
-
-(* Quality floors: absolute minimums a method's overlap must clear, read
-   from a committed floors document against a [pppc report] summary. *)
-let check_floors ~floors ~report =
-  let fails = ref [] in
-  let fail metric b c =
-    fails := { bench = "(summary)"; metric; baseline = b; current = c } :: !fails
-  in
-  (match (J.member floors "schema", J.member report "schema") with
-  | Some (J.Str "ppp-quality-floors/1"), Some (J.Str "ppp-quality/1") -> ()
-  | _ -> fail "schema" Float.nan Float.nan);
-  let floor_methods =
-    match J.member floors "methods" with Some (J.Obj kvs) -> kvs | _ -> []
-  in
-  List.iter
-    (fun (m, fj) ->
-      match Report.num fj [ "min_overlap" ] with
-      | None -> ()
-      | Some floor -> (
-          match Report.num report [ "summary"; "methods"; m; "min_overlap" ] with
-          | None -> fail (m ^ ".min_overlap") floor Float.nan
-          | Some v -> if v < floor then fail (m ^ ".min_overlap") floor v))
-    floor_methods;
-  List.rev !fails
-
 let pp_failure ppf (f : failure) =
   if f.metric = "schema" then
     Format.fprintf ppf "%s: schema mismatch between baseline and current"

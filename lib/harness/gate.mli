@@ -39,37 +39,21 @@ val run :
   pct:float ->
   unit ->
   result
-(** Full gate result. Metrics present in the baseline but absent from
-    the current document become {!warning}s; with [strict] (default
-    false) they become failures (with [current = nan]) instead. *)
+(** Full gate result. A metric regresses when it moves past [pct]
+    percent of its baseline value (with a 1e-9 absolute floor, so zero
+    baselines don't trip on rounding). Metrics present in the baseline
+    but absent from the current document become {!warning}s; with
+    [strict] (default false) they become failures (with [current = nan])
+    instead. *)
 
 val floors :
   sections:Report.section list ->
   Ppp_obs.Jsonx.t ->
   (string * (string, string) Stdlib.result) list
 (** Each given section's absolute floor (see {!Report.section}) over the
-    document, by section name. A section no benchmark carries fails. *)
-
-val check :
-  baseline:Ppp_obs.Jsonx.t ->
-  current:Ppp_obs.Jsonx.t ->
-  pct:float ->
-  failure list
-(** All regressions beyond [pct] percent (relative to the baseline
-    value, with a 1e-9 absolute floor so zero baselines don't trip on
-    rounding); [[]] means the gate passes. Equivalent to
-    [(run ~strict:false ...).failures] — missing-metric warnings are
-    dropped; use {!run} to see them. *)
-
-val check_floors :
-  floors:Ppp_obs.Jsonx.t -> report:Ppp_obs.Jsonx.t -> failure list
-(** Gate a [pppc report] document (schema ["ppp-quality/1"]) against a
-    committed floors document (schema ["ppp-quality-floors/1"],
-    [{"methods":{"ppp":{"min_overlap":97.0},...}}]): each listed
-    method's worst-workload overlap percentage must be at least its
-    floor. A method or summary entry missing from the report fails
-    (current [nan]) — a floor that gates nothing is a failure, not a
-    pass. *)
+    document, by section name. A section no benchmark carries fails.
+    Every absolute floor is checked here, the profile-quality overlaps
+    of the [quality] section included. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 val pp_failures : Format.formatter -> failure list -> unit

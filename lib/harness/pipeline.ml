@@ -505,6 +505,9 @@ let evaluate ?(overflow_policy = Instr_rt.Table.Drop) ?sampling prepared
     (Hashtbl.find inst.Instrument.plans name).Instrument.ctx
   in
   Trace.with_span "score" @@ fun () ->
+  (* Measured flow (for the overcount penalty): decoded counter totals,
+     summed while the measured estimates are built. *)
+  let mf = ref 0 in
   (* Estimated profile (Section 5): measured flow for instrumented paths
      plus definite flow for the rest; if nothing at all was instrumented,
      fall back to the potential-flow profile (Section 6.1). *)
@@ -525,15 +528,11 @@ let evaluate ?(overflow_policy = Instr_rt.Table.Drop) ?sampling prepared
                     match Instrument.decoded_path plan k with
                     | Some path ->
                         let b = Path.branches (views prepared name) path in
-                        acc :=
-                          {
-                            Score.routine = name;
-                            path;
-                            flow =
-                              Metric.flow metric ~freq:(recovered c)
-                                ~branches:b;
-                          }
-                          :: !acc
+                        let flow =
+                          Metric.flow metric ~freq:(recovered c) ~branches:b
+                        in
+                        mf := !mf + flow;
+                        acc := { Score.routine = name; path; flow } :: !acc
                     | None -> ());
                 !acc
           in
@@ -590,18 +589,6 @@ let evaluate ?(overflow_policy = Instr_rt.Table.Drop) ?sampling prepared
               in
               (* Definite flow never exceeds the actual frequency. *)
               df_uninstr := !df_uninstr + Metric.flow metric ~freq:df ~branches:b));
-  (* Measured flow (for the overcount penalty): decoded counter totals. *)
-  let mf = ref 0 in
-  Hashtbl.iter
-    (fun name table ->
-      let plan = Hashtbl.find inst.Instrument.plans name in
-      Instr_rt.Table.iter_nonzero table (fun k c ->
-          match Instrument.decoded_path plan k with
-          | Some path ->
-              let b = Path.branches (views prepared name) path in
-              mf := !mf + Metric.flow metric ~freq:(recovered c) ~branches:b
-          | None -> ()))
-    tables;
   let overcount = max 0 (!mf - !f_instr) in
   let coverage =
     Score.coverage ~total_actual_flow:total ~measured_actual_flow:!f_instr

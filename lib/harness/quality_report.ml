@@ -1,44 +1,17 @@
-(* Assembly of the profile-quality report behind [pppc report]: for each
-   workload, compare every method's estimated profile against the
-   measured truth with Ppp_quality, optionally attach the optimizer
-   decision log (and its generation-over-generation diffs) and a live VM
-   telemetry series, and wrap the rows with a per-method summary that
-   the quality gate ([Gate.check_floors]) consumes. *)
+(* Assembly of the profile-quality report behind [pppc report]: each
+   workload's row is the bench's [quality] section (every method's
+   estimated profile against the measured truth), the optimizer decision
+   log (and its generation-over-generation diffs) and optionally a live
+   VM telemetry series; the rows are wrapped with a per-method summary of
+   the same overlaps the section's floor gates. *)
 
 module J = Ppp_obs.Jsonx
 module Interp = Ppp_interp.Interp
 module Telemetry = Ppp_interp.Telemetry
-module Quality = Ppp_quality.Quality
 module Spec = Ppp_workloads.Spec
 module Decision = Ppp_opt.Decision
 
 let method_names = [ "edge"; "pp"; "tpp"; "ppp" ]
-
-let measured_quality prep =
-  Quality.of_path_profile ~views:(Pipeline.views prep) ~metric:Pipeline.metric
-    (Pipeline.actual_profile prep)
-
-(* One method's entry: the scalar scores the bench report already
-   carries, plus the full quality comparison of its estimated profile
-   against the measured truth. *)
-let method_json ~reference ?layout_improvement (ev : Pipeline.evaluation) =
-  let candidate = Quality.of_estimates ev.Pipeline.estimated in
-  let layout_fields =
-    match layout_improvement with
-    | None -> []
-    | Some f -> [ ("layout_improvement", J.Float f) ]
-  in
-  match Quality.comparison_json ~reference ~candidate () with
-  | J.Obj fields ->
-      J.Obj
-        (fields
-        @ [
-            ("overhead", J.Float ev.Pipeline.overhead);
-            ("accuracy", J.Float ev.Pipeline.accuracy);
-            ("coverage", J.Float ev.Pipeline.coverage);
-          ]
-        @ layout_fields)
-  | other -> other
 
 let decisions_json ds =
   J.Obj
@@ -76,27 +49,12 @@ let telemetry_json ?(capacity = 256) ~interval prep =
   in
   Telemetry.to_json ring
 
-type row = { name : string; json : J.t; overlaps : (string * float) list }
-
 let bench_row ?(iterations = 1) ?telemetry_interval (pb : Report.prepared_bench)
     =
   let prep = pb.Report.prep in
   let name = pb.Report.spec.Spec.bench_name in
-  let e = Report.evals_of pb in
-  let reference = measured_quality prep in
-  let evs =
-    [
-      ("edge", e.Report.edge);
-      ("pp", e.Report.pp);
-      ("tpp", e.Report.tpp);
-      ("ppp", e.Report.ppp);
-    ]
-  in
-  let overlaps =
-    List.map
-      (fun (m, ev) ->
-        (m, Quality.overlap reference (Quality.of_estimates ev.Pipeline.estimated)))
-      evs
+  let quality =
+    match Report.quality.Report.json pb with J.Obj fields -> fields | _ -> []
   in
   let generations =
     if iterations <= 1 then []
@@ -112,45 +70,29 @@ let bench_row ?(iterations = 1) ?telemetry_interval (pb : Report.prepared_bench)
     | None -> []
     | Some interval -> [ ("telemetry", telemetry_json ~interval prep) ]
   in
-  let json =
-    J.Obj
-      ([
-         ("name", J.Str name);
-         ( "kind",
-           J.Str
-             (match pb.Report.spec.Spec.kind with
-             | Spec.Int -> "int"
-             | Spec.Fp -> "fp") );
-         ("measured_total", J.Int (Quality.total reference));
-         ("measured_distinct", J.Int (Quality.distinct reference));
-         ( "methods",
-           J.Obj
-             (let le = Report.layout_of pb in
-              List.map
-                (fun (m, ev) ->
-                  let layout_improvement =
-                    List.find_map
-                      (fun (n, _, imp) ->
-                        if String.equal n m then Some imp else None)
-                      le.Pipeline.le_methods
-                  in
-                  (m, method_json ~reference ?layout_improvement ev))
-                evs) );
-         ("decisions", decisions_json (Pipeline.decisions prep));
-       ]
-      @ generations @ telemetry)
-  in
-  { name; json; overlaps }
+  J.Obj
+    ([
+       ("name", J.Str name);
+       ( "kind",
+         J.Str
+           (match pb.Report.spec.Spec.kind with
+           | Spec.Int -> "int"
+           | Spec.Fp -> "fp") );
+     ]
+    @ quality
+    @ [ ("decisions", decisions_json (Pipeline.decisions prep)) ]
+    @ generations @ telemetry)
 
-(* Per-method floor statistics over all rows: what Gate.check_floors
-   gates on. *)
+(* Per-method mean and worst-workload overlap over all rows: the
+   numbers the [quality] section's floor gates. *)
 let summary_json rows =
   let per_method m =
-    let vs = List.filter_map (fun r -> List.assoc_opt m r.overlaps) rows in
-    match vs with
+    match
+      List.filter_map (fun r -> Report.num r [ "methods"; m; "overlap_pct" ]) rows
+    with
     | [] -> (m, J.Obj [])
-    | _ ->
-        let mn = List.fold_left Float.min (List.hd vs) vs in
+    | v :: _ as vs ->
+        let mn = List.fold_left Float.min v vs in
         let mean = List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs) in
         ( m,
           J.Obj
@@ -168,6 +110,6 @@ let wrap ?(scale = 1) ?(hot_threshold = Pipeline.hot_threshold) rows =
       ("schema", J.Str "ppp-quality/1");
       ("scale", J.Int scale);
       ("hot_threshold", J.Float hot_threshold);
-      ("benchmarks", J.Arr (List.map (fun r -> r.json) rows));
+      ("benchmarks", J.Arr rows);
       ("summary", summary_json rows);
     ]

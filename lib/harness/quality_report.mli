@@ -1,59 +1,32 @@
 (** The profile-quality report behind [pppc report] (schema
     ["ppp-quality/1"]).
 
-    For each workload: every method's estimated profile is compared
-    against the measured truth with {!Ppp_quality.Quality} (weighted
-    overlap, hot precision/recall/coverage, per-routine divergence,
-    composite), the optimizer decision log is attached (with
-    generation-over-generation diffs when [iterations > 1]), and a live
-    VM telemetry series can be included. The wrapper's per-method
-    summary (mean and worst-workload overlap) is what
-    {!Gate.check_floors} gates against committed floors. *)
+    For each workload: the bench's [quality] section ({!Report.quality}:
+    every method's estimated profile compared against the measured truth
+    with {!Ppp_quality.Quality}), the optimizer decision log (with
+    generation-over-generation diffs when [iterations > 1]), and
+    optionally a live VM telemetry series. The wrapper's per-method
+    summary (mean and worst-workload overlap) reads the same overlaps
+    the section's floor gates ({!Gate.floors}). *)
 
 val method_names : string list
 (** The four profiling methods every report covers, in presentation
     order: edge, pp, tpp, ppp. *)
 
-type row = {
-  name : string;
-  json : Ppp_obs.Jsonx.t;
-  overlaps : (string * float) list;
-      (** per-method overlap percentage, feeding the summary *)
-}
-
-val measured_quality : Pipeline.prepared -> Ppp_quality.Quality.t
-(** The measured (ground-truth) profile of the prepared benchmark as a
-    quality profile, branch-flow weighted. *)
-
-val method_json :
-  reference:Ppp_quality.Quality.t ->
-  ?layout_improvement:float ->
-  Pipeline.evaluation ->
-  Ppp_obs.Jsonx.t
-(** One method's comparison against [reference], plus its scalar
-    overhead/accuracy/coverage — and, when given, the layout-score
-    improvement its estimated profile's block layout would buy
-    ({!Pipeline.layout_eval}). *)
-
-val decisions_json : Ppp_opt.Decision.t list -> Ppp_obs.Jsonx.t
-val generation_json : Pipeline.generation -> Ppp_obs.Jsonx.t
-val generations_json : Pipeline.generation list -> Ppp_obs.Jsonx.t
-
-val telemetry_json :
-  ?capacity:int -> interval:int -> Pipeline.prepared -> Ppp_obs.Jsonx.t
-(** Re-run the optimized program with a snapshot ring of the given
-    sampling [interval] attached and export the series
-    ({!Ppp_interp.Telemetry.to_json}). *)
-
 val bench_row :
-  ?iterations:int -> ?telemetry_interval:int -> Report.prepared_bench -> row
-(** One workload's full report row. [iterations > 1] (default 1) runs
-    {!Pipeline.reoptimize} on the original program and attaches
-    per-generation decision diffs; [telemetry_interval] attaches a
-    telemetry series sampled every that many dynamic instructions. *)
-
-val summary_json : row list -> Ppp_obs.Jsonx.t
+  ?iterations:int ->
+  ?telemetry_interval:int ->
+  Report.prepared_bench ->
+  Ppp_obs.Jsonx.t
+(** One workload's full report row: its name and kind, the fields of its
+    [quality] section object, and its decision log. [iterations > 1]
+    (default 1) runs {!Pipeline.reoptimize} on the original program and
+    attaches per-generation decision diffs; [telemetry_interval]
+    re-runs the optimized program with a snapshot ring attached and
+    attaches its telemetry series, sampled every that many dynamic
+    instructions ({!Ppp_interp.Telemetry.to_json}). *)
 
 val wrap :
-  ?scale:int -> ?hot_threshold:float -> row list -> Ppp_obs.Jsonx.t
-(** The full document: schema, parameters, rows, summary. *)
+  ?scale:int -> ?hot_threshold:float -> Ppp_obs.Jsonx.t list -> Ppp_obs.Jsonx.t
+(** The full document: schema, parameters, rows, and the summary of
+    each method's mean and worst-workload overlap. *)

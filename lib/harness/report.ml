@@ -492,17 +492,21 @@ type sample_point = {
   sp_tv_full : float;  (** total-variation distance vs the unsampled estimate *)
 }
 
+(* The measured truth as a quality profile, branch-flow weighted: what
+   [sampling] and [quality] score estimates against. *)
+let truth_of =
+  memo (fun pb ->
+      Quality.of_path_profile
+        ~views:(Pipeline.views pb.prep)
+        ~metric:Pipeline.metric
+        (Pipeline.actual_profile pb.prep))
+
 (* The rate-1 point reuses the [methods] PPP evaluation, so its overlaps
    are exactly 100. *)
 let sampling_of pb =
   let full = (evals_of pb).ppp in
   let q_full = Quality.of_estimates full.Pipeline.estimated in
-  let q_truth =
-    Quality.of_path_profile
-      ~views:(Pipeline.views pb.prep)
-      ~metric:Pipeline.metric
-      (Pipeline.actual_profile pb.prep)
-  in
+  let q_truth = truth_of pb in
   List.map
     (fun denom ->
       let ev =
@@ -912,6 +916,103 @@ let drift =
         (avg "drift_stability") (avg "full_stability") (List.length rows)
         drift_min_stability)
 
+(* {3 quality: each method's estimated profile against the measured truth}
+
+   The rows of [pppc report]: per method, the full quality comparison
+   (weighted overlap, hot precision/recall/coverage, per-routine
+   divergence, composite) of its [methods] estimate, beside its scalar
+   scores and the [layout] improvement that estimate buys. The object is
+   built once per benchmark; its text table and its floor read it. *)
+
+(* Each method's worst-workload overlap, in percent, must be at least
+   its floor. Measured at scale 1: edge 14.1, pp 77.7, tpp 77.8, ppp
+   65.7; the floors leave headroom for benign drift while still catching
+   a placement or decoding regression. *)
+let quality_floors = [ ("edge", 10.0); ("pp", 70.0); ("tpp", 70.0); ("ppp", 60.0) ]
+
+let quality_of pb =
+  let reference = truth_of pb in
+  let le = layout_of pb in
+  let method_json (m, (ev : Pipeline.evaluation)) =
+    let candidate = Quality.of_estimates ev.Pipeline.estimated in
+    let comparison =
+      match Quality.comparison_json ~reference ~candidate () with
+      | J.Obj fields -> fields
+      | _ -> []
+    in
+    let layout_improvement =
+      List.filter_map
+        (fun (n, _, imp) ->
+          if String.equal n m then Some ("layout_improvement", J.Float imp)
+          else None)
+        le.Pipeline.le_methods
+    in
+    ( m,
+      J.Obj
+        (comparison
+        @ [
+            ("overhead", J.Float ev.Pipeline.overhead);
+            ("accuracy", J.Float ev.Pipeline.accuracy);
+            ("coverage", J.Float ev.Pipeline.coverage);
+          ]
+        @ layout_improvement) )
+  in
+  J.Obj
+    [
+      ("measured_total", J.Int (Quality.total reference));
+      ("measured_distinct", J.Int (Quality.distinct reference));
+      ("methods", J.Obj (List.map method_json (by_method (evals_of pb))));
+    ]
+
+(* Method [m]'s overlap on one benchmark's [quality] object; a missing
+   one reads 0, so it fails every floor. *)
+let quality_overlap m q =
+  Option.value ~default:0.0 (num q [ "methods"; m; "overlap_pct" ])
+
+let worst = function [] -> 0.0 | v :: vs -> List.fold_left Float.min v vs
+
+let quality =
+  section "quality" (memo quality_of) ~json:Fun.id
+    ~render:(fun ppf rows ->
+      let methods = List.map fst quality_floors in
+      let line name value =
+        Format.fprintf ppf "%-9s |" name;
+        List.iter (fun m -> Format.fprintf ppf " %7.1f" (value m)) methods;
+        Format.fprintf ppf "@,"
+      in
+      Format.fprintf ppf
+        "@[<v>Profile quality: weighted overlap with the measured truth (%%)@,";
+      hr ppf 46;
+      Format.fprintf ppf "%-9s |" "bench";
+      List.iter (Format.fprintf ppf " %7s") methods;
+      Format.fprintf ppf "@,";
+      hr ppf 46;
+      List.iter (fun (pb, q) -> line (bench_name pb) (fun m -> quality_overlap m q)) rows;
+      hr ppf 46;
+      let overlaps m = List.map (fun (_, q) -> quality_overlap m q) rows in
+      line "mean" (fun m -> mean Fun.id (overlaps m));
+      line "worst" (fun m -> worst (overlaps m));
+      Format.fprintf ppf "@]@.")
+    ~floor:(fun rows ->
+      let worsts =
+        List.map
+          (fun (m, floor) ->
+            (m, floor, worst (List.map (fun (_, q) -> quality_overlap m q) rows)))
+          quality_floors
+      in
+      let below = List.filter (fun (_, floor, w) -> w < floor) worsts in
+      verdict (below = [])
+        "worst-workload overlap %s over %d benchmarks%s"
+        (String.concat ", "
+           (List.map
+              (fun (m, floor, w) -> Printf.sprintf "%s %.1f%% (floor %g%%)" m w floor)
+              worsts))
+        (List.length rows)
+        (if below = [] then ""
+         else
+           "; below its floor: "
+           ^ String.concat ", " (List.map (fun (m, _, _) -> m) below)))
+
 (* {3 The wall-clock section: throughput}
 
    Nondeterministic, so a sharded run (whose document must be
@@ -1029,7 +1130,7 @@ let throughput =
         (List.length rows)
         (if slow = [] then "" else "; below it:" ^ String.concat "," slow))
 
-let sections = [ methods; layout; sampling; tiered; drift; throughput ]
+let sections = [ methods; layout; sampling; tiered; drift; quality; throughput ]
 
 let find_section name = List.find_opt (fun s -> s.name = name) sections
 

@@ -20,25 +20,6 @@ val prepare_all :
     [cache:false] runs with disabled sessions — same results, no
     memoization. *)
 
-type evals = {
-  edge : Pipeline.evaluation;
-  pp : Pipeline.evaluation;
-  tpp : Pipeline.evaluation;
-  ppp : Pipeline.evaluation;
-}
-(** One full evaluation pass (edge profiling plus the three path
-    profilers) for a benchmark. *)
-
-val evals_of : prepared_bench -> evals
-(** The [methods] section's compute: every method evaluated once per
-    benchmark name; Figures 9–13, the JSON and [pppc report] share it. *)
-
-val layout_of : prepared_bench -> Pipeline.layout_eval
-(** The [layout] section's compute — source order vs the oracle layout
-    vs each method's estimated layout, plus the closed superblock+layout
-    loop — derived from the {!evals_of} estimates, once per benchmark
-    name. *)
-
 (** {2 Sections}
 
     Each measurement the bench records per benchmark, described once:
@@ -56,9 +37,12 @@ val layout_of : prepared_bench -> Pipeline.layout_eval
     - [drift]: per-generation decision stability of the re-optimization
       loop on pristine profiles vs on a sampled store merged with
       exponential decay (fixed seed and decay);
+    - [quality]: each method's estimated profile scored against the
+      measured truth with {!Ppp_quality.Quality} (the rows of
+      [pppc report]); its floor is each method's worst-workload overlap;
     - [throughput]: Minstr/s of the VM and the reference engine.
 
-    The first five are deterministic, so they are safe in a document
+    The first six are deterministic, so they are safe in a document
     that must be byte-identical at every [-j]; [throughput] is
     [wall_clock]. A preparation's phase times are its trace spans
     ({!Pipeline.prepare}), not a section. *)
@@ -81,6 +65,15 @@ type section = {
 (** [json] and [render] share one compute per benchmark name. *)
 
 val sections : section list
+
+val quality : section
+(** The [quality] section. Per benchmark, its object holds
+    [measured_total] and [measured_distinct] (the measured truth's
+    branch-flow mass and distinct paths) and, under [methods], each
+    method's {!Ppp_quality.Quality.comparison_json} against that truth
+    plus its [overhead], [accuracy], [coverage] and
+    [layout_improvement]. Its floor: the worst-workload [overlap_pct] of
+    edge, pp, tpp and ppp is at least 10, 70, 70 and 60. *)
 
 val find_section : string -> section option
 

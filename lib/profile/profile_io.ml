@@ -514,6 +514,37 @@ module Raw = struct
     P.move ~name:f t.paths out.paths (fun _ -> P.add_count out);
     out
 
+  (* Add [input]'s counts, lost mass and diagnostics to [out], each
+     routine moved through the salvage rule onto [out]'s description of
+     it. The rule is resolved at a routine's first counter, so a routine
+     with no counts left (all decayed away) reports no Stale warning. *)
+  let absorb out input =
+    out.diags_rev <- input.diags_rev @ out.diags_rev;
+    out.lost <- sat_add out.lost input.lost;
+    let remaps = Hashtbl.create 17 in
+    let remap_of name =
+      match Hashtbl.find_opt remaps name with
+      | Some r -> r
+      | None ->
+          let r =
+            remap name
+              ~from:(Hashtbl.find_opt input.descs name)
+              ~onto:(Hashtbl.find_opt out.descs name)
+          in
+          Option.iter (fun d -> out.diags_rev <- d :: out.diags_rev) r.stale;
+          Hashtbl.replace remaps name r;
+          r
+    in
+    let through map add name per k c =
+      match map (remap_of name) k with
+      | Some k -> add out per k c
+      | None -> out.lost <- sat_add out.lost c
+    in
+    E.move ~name:Fun.id input.edges out.edges
+      (through (fun r -> r.edge) E.add_count);
+    P.move ~name:Fun.id input.paths out.paths
+      (through (fun r -> r.path) P.add_count)
+
   let merge inputs =
     let out = create () in
     (* The reference description per routine: the least (by structural
@@ -528,36 +559,16 @@ module Raw = struct
             | Some d0 -> if compare d d0 < 0 then Hashtbl.replace out.descs name d)
           input.descs)
       inputs;
-    List.iter
-      (fun input ->
-        out.diags_rev <- input.diags_rev @ out.diags_rev;
-        out.lost <- sat_add out.lost input.lost;
-        (* Resolved at a routine's first counter, so a routine with no
-           counts left (all decayed away) reports no Stale warning. *)
-        let remaps = Hashtbl.create 17 in
-        let remap_of name =
-          match Hashtbl.find_opt remaps name with
-          | Some r -> r
-          | None ->
-              let r =
-                remap name
-                  ~from:(Hashtbl.find_opt input.descs name)
-                  ~onto:(Hashtbl.find_opt out.descs name)
-              in
-              Option.iter (fun d -> out.diags_rev <- d :: out.diags_rev) r.stale;
-              Hashtbl.replace remaps name r;
-              r
-        in
-        let through map add name per k c =
-          match map (remap_of name) k with
-          | Some k -> add out per k c
-          | None -> out.lost <- sat_add out.lost c
-        in
-        E.move ~name:Fun.id input.edges out.edges
-          (through (fun r -> r.edge) E.add_count);
-        P.move ~name:Fun.id input.paths out.paths
-          (through (fun r -> r.path) P.add_count))
-      inputs;
+    List.iter (absorb out) inputs;
+    out
+
+  (* [reference]'s descriptions win; a routine it does not describe
+     keeps [t]'s. *)
+  let onto ~reference t =
+    let out = create () in
+    Hashtbl.iter (Hashtbl.replace out.descs) t.descs;
+    Hashtbl.iter (Hashtbl.replace out.descs) reference.descs;
+    absorb out t;
     out
 
   (* Exponential age-decayed merge: input i of n (oldest first) is
@@ -720,15 +731,10 @@ module Raw = struct
   let save ppf t =
     Format.pp_print_string ppf (to_string t);
     Format.pp_print_flush ppf ()
-
-  let save_file ~path t = Ppp_obs.Sink.write_atomic ~path (to_string t)
 end
 
 let save ?edges ?paths ppf (p : Ir.program) =
   Raw.save ppf (Raw.of_program ?edges ?paths p)
-
-let save_file ?edges ?paths ~path (p : Ir.program) =
-  Raw.save_file ~path (Raw.of_program ?edges ?paths p)
 
 (* {2 The program-based loader} *)
 

@@ -32,7 +32,8 @@
     One parser reads the text ({!Raw.parse}), and one salvage rule moves
     a routine's counts from the CFG the dump describes onto another
     description of that routine: {!load} applies it against the program
-    as compiled now, {!Raw.merge} against the merge reference. Equal
+    as compiled now, {!Raw.merge} against the merge reference and
+    {!Raw.onto} against another dump's descriptions. Equal
     fingerprints keep every id that exists; differing ones re-map
     through {!Ppp_resilience.Stale_match}, keeping a path only if its
     mapped edges still chain. [load] never raises: every problem is
@@ -87,17 +88,6 @@ val save :
     equal profiles are byte-identical. Sections for omitted profiles are
     written empty. *)
 
-val save_file :
-  ?edges:Edge_profile.program ->
-  ?paths:Path_profile.program ->
-  path:string ->
-  Ppp_ir.Ir.program ->
-  unit
-(** {!save} to a file, atomically: the dump is staged in a temporary
-    file, [fsync]'d and renamed over [path]
-    ({!Ppp_obs.Sink.write_atomic}), so a crash mid-save never leaves a
-    half-written dump for the loader to salvage. *)
-
 (** {2 Raw dumps and merging}
 
     A {!Raw.t} is a dump held program-free: the CFG descriptions the
@@ -148,6 +138,17 @@ module Raw : sig
   val merge : t list -> t
   (** Inputs are not mutated. [merge [] = empty ()]. *)
 
+  val onto : reference:t -> t -> t
+  (** [onto ~reference t] is [t]'s counts moved onto [reference]'s CFG
+      descriptions by the salvage rule {!merge} applies to each input, so
+      two dumps of different program versions compare path by path.
+      [reference]'s counts are not added. The result carries
+      [reference]'s descriptions, and [t]'s for the routines [reference]
+      does not describe; those routines keep their counts as they are.
+      Its {!lost} and {!diagnostics} are [t]'s followed by the move's
+      own: the unsalvageable mass, and one [Stale] warning per routine
+      whose counts were re-mapped. [t] is not mutated. *)
+
   val merge_decayed : decay:float -> t list -> t
   (** Exponential age-weighted merge for fleets of profile generations:
       with inputs ordered oldest first, input [i] of [n] contributes its
@@ -168,9 +169,6 @@ module Raw : sig
   (** Canonical v2 text, CRCs recomputed. *)
 
   val to_string : t -> string
-
-  val save_file : path:string -> t -> unit
-  (** Atomic whole-file write of {!to_string} (temp + fsync + rename). *)
 
   val mass : t -> int
   (** Total count mass currently held (saturating sum). *)

@@ -104,68 +104,6 @@ let distinct t = Tbl.length t.weights
 
 let iter t f = Tbl.iter (fun (routine, path) w -> f ~routine ~path w) t.weights
 
-(* {2 Cross-version remapping} *)
-
-type remap_stats = {
-  routines_matched : int;
-  routines_dropped : int;
-  mass_kept : int;
-  mass_dropped : int;
-}
-
-let remap ~descs ~target t =
-  let out = create () in
-  let routines = Hashtbl.create 17 in
-  Tbl.iter (fun (r, _) _ -> Hashtbl.replace routines r ()) t.weights;
-  let matched = ref 0 and dropped_routines = ref 0 in
-  let kept = ref 0 and dropped = ref 0 in
-  Hashtbl.iter
-    (fun routine () ->
-      match (descs routine, target routine) with
-      | Some old_desc, Some new_desc ->
-          incr matched;
-          let m = Stale_match.match_cfgs ~old_desc ~new_desc in
-          Tbl.iter
-            (fun (r, path) w ->
-              if r = routine then
-                let mapped =
-                  List.fold_left
-                    (fun acc e ->
-                      match (acc, Stale_match.map_edge m e) with
-                      | Some es, Some e' -> Some (e' :: es)
-                      | _ -> None)
-                    (Some []) path
-                in
-                match mapped with
-                | Some rev ->
-                    kept := sat_add !kept w;
-                    add out ~routine ~path:(List.rev rev) w
-                | None -> dropped := sat_add !dropped w)
-            t.weights
-      | _ ->
-          incr dropped_routines;
-          Tbl.iter
-            (fun (r, _) w -> if r = routine then dropped := sat_add !dropped w)
-            t.weights)
-    routines;
-  ( out,
-    {
-      routines_matched = !matched;
-      routines_dropped = !dropped_routines;
-      mass_kept = !kept;
-      mass_dropped = !dropped;
-    } )
-
-let descs_of_dump raw name = Profile_io.Raw.desc raw name
-
-let descs_of_program (p : Ppp_ir.Ir.program) =
-  let tbl = Hashtbl.create 17 in
-  List.iter
-    (fun (r : Ppp_ir.Ir.routine) ->
-      Hashtbl.replace tbl r.Ppp_ir.Ir.name (Stale_match.describe r))
-    p.Ppp_ir.Ir.routines;
-  fun name -> Hashtbl.find_opt tbl name
-
 (* {2 Scores} *)
 
 let norm t k =
@@ -278,15 +216,6 @@ let hot_report_json h =
       ("precision", Jsonx.Float h.precision);
       ("recall", Jsonx.Float h.recall);
       ("flow_coverage", Jsonx.Float h.flow_coverage);
-    ]
-
-let remap_stats_json s =
-  Jsonx.Obj
-    [
-      ("routines_matched", Jsonx.Int s.routines_matched);
-      ("routines_dropped", Jsonx.Int s.routines_dropped);
-      ("mass_kept", Jsonx.Int s.mass_kept);
-      ("mass_dropped", Jsonx.Int s.mass_dropped);
     ]
 
 let comparison_json ?confidence ~reference ~candidate () =

@@ -13,10 +13,11 @@
     - {!composite}: one confidence-discounted score for dashboards.
 
     Profiles are normalized on construction, so runs of different
-    lengths compare on shape alone. Profiles of {e different program
-    versions} are made comparable by {!remap}, which routes every path
-    through {!Ppp_resilience.Stale_match} edge correspondences and
-    accounts any unmappable mass explicitly. *)
+    lengths compare on shape alone. Dumps of {e different program
+    versions} are made comparable before construction, by moving one
+    onto the other's CFG descriptions with
+    {!Ppp_profile.Profile_io.Raw.onto}: the salvage rule every reader
+    of a stale dump applies. *)
 
 type t
 (** A normalized weighted path profile: (routine, path) -> weight. *)
@@ -55,34 +56,6 @@ val distinct : t -> int
 (** Number of distinct (routine, path) keys. *)
 
 val iter : t -> (routine:string -> path:int list -> int -> unit) -> unit
-
-(** {2 Cross-version remapping} *)
-
-type remap_stats = {
-  routines_matched : int;
-  routines_dropped : int;  (** no CFG description on one side *)
-  mass_kept : int;
-  mass_dropped : int;  (** weight of paths with unmappable edges *)
-}
-
-val remap :
-  descs:(string -> Ppp_resilience.Stale_match.cfg_desc option) ->
-  target:(string -> Ppp_resilience.Stale_match.cfg_desc option) ->
-  t ->
-  t * remap_stats
-(** Translate a profile collected against the program version described
-    by [descs] into the edge space of the version described by [target],
-    using {!Ppp_resilience.Stale_match.match_cfgs} per routine. Paths
-    with any unmapped edge, and routines missing a description on either
-    side, are dropped and accounted in the stats — never silently. *)
-
-val descs_of_dump :
-  Ppp_profile.Profile_io.Raw.t ->
-  string ->
-  Ppp_resilience.Stale_match.cfg_desc option
-
-val descs_of_program :
-  Ppp_ir.Ir.program -> string -> Ppp_resilience.Stale_match.cfg_desc option
 
 (** {2 Scores} *)
 
@@ -125,7 +98,6 @@ val composite : ?confidence:float -> reference:t -> candidate:t -> unit -> float
 (** {2 JSON} *)
 
 val hot_report_json : hot_report -> Ppp_obs.Jsonx.t
-val remap_stats_json : remap_stats -> Ppp_obs.Jsonx.t
 
 val comparison_json : ?confidence:float -> reference:t -> candidate:t -> unit -> Ppp_obs.Jsonx.t
 (** The full comparison as one object: overlap, hot report, per-routine

@@ -1114,6 +1114,43 @@ let test_ops_daemon_opt_is_in_process () =
     [ ("bzip2", 3); ("bzip2", 1); ("crafty", 3); ("crafty", 1); ("vpr", 3);
       ("vpr", 1) ]
 
+(* [plans] is ignored by [Ops.handle], so it is no part of an [Opt]'s
+   store key: the same request sent with and without it is computed
+   and stored once. *)
+let test_server_ignores_plans_in_key () =
+  let req plans =
+    Ops.Opt
+      {
+        name = "mcf@plans-key";
+        program = Ppp_ir.Pp_ir.to_string (bench_program "mcf");
+        profile = None;
+        iterate = 1;
+        plans;
+      }
+  in
+  let dir = tmpdir () in
+  let replies =
+    with_server ~dir (fun socket ->
+        let call r = Client.call ~socket ~deadline_ms:60_000 r in
+        let first = call (req None) in
+        (first, call (req (Some "x"))))
+  in
+  (match replies with
+  | Some (Ok (b1, m1), Ok (b2, m2)) ->
+      let served m =
+        List.assoc_opt "served_from_store" m = Some (Jsonx.Bool true)
+      in
+      Alcotest.(check bool) "the first send is computed" false (served m1);
+      Alcotest.(check bool) "the second is served from the store" true (served m2);
+      Alcotest.(check string) "same body" b1 b2
+  | Some _ -> Alcotest.fail "an opt request failed"
+  | None -> Alcotest.fail "daemon never became ready");
+  Alcotest.(check int) "one opt entry" 1
+    (List.length
+       (List.filter
+          (fun path -> String.starts_with ~prefix:"opt-" (Filename.basename path))
+          (obj_files (Filename.concat dir "store"))))
+
 let suite =
   [
     Alcotest.test_case "wire: frames round-trip" `Quick test_wire_roundtrip;
@@ -1163,5 +1200,7 @@ let suite =
       `Quick test_server_serves_whole_replies;
     Alcotest.test_case "ops: a daemon opt reply is the in-process reply"
       `Quick test_ops_daemon_opt_is_in_process;
+    Alcotest.test_case "server: an opt is not keyed by its plans" `Quick
+      test_server_ignores_plans_in_key;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_store_salvage; prop_mark_served ]

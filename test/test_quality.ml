@@ -22,6 +22,7 @@ module Trace = Ppp_obs.Trace
 module Jsonx = Ppp_obs.Jsonx
 module Faults = Ppp_resilience.Faults
 module Raw = Ppp_profile.Profile_io.Raw
+module Diagnostic = Ppp_resilience.Diagnostic
 module Gen = Ppp_workloads.Gen
 module Metric = Ppp_profile.Metric
 
@@ -194,34 +195,58 @@ let cross_version_dumps () =
   in
   (dump 1, dump 2)
 
+(* Moved onto the scale-1 dump, the scale-2 dump's [main] re-maps
+   through stale matching and every count lands. *)
 let test_remap_cross_version () =
   let raw_a, raw_b = cross_version_dumps () in
+  let moved = Raw.onto ~reference:raw_a raw_b in
+  Alcotest.(check int) "mass plus lost is conserved"
+    (Raw.mass raw_b + Raw.lost raw_b)
+    (Raw.mass moved + Raw.lost moved);
+  Alcotest.(check int) "nothing dropped" 0 (Raw.lost moved);
+  Alcotest.(check (list (pair string (option string))))
+    "one Stale warning, for main"
+    [ ("stale", Some "main") ]
+    (List.map
+       (fun (d : Diagnostic.t) ->
+         (Diagnostic.kind_name d.Diagnostic.kind, d.Diagnostic.routine))
+       (Raw.diagnostics moved));
+  Alcotest.(check bool) "main takes the reference's description" true
+    (Raw.desc moved "main" = Raw.desc raw_a "main"
+    && Raw.desc raw_a "main" <> Raw.desc raw_b "main");
   let qa = Quality.of_dump ~metric raw_a in
-  let qb = Quality.of_dump ~metric raw_b in
-  let remapped, stats =
-    Quality.remap ~descs:(Quality.descs_of_dump raw_b)
-      ~target:(Quality.descs_of_dump raw_a) qb
-  in
-  Alcotest.(check bool) "some routines matched" true
-    (stats.Quality.routines_matched > 0);
-  Alcotest.(check int) "mass conserved"
-    (Quality.total qb)
-    (stats.Quality.mass_kept + stats.Quality.mass_dropped);
-  let cross = Quality.overlap qa remapped in
-  let same = Quality.overlap qa qa in
+  let cross = Quality.overlap qa (Quality.of_dump ~metric moved) in
   Alcotest.(check bool) "cross-version scores below same-version" true
-    (cross <= same +. 1e-9);
+    (cross <= Quality.overlap qa qa +. 1e-9);
   Alcotest.(check bool) "stale match salvages real agreement" true (cross > 0.0)
 
 let test_remap_identity () =
   let raw = dump_of_seed 11 in
-  let q = Quality.of_dump ~metric raw in
-  let descs = Quality.descs_of_dump raw in
-  let remapped, stats = Quality.remap ~descs ~target:descs q in
-  Alcotest.(check bool) "identity remap keeps the score at 100" true
-    (approx 100.0 (Quality.overlap q remapped));
-  Alcotest.(check int) "identity remap drops nothing" 0
-    stats.Quality.mass_dropped
+  let moved = Raw.onto ~reference:raw raw in
+  Alcotest.(check string) "a dump moved onto itself keeps every count"
+    (Raw.to_string raw) (Raw.to_string moved);
+  Alcotest.(check int) "and loses nothing" 0 (Raw.lost moved);
+  Alcotest.(check int) "and warns of nothing" 0
+    (List.length (Raw.diagnostics moved))
+
+(* A routine the reference does not describe keeps its counts and its
+   own description, even where the reference's build differs. *)
+let test_remap_keeps_unreferenced () =
+  let raw_a, raw_b = cross_version_dumps () in
+  let reference = Raw.rename (fun n -> if n = "main" then "main'" else n) raw_a in
+  let moved = Raw.onto ~reference raw_b in
+  let counts raw =
+    let paths = ref [] and edges = ref [] in
+    Raw.iter_paths raw "main" (fun p c -> paths := (p, c) :: !paths);
+    Raw.iter_edges raw "main" (fun e c -> edges := (e, c) :: !edges);
+    (List.sort compare !paths, List.sort compare !edges)
+  in
+  Alcotest.(check bool) "main has counts" true (fst (counts raw_b) <> []);
+  Alcotest.(check bool) "main keeps its counts" true (counts moved = counts raw_b);
+  Alcotest.(check bool) "and its description" true
+    (Raw.desc moved "main" = Raw.desc raw_b "main");
+  Alcotest.(check int) "no Stale warning" 0 (List.length (Raw.diagnostics moved));
+  Alcotest.(check int) "every count kept" (Raw.mass raw_b) (Raw.mass moved)
 
 (* {2 Decision log} *)
 
@@ -315,6 +340,10 @@ let gate_doc benches =
   Jsonx.Obj
     [ ("schema", Jsonx.Str "ppp-bench/1"); ("benchmarks", Jsonx.Arr benches) ]
 
+(* The gate's failures, missing-metric warnings dropped. *)
+let gate_failures ~baseline ~current ~pct =
+  (Gate.run ~baseline ~current ~pct ()).Gate.failures
+
 let test_gate_missing_metric () =
   let baseline =
     gate_doc [ bench_doc ~methods:[ ("pp", 1.0); ("ppp", 1.0) ] "x" ]
@@ -333,60 +362,60 @@ let test_gate_missing_metric () =
     (List.length strict.Gate.warnings);
   Alcotest.(check bool) "strict failure carries NaN current" true
     (Float.is_nan (List.hd strict.Gate.failures).Gate.current);
-  (* A real regression still fails either way, and check keeps its old
-     lax semantics. *)
+  (* A real regression fails non-strict too. *)
   let regressed = gate_doc [ bench_doc ~methods:[ ("pp", 2.0); ("ppp", 1.0) ] "x" ] in
   Alcotest.(check int) "regression fails non-strict" 1
-    (List.length (Gate.check ~baseline ~current:regressed ~pct:10.0))
+    (List.length (gate_failures ~baseline ~current:regressed ~pct:10.0))
 
-let floors_doc methods =
+(* A [quality] section object whose methods overlap the truth by
+   [overlaps] percent. *)
+let quality_obj overlaps =
   Jsonx.Obj
     [
-      ("schema", Jsonx.Str "ppp-quality-floors/1");
       ( "methods",
         Jsonx.Obj
           (List.map
-             (fun (m, f) -> (m, Jsonx.Obj [ ("min_overlap", Jsonx.Float f) ]))
-             methods) );
+             (fun (m, v) -> (m, Jsonx.Obj [ ("overlap_pct", Jsonx.Float v) ]))
+             overlaps) );
     ]
 
-let quality_report_doc methods =
-  Jsonx.Obj
-    [
-      ("schema", Jsonx.Str "ppp-quality/1");
-      ( "summary",
-        Jsonx.Obj
-          [
-            ( "methods",
+(* The quality floor over one benchmark row per [quality] object. *)
+let quality_floor objs =
+  match
+    Gate.floors ~sections:[ Report.quality ]
+      (gate_doc
+         (List.mapi
+            (fun i q ->
               Jsonx.Obj
-                (List.map
-                   (fun (m, v) ->
-                     (m, Jsonx.Obj [ ("min_overlap", Jsonx.Float v) ]))
-                   methods) );
-          ] );
-    ]
+                [ ("name", Jsonx.Str (Printf.sprintf "b%d" i)); ("quality", q) ])
+            objs))
+  with
+  | [ ("quality", verdict) ] -> verdict
+  | _ -> Alcotest.fail "expected the quality floor alone"
 
 let test_gate_floors () =
-  let report = quality_report_doc [ ("ppp", 93.0); ("tpp", 99.0) ] in
-  Alcotest.(check int) "clears its floors" 0
-    (List.length
-       (Gate.check_floors ~floors:(floors_doc [ ("ppp", 90.0) ]) ~report));
-  let fails =
-    Gate.check_floors ~floors:(floors_doc [ ("ppp", 95.0) ]) ~report
+  let row ppp =
+    quality_obj [ ("edge", 14.1); ("pp", 77.7); ("tpp", 77.8); ("ppp", ppp) ]
   in
-  Alcotest.(check int) "below the floor fails" 1 (List.length fails);
-  let f = List.hd fails in
-  Alcotest.(check string) "failure names the floor" "ppp.min_overlap" f.Gate.metric;
-  Alcotest.(check bool) "failure carries both sides" true
-    (approx 95.0 f.Gate.baseline && approx 93.0 f.Gate.current);
-  Alcotest.(check int) "a method absent from the summary fails" 1
-    (List.length
-       (Gate.check_floors ~floors:(floors_doc [ ("edge", 10.0) ])
-          ~report:(quality_report_doc [ ("ppp", 93.0) ])));
-  Alcotest.(check int) "schema mismatch fails" 1
-    (List.length
-       (Gate.check_floors ~floors:(floors_doc [])
-          ~report:(gate_doc [])))
+  (match quality_floor [ row 65.7; row 60.0 ] with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "a worst ppp overlap of 60%% fails: %s" msg);
+  (match quality_floor [ row 65.7; row 59.99 ] with
+  | Ok msg -> Alcotest.failf "a worst ppp overlap of 59.99%% passes: %s" msg
+  | Error msg ->
+      Alcotest.(check bool) "the failure names the method" true
+        (String.ends_with ~suffix:"below its floor: ppp" msg));
+  Alcotest.(check bool) "a method missing from a row fails" true
+    (Result.is_error
+       (quality_floor
+          [ row 65.7; quality_obj [ ("edge", 14.1); ("pp", 77.7); ("tpp", 77.8) ] ]));
+  Alcotest.(check bool) "a document without the section fails" true
+    (match
+       Gate.floors ~sections:[ Report.quality ]
+         (gate_doc [ Jsonx.Obj [ ("name", Jsonx.Str "x") ] ])
+     with
+    | [ ("quality", Error _) ] -> true
+    | _ -> false)
 
 (* {2 Drift-mode reoptimize and the tiered/drift gate floors} *)
 
@@ -433,11 +462,11 @@ let tiered_doc ~saving ~improvement name =
 let test_gate_tiered_drift_floors () =
   let baseline = gate_doc [ tiered_doc ~saving:0.9 ~improvement:2.0 "x" ] in
   Alcotest.(check int) "identical documents pass" 0
-    (List.length (Gate.check ~baseline ~current:baseline ~pct:5.0));
+    (List.length (gate_failures ~baseline ~current:baseline ~pct:5.0));
   (* These are floors: sinking below baseline is the regression,
      exceeding it never is. *)
   let sunk = gate_doc [ tiered_doc ~saving:0.5 ~improvement:(-1.0) "x" ] in
-  let fails = Gate.check ~baseline ~current:sunk ~pct:5.0 in
+  let fails = gate_failures ~baseline ~current:sunk ~pct:5.0 in
   Alcotest.(check int) "retired saving and layout floors both fail" 2
     (List.length fails);
   Alcotest.(check bool) "failures name the tiered metrics" true
@@ -447,7 +476,7 @@ let test_gate_tiered_drift_floors () =
          fails);
   let better = gate_doc [ tiered_doc ~saving:0.99 ~improvement:3.0 "x" ] in
   Alcotest.(check int) "improving on the floor passes" 0
-    (List.length (Gate.check ~baseline ~current:better ~pct:5.0));
+    (List.length (gate_failures ~baseline ~current:better ~pct:5.0));
   let churned =
     gate_doc
       [
@@ -729,23 +758,37 @@ let test_quality_report () =
     (fnum b [ "telemetry"; "taken" ] > 0.0);
   Alcotest.(check bool) "decision log attached" true
     (fnum b [ "decisions"; "count" ] >= 0.0);
+  (* The row's quality fields are the bench's quality section, and the
+     section's floor reads the overlaps the summary does. *)
+  let pb = List.hd benches in
+  let section = Jsonx.canonical (Report.quality.Report.json pb) in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " comes from the quality section") true
+        (get b [ k ] = Jsonx.member section k))
+    [ "measured_total"; "measured_distinct"; "methods" ];
+  (match
+     Gate.floors ~sections:[ Report.quality ]
+       (Report.bench_json_wrap
+          [ Report.bench_json_one ~sections:[ Report.quality ] pb ])
+   with
+  | [ ("quality", Ok msg) ] ->
+      List.iter
+        (fun m ->
+          let worst =
+            Printf.sprintf "%s %.1f%%" m
+              (fnum doc [ "summary"; "methods"; m; "min_overlap" ])
+          in
+          Alcotest.(check bool) (m ^ ": the floor reads the summary's worst") true
+            (Test_interp.contains ~sub:worst msg))
+        QR.method_names
+  | _ -> Alcotest.fail "mcf does not clear the quality floor");
   (* The rendered report is standard JSON (float printing truncates
      precision, so structural equality is checked on the reparse's
-     shape, not its values) and gates against floors derived from it. *)
+     shape, not its values). *)
   let reparsed = Jsonx.of_string (Jsonx.to_string doc) in
   Alcotest.(check bool) "rendered report parses back" true
-    (Jsonx.member reparsed "schema" = Some (Jsonx.Str "ppp-quality/1"));
-  let floors_at delta =
-    floors_doc
-      (List.map
-         (fun m -> (m, fnum doc [ "summary"; "methods"; m; "min_overlap" ] +. delta))
-         QR.method_names)
-  in
-  Alcotest.(check int) "floors just below pass" 0
-    (List.length (Gate.check_floors ~floors:(floors_at (-0.5)) ~report:doc));
-  Alcotest.(check int) "floors just above fail every method"
-    (List.length QR.method_names)
-    (List.length (Gate.check_floors ~floors:(floors_at 0.5) ~report:doc))
+    (Jsonx.member reparsed "schema" = Some (Jsonx.Str "ppp-quality/1"))
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
@@ -774,6 +817,8 @@ let suite =
         test_hot_report_empty_candidate;
       Alcotest.test_case "cross-version remap" `Quick test_remap_cross_version;
       Alcotest.test_case "identity remap" `Quick test_remap_identity;
+      Alcotest.test_case "remap keeps unreferenced routines" `Quick
+        test_remap_keeps_unreferenced;
       Alcotest.test_case "decision keys ignore magnitudes" `Quick
         test_decision_key_ignores_magnitudes;
       Alcotest.test_case "decision diff and stability" `Quick test_decision_diff;

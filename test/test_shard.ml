@@ -336,17 +336,21 @@ let doc ?(schema = "ppp-bench/1") ~name ~ppp_overhead () =
           ] );
     ]
 
+(* The gate's failures, missing-metric warnings dropped. *)
+let gate_failures ~baseline ~current ~pct =
+  (Gate.run ~baseline ~current ~pct ()).Gate.failures
+
 let test_gate_semantics () =
   let base = doc ~name:"vpr" ~ppp_overhead:0.10 () in
   check_int "identical docs pass" 0
-    (List.length (Gate.check ~baseline:base ~current:base ~pct:1.0));
+    (List.length (gate_failures ~baseline:base ~current:base ~pct:1.0));
   check_int "improvement passes" 0
     (List.length
-       (Gate.check ~baseline:base
+       (gate_failures ~baseline:base
           ~current:(doc ~name:"vpr" ~ppp_overhead:0.05 ())
           ~pct:1.0));
   (match
-     Gate.check ~baseline:base
+     gate_failures ~baseline:base
        ~current:(doc ~name:"vpr" ~ppp_overhead:0.2 ())
        ~pct:25.0
    with
@@ -355,19 +359,19 @@ let test_gate_semantics () =
       check_string "regression bench" "vpr" f.Gate.bench
   | fs -> Alcotest.fail (Printf.sprintf "expected 1 failure, got %d" (List.length fs)));
   check_bool "within tolerance passes" true
-    (Gate.check ~baseline:base
+    (gate_failures ~baseline:base
        ~current:(doc ~name:"vpr" ~ppp_overhead:0.11 ())
        ~pct:25.0
     = []);
   (match
-     Gate.check ~baseline:base
+     gate_failures ~baseline:base
        ~current:(doc ~name:"mcf" ~ppp_overhead:0.10 ())
        ~pct:1.0
    with
   | [ f ] -> check_string "missing bench is a failure" "missing" f.Gate.metric
   | _ -> Alcotest.fail "expected a missing-bench failure");
   (match
-     Gate.check ~baseline:base
+     gate_failures ~baseline:base
        ~current:(doc ~schema:"ppp-bench/2" ~name:"vpr" ~ppp_overhead:0.10 ())
        ~pct:1.0
    with
@@ -384,7 +388,7 @@ let test_gate_smoke_subset () =
   let doc_a = J.canonical (R.bench_json_wrap ~scale:1 ~seed:0 (rows ())) in
   let doc_b = J.canonical (R.bench_json_wrap ~scale:1 ~seed:0 (rows ())) in
   check_int "unchanged tree gates cleanly" 0
-    (List.length (Gate.check ~baseline:doc_a ~current:doc_b ~pct:0.01));
+    (List.length (gate_failures ~baseline:doc_a ~current:doc_b ~pct:0.01));
   (* Schema round-trip: parsing the canonical text and re-rendering it
      is byte-stable (floats may lose bits of precision on the first
      print, but the printed form is a fixed point). *)
@@ -414,7 +418,7 @@ let test_committed_baseline () =
   check_bool "baseline text is canonical" true
     (String.trim text = J.to_string (J.canonical doc));
   check_int "baseline gates cleanly against itself" 0
-    (List.length (Gate.check ~baseline:doc ~current:doc ~pct:0.01))
+    (List.length (gate_failures ~baseline:doc ~current:doc ~pct:0.01))
 
 let suite =
   [
