@@ -252,36 +252,10 @@ let pp_tier_decisions ppf (ds : Ppp_interp.Tier.decision list) =
 let run_cmd =
   let action spec scale engine telemetry telemetry_out tier_up tier_threshold
       tier_budget obs =
-    if tier_up then
-      handle_errors (fun () ->
-          with_obs obs (fun () ->
-              if tier_threshold < 1 then
-                cli_error "--tier-threshold must be >= 1";
-              let p = load_program spec ~scale in
-              let prep = H.prepare_unoptimized ~name:spec p in
-              let t =
-                Trace.with_span "tiered-run" (fun () ->
-                    H.tiered_run ~threshold:tier_threshold ?budget:tier_budget
-                      ~engine prep Config.ppp)
-              in
-              let o = t.H.t_outcome in
-              List.iter (fun v -> Format.printf "%d@." v) o.Interp.output;
-              Format.printf "return: %s@."
-                (match o.Interp.return_value with
-                | Some v -> string_of_int v
-                | None -> "(none)");
-              Format.printf "instructions: %d  cost: %d  paths: %d@."
-                o.Interp.dyn_instrs o.Interp.base_cost o.Interp.dyn_paths;
-              Format.printf "tier: %d of %d routines tiered up (threshold %d)@."
-                (List.length t.H.t_decisions)
-                (List.length p.Ir.routines)
-                tier_threshold;
-              pp_tier_decisions Format.std_formatter t.H.t_decisions;
-              Format.printf "instrumentation cost after tiering: %d@."
-                o.Interp.instr_cost))
-    else
     handle_errors (fun () ->
         with_obs obs (fun () ->
+            if tier_up && tier_threshold < 1 then
+              cli_error "--tier-threshold must be >= 1";
             let p = load_program spec ~scale in
             let ring =
               match (telemetry, telemetry_out) with
@@ -289,17 +263,35 @@ let run_cmd =
               | None, Some _ -> Some (Telemetry.create ~interval:1000 ())
               | None, None -> None
             in
-            let config = { Interp.default_config with telemetry = ring } in
-            let o =
-              Trace.with_span "run" (fun () -> Interp.run ~config ~engine p)
+            let print_outcome (o : Interp.outcome) =
+              List.iter (fun v -> Format.printf "%d@." v) o.Interp.output;
+              Format.printf "return: %s@."
+                (match o.Interp.return_value with
+                | Some v -> string_of_int v
+                | None -> "(none)");
+              Format.printf "instructions: %d  cost: %d  paths: %d@."
+                o.Interp.dyn_instrs o.Interp.base_cost o.Interp.dyn_paths
             in
-            List.iter (fun v -> Format.printf "%d@." v) o.Interp.output;
-            Format.printf "return: %s@."
-              (match o.Interp.return_value with
-              | Some v -> string_of_int v
-              | None -> "(none)");
-            Format.printf "instructions: %d  cost: %d  paths: %d@."
-              o.Interp.dyn_instrs o.Interp.base_cost o.Interp.dyn_paths;
+            (if tier_up then begin
+               let prep = H.prepare_unoptimized ~name:spec p in
+               let t =
+                 H.tiered_run ~threshold:tier_threshold ?budget:tier_budget
+                   ?telemetry:ring ~engine prep Config.ppp
+               in
+               let o = t.H.t_outcome in
+               print_outcome o;
+               Format.printf "tier: %d of %d routines tiered up (threshold %d)@."
+                 (List.length t.H.t_decisions)
+                 (List.length p.Ir.routines)
+                 tier_threshold;
+               pp_tier_decisions Format.std_formatter t.H.t_decisions;
+               Format.printf "instrumentation cost after tiering: %d@."
+                 o.Interp.instr_cost
+             end
+             else
+               let config = { Interp.default_config with telemetry = ring } in
+               print_outcome
+                 (Trace.with_span "run" (fun () -> Interp.run ~config ~engine p)));
             match ring with
             | None -> ()
             | Some t ->

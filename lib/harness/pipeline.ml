@@ -656,8 +656,8 @@ type tiered = {
 }
 
 let tiered_run ?(threshold = Ppp_interp.Tier.default_threshold)
-    ?(budget = Ppp_interp.Tier.default_budget) ?sampling ?engine prepared
-    (config : Config.t) =
+    ?(budget = Ppp_interp.Tier.default_budget) ?sampling ?telemetry ?engine
+    prepared (config : Config.t) =
   let config = Config.degrade ~confidence:prepared.confidence config in
   Trace.with_span ~args:[ ("config", config.Config.name) ] "tiered-run"
   @@ fun () ->
@@ -675,6 +675,7 @@ let tiered_run ?(threshold = Ppp_interp.Tier.default_threshold)
           instrumentation = Some inst.Instrument.rt;
           sampling;
           tier = Some spec;
+          telemetry;
         }
       prepared.optimized
   in

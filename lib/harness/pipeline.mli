@@ -221,6 +221,7 @@ val tiered_run :
   ?threshold:int ->
   ?budget:int ->
   ?sampling:Ppp_interp.Sampling.spec ->
+  ?telemetry:Ppp_interp.Telemetry.t ->
   ?engine:Ppp_interp.Interp.engine ->
   prepared ->
   Ppp_core.Config.t ->
@@ -234,9 +235,11 @@ val tiered_run :
     Program outcome is byte-identical to the untiered instrumented run;
     [instr_cost] drops as routines retire their instrumentation.
     [sampling] composes: burst re-decisions keep their chronology, tier
-    swaps win the variant resolution once fired. [engine] (default
-    {!Ppp_interp.Interp.Vm}) runs it; both engines give the same
-    outcome and decisions, and the reference one lowers nothing. *)
+    swaps win the variant resolution once fired. [telemetry] attaches a
+    snapshot ring to the run, as {!Ppp_interp.Engine.config.telemetry}
+    does. [engine] (default {!Ppp_interp.Interp.Vm}) runs it; both
+    engines give the same outcome and decisions, and the reference one
+    lowers nothing. *)
 
 (** {2 Iterative re-optimization} *)
 

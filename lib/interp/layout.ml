@@ -155,12 +155,12 @@ let proxy_of_plan (plan : Lower.plan) ~freq =
   Array.iteri
     (fun at op ->
       match op with
-      | Lower.Jump { target; edge } -> charge ~at ~target (freq edge.Lower.edge)
-      | Lower.Branch_const { target; edge } ->
+      | Lower.Jump { target; edge; _ } -> charge ~at ~target (freq edge.Lower.edge)
+      | Lower.Branch_const { target; edge; _ } ->
           charge ~at ~target (freq edge.Lower.edge)
-      | Lower.Branch_r { then_; then_edge; else_; else_edge; _ } ->
-          charge ~at ~target:then_ (freq then_edge.Lower.edge);
-          charge ~at ~target:else_ (freq else_edge.Lower.edge)
+      | Lower.Branch_r { br; _ } ->
+          charge ~at ~target:br.Lower.then_ (freq br.Lower.then_edge.Lower.edge);
+          charge ~at ~target:br.Lower.else_ (freq br.Lower.else_edge.Lower.edge)
       | _ -> ())
     (Lower.structural_variant plan).Lower.v_code;
   { transfers = !transfers; taken = !taken; local = !local }

@@ -28,16 +28,17 @@
    runs: the *structural* plan (everything above, with empty
    instrumentation actions) depends only on the routine body, its
    register file, and the program environment (routine order, arrays);
-   *specialization* rebuilds just the terminator opcodes to attach the
-   run's instrumentation pre-actions. A {!cache} keyed by routine
-   fingerprint keeps structural plans warm between runs; mutable run
-   state (edge counters, path count tables, array contents) is always
-   fresh, so a cached run is byte-identical to a cold one.
+   *specialization* rebuilds just the transfer opcodes (terminators and
+   fused compare-and-branch ops) to attach the run's instrumentation
+   pre-actions. A {!cache} keyed by routine fingerprint keeps structural
+   plans warm between runs; mutable run state (edge counters, path
+   count tables, array contents) is always fresh, so a cached run is
+   byte-identical to a cold one.
 
    A run that counts edges without tracing paths counts only the chords
    of a spanning tree of each routine's CFG: [mark_chords] rebuilds the
-   terminators the same way specialization does, setting the chord bit,
-   and the cache keeps the tree and the marked stream beside the
+   transfer opcodes the same way specialization does, setting the chord
+   bit, and the cache keeps the tree and the marked stream beside the
    structural plan. No other run computes a tree. *)
 
 module Graph = Ppp_cfg.Graph
@@ -89,13 +90,36 @@ let work_tracer = 1
 let work_actions = 2
 let work_chord = 4
 
+(* A conditional branch's two arms, each with the count and cost of the
+   Fuel op that opens its target block ([max_int] when a Call opens it),
+   as for a Jump. A fused op and its Branch_r share one. *)
+type branch = {
+  then_ : int;
+  then_count : int;
+  then_cost : int;
+  then_edge : edge_ops;
+  else_ : int;
+  else_count : int;
+  else_cost : int;
+  else_edge : edge_ops;
+}
+
 type op =
   | Fuel of { count : int; cost : int }
       (* charge for the next [count] ops at once; total cost [cost] *)
   | Mov_i of { dst : int; imm : int }
   | Mov_r of { dst : int; src : int }
+  | Add_ri of { dst : int; a : int; imm : int }
+  | And_ri of { dst : int; a : int; imm : int }
+  | Sub_ri of { dst : int; a : int; imm : int }
+  | Add_rr of { dst : int; a : int; b : int }
+      (* the four hottest binop shapes, each its own opcode *)
   | Bin_rr of { dst : int; op : Ir.binop; a : int; b : int }
   | Bin_ri of { dst : int; op : Ir.binop; a : int; imm : int }
+  | Cbr_rr of { dst : int; op : Ir.binop; a : int; b : int; br : branch }
+  | Cbr_ri of { dst : int; op : Ir.binop; a : int; imm : int; br : branch }
+      (* a binop fused with the Branch_r in the next slot, which tests
+         its [dst]: writes [dst], then takes that Branch_r's [br] *)
   | Bin_ir of { dst : int; op : Ir.binop; imm : int; b : int }
   | Bin_ii of { dst : int; op : Ir.binop; ia : int; ib : int }
   | Load_r of { dst : int; data : int array; arr : arr; idx : int }
@@ -121,15 +145,11 @@ type op =
   | Unknown_routine of { name : string }
   | Trap of { msg : string }
       (* ill-formed instruction (register out of range); faults lazily *)
-  | Jump of { target : int; edge : edge_ops }
-  | Branch_r of {
-      cond : int;
-      then_ : int;
-      then_edge : edge_ops;
-      else_ : int;
-      else_edge : edge_ops;
-    }
-  | Branch_const of { target : int; edge : edge_ops }
+  | Jump of { target : int; count : int; cost : int; edge : edge_ops }
+      (* [count] and [cost] are those of the Fuel op that opens the
+         target block ([max_int] when a Call opens it) *)
+  | Branch_r of { cond : int; br : branch }
+  | Branch_const of { target : int; count : int; cost : int; edge : edge_ops }
       (* Branch on an immediate condition: one arm, still branch-priced *)
   | Return_r of { src : int; edge : edge_ops }
   | Return_i of { imm : int; edge : edge_ops }
@@ -238,6 +258,38 @@ let tracing_of view loops =
   Path_numbering.tracing (Cfg_view.graph view) ~entry:(Cfg_view.entry view)
     ~exit:(Cfg_view.exit view) ~ends:(Loop.breakable_edges loops)
 
+let hot_binop = function
+  | Bin_ri { dst; op = Ir.Add; a; imm } -> Add_ri { dst; a; imm }
+  | Bin_ri { dst; op = Ir.And; a; imm } -> And_ri { dst; a; imm }
+  | Bin_ri { dst; op = Ir.Sub; a; imm } -> Sub_ri { dst; a; imm }
+  | Bin_rr { dst; op = Ir.Add; a; b } -> Add_rr { dst; a; b }
+  | op -> op
+
+(* The fused op of [bin] and the op [next] in the slot after it, when
+   [bin] is a register binop (or a fused op being rebuilt) that writes
+   the register the [Branch_r] [next] tests. The fused op shares that
+   [Branch_r]'s branch record, so the two never disagree. *)
+let fuse bin next =
+  match (bin, next) with
+  | (Bin_rr { dst; op; a; b } | Cbr_rr { dst; op; a; b; _ }), Branch_r { cond; br }
+    when dst = cond ->
+      Some (Cbr_rr { dst; op; a; b; br })
+  | (Bin_ri { dst; op; a; imm } | Cbr_ri { dst; op; a; imm; _ }), Branch_r { cond; br }
+    when dst = cond ->
+      Some (Cbr_ri { dst; op; a; imm; br })
+  | _ -> None
+
+(* Rebuild every fused op of [code] from the [Branch_r] after it, once a
+   pass has rewritten that op's targets or edges. *)
+let rebuild_fused code =
+  Array.iteri
+    (fun i op ->
+      match op with
+      | Cbr_rr _ | Cbr_ri _ -> code.(i) <- Option.get (fuse op code.(i + 1))
+      | _ -> ())
+    code;
+  code
+
 (* Lower one routine structurally: full opcode array, costs and edge
    bookkeeping, but every edge's action list empty. Instrumentation is
    attached later by [specialize_plan], so this half is pure in the
@@ -274,7 +326,9 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
   in
   (* Emission: [pending] accumulates the current straight-line run of
      pure ops (with their individual charges); [flush] prefixes it with
-     one Fuel op covering the run plus, optionally, the terminator. *)
+     one Fuel op covering the run plus, optionally, the terminator. A
+     run's last binop that computes its Branch_r's condition is fused
+     with it, and every other hot binop shape gets its own opcode. *)
   let ops_rev = ref [] in
   let costs_rev = ref [] in
   let n_ops = ref 0 in
@@ -286,12 +340,20 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
   let pending = ref [] in
   let pend op cost = pending := (op, cost) :: !pending in
   let flush ~term =
-    let items = List.rev !pending in
+    let hot = List.map (fun (op, c) -> (hot_binop op, c)) in
+    let items_rev =
+      match (term, !pending) with
+      | None, rev -> hot rev
+      | Some ((br, _) as t), ((bin, c) :: rest as rev) -> (
+          match fuse bin br with
+          | Some cbr -> t :: (cbr, c) :: hot rest
+          | None -> t :: hot rev)
+      | Some t, rev -> t :: hot rev
+    in
     pending := [];
-    let items = match term with None -> items | Some oc -> items @ [ oc ] in
-    match items with
+    match List.rev items_rev with
     | [] -> ()
-    | _ ->
+    | items ->
         let count = List.length items in
         let cost = List.fold_left (fun acc (_, c) -> acc + c) 0 items in
         emit (Fuel { count; cost }) 0;
@@ -391,7 +453,11 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
     | Ir.Jump l ->
         let e = Cfg_view.jump_edge view bi in
         flush
-          ~term:(Some (Jump { target = l; edge = edge_ops ~ends_path:is_back.(e) e }, c))
+          ~term:
+            (Some
+               ( Jump
+                   { target = l; count = 0; cost = 0; edge = edge_ops ~ends_path:is_back.(e) e },
+                 c ))
     | Ir.Branch (cond, l1, l2) -> (
         let e1 = Cfg_view.branch_edge view bi ~taken:true in
         let e2 = Cfg_view.branch_edge view bi ~taken:false in
@@ -403,7 +469,20 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
               ~term:
                 (Some
                    ( Branch_r
-                       { cond = cr; then_ = l1; then_edge; else_ = l2; else_edge },
+                       {
+                         cond = cr;
+                         br =
+                           {
+                             then_ = l1;
+                             then_count = 0;
+                             then_cost = 0;
+                             then_edge;
+                             else_ = l2;
+                             else_count = 0;
+                             else_cost = 0;
+                             else_edge;
+                           };
+                       },
                      c ))
         | Ir.Reg _ ->
             flush
@@ -421,7 +500,7 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
             let target, edge =
               if v <> 0 then (l1, then_edge) else (l2, else_edge)
             in
-            flush ~term:(Some (Branch_const { target; edge }, c)))
+            flush ~term:(Some (Branch_const { target; count = 0; cost = 0; edge }, c)))
     | Ir.Return v -> (
         let e = Cfg_view.return_edge view bi in
         let edge = edge_ops ~ends_path:true e in
@@ -459,24 +538,52 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
     emission;
   let code = Array.of_list (List.rev !ops_rev) in
   let costs = Array.of_list (List.rev !costs_rev) in
-  (* Second pass: patch block-index targets to opcode offsets. *)
+  (* Second pass: patch block-index targets to opcode offsets, and give
+     each transfer the count and cost of the Fuel op that opens its
+     target block; a block a Call opens gets a count no fuel exceeds. *)
+  let count_of b =
+    match code.(block_offset.(b)) with Fuel { count; _ } -> count | _ -> max_int
+  in
+  let cost_of b =
+    match code.(block_offset.(b)) with Fuel { cost; _ } -> cost | _ -> 0
+  in
   let code =
     Array.map
       (function
-        | Jump { target; edge } -> Jump { target = block_offset.(target); edge }
-        | Branch_const { target; edge } ->
-            Branch_const { target = block_offset.(target); edge }
-        | Branch_r { cond; then_; then_edge; else_; else_edge } ->
+        | Jump { target; edge; _ } ->
+            Jump
+              {
+                target = block_offset.(target);
+                count = count_of target;
+                cost = cost_of target;
+                edge;
+              }
+        | Branch_const { target; edge; _ } ->
+            Branch_const
+              {
+                target = block_offset.(target);
+                count = count_of target;
+                cost = cost_of target;
+                edge;
+              }
+        | Branch_r { cond; br } ->
             Branch_r
               {
                 cond;
-                then_ = block_offset.(then_);
-                then_edge;
-                else_ = block_offset.(else_);
-                else_edge;
+                br =
+                  {
+                    br with
+                    then_ = block_offset.(br.then_);
+                    then_count = count_of br.then_;
+                    then_cost = cost_of br.then_;
+                    else_ = block_offset.(br.else_);
+                    else_count = count_of br.else_;
+                    else_cost = cost_of br.else_;
+                  };
               }
         | op -> op)
       code
+    |> rebuild_fused
   in
   {
     routine = r;
@@ -496,22 +603,24 @@ let lower_structural ?analysis ?order ~arrays ~routine_index (r : Ir.routine) =
 
 let structural_variant (p : plan) = p.variants.(p.v_plain)
 
-(* Rebuild only the terminator opcodes of a stream, with [f] applied to
-   each edge's bookkeeping. Everything else — including the Fuel
-   segmentation and the per-op cost table — is shared. *)
+(* Rebuild only the transfer opcodes of a stream (terminators and fused
+   ops), with [f] applied to each edge's bookkeeping. Everything else —
+   including the Fuel segmentation and the per-op cost table — is
+   shared. *)
 let map_edges f code =
   Array.map
     (function
-      | Jump { target; edge } -> Jump { target; edge = f edge }
-      | Branch_r { cond; then_; then_edge; else_; else_edge } ->
+      | Jump r -> Jump { r with edge = f r.edge }
+      | Branch_r { cond; br } ->
           Branch_r
-            { cond; then_; then_edge = f then_edge; else_; else_edge = f else_edge }
-      | Branch_const { target; edge } -> Branch_const { target; edge = f edge }
+            { cond; br = { br with then_edge = f br.then_edge; else_edge = f br.else_edge } }
+      | Branch_const r -> Branch_const { r with edge = f r.edge }
       | Return_r { src; edge } -> Return_r { src; edge = f edge }
       | Return_i { imm; edge } -> Return_i { imm; edge = f edge }
       | Return_none { edge } -> Return_none { edge = f edge }
       | op -> op)
     code
+  |> rebuild_fused
 
 (* Attach the run's instrumentation actions to a plain stream. Action
    costs are charged by [Vm.traverse] from [acts_cost], so the cost

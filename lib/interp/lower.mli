@@ -7,7 +7,9 @@
     {!op.Fuel} opcode per straight-line segment (with a parallel per-op
     cost table for the exact remainder bill on fuel exhaustion),
     terminators are fused with their edge bookkeeping (including the
-    edge's Ball–Larus value for the path tracer), and each edge's
+    edge's Ball–Larus value for the path tracer) and with their target
+    blocks' fuel charges, a branch's compare is fused with it, and each
+    edge's
     instrumentation is specialized into {!pre_action}s with the frequency
     table already in hand. Register indices are validated here so the VM
     can use unchecked register accesses; an out-of-range index lowers to
@@ -60,13 +62,60 @@ val work_chord : int
     generation. Such a run counts an edge only when it crosses a chord
     (or an edge with actions); {!Vm} solves the tree edges at the end. *)
 
+(** A conditional branch's two arms: each target's offset, the [count]
+    and [cost] of the {!op.Fuel} op that opens it ([max_int] when a
+    [Call] opens it), and the edge's bookkeeping. A fused op and its
+    [Branch_r] share one. *)
+type branch = {
+  then_ : int;
+  then_count : int;
+  then_cost : int;
+  then_edge : edge_ops;
+  else_ : int;
+  else_count : int;
+  else_cost : int;
+  else_edge : edge_ops;
+}
+
+(** One opcode. A {e segment} is the straight-line run of ops one
+    {!op.Fuel} charges: a block's ops up to and including its
+    terminator, or up to a [Call], which charges for itself.
+
+    Three kinds of opcode exist only to dispatch less:
+    - the four hottest binop shapes ([Add_ri], [And_ri], [Sub_ri],
+      [Add_rr]) each have their own opcode;
+    - a segment whose last binop ([Bin_rr]/[Bin_ri]) writes the register
+      its [Branch_r] tests ends in a {e fused} op ([Cbr_rr]/[Cbr_ri]) in
+      the binop's slot. It writes [dst], then takes the [Branch_r]'s
+      branch. The [Branch_r] keeps its own slot after it, so [v_code],
+      [v_costs] and [v_offsets] stay parallel, {!Layout} charges every
+      branch where it was, and fuel exhaustion still bills and executes
+      op by op (there a fused op runs as its binop, and the charged
+      terminator is never executed). Every pass that rewrites a
+      [Branch_r] rebuilds its fused op from it, so the two always share
+      one {!branch} record;
+    - every transfer within a routine ([Jump], [Branch_r],
+      [Branch_const] and the fused ops) carries, per target, the
+      [count] and [cost] of the [Fuel] op that opens the target block,
+      or [max_int] for a block a [Call] opens. {!Vm} charges that fuel
+      at the transfer and lands past the [Fuel] op when the fuel left
+      exceeds [count]; otherwise it lands on the [Fuel] op, whose exact
+      remainder bill stays the only one. *)
 type op =
   | Fuel of { count : int; cost : int }
       (** charge the next [count] ops (total [cost]) in one update *)
   | Mov_i of { dst : int; imm : int }
   | Mov_r of { dst : int; src : int }
+  | Add_ri of { dst : int; a : int; imm : int }
+  | And_ri of { dst : int; a : int; imm : int }
+  | Sub_ri of { dst : int; a : int; imm : int }
+  | Add_rr of { dst : int; a : int; b : int }
   | Bin_rr of { dst : int; op : Ppp_ir.Ir.binop; a : int; b : int }
   | Bin_ri of { dst : int; op : Ppp_ir.Ir.binop; a : int; imm : int }
+  | Cbr_rr of { dst : int; op : Ppp_ir.Ir.binop; a : int; b : int; br : branch }
+  | Cbr_ri of { dst : int; op : Ppp_ir.Ir.binop; a : int; imm : int; br : branch }
+      (** a binop fused with the [Branch_r] in the next slot, whose
+          [cond] is [dst] and whose [br] it shares *)
   | Bin_ir of { dst : int; op : Ppp_ir.Ir.binop; imm : int; b : int }
   | Bin_ii of { dst : int; op : Ppp_ir.Ir.binop; ia : int; ib : int }
   | Load_r of { dst : int; data : int array; arr : arr; idx : int }
@@ -92,15 +141,10 @@ type op =
   | Unknown_array of { name : string }
   | Unknown_routine of { name : string }
   | Trap of { msg : string }
-  | Jump of { target : int; edge : edge_ops }
-  | Branch_r of {
-      cond : int;
-      then_ : int;
-      then_edge : edge_ops;
-      else_ : int;
-      else_edge : edge_ops;
-    }
-  | Branch_const of { target : int; edge : edge_ops }
+  | Jump of { target : int; count : int; cost : int; edge : edge_ops }
+      (** [count] and [cost]: the target block's opening [Fuel] op *)
+  | Branch_r of { cond : int; br : branch }
+  | Branch_const of { target : int; count : int; cost : int; edge : edge_ops }
   | Return_r of { src : int; edge : edge_ops }
   | Return_i of { imm : int; edge : edge_ops }
   | Return_none of { edge : edge_ops }
@@ -179,8 +223,9 @@ val genuine_order : nblocks:int -> int array -> bool
 
     Lowering is split into a {e structural} half (the full opcode array
     with empty instrumentation actions — pure in the routine body) and a
-    {e specialization} step that rebuilds only the terminator opcodes to
-    attach a run's instrumentation pre-actions. A cache memoizes
+    {e specialization} step that rebuilds only the transfer opcodes
+    (terminators and fused ops) to attach a run's instrumentation
+    pre-actions. A cache memoizes
     structural plans across runs, keyed by routine name and validated by
     ([Ppp_resilience.Fingerprint.routine], [nregs], environment
     signature); the environment signature covers the routine name order

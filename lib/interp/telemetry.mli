@@ -3,10 +3,13 @@
 
     Attach a ring to a run through {!Engine.config.telemetry}; the VM
     then records one {!sample} roughly every [interval] dynamic
-    instructions (at fuel-segment granularity). Telemetry is off by
-    default and — like every {!Ppp_obs.Metrics} instrument — costs one
-    load and one predictable branch per straight-line segment when
-    disabled. It never perturbs execution: outcomes, profiles and cost
+    instructions, at fuel-segment granularity: the countdown moves
+    wherever a segment is charged, at its [Fuel] op or at the jump or
+    branch that charges its target block's segment inline (see
+    {!Lower.op}), so a sample lands at the same instruction count
+    either way. Telemetry is off by default and — like every
+    {!Ppp_obs.Metrics} instrument — costs one load and one predictable
+    branch per charged segment when disabled. It never perturbs execution: outcomes, profiles and cost
     totals are byte-identical with and without a ring attached, which
     [test_quality] asserts differentially.
 

@@ -6,7 +6,7 @@
 
    The engine must be byte-identical to the reference tree-walker in
    [Interp] — same outcomes, profiles, table state and metrics — which
-   pins down two delicate spots:
+   pins down three delicate spots:
 
    - Fuel. The reference charges each instruction *before* executing it
      and raises [Exhausted] the moment fuel hits zero, so the last
@@ -15,6 +15,15 @@
      [exhaust] bills the exact remainder from the per-op cost table,
      executes the fully-paid prefix, and raises — reproducing the
      reference's charged-but-not-executed final instruction.
+
+   - A transfer charges its target. A jump or branch arm carries the
+     [count] and [cost] of the [Fuel] op that opens its target block
+     and, on the same [fuel > count] test, charges it (telemetry
+     countdown included) and lands just past it, saving that op's
+     dispatch. Otherwise it lands on the [Fuel] op, so [exhaust] stays
+     the only exact-billing path. A transfer that re-resolves the
+     frame's stream ([redecide]) never charges: it lands on the [Fuel]
+     op of the block it re-targets.
 
    - Register accesses are unchecked ([Lower] validated the indices, and
      out-of-range instructions lower to [Trap]); array accesses keep
@@ -43,14 +52,13 @@ module L = Lower
 
 type frame = {
   mutable plan : L.plan;
-  mutable f_var : int; (* index into plan.variants this frame executes *)
-  mutable fcode : L.op array; (* = plan.variants.(f_var).v_code *)
-  mutable fcosts : int array; (* = plan.variants.(f_var).v_costs *)
-      (* The stream this frame is executing — its entry-time variant
-         until a resolution point (frame entry / back-edge OSR) swaps
-         it. Instrumented<->plain swaps are offset-identical; a swap
-         onto an optimized generation retargets the pc through the two
-         offset tables (see [retarget]). *)
+  mutable f_var : int;
+      (* The index into plan.variants of the stream this frame is
+         executing — its entry-time variant until a resolution point
+         (frame entry / back-edge OSR) swaps it. Instrumented<->plain
+         swaps are offset-identical; a swap onto an optimized generation
+         retargets the pc through the two offset tables (see
+         [retarget]). *)
   mutable f_redecide : bool;
       (* path-ending edges are still resolution points for this frame
          (see [Resolve.must_redecide]); set at [enter] and in each
@@ -103,13 +111,23 @@ let tele_sample st t =
     ~instr_cost:st.instr_cost ~dyn_paths:st.dyn_paths ~calls:st.obs_calls
     ~depth:st.depth
 
+(* Charge a whole segment of [count] ops at [cost], once the caller has
+   seen [fuel > count]: one update of each counter, and one load and one
+   branch when telemetry is off, matching the gated-metrics cost
+   discipline. *)
+let[@inline] charge st count cost =
+  st.fuel <- st.fuel - count;
+  st.base_cost <- st.base_cost + cost;
+  match st.tele with
+  | None -> ()
+  | Some t ->
+      st.tele_left <- st.tele_left - count;
+      if st.tele_left <= 0 then tele_sample st t
+
 let fresh_frame plan =
-  let v = plan.L.variants.(Resolve.instr) in
   {
     plan;
     f_var = Resolve.instr;
-    fcode = v.L.v_code;
-    fcosts = v.L.v_costs;
     f_redecide = false;
     regs = Array.make (max 1 plan.L.nregs) 0;
     (* Every frame begins at opcode offset 0: the lowering keeps the
@@ -138,11 +156,7 @@ let enter st plan ~nargs ret_to =
   let f = st.frames.(st.depth) in
   st.depth <- st.depth + 1;
   f.plan <- plan;
-  let v = Resolve.enter st.res plan.L.r_id in
-  let var = plan.L.variants.(v) in
-  f.f_var <- v;
-  f.fcode <- var.L.v_code;
-  f.fcosts <- var.L.v_costs;
+  f.f_var <- Resolve.enter st.res plan.L.r_id;
   f.f_redecide <- Array.unsafe_get st.redecide plan.L.r_id;
   let n = plan.L.nregs in
   if Array.length f.regs < n then f.regs <- Array.make n 0
@@ -226,23 +240,56 @@ let traverse st (frame : frame) (plan : L.plan) (eo : L.edge_ops) =
 
 let[@inline] has_work st (eo : L.edge_ops) = eo.L.work land st.work_mask <> 0
 
-(* Execute a fully-paid pure op during the exhaustion remainder. Ops
-   that can transfer control (Call, terminators) never appear here:
-   calls close their segment, and a charged terminator is the op the
-   reference leaves unexecuted. *)
+(* [Engine.exec_binop], in this module so that every dispatch inlines it
+   (cross-module inlining is not available to the VM). *)
+let[@inline] binop (op : Ir.binop) a b =
+  match op with
+  | Ir.Add -> a + b
+  | Ir.Sub -> a - b
+  | Ir.Mul -> a * b
+  | Ir.Lt -> if a < b then 1 else 0
+  | Ir.Le -> if a <= b then 1 else 0
+  | Ir.Gt -> if a > b then 1 else 0
+  | Ir.Ge -> if a >= b then 1 else 0
+  | Ir.Eq -> if a = b then 1 else 0
+  | Ir.Ne -> if a <> b then 1 else 0
+  | Ir.Div -> if b = 0 then E.error "division by zero" else a / b
+  | Ir.Rem -> if b = 0 then E.error "remainder by zero" else a mod b
+  | Ir.And -> a land b
+  | Ir.Or -> a lor b
+  | Ir.Xor -> a lxor b
+  | Ir.Shl ->
+      let c = b land 63 in
+      if c > 62 then 0 else a lsl c
+  | Ir.Shr ->
+      let c = b land 63 in
+      a asr (if c > 62 then 62 else c)
+
+(* Execute a fully-paid pure op during the exhaustion remainder. A fused
+   op runs as its binop: its Branch_r is the segment's terminator, the
+   op the reference leaves unexecuted. No other op that can transfer
+   control (Call, terminators) appears here: calls close their
+   segment. *)
 let exec_pure st regs op =
   match op with
   | L.Mov_i { dst; imm } -> Array.unsafe_set regs dst imm
   | L.Mov_r { dst; src } -> Array.unsafe_set regs dst (Array.unsafe_get regs src)
-  | L.Bin_rr { dst; op; a; b } ->
+  | L.Add_ri { dst; a; imm } ->
+      Array.unsafe_set regs dst (Array.unsafe_get regs a + imm)
+  | L.And_ri { dst; a; imm } ->
+      Array.unsafe_set regs dst (Array.unsafe_get regs a land imm)
+  | L.Sub_ri { dst; a; imm } ->
+      Array.unsafe_set regs dst (Array.unsafe_get regs a - imm)
+  | L.Add_rr { dst; a; b } ->
+      Array.unsafe_set regs dst (Array.unsafe_get regs a + Array.unsafe_get regs b)
+  | L.Bin_rr { dst; op; a; b } | L.Cbr_rr { dst; op; a; b; _ } ->
       Array.unsafe_set regs dst
-        (E.exec_binop op (Array.unsafe_get regs a) (Array.unsafe_get regs b))
-  | L.Bin_ri { dst; op; a; imm } ->
-      Array.unsafe_set regs dst (E.exec_binop op (Array.unsafe_get regs a) imm)
+        (binop op (Array.unsafe_get regs a) (Array.unsafe_get regs b))
+  | L.Bin_ri { dst; op; a; imm } | L.Cbr_ri { dst; op; a; imm; _ } ->
+      Array.unsafe_set regs dst (binop op (Array.unsafe_get regs a) imm)
   | L.Bin_ir { dst; op; imm; b } ->
-      Array.unsafe_set regs dst (E.exec_binop op imm (Array.unsafe_get regs b))
-  | L.Bin_ii { dst; op; ia; ib } ->
-      Array.unsafe_set regs dst (E.exec_binop op ia ib)
+      Array.unsafe_set regs dst (binop op imm (Array.unsafe_get regs b))
+  | L.Bin_ii { dst; op; ia; ib } -> Array.unsafe_set regs dst (binop op ia ib)
   | L.Load_r { dst; data; arr; idx } ->
       Array.unsafe_set regs dst (load data arr (Array.unsafe_get regs idx))
   | L.Load_i { dst; data; arr; idx } ->
@@ -268,14 +315,15 @@ let exec_pure st regs op =
    own variant (whose cost table is parallel to its code). *)
 let exhaust st (frame : frame) regs pc =
   let k = if st.fuel < 1 then 1 else st.fuel in
-  let costs = frame.fcosts in
+  let v = frame.plan.L.variants.(frame.f_var) in
+  let costs = v.L.v_costs in
   let cost = ref 0 in
   for i = pc + 1 to pc + k do
     cost := !cost + Array.unsafe_get costs i
   done;
   st.base_cost <- st.base_cost + !cost;
   st.fuel <- st.fuel - k;
-  let code = frame.fcode in
+  let code = v.L.v_code in
   for i = pc + 1 to pc + k - 1 do
     exec_pure st regs code.(i)
   done;
@@ -317,8 +365,6 @@ let redecide st (frame : frame) (plan : L.plan) edge_id target =
     let from_ = plan.L.variants.(frame.f_var) in
     let to_ = plan.L.variants.(v) in
     frame.f_var <- v;
-    frame.fcode <- to_.L.v_code;
-    frame.fcosts <- to_.L.v_costs;
     if v = Resolve.instr then
       frame.path_reg <- Resolve.rearm st.res plan.L.r_id edge_id;
     retarget from_ to_ target
@@ -337,22 +383,15 @@ let do_return st (frame : frame) value =
    program runs as one loop with no per-transition driver overhead. *)
 let rec run_frames st (frame : frame) start_pc =
   let plan = frame.plan in
-  let code = frame.fcode in
-  let costs = frame.fcosts in
+  let v = plan.L.variants.(frame.f_var) in
+  let code = v.L.v_code in
+  let costs = v.L.v_costs in
   let regs = frame.regs in
   let rec go pc =
     match Array.unsafe_get code pc with
     | L.Fuel { count; cost } ->
         if st.fuel > count then begin
-          st.fuel <- st.fuel - count;
-          st.base_cost <- st.base_cost + cost;
-          (* One load and one branch per segment when telemetry is off,
-             matching the gated-metrics cost discipline. *)
-          (match st.tele with
-          | None -> ()
-          | Some t ->
-              st.tele_left <- st.tele_left - count;
-              if st.tele_left <= 0 then tele_sample st t);
+          charge st count cost;
           go (pc + 1)
         end
         else exhaust st frame regs pc
@@ -362,68 +401,41 @@ let rec run_frames st (frame : frame) start_pc =
     | L.Mov_r { dst; src } ->
         Array.unsafe_set regs dst (Array.unsafe_get regs src);
         go (pc + 1)
-    (* The two common binop shapes evaluate inline — same semantics as
-       [Engine.exec_binop], without the cross-module call per op. *)
+    | L.Add_ri { dst; a; imm } ->
+        Array.unsafe_set regs dst (Array.unsafe_get regs a + imm);
+        go (pc + 1)
+    | L.And_ri { dst; a; imm } ->
+        Array.unsafe_set regs dst (Array.unsafe_get regs a land imm);
+        go (pc + 1)
+    | L.Sub_ri { dst; a; imm } ->
+        Array.unsafe_set regs dst (Array.unsafe_get regs a - imm);
+        go (pc + 1)
+    | L.Add_rr { dst; a; b } ->
+        Array.unsafe_set regs dst
+          (Array.unsafe_get regs a + Array.unsafe_get regs b);
+        go (pc + 1)
     | L.Bin_rr { dst; op; a; b } ->
-        let a = Array.unsafe_get regs a and b = Array.unsafe_get regs b in
-        let v =
-          match op with
-          | Ir.Add -> a + b
-          | Ir.Sub -> a - b
-          | Ir.Mul -> a * b
-          | Ir.Lt -> if a < b then 1 else 0
-          | Ir.Le -> if a <= b then 1 else 0
-          | Ir.Gt -> if a > b then 1 else 0
-          | Ir.Ge -> if a >= b then 1 else 0
-          | Ir.Eq -> if a = b then 1 else 0
-          | Ir.Ne -> if a <> b then 1 else 0
-          | Ir.Div -> if b = 0 then E.error "division by zero" else a / b
-          | Ir.Rem -> if b = 0 then E.error "remainder by zero" else a mod b
-          | Ir.And -> a land b
-          | Ir.Or -> a lor b
-          | Ir.Xor -> a lxor b
-          | Ir.Shl ->
-              let c = b land 63 in
-              if c > 62 then 0 else a lsl c
-          | Ir.Shr ->
-              let c = b land 63 in
-              a asr (if c > 62 then 62 else c)
-        in
-        Array.unsafe_set regs dst v;
+        Array.unsafe_set regs dst
+          (binop op (Array.unsafe_get regs a) (Array.unsafe_get regs b));
         go (pc + 1)
     | L.Bin_ri { dst; op; a; imm } ->
-        let a = Array.unsafe_get regs a in
-        let v =
-          match op with
-          | Ir.Add -> a + imm
-          | Ir.Sub -> a - imm
-          | Ir.Mul -> a * imm
-          | Ir.Lt -> if a < imm then 1 else 0
-          | Ir.Le -> if a <= imm then 1 else 0
-          | Ir.Gt -> if a > imm then 1 else 0
-          | Ir.Ge -> if a >= imm then 1 else 0
-          | Ir.Eq -> if a = imm then 1 else 0
-          | Ir.Ne -> if a <> imm then 1 else 0
-          | Ir.Div -> if imm = 0 then E.error "division by zero" else a / imm
-          | Ir.Rem -> if imm = 0 then E.error "remainder by zero" else a mod imm
-          | Ir.And -> a land imm
-          | Ir.Or -> a lor imm
-          | Ir.Xor -> a lxor imm
-          | Ir.Shl ->
-              let c = imm land 63 in
-              if c > 62 then 0 else a lsl c
-          | Ir.Shr ->
-              let c = imm land 63 in
-              a asr (if c > 62 then 62 else c)
-        in
-        Array.unsafe_set regs dst v;
+        Array.unsafe_set regs dst (binop op (Array.unsafe_get regs a) imm);
         go (pc + 1)
+    | L.Cbr_rr { dst; op; a; b; br } ->
+        let c = binop op (Array.unsafe_get regs a) (Array.unsafe_get regs b) in
+        Array.unsafe_set regs dst c;
+        if c <> 0 then transfer br.L.then_edge br.L.then_ br.L.then_count br.L.then_cost
+        else transfer br.L.else_edge br.L.else_ br.L.else_count br.L.else_cost
+    | L.Cbr_ri { dst; op; a; imm; br } ->
+        let c = binop op (Array.unsafe_get regs a) imm in
+        Array.unsafe_set regs dst c;
+        if c <> 0 then transfer br.L.then_edge br.L.then_ br.L.then_count br.L.then_cost
+        else transfer br.L.else_edge br.L.else_ br.L.else_count br.L.else_cost
     | L.Bin_ir { dst; op; imm; b } ->
-        Array.unsafe_set regs dst
-          (E.exec_binop op imm (Array.unsafe_get regs b));
+        Array.unsafe_set regs dst (binop op imm (Array.unsafe_get regs b));
         go (pc + 1)
     | L.Bin_ii { dst; op; ia; ib } ->
-        Array.unsafe_set regs dst (E.exec_binop op ia ib);
+        Array.unsafe_set regs dst (binop op ia ib);
         go (pc + 1)
     | L.Load_r { dst; data; arr; idx } ->
         let i = Array.unsafe_get regs idx in
@@ -489,37 +501,13 @@ let rec run_frames st (frame : frame) start_pc =
         E.error "unknown routine %s" name
     | L.Unknown_array { name } -> E.error "unknown array %s" name
     | L.Trap { msg } -> raise (E.Runtime_error msg)
-    | L.Jump { target; edge } ->
-        if has_work st edge then traverse st frame plan edge;
-        if frame.f_redecide && edge.L.ends_path then begin
-          let t = redecide st frame plan edge.L.edge target in
-          if t >= 0 then run_frames st frame t else go target
-        end
-        else go target
-    | L.Branch_r { cond; then_; then_edge; else_; else_edge } ->
-        if Array.unsafe_get regs cond <> 0 then begin
-          if has_work st then_edge then traverse st frame plan then_edge;
-          if frame.f_redecide && then_edge.L.ends_path then begin
-            let t = redecide st frame plan then_edge.L.edge then_ in
-            if t >= 0 then run_frames st frame t else go then_
-          end
-          else go then_
-        end
-        else begin
-          if has_work st else_edge then traverse st frame plan else_edge;
-          if frame.f_redecide && else_edge.L.ends_path then begin
-            let t = redecide st frame plan else_edge.L.edge else_ in
-            if t >= 0 then run_frames st frame t else go else_
-          end
-          else go else_
-        end
-    | L.Branch_const { target; edge } ->
-        if has_work st edge then traverse st frame plan edge;
-        if frame.f_redecide && edge.L.ends_path then begin
-          let t = redecide st frame plan edge.L.edge target in
-          if t >= 0 then run_frames st frame t else go target
-        end
-        else go target
+    | L.Jump { target; count; cost; edge } -> transfer edge target count cost
+    | L.Branch_r { cond; br } ->
+        if Array.unsafe_get regs cond <> 0 then
+          transfer br.L.then_edge br.L.then_ br.L.then_count br.L.then_cost
+        else transfer br.L.else_edge br.L.else_ br.L.else_count br.L.else_cost
+    | L.Branch_const { target; count; cost; edge } ->
+        transfer edge target count cost
     | L.Return_r { src; edge } ->
         if has_work st edge then traverse st frame plan edge;
         ret (Some (Array.unsafe_get regs src))
@@ -529,6 +517,20 @@ let rec run_frames st (frame : frame) start_pc =
     | L.Return_none { edge } ->
         if has_work st edge then traverse st frame plan edge;
         ret None
+  (* Cross [edge] to the block at [target], which opens with a Fuel op
+     charging [count] ops at [cost] ([count = max_int] when a Call opens
+     it instead). *)
+  and transfer edge target count cost =
+    if has_work st edge then traverse st frame plan edge;
+    if frame.f_redecide && edge.L.ends_path then begin
+      let t = redecide st frame plan edge.L.edge target in
+      if t >= 0 then run_frames st frame t else go target
+    end
+    else if st.fuel > count then begin
+      charge st count cost;
+      go (target + 1)
+    end
+    else go target
   and ret value =
     do_return st frame value;
     if st.depth > 0 then begin

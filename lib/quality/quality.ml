@@ -80,18 +80,19 @@ let of_dump ~metric raw =
   let t = create () in
   List.iter
     (fun name ->
-      let branches =
+      let metric, branches =
         match Profile_io.Raw.desc raw name with
         | Some d ->
             let is_branch = branch_edges_of_desc d in
-            fun path ->
-              List.fold_left
-                (fun acc e ->
-                  if e >= 0 && e < Array.length is_branch && is_branch.(e) then
-                    acc + 1
-                  else acc)
-                0 path
-        | None -> fun _ -> 0 (* no CFG description: unit flow only *)
+            ( metric,
+              fun path ->
+                List.fold_left
+                  (fun acc e ->
+                    if e >= 0 && e < Array.length is_branch && is_branch.(e) then
+                      acc + 1
+                    else acc)
+                  0 path )
+        | None -> (Metric.Unit_flow, fun _ -> 0) (* no CFG description *)
       in
       Profile_io.Raw.iter_paths raw name (fun path n ->
           add t ~routine:name ~path

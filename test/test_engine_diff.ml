@@ -143,22 +143,31 @@ let workload_case (bench : Spec.bench) =
       check_program bench.Spec.bench_name (bench.Spec.build ~scale:1))
 
 (* Walk the exhaustion point instruction by instruction through the
-   first few thousand charges: every off-by-one in segment batching or
-   the remainder bill shows up here. *)
+   first few thousand charges: every off-by-one in segment batching, the
+   remainder bill, or a transfer's charge of its target's segment shows
+   up here. With profiling off, that charge is all an uninstrumented
+   transfer does. (The edges-only sweep below walks the same budgets.) *)
 let fuel_sweep () =
   let p = (Spec.find "bzip2").Spec.build ~scale:1 in
   let instrumentation =
     Some (Instrument.instrument p (prior_edges p) Config.ppp).Instrument.rt
   in
-  for fuel = 1 to 120 do
-    let config = { Interp.default_config with Interp.instrumentation; fuel } in
-    check_diff (Printf.sprintf "fuel=%d" fuel) config p
-  done;
+  let off config = { config with Interp.collect_edges = false; trace_paths = false } in
+  let ppp = { Interp.default_config with Interp.instrumentation } in
   List.iter
-    (fun fuel ->
-      let config = { Interp.default_config with Interp.instrumentation; fuel } in
-      check_diff (Printf.sprintf "fuel=%d" fuel) config p)
-    [ 503; 2_000; 10_007; 60_013 ]
+    (fun (mname, config) ->
+      List.iter
+        (fun fuel ->
+          check_diff
+            (Printf.sprintf "%s/fuel=%d" mname fuel)
+            { config with Interp.fuel }
+            p)
+        (List.init 120 succ @ [ 503; 2_000; 10_007; 60_013 ]))
+    [
+      ("ppp", ppp);
+      ("ppp/profiling off", off ppp);
+      ("none/profiling off", off Interp.default_config);
+    ]
 
 (* The overflow-bin policy mutates tables on unattributable paths; make
    sure that state machine agrees across engines too. *)
@@ -670,7 +679,7 @@ let chord_marks () =
         | Lower.Return_r { edge; _ } | Lower.Return_i { edge; _ }
         | Lower.Return_none { edge } ->
             edge :: acc
-        | Lower.Branch_r { then_edge; else_edge; _ } -> then_edge :: else_edge :: acc
+        | Lower.Branch_r { br; _ } -> br.Lower.then_edge :: br.Lower.else_edge :: acc
         | _ -> acc)
       [] v.Lower.v_code
   in
@@ -719,6 +728,98 @@ let chord_marks () =
         plan.Lower.variants)
     prog.Lower.plans
 
+(* {2 The lowering's transfer ops}
+
+   Over every variant of the 18 programs (the instrumented and plain
+   streams, chord-marked and not, and a tier-up generation of each
+   routine): a fused op sits right before the Branch_r that tests its
+   [dst], sharing that op's branch record; no binop that a Branch_r
+   right after it tests is left unfused; and every transfer carries the
+   count and cost of the Fuel op that opens each target block, or
+   [max_int] when none does. *)
+let transfer_ops () =
+  let fused = ref 0 in
+  let check_variant label (v : Lower.variant) =
+    let code = v.Lower.v_code in
+    let fail i what = Alcotest.failf "%s, op %d: %s" label i what in
+    let target i t count cost =
+      match code.(t) with
+      | Lower.Fuel f ->
+          if count <> f.count || cost <> f.cost then
+            fail i "target fuel differs from the Fuel op it lands on"
+      | _ -> if count <> max_int then fail i "no Fuel op at the target, yet a count"
+    in
+    let fused_branch i dst br =
+      incr fused;
+      match code.(i + 1) with
+      | Lower.Branch_r b ->
+          if not (b.cond = dst && b.br == br) then
+            fail i "fused op disagrees with its Branch_r"
+      | _ -> fail i "fused op not followed by a Branch_r"
+    in
+    Alcotest.(check int) (label ^ ": costs parallel to code") (Array.length code)
+      (Array.length v.Lower.v_costs);
+    Array.iteri
+      (fun i op ->
+        (match (op, if i + 1 < Array.length code then Some code.(i + 1) else None) with
+        | ( ( Lower.Bin_rr { dst; _ } | Lower.Bin_ri { dst; _ } | Lower.Add_rr { dst; _ }
+            | Lower.Add_ri { dst; _ } | Lower.And_ri { dst; _ } | Lower.Sub_ri { dst; _ } ),
+            Some (Lower.Branch_r { cond; _ }) )
+          when dst = cond ->
+            fail i "a binop its Branch_r tests is not fused"
+        | (Lower.Bin_ri { op = Ir.Add | Ir.And | Ir.Sub; _ } | Lower.Bin_rr { op = Ir.Add; _ }), _
+          ->
+            fail i "a hot binop shape without its own opcode"
+        | _ -> ());
+        match op with
+        | Lower.Cbr_rr { dst; br; _ } | Lower.Cbr_ri { dst; br; _ } ->
+            fused_branch i dst br
+        | Lower.Jump { target = t; count; cost; _ }
+        | Lower.Branch_const { target = t; count; cost; _ } ->
+            target i t count cost
+        | Lower.Branch_r { br; _ } ->
+            target i br.Lower.then_ br.Lower.then_count br.Lower.then_cost;
+            target i br.Lower.else_ br.Lower.else_count br.Lower.else_cost
+        | _ -> ())
+      code
+  in
+  List.iter
+    (fun (bench : Spec.bench) ->
+      let p = bench.Spec.build ~scale:1 in
+      let ppp = Instrument.instrument p (prior_edges p) Config.ppp in
+      List.iter
+        (fun (mode, config) ->
+          let prog =
+            Lower.program ~config
+              ~instr_tables:
+                (Instr_rt.init_state ~policy:config.Interp.overflow_policy
+                   ppp.Instrument.rt)
+              p
+          in
+          Array.iter
+            (fun (plan : Lower.plan) ->
+              let nblocks = Array.length plan.Lower.routine.Ir.blocks in
+              if nblocks >= 3 then
+                Lower.tier_up prog ~idx:plan.Lower.r_id
+                  ~order:(Array.init nblocks (fun i -> if i = 0 then 0 else nblocks - i))
+                  ~gen:1;
+              Array.iteri
+                (fun vi v ->
+                  check_variant
+                    (Printf.sprintf "%s/%s/%s/variant %d" bench.Spec.bench_name mode
+                       plan.Lower.routine.Ir.name vi)
+                    v)
+                plan.Lower.variants)
+            prog.Lower.plans)
+        [
+          ("ppp", { Interp.default_config with Interp.instrumentation = Some ppp.Instrument.rt });
+          ( "ppp edges-only",
+            edges_only
+              { Interp.default_config with Interp.instrumentation = Some ppp.Instrument.rt } );
+        ])
+    Spec.all;
+  Alcotest.(check bool) "the lowering fuses compares with branches" true (!fused > 0)
+
 let suite =
   List.map workload_case Spec.all
   @ [
@@ -749,5 +850,7 @@ let suite =
       Alcotest.test_case "edges-only: unreachable cycle" `Quick
         edges_only_unreachable_cycle;
       Alcotest.test_case "edges-only: chord marks on every variant" `Quick chord_marks;
+      Alcotest.test_case "fused ops and transfer fuel on every variant" `Quick
+        transfer_ops;
       QCheck_alcotest.to_alcotest qcheck_edges_only;
     ]

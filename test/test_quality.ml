@@ -25,6 +25,8 @@ module Raw = Ppp_profile.Profile_io.Raw
 module Diagnostic = Ppp_resilience.Diagnostic
 module Gen = Ppp_workloads.Gen
 module Metric = Ppp_profile.Metric
+module Instrument = Ppp_core.Instrument
+module Tier = Ppp_interp.Tier
 
 let metric = Metric.Branch_flow
 
@@ -247,6 +249,38 @@ let test_remap_keeps_unreferenced () =
     (Raw.desc moved "main" = Raw.desc raw_b "main");
   Alcotest.(check int) "no Stale warning" 0 (List.length (Raw.diagnostics moved));
   Alcotest.(check int) "every count kept" (Raw.mass raw_b) (Raw.mass moved)
+
+(* A routine whose dump carries no CFG description is scored by unit
+   flow: every one of its paths stays in the profile. *)
+let test_undescribed_routine_unit_flow () =
+  let raw, _ = cross_version_dumps () in
+  let lines = String.split_on_char '\n' (Raw.to_string raw) in
+  let starts prefix l =
+    String.length l >= String.length prefix
+    && String.sub l 0 (String.length prefix) = prefix
+  in
+  (* Drop [main]'s [cfg] header and its [b]/[e] lines. *)
+  let rec strip in_main = function
+    | [] -> []
+    | l :: rest when starts "cfg routine=main " l -> strip true rest
+    | l :: rest when in_main && (starts "b " l || starts "e " l) -> strip true rest
+    | l :: rest -> l :: strip false rest
+  in
+  let stripped = Raw.parse (String.concat "\n" (strip false lines)) in
+  Alcotest.(check bool) "main has no description" true (Raw.desc stripped "main" = None);
+  let main_paths = ref [] in
+  Raw.iter_paths stripped "main" (fun p n -> if n > 0 then main_paths := (p, n) :: !main_paths);
+  Alcotest.(check bool) "main has paths" true (!main_paths <> []);
+  let q = Quality.of_dump ~metric stripped in
+  let scored = ref [] in
+  Quality.iter q (fun ~routine ~path w ->
+      if routine = "main" then scored := (path, w) :: !scored);
+  Alcotest.(check (list (pair (list int) int)))
+    "every main path, weighed by its count"
+    (List.sort compare !main_paths)
+    (List.sort compare !scored);
+  Alcotest.(check bool) "scored against itself" true
+    (approx 100.0 (Quality.overlap q q))
 
 (* {2 Decision log} *)
 
@@ -521,6 +555,9 @@ let outcome_digest p (o : Interp.outcome) =
        (Raw.of_program ?edges:o.Interp.edge_profile ?paths:o.Interp.path_profile
           p))
 
+(* Plain, and PPP-instrumented with tier-up under a planner that
+   reverses every block after the entry: there the ring's countdown
+   crosses variant swaps, and transfers into re-lowered code charge. *)
 let prop_telemetry_transparent =
   QCheck.Test.make
     ~name:"outcomes are byte-identical with and without a telemetry ring"
@@ -533,15 +570,27 @@ let prop_telemetry_transparent =
         | None -> Interp.default_config
         | Some fuel -> { Interp.default_config with fuel }
       in
-      let plain = Interp.run ~config p in
-      (* A program shorter than the interval would never be sampled. *)
-      let interval = if plain.Interp.dyn_instrs < 7 then 1 else 7 in
-      let ring = Telemetry.create ~capacity:16 ~interval () in
-      let sampled =
-        Interp.run ~config:{ config with telemetry = Some ring } p
+      let tiered =
+        let ep = Option.get (Interp.run p).Interp.edge_profile in
+        {
+          config with
+          instrumentation = Some (Instrument.instrument p ep Ppp_core.Config.ppp).Instrument.rt;
+          tier = Some (Tier.spec ~threshold:2 ~plan:(Test_tier.reversal_planner p) ());
+        }
       in
-      Telemetry.taken ring > 0
-      && outcome_digest p plain = outcome_digest p sampled)
+      List.for_all
+        (fun config ->
+          let plain = Interp.run ~config p in
+          (* A program shorter than the interval would never be sampled. *)
+          let interval = if plain.Interp.dyn_instrs < 7 then 1 else 7 in
+          let ring = Telemetry.create ~capacity:16 ~interval () in
+          let sampled =
+            Interp.run ~config:{ config with telemetry = Some ring } p
+          in
+          Telemetry.taken ring > 0
+          && outcome_digest p plain = outcome_digest p sampled
+          && plain.Interp.tier_decisions = sampled.Interp.tier_decisions)
+        [ config; tiered ])
 
 let test_telemetry_ring () =
   let p = Gen.program ~seed:0 in
@@ -817,6 +866,8 @@ let suite =
         test_hot_report_empty_candidate;
       Alcotest.test_case "cross-version remap" `Quick test_remap_cross_version;
       Alcotest.test_case "identity remap" `Quick test_remap_identity;
+      Alcotest.test_case "a routine without a description keeps its paths" `Quick
+        test_undescribed_routine_unit_flow;
       Alcotest.test_case "remap keeps unreferenced routines" `Quick
         test_remap_keeps_unreferenced;
       Alcotest.test_case "decision keys ignore magnitudes" `Quick

@@ -391,6 +391,23 @@ let tiered_run_pipeline () =
     (t.Pipeline.t_outcome.Interp.instr_cost < untiered.Interp.instr_cost);
   ignore ev
 
+(* A telemetry ring samples a tiered run, whose charges cross variant
+   swaps, without changing it: the outcome and the decisions equal a
+   run's without a ring. *)
+let tiered_run_telemetry () =
+  let p = (Spec.find "bzip2").Spec.build ~scale:1 in
+  let run telemetry =
+    let prepared = Pipeline.prepare_unoptimized ~name:"bzip2" p in
+    (Pipeline.tiered_run ?telemetry prepared Config.ppp).Pipeline.t_outcome
+  in
+  let ring = Telemetry.create ~interval:300 () in
+  let without = run None in
+  let with_ring = run (Some ring) in
+  Alcotest.(check bool) "the run tiers up" true (without.Interp.tier_decisions <> []);
+  Alcotest.(check string) "outcome and decisions unchanged by the ring"
+    (full_digest p without) (full_digest p with_ring);
+  Alcotest.(check bool) "the ring took samples" true (Telemetry.taken ring > 0)
+
 (* The reference engine runs a tiered pipeline run like the VM, and
    lowers nothing: a tier-up there installs no code. *)
 let tiered_run_reference () =
@@ -638,6 +655,8 @@ let suite =
         refused_orders;
       Alcotest.test_case "recursive routine crosses over in flight" `Quick
         recursive_osr;
+      Alcotest.test_case "tiered_run with a telemetry ring" `Quick
+        tiered_run_telemetry;
       Alcotest.test_case "tiered_run on the reference engine" `Quick
         tiered_run_reference;
       Alcotest.test_case "a sampled tiered run ticks like the untiered one"
