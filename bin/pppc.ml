@@ -71,10 +71,10 @@ let scale_arg =
 let no_cache_arg =
   let doc =
     "Disable the analysis session: every CFG view, dominator tree, loop \
-     nest, flow context and placement decision is recomputed from \
-     scratch instead of being served from the content-addressed store. \
-     Results are byte-identical with and without the cache; only the \
-     amount of work differs."
+     nest, flow context and definite-flow DP is recomputed from scratch \
+     instead of being served from the content-addressed store. Results \
+     are byte-identical with and without the cache; only the amount of \
+     work differs."
   in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
@@ -199,7 +199,9 @@ let telemetry_arg =
     "Attach a live-telemetry snapshot ring to the VM, sampled every \
      $(docv) dynamic instructions. Outcomes are byte-identical with and \
      without the ring; a one-line summary goes to stderr, the series to \
-     $(b,--telemetry-out) and (as counter events) to $(b,--trace-out)."
+     $(b,--telemetry-out) and (as counter events) to $(b,--trace-out). \
+     The reference engine takes no samples, so it rejects this flag and \
+     $(b,--telemetry-out)."
   in
   Arg.(value & opt (some int) None & info [ "telemetry" ] ~docv:"N" ~doc)
 
@@ -256,6 +258,12 @@ let run_cmd =
         with_obs obs (fun () ->
             if tier_up && tier_threshold < 1 then
               cli_error "--tier-threshold must be >= 1";
+            if engine = Interp.Reference
+               && (Option.is_some telemetry || Option.is_some telemetry_out)
+            then
+              cli_error
+                "--telemetry and --telemetry-out need --engine vm: the \
+                 reference engine takes no telemetry samples";
             let p = load_program spec ~scale in
             let ring =
               match (telemetry, telemetry_out) with
@@ -476,10 +484,10 @@ let daemon_args =
       "Send the request to the resident $(b,pppd) daemon listening on \
        $(docv) instead of computing in-process. A warm daemon serves \
        repeated requests from its persistent store, and a worker reuses \
-       the analyses and placement plans of earlier requests for the same \
-       program name. If the daemon is unreachable or sheds the request \
-       under load, the work falls back to the in-process path and pppc \
-       exits with code 12."
+       the analyses of earlier requests for the same program name. If \
+       the daemon is unreachable or sheds the request under load, the \
+       work falls back to the in-process path and pppc exits with code \
+       12."
     in
     Arg.(value & opt (some string) None & info [ "daemon" ] ~docv:"SOCKET" ~doc)
   in
@@ -757,8 +765,9 @@ let opt_cmd =
       "Run $(docv) optimize-profile-re-instrument generations against \
        one shared analysis session: each generation re-optimizes from \
        the previous generation's saved profile (reloaded through the \
-       stale matcher) and re-instruments only the routines the \
-       optimizers dirtied, every untouched routine keeping its placement."
+       stale matcher) and re-instruments every routine under its own \
+       profile. The session saves the analyses of routines the \
+       optimizers left untouched, never their placement."
     in
     Arg.(value & opt int 1 & info [ "iterate" ] ~docv:"N" ~doc)
   in
@@ -1229,7 +1238,7 @@ let report_cmd =
         | None -> ())
   in
   let doc =
-    "Build the profile-quality report (schema ppp-quality/1): per \
+    "Build the profile-quality report (schema ppp-quality/2): per \
      workload, every method's estimated profile scored against the \
      measured truth (weighted overlap, hot precision/recall/coverage, \
      per-routine divergence, composite), the optimizer decision log \

@@ -17,9 +17,6 @@ type t
 val create : unit -> t
 (** [create ()] is an empty graph. *)
 
-val add_node : t -> node
-(** [add_node g] adds a fresh node and returns its id. *)
-
 val add_nodes : t -> int -> unit
 (** [add_nodes g n] adds [n] fresh nodes. *)
 

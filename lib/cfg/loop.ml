@@ -76,7 +76,6 @@ let breakable_edges t =
   in
   List.sort compare (back @ t.irreducible)
 
-let header_of_break t e = Graph.dst t.graph e
 let depth t v = t.depth.(v)
 
 let avg_trip_count t loop ~freq =

@@ -33,10 +33,6 @@ val breakable_edges : t -> Graph.edge list
 (** All edges that must be broken to make the reachable subgraph acyclic:
     back edges plus irreducible retreating edges. *)
 
-val header_of_break : t -> Graph.edge -> Graph.node
-(** For a breakable edge, the node that acts as the loop header when the
-    edge is broken (its destination). *)
-
 val depth : t -> Graph.node -> int
 (** Loop-nesting depth: 0 outside any loop. *)
 

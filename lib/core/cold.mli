@@ -26,10 +26,6 @@ val all_hot : Ppp_flow.Routine_ctx.t -> bool array
 (** PP: every DAG edge is hot (no closure needed: well-formed routines
     have every block on an entry-to-exit path). *)
 
-val close_hot : Ppp_flow.Routine_ctx.t -> bool array -> unit
-(** Force cold, in place, every edge not on a hot entry-to-exit path.
-    Iterates to a fixpoint. *)
-
 val obvious_loop_cold_edges :
   Ppp_flow.Routine_ctx.t -> trip_threshold:float -> Ppp_cfg.Graph.edge list
 (** DAG edges to disconnect for every loop whose body paths are all

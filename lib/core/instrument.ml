@@ -197,41 +197,28 @@ let plan_routine ?plan_ctx ?definite (config : Config.t) total_unit_flow
   in
   { routine_name = r.name; ctx; decision = decide () }
 
-let instrument ?plan_ctx ?definite ?reuse ?store (p : Ir.program) profile_prog
-    config =
+let instrument ?plan_ctx ?definite (p : Ir.program) profile_prog config =
   let total_unit_flow = Edge_profile.program_unit_flow profile_prog p in
   let plans = Hashtbl.create 17 in
   let rt = Instr_rt.no_instrumentation () in
   List.iter
     (fun (r : Ir.routine) ->
-      let reused, plan =
-        match Option.bind reuse (fun f -> f r) with
-        | Some plan -> (true, plan)
-        | None ->
-            let plan =
-              plan_routine ?plan_ctx ?definite config total_unit_flow
-                profile_prog r
-            in
-            (match store with Some f -> f r plan | None -> ());
-            (false, plan)
+      let plan =
+        plan_routine ?plan_ctx ?definite config total_unit_flow profile_prog r
       in
       Hashtbl.replace plans r.name plan;
       match plan.decision with
       | Instrumented { numbering; place; sa_iters; uses_hash; _ } ->
           Hashtbl.replace rt r.name place.Place.rt;
-          (* The place.* metrics count placement work performed; a plan
-             pulled back out of a session cost none. *)
-          if not reused then begin
-            Obs.incr m_routines_instrumented;
-            Obs.add m_static_actions place.Place.num_actions;
-            Obs.add m_paths_elided (List.length place.Place.elided);
-            let n = Numbering.num_paths numbering in
-            Obs.add (if uses_hash then m_paths_hashed else m_paths_numbered) n;
-            if uses_hash then Obs.incr m_hash_tables;
-            Obs.add m_self_adjust_iters sa_iters;
-            Obs.observe h_paths_per_routine (float_of_int n)
-          end
-      | Uninstrumented _ -> if not reused then Obs.incr m_routines_skipped)
+          Obs.incr m_routines_instrumented;
+          Obs.add m_static_actions place.Place.num_actions;
+          Obs.add m_paths_elided (List.length place.Place.elided);
+          let n = Numbering.num_paths numbering in
+          Obs.add (if uses_hash then m_paths_hashed else m_paths_numbered) n;
+          if uses_hash then Obs.incr m_hash_tables;
+          Obs.add m_self_adjust_iters sa_iters;
+          Obs.observe h_paths_per_routine (float_of_int n)
+      | Uninstrumented _ -> Obs.incr m_routines_skipped)
     p.routines;
   { config; plans; rt }
 

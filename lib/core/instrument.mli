@@ -40,21 +40,15 @@ type t = {
 val instrument :
   ?plan_ctx:(Ppp_ir.Ir.routine -> Ppp_flow.Routine_ctx.t) ->
   ?definite:(Ppp_flow.Routine_ctx.t -> Ppp_flow.Flow_dp.t) ->
-  ?reuse:(Ppp_ir.Ir.routine -> routine_plan option) ->
-  ?store:(Ppp_ir.Ir.routine -> routine_plan -> unit) ->
   Ppp_ir.Ir.program ->
   Ppp_profile.Edge_profile.program ->
   Config.t ->
   t
-(** The optional hooks let an analysis session supply memoized artifacts
-    and reuse whole placement decisions:
+(** Plan every routine afresh under the given edge profile. The
+    optional hooks let an analysis session supply memoized artifacts:
     - [plan_ctx] provides each routine's flow context (it must be built
       from the given edge profile);
-    - [definite] provides the definite-flow DP of a context;
-    - [reuse] may return a previously stored plan for a routine, which is
-      adopted wholesale — its runtime instrumentation is registered, but
-      no [place.*] metrics are bumped, since no placement work ran;
-    - [store] observes every freshly computed plan.
+    - [definite] provides the definite-flow DP of a context.
     Defaults recompute everything from scratch. *)
 
 val has_any_instrumentation : t -> bool

@@ -36,7 +36,6 @@ let fits t = Core.fits t.core
 let num_paths t = Core.num_paths t.core
 let num_paths_at t v = Core.num_paths_at t.core v
 let value t e = Core.value t.core e
-let prefix_count t v = t.prefix.(v)
 
 let paths_through t e =
   let g = Routine_ctx.graph t.ctx in

@@ -16,7 +16,7 @@ type t
 
 val compute : Ppp_flow.Routine_ctx.t -> hot:bool array -> order:order -> t
 (** [hot] is indexed by DAG edge. Nodes with no hot path to the exit must
-    have had their edges pruned (see {!Cold.close_hot}); their [NumPaths]
+    have had their edges pruned (as {!Cold.mark} does); their [NumPaths]
     is 0. *)
 
 val fits : t -> bool
@@ -31,12 +31,10 @@ val num_paths_at : t -> Ppp_cfg.Graph.node -> int
 val value : t -> Ppp_cfg.Graph.edge -> int
 (** [Val] of a hot DAG edge (0 for cold edges). *)
 
-val prefix_count : t -> Ppp_cfg.Graph.node -> int
-(** Number of hot entry-to-node path prefixes; [paths_through e =
-    prefix_count (src e) * num_paths_at (dst e)], and an edge with
-    exactly one path through it is a defining edge (Section 3.2). *)
-
 val paths_through : t -> Ppp_cfg.Graph.edge -> int
+(** Number of hot entry-to-exit paths through a DAG edge: the hot
+    entry-to-[src e] prefixes times [num_paths_at (dst e)]. An edge with
+    exactly one path through it is a defining edge (Section 3.2). *)
 
 val decode : t -> int -> Ppp_cfg.Graph.edge list
 (** The DAG path with the given number.

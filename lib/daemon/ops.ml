@@ -328,9 +328,7 @@ let opt ?(flags = H.default_flags) ~session ?profile ~iterate ~name p =
     let gen_meta (g : H.generation) =
       Jsonx.Obj
         (ints
-           [ ("gen", g.H.gen); ("dirty", List.length g.H.dirty);
-             ("reinstrumented", g.H.reinstrumented);
-             ("reused_plans", g.H.reused_plans) ]
+           [ ("gen", g.H.gen); ("dirty", List.length g.H.dirty) ]
         @ [ ("matched_fraction", Jsonx.Float g.H.matched_fraction) ]
         @ ints
             [ ("instr_cost", g.H.instr_cost);
@@ -446,11 +444,9 @@ let pp_summary ?name ppf = function
                  each (fun () ->
                      let g = obj g in
                      line
-                       "gen %d: dirty %d, re-instrumented %d, reused %d \
-                        plans, profile matched %.1f%%, instrumented overhead \
-                        %.1f%%"
-                       (int g "gen") (int g "dirty") (int g "reinstrumented")
-                       (int g "reused_plans")
+                       "gen %d: dirty %d, profile matched %.1f%%, \
+                        instrumented overhead %.1f%%"
+                       (int g "gen") (int g "dirty")
                        (100. *. num g "matched_fraction")
                        (pct (int g "instr_cost") (int g "instr_base_cost"));
                      passes g)));

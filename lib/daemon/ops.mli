@@ -14,9 +14,10 @@
     {!handle}, the worker-side interpreter, calls them for [pppd]. It
     holds a resident {!Ppp_session.Session} per program name, up to
     {!max_sessions} of them, so repeated [Opt] requests for the same
-    program reuse memoized analyses and placement plans. Those sessions
-    are the only place plans live: nothing of a session is persisted,
-    and a reply carries nothing an in-process [pppc] does not print. It
+    program reuse memoized analyses; every placement is planned afresh,
+    so a resident session changes no reply. Nothing of a session is
+    persisted, and a reply carries nothing an in-process [pppc] does
+    not print. It
     never raises — failures come back as [Failed] replies with
     classified diagnostics. {!print} renders any reply the way [pppc]
     shows it, whichever path built it. *)
@@ -118,8 +119,10 @@ val opt :
   reply
 (** The optimized program's [.pir] text. With [iterate > 1], that many
     re-optimization generations against [session], and the meta holds
-    each generation's counts and instrumented costs and the session
-    counts this request added. Otherwise one preparation, from [profile]
+    each generation's dirty count, profile match and instrumented costs,
+    and the session counts this request added. The session saves work
+    only: the reply is the same with a fresh or a disabled one, apart
+    from those session counts. Otherwise one preparation, from [profile]
     if given, and the meta holds its inline and unroll stats, both base
     costs, and the profile's match, salvage counts and diagnostics. The
     superblock and layout counts are there when [flags] turn those

@@ -26,10 +26,11 @@
       persisted whole and served from the store on identical
       re-requests, so a served reply prints what its first answer
       printed, plus the served line. The store holds replies and
-      nothing else: the placement plans an [Opt] made stay in the
-      serving worker's resident session, where later requests under
-      the same program name that reach that worker reuse them (Sticky
-      reuse), and another worker or a restarted daemon re-plans.
+      nothing else: the analyses an [Opt] computed stay in the serving
+      worker's resident session, where later requests under the same
+      program name that reach that worker reuse them, and another
+      worker or a restarted daemon recomputes them. No session keeps a
+      placement plan, so every worker replies alike.
       An [Opt] entry is keyed by the request as its client sent it
       ([id] and [deadline_ms] zeroed, a profile dump replaced by its
       MD5), so its key is the size of the program and an identical

@@ -1,12 +1,13 @@
 module Robust_io = Ppp_resilience.Robust_io
 module Crc = Ppp_resilience.Crc
-module Diagnostic = Ppp_resilience.Diagnostic
 
 type error = Closed | Timeout | Corrupt of string
 
 let version = 1
 let magic = "PPPD"
 let header_size = 13
+(* Refuse frames larger than this (64 MiB): a corrupt length prefix
+   must not become an unbounded allocation. *)
 let max_frame = 64 * 1024 * 1024
 
 let put_u32 buf pos v =
@@ -71,9 +72,3 @@ let error_message = function
   | Timeout -> "deadline exceeded"
   | Corrupt msg -> msg
 
-let error_diagnostic = function
-  | Closed -> Diagnostic.make Diagnostic.Unreachable "connection closed by peer"
-  | Timeout ->
-      Diagnostic.make Diagnostic.Deadline_exceeded
-        "deadline exceeded waiting for a protocol frame"
-  | Corrupt msg -> Diagnostic.make Diagnostic.Corrupt msg

@@ -25,9 +25,6 @@ type error =
   | Corrupt of string  (** framing violation; close the connection *)
 
 val version : int
-val max_frame : int
-(** Refuse frames larger than this (64 MiB): a corrupt length prefix
-    must not become an unbounded allocation. *)
 
 val write_frame :
   ?deadline:float -> Unix.file_descr -> string -> (unit, error) result
@@ -37,6 +34,3 @@ val read_frame :
 
 val error_message : error -> string
 
-val error_diagnostic : error -> Ppp_resilience.Diagnostic.t
-(** [Closed]/[Corrupt] map to [Unreachable]/[Corrupt]; [Timeout] to
-    [Deadline_exceeded]. *)

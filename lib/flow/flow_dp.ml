@@ -44,9 +44,8 @@ let compute ctx kind =
   { ctx; kind; node_vals; edge_vals }
 
 let kind t = t.kind
+(* [M[entry]]: flow values of whole entry-to-exit paths. *)
 let at_entry t = t.node_vals.(Routine_ctx.entry t.ctx)
-let at_node t v = t.node_vals.(v)
-let at_edge t e = t.edge_vals.(e)
 let total t ~metric = Flowval.total_flow (at_entry t) ~metric
 
 exception Done

@@ -16,12 +16,6 @@ type t
 val compute : Routine_ctx.t -> kind -> t
 
 val kind : t -> kind
-val at_entry : t -> Flowval.t
-(** [M\[entry\]]: flow values of whole entry-to-exit paths. *)
-
-val at_node : t -> Ppp_cfg.Graph.node -> Flowval.t
-val at_edge : t -> Ppp_cfg.Graph.edge -> Flowval.t
-
 val total : t -> metric:Ppp_profile.Metric.t -> int
 (** Total flow at the entry; for [Definite] this is the routine's
     definite flow [DF(P)] — the numerator of edge-profile coverage

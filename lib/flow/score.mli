@@ -38,15 +38,12 @@ val coverage :
     instrumented paths and no overcount this reduces to edge-profile
     coverage [DF(P) / F(P)]. 1.0 when total flow is zero. *)
 
-val taken_weight : float
-(** How much heavier a taken transfer weighs than a nonlocal one in
-    {!layout_score} (a taken transfer both redirects fetch and risks a
-    fresh cache line). *)
-
 val layout_score : transfers:int -> taken:int -> local:int -> float
 (** The estimated front-end penalty of a block layout, from the
     taken-transfer / locality proxy ([Ppp_interp.Layout]):
-    [taken_weight * taken/transfers + (transfers - local)/transfers].
+    [2 * taken/transfers + (transfers - local)/transfers]: a taken
+    transfer weighs twice a nonlocal one, since it both redirects fetch
+    and risks a fresh cache line.
     Lower is better; 0.0 when there are no transfers (nothing for
     layout to improve). *)
 

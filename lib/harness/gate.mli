@@ -55,6 +55,5 @@ val floors :
     Every absolute floor is checked here, the profile-quality overlaps
     of the [quality] section included. *)
 
-val pp_failure : Format.formatter -> failure -> unit
 val pp_failures : Format.formatter -> failure list -> unit
 val pp_warning : Format.formatter -> warning -> unit

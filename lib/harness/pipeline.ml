@@ -137,10 +137,9 @@ let hottest_per_routine entries =
 
 (* The path-guided block layout of [p] under recorded [profile]: one
    emission order per routine whose hottest trace deviates from source
-   order (see [Ppp_interp.Layout]), memoized in the session per
-   (routine fingerprint, profile identity). [None] when every routine is
-   already laid out hot-path-first — the common case for straight-line
-   benches — so the lowering cache is shared with layout-free runs. *)
+   order (see [Ppp_interp.Layout]). [None] when every routine is already
+   laid out hot-path-first — the common case for straight-line benches —
+   so the lowering cache is shared with layout-free runs. *)
 let layout_table session (p : Ir.program) (profile : Path_profile.program) =
   let tbl = Hashtbl.create 17 in
   List.iter
@@ -149,17 +148,13 @@ let layout_table session (p : Ir.program) (profile : Path_profile.program) =
       | exception Not_found -> ()
       | t ->
           if Path_profile.num_distinct t > 0 then (
-            let order =
-              Session.layout session ~paths:profile r ~compute:(fun () ->
-                  let view = Session.view session r in
-                  let entries =
-                    Path_profile.fold t ~init:[] ~f:(fun acc path n ->
-                        let b = Path.branches view path in
-                        (path, Metric.flow metric ~freq:n ~branches:b) :: acc)
-                  in
-                  Layout.order_for ~view entries)
+            let view = Session.view session r in
+            let entries =
+              Path_profile.fold t ~init:[] ~f:(fun acc path n ->
+                  let b = Path.branches view path in
+                  (path, Metric.flow metric ~freq:n ~branches:b) :: acc)
             in
-            match order with
+            match Layout.order_for ~view entries with
             | Some o -> Hashtbl.replace tbl r.Ir.name o
             | None -> ()))
     p.Ir.routines;
@@ -442,30 +437,16 @@ let evaluate_edge_profile prepared =
     estimated;
   }
 
-(* Instrument [prepared.optimized] through the session: flow contexts and
-   definite-flow DPs are memoized artifacts, and whole placement
-   decisions are reused when the session has already planned this
-   routine. [mode] selects the reuse rule (see {!Session.placement_mode});
-   [on_reuse]/[on_plan] let callers count what happened. *)
-let instrument_via_session ?(mode = Session.Exact) ?(on_reuse = fun _ -> ())
-    ?(on_plan = fun _ -> ()) prepared (config : Config.t) =
-  let p = prepared.optimized in
+(* Instrument [prepared.optimized] under its base edge profile: flow
+   contexts and definite-flow DPs come from the session, and every
+   routine is planned afresh. *)
+let instrument_via_session prepared (config : Config.t) =
   let ep = Option.get prepared.base_outcome.Interp.edge_profile in
   let session = prepared.session in
-  let config_name = config.Config.name in
   Instrument.instrument
     ~plan_ctx:(fun (r : Ir.routine) -> Session.ctx session ~ep r)
     ~definite:(Session.definite session)
-    ~reuse:(fun r ->
-      match Session.placement_find session ~mode ~config_name ~ep r with
-      | Some plan ->
-          on_reuse r.Ir.name;
-          Some plan
-      | None -> None)
-    ~store:(fun r plan ->
-      on_plan r.Ir.name;
-      Session.placement_store session ~config_name ~ep r plan)
-    p ep config
+    prepared.optimized ep config
 
 let evaluate ?(overflow_policy = Instr_rt.Table.Drop) ?sampling prepared
     (config : Config.t) =
@@ -651,7 +632,6 @@ let tier_planner prepared (inst : Instrument.t) : Ppp_interp.Tier.planner =
 type tiered = {
   t_outcome : Interp.outcome;
   t_decisions : Ppp_interp.Tier.decision list;
-  t_invalidated : string list;
   t_instrumented : Ppp_core.Instrument.t;
 }
 
@@ -679,19 +659,9 @@ let tiered_run ?(threshold = Ppp_interp.Tier.default_threshold)
         }
       prepared.optimized
   in
-  (* Every swapped routine's profile froze mid-run, so its
-     profile-derived session artifacts are stale: invalidate exactly
-     that set, nothing else. *)
-  let swapped =
-    List.map
-      (fun (d : Ppp_interp.Tier.decision) -> d.Ppp_interp.Tier.d_routine)
-      outcome.Interp.tier_decisions
-  in
-  Session.invalidate prepared.session swapped;
   {
     t_outcome = outcome;
     t_decisions = outcome.Interp.tier_decisions;
-    t_invalidated = swapped;
     t_instrumented = inst;
   }
 
@@ -701,8 +671,6 @@ type generation = {
   gen : int;
   prep : prepared;
   dirty : string list;
-  reinstrumented : int;
-  reused_plans : int;
   matched_fraction : float;
   instr_overhead : float;
   instr_cost : int;
@@ -772,15 +740,11 @@ let reoptimize ?session ?(config = Config.ppp) ?(flags = default_flags)
                 loaded.Profile_io.matched_fraction )
           | Error _ -> (prepare ~session ~flags ~name !cur, 0.0))
     in
-    (* Re-instrument: sticky reuse keeps every untouched routine's plan,
-       so only routines the optimizers dirtied are re-planned. *)
-    let reused = ref 0 and planned = ref 0 in
+    (* Re-instrument every routine under this generation's profile: the
+       placement follows the profile that advises it. *)
     let inst =
       Trace.with_span "reinstrument" @@ fun () ->
-      instrument_via_session ~mode:Session.Sticky
-        ~on_reuse:(fun _ -> incr reused)
-        ~on_plan:(fun _ -> incr planned)
-        prep
+      instrument_via_session prep
         (Config.degrade ~confidence:prep.confidence config)
     in
     let instr_outcome =
@@ -833,8 +797,6 @@ let reoptimize ?session ?(config = Config.ppp) ?(flags = default_flags)
         gen;
         prep;
         dirty = dirty_of prep;
-        reinstrumented = !planned;
-        reused_plans = !reused;
         matched_fraction;
         instr_overhead = Interp.overhead instr_outcome;
         instr_cost = instr_outcome.Interp.instr_cost;

@@ -9,8 +9,10 @@
     Every pipeline run works against a {!Ppp_session.Session}: a
     content-addressed store of per-routine analyses (CFG views,
     dominators, loop nests, flow contexts, definite-flow DPs, structural
-    lowerings, placement decisions) shared by all phases and all four
-    profiling methods, and carried across re-optimization generations.
+    lowerings) shared by all phases and all four profiling methods, and
+    carried across re-optimization generations. Decisions are never
+    cached: each evaluation plans its placement afresh from the
+    session's analyses.
     Every default-config run of a preparation goes through
     {!Ppp_session.Session.run}, so a phase whose program an optimizer
     pass left unchanged reuses the run before it; its span remains.
@@ -170,9 +172,10 @@ val evaluate :
   Ppp_core.Config.t ->
   evaluation
 (** Instrument with the given configuration, rerun, decode, and score.
-    Analyses and placement decisions flow through [prepared.session], so
-    evaluating several methods (or re-evaluating one) shares every
-    memoizable artifact; results are identical to a cold evaluation.
+    Analyses flow through [prepared.session], so evaluating several
+    methods (or re-evaluating one) shares every memoizable analysis, and
+    the placement is planned afresh from them; results are identical to
+    a cold evaluation.
     When [prepared.confidence < 1] the configuration is first passed
     through {!Ppp_core.Config.degrade}, weakening profile-driven
     placement decisions in proportion to distrust. [overflow_policy]
@@ -209,11 +212,6 @@ type tiered = {
   t_outcome : Ppp_interp.Interp.outcome;
   t_decisions : Ppp_interp.Tier.decision list;
       (** = [t_outcome.tier_decisions], the swap log in firing order *)
-  t_invalidated : string list;
-      (** the swapped routines, whose session artifacts were point-
-          invalidated ({!Ppp_session.Session.invalidate}): their profile
-          froze at the swap, so placements/layouts derived from it are
-          stale for the next generation *)
   t_instrumented : Ppp_core.Instrument.t;
 }
 
@@ -233,7 +231,10 @@ val tiered_run :
     {!Ppp_interp.Tier.default_threshold}) re-lower hot-path-first with
     instrumentation stripped, up to [budget] swaps (default unlimited).
     Program outcome is byte-identical to the untiered instrumented run;
-    [instr_cost] drops as routines retire their instrumentation.
+    [instr_cost] drops as routines retire their instrumentation. The run
+    leaves [prepared] and its session as they were: the session holds
+    analyses of [prepared]'s profiles only, which the run does not
+    touch, so a later {!evaluate} answers as before.
     [sampling] composes: burst re-decisions keep their chronology, tier
     swaps win the variant resolution once fired. [telemetry] attaches a
     snapshot ring to the run, as {!Ppp_interp.Engine.config.telemetry}
@@ -249,15 +250,14 @@ type generation = {
   dirty : string list;
       (** routines the optimizers touched this generation, in program
           order — exactly the set whose artifacts the session invalidated *)
-  reinstrumented : int;  (** routines re-planned by the instrumenter *)
-  reused_plans : int;
-      (** routines whose placement was carried over unchanged from an
-          earlier generation (sticky reuse) *)
   matched_fraction : float;
       (** how much of the previous generation's profile survived the
           hand-off through {!Ppp_profile.Profile_io.of_raw} (1.0 for the
           first generation, which profiles fresh) *)
-  instr_overhead : float;  (** overhead of this generation's instrumented run *)
+  instr_overhead : float;
+      (** overhead of this generation's instrumented run, every routine
+          planned under this generation's profile; the same with and
+          without a session cache *)
   instr_cost : int;
   instr_base_cost : int;
       (** that run's instrumentation and base costs, whose ratio is
@@ -286,10 +286,10 @@ val reoptimize :
     a {!Ppp_profile.Profile_io.Raw.t} and loads it against the previous
     optimized program with {!Ppp_profile.Profile_io.of_raw} (what its
     saved text would load, without the text), re-optimizes, and
-    re-instruments under [config] (default PPP) with {e sticky}
-    placement reuse — only routines dirtied by superblock formation,
-    inlining or unrolling are re-planned, every untouched routine keeps
-    its instrumentation. The generation's instrumented run is executed
+    re-instruments every routine under [config] (default PPP) and the
+    generation's own profile; the session saves the analyses of
+    routines the optimizers left untouched, never their plans. The
+    generation's instrumented run is executed
     end-to-end ([instr_overhead]), under the generation's block layout
     when [flags.layout] is on; only its costs and tables are read, so it
     neither counts edges nor traces paths. The hand-off, the

@@ -25,8 +25,6 @@ let generation_json (g : Pipeline.generation) =
     [
       ("gen", J.Int g.Pipeline.gen);
       ("dirty", J.Arr (List.map (fun r -> J.Str r) g.Pipeline.dirty));
-      ("reinstrumented", J.Int g.Pipeline.reinstrumented);
-      ("reused_plans", J.Int g.Pipeline.reused_plans);
       ("matched_fraction", J.Float g.Pipeline.matched_fraction);
       ("instr_overhead", J.Float g.Pipeline.instr_overhead);
       ("decisions", J.Int (List.length g.Pipeline.decisions));
@@ -107,7 +105,7 @@ let summary_json rows =
 let wrap ?(scale = 1) ?(hot_threshold = Pipeline.hot_threshold) rows =
   J.Obj
     [
-      ("schema", J.Str "ppp-quality/1");
+      ("schema", J.Str "ppp-quality/2");
       ("scale", J.Int scale);
       ("hot_threshold", J.Float hot_threshold);
       ("benchmarks", J.Arr rows);

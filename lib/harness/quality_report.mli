@@ -1,5 +1,5 @@
 (** The profile-quality report behind [pppc report] (schema
-    ["ppp-quality/1"]).
+    ["ppp-quality/2"]).
 
     For each workload: the bench's [quality] section ({!Report.quality}:
     every method's estimated profile compared against the measured truth

@@ -52,14 +52,6 @@ type proxy = {
   local : int;  (** ... within {!Cost.locality_window} of fall-through *)
 }
 
-val empty_proxy : proxy
-val add_proxy : proxy -> proxy -> proxy
-
-val proxy_of_plan : Lower.plan -> freq:(int -> int) -> proxy
-(** Charge one lowered routine's transfers with [freq edge]. Returns and
-    calls are excluded: inter-routine transfers cost the same under
-    every intra-routine layout. *)
-
 val program_proxy :
   ?layout:t -> Ppp_ir.Ir.program -> ep:Ppp_profile.Edge_profile.program -> proxy
 (** The program-wide proxy of a fresh lowering of the program under

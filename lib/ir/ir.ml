@@ -59,8 +59,6 @@ let num_instrs r =
 let program_size p =
   List.fold_left (fun acc r -> acc + num_instrs r) 0 p.routines
 
-let map_routines p ~f = { p with routines = List.map f p.routines }
-
 let binop_table =
   [
     (Add, "+");

@@ -70,8 +70,6 @@ val num_instrs : routine -> int
 val program_size : program -> int
 (** Sum of {!num_instrs} over all routines. *)
 
-val map_routines : program -> f:(routine -> routine) -> program
-
 val binop_name : binop -> string
 (** Surface syntax of the operator, e.g. ["+"], ["<="]. *)
 

@@ -53,12 +53,3 @@ let hot_paths prog ~views ~metric ~threshold =
   List.filter (fun (_, _, flow) -> float_of_int flow >= cutoff) !all
   |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
 
-let flow_of_set prog ~views ~metric paths =
-  List.fold_left
-    (fun acc (name, p) ->
-      match Hashtbl.find_opt prog name with
-      | None -> acc
-      | Some t ->
-          let n = freq t p in
-          acc + Metric.flow metric ~freq:n ~branches:(Path.branches (views name) p))
-    0 paths

@@ -37,11 +37,3 @@ val hot_paths :
 (** Paths whose flow is at least [threshold] (a fraction, e.g. 0.00125)
     of total program flow, sorted by decreasing flow (Section 6.1). *)
 
-val flow_of_set :
-  program ->
-  views:(string -> Ppp_ir.Cfg_view.t) ->
-  metric:Metric.t ->
-  (string * Path.t) list ->
-  int
-(** Total flow of the given paths according to this profile (paths absent
-    from the profile contribute zero). *)

@@ -97,8 +97,6 @@ val composite : ?confidence:float -> reference:t -> candidate:t -> unit -> float
 
 (** {2 JSON} *)
 
-val hot_report_json : hot_report -> Ppp_obs.Jsonx.t
-
 val comparison_json : ?confidence:float -> reference:t -> candidate:t -> unit -> Ppp_obs.Jsonx.t
 (** The full comparison as one object: overlap, hot report, per-routine
     divergence, composite, and size stats. *)

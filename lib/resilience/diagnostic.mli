@@ -69,7 +69,6 @@ val errorf :
 val kind_name : kind -> string
 (** Lower-case stable name, e.g. ["corrupt"], ["unknown-routine"]. *)
 
-val severity_name : severity -> string
 val is_error : t -> bool
 val count_errors : t list -> int
 

@@ -87,9 +87,6 @@ let routine (r : Ir.routine) =
   in
   finish h
 
-let program_table (p : Ir.program) =
-  List.map (fun (r : Ir.routine) -> (r.Ir.name, routine r)) p.Ir.routines
-
 let to_hex h = Printf.sprintf "%016x" h
 
 let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')

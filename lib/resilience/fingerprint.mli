@@ -22,11 +22,5 @@ val routine : Ppp_ir.Ir.routine -> int
 (** Fingerprint of the whole routine: block count, every block's strict
     hash in order, and the (src, dst) list of CFG edges. *)
 
-val program_table : Ppp_ir.Ir.program -> (string * int) list
-(** [(name, routine fingerprint)] for every routine, in program order —
-    the dirty-diff unit of an incremental session: comparing two tables
-    names exactly the routines that changed between program
-    generations. *)
-
 val to_hex : int -> string
 val of_hex : string -> int option

@@ -7,6 +7,8 @@ let remaining deadline =
   | None -> -1. (* select: wait forever *)
   | Some d -> d -. Unix.gettimeofday ()
 
+(* Block until [fd] is readable or the absolute deadline passes; no
+   deadline means wait forever. *)
 let rec wait_readable ?deadline fd =
   let left = remaining deadline in
   if deadline <> None && left <= 0. then `Timeout
@@ -25,6 +27,8 @@ let rec wait_writable ?deadline fd =
     | _, _ :: _, _ -> `Ready
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_writable ?deadline fd
 
+(* One read of at most [len] bytes, waiting for readability first.
+   [`Ok 0] never happens: end of stream is [`Eof]. *)
 let rec read_once ?deadline fd buf pos len =
   match wait_readable ?deadline fd with
   | `Timeout -> `Timeout

@@ -12,16 +12,6 @@
 
 type 'a outcome = [ `Ok of 'a | `Eof | `Timeout ]
 
-val wait_readable : ?deadline:float -> Unix.file_descr -> [ `Ready | `Timeout ]
-(** Block (via [select], retrying [EINTR]) until [fd] is readable or the
-    absolute deadline passes. No deadline means wait forever. *)
-
-val read_once : ?deadline:float -> Unix.file_descr -> bytes -> int -> int ->
-  int outcome
-(** One read of at most [len] bytes, waiting for readability first.
-    [`Ok 0] never happens: end of stream is [`Eof]. Retries [EINTR] and
-    [EAGAIN]/[EWOULDBLOCK]. *)
-
 val really_read : ?deadline:float -> Unix.file_descr -> bytes -> int -> int ->
   unit outcome
 (** Read exactly [len] bytes into [buf] at [pos], looping over short

@@ -5,7 +5,6 @@ module Loop = Ppp_cfg.Loop
 module Edge_profile = Ppp_profile.Edge_profile
 module Routine_ctx = Ppp_flow.Routine_ctx
 module Flow_dp = Ppp_flow.Flow_dp
-module Instrument = Ppp_core.Instrument
 module Lower = Ppp_interp.Lower
 module Fingerprint = Ppp_resilience.Fingerprint
 module Interp = Ppp_interp.Interp
@@ -21,19 +20,14 @@ let m_ctx_hit = Obs.counter "session.ctx.hit"
 let m_ctx_miss = Obs.counter "session.ctx.miss"
 let m_flow_hit = Obs.counter "session.flow.hit"
 let m_flow_miss = Obs.counter "session.flow.miss"
-let m_place_hit = Obs.counter "session.place.hit"
-let m_place_miss = Obs.counter "session.place.miss"
-let m_layout_hit = Obs.counter "session.layout.hit"
-let m_layout_miss = Obs.counter "session.layout.miss"
 let m_run_hit = Obs.counter "session.run.hit"
 let m_run_miss = Obs.counter "session.run.miss"
 let m_invalidate = Obs.counter "session.invalidate"
 let m_evict = Obs.counter "session.evict"
 
-(* How many fingerprint generations a routine slot retains, and how many
-   profile-keyed artifacts each entry retains. Small: the pipeline holds
-   one or two live profiles and an iterate loop flips between adjacent
-   generations; anything deeper is dead weight across a long session. *)
+(* How many fingerprint generations a routine slot retains. Small: an
+   iterate loop flips between adjacent generations; anything deeper is
+   dead weight across a long session. *)
 let retention = 8
 
 type entry = {
@@ -41,17 +35,12 @@ type entry = {
   mutable e_view : Cfg_view.t option;
   mutable e_dom : Dom.t option;
   mutable e_loops : Loop.t option;
-  mutable e_ctxs : (Edge_profile.program * Routine_ctx.t) list;
-  mutable e_defs : (Routine_ctx.t * Flow_dp.t) list;
-  mutable e_places :
-    (string * Edge_profile.program * Instrument.routine_plan) list;
-      (* The profile the plan was made under, by physical identity. *)
-  mutable e_layouts :
-    (Ppp_profile.Path_profile.program * int array option) list;
-      (* Block emission orders keyed by the path profile they were
-         derived from, by physical identity; [None] caches "this profile
-         yields the identity order", which is just as expensive to
-         rediscover. *)
+  mutable e_ctx : (Edge_profile.program * Routine_ctx.t) option;
+  mutable e_def : (Routine_ctx.t * Flow_dp.t) option;
+      (* One slot each: the latest profile's context and its DP, keyed
+         by physical identity. Every reader asks under the profile in
+         hand, so an older profile's artifacts would only keep that
+         profile alive. *)
 }
 
 type counts = {
@@ -97,8 +86,6 @@ type t = {
   counts : counts;
 }
 
-type placement_mode = Exact | Sticky
-
 type stats = {
   hits : int;
   misses : int;
@@ -120,7 +107,7 @@ let miss t m =
   t.counts.c_misses <- t.counts.c_misses + 1;
   Obs.incr m
 
-(* Truncate an artifact list to [retention], counting what falls off. *)
+(* Truncate a routine's entries to [retention], counting what falls off. *)
 let cap t xs =
   let rec go n = function
     | [] -> []
@@ -155,10 +142,8 @@ let entry t (r : Ir.routine) =
           e_view = None;
           e_dom = None;
           e_loops = None;
-          e_ctxs = [];
-          e_defs = [];
-          e_places = [];
-          e_layouts = [];
+          e_ctx = None;
+          e_def = None;
         }
       in
       Hashtbl.replace t.slots r.Ir.name (cap t (e :: es));
@@ -236,14 +221,14 @@ let ctx t ~ep (r : Ir.routine) =
   end
   else
     let e = entry t r in
-    match List.assq_opt ep e.e_ctxs with
-    | Some c ->
+    match e.e_ctx with
+    | Some (ep', c) when ep' == ep ->
         hit t m_ctx_hit;
         c
-    | None ->
+    | _ ->
         miss t m_ctx_miss;
         let c = build () in
-        e.e_ctxs <- cap t ((ep, c) :: e.e_ctxs);
+        e.e_ctx <- Some (ep, c);
         c
 
 let definite t c =
@@ -255,65 +240,15 @@ let definite t c =
   else
     let r = Cfg_view.routine (Routine_ctx.view c) in
     let e = entry t r in
-    match List.assq_opt c e.e_defs with
-    | Some dp ->
+    match e.e_def with
+    | Some (c', dp) when c' == c ->
         hit t m_flow_hit;
         dp
-    | None ->
+    | _ ->
         miss t m_flow_miss;
         let dp = build () in
-        e.e_defs <- cap t ((c, dp) :: e.e_defs);
+        e.e_def <- Some (c, dp);
         dp
-
-let placement_find t ~mode ~config_name ~ep r =
-  if not t.s_enabled then begin
-    miss t m_place_miss;
-    None
-  end
-  else
-    let e = entry t r in
-    let found =
-      List.find_opt
-        (fun (cn, ep', _) ->
-          String.equal cn config_name
-          && match mode with Exact -> ep' == ep | Sticky -> true)
-        e.e_places
-    in
-    match found with
-    | Some (_, _, plan) ->
-        hit t m_place_hit;
-        Some plan
-    | None ->
-        miss t m_place_miss;
-        None
-
-let placement_store t ~config_name ~ep r plan =
-  if t.s_enabled then begin
-    let e = entry t r in
-    let rest =
-      List.filter
-        (fun (cn, ep', _) -> not (String.equal cn config_name && ep' == ep))
-        e.e_places
-    in
-    e.e_places <- cap t ((config_name, ep, plan) :: rest)
-  end
-
-let layout t ~paths r ~compute =
-  if not t.s_enabled then begin
-    miss t m_layout_miss;
-    compute ()
-  end
-  else
-    let e = entry t r in
-    match List.assq_opt paths e.e_layouts with
-    | Some order ->
-        hit t m_layout_hit;
-        order
-    | None ->
-        miss t m_layout_miss;
-        let order = compute () in
-        e.e_layouts <- cap t ((paths, order) :: e.e_layouts);
-        order
 
 let sync t (p : Ir.program) =
   let table =
@@ -348,19 +283,6 @@ let sync t (p : Ir.program) =
       Obs.incr m_invalidate)
     dirty;
   dirty
-
-(* Point invalidation for mid-run tier-up: the named routines' slots are
-   dropped wholesale, so their next access opens a fresh entry. The
-   fingerprint table is left alone — the IR did not change, only the
-   profile-derived artifacts (placements, layouts, contexts) went stale
-   when the VM retired the instrumented variant mid-run. *)
-let invalidate t names =
-  List.iter
-    (fun nm ->
-      Hashtbl.remove t.slots nm;
-      t.counts.c_invalidations <- t.counts.c_invalidations + 1;
-      Obs.incr m_invalidate)
-    names
 
 (* {2 The run memo}
 

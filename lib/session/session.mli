@@ -21,15 +21,26 @@
       lower    <- view + loops          (structural plans, see Ppp_interp.Lower)
       ctx      <- loops + edge profile  (profile identity, not content)
       definite <- ctx                   (definite-flow DP)
-      placement<- ctx + config          (instrumentation decisions)
     v}
 
-    Profile-dependent artifacts ([ctx], [definite], [placement]) are
-    additionally keyed by the {e physical identity} of the profile (or
-    context) they were derived from: profiles are mutable accumulators
-    with no cheap content hash, and every phase of one pipeline run holds
-    the same profile object, so identity is exactly the sharing that is
-    safe to exploit.
+    The profile-dependent artifacts ([ctx], [definite]) are additionally
+    keyed by the {e physical identity} of the profile (or context) they
+    were derived from: profiles are mutable accumulators with no cheap
+    content hash, and every phase of one pipeline run holds the same
+    profile object, so identity is exactly the sharing that is safe to
+    exploit. Each routine entry keeps them for the latest profile only:
+    every reader asks under the profile in hand, and an older profile's
+    artifacts would only keep that profile alive in a long-lived session
+    (a daemon worker's, across requests).
+
+    The session caches analyses, never decisions. Which paths a routine
+    instruments, and how its blocks are laid out, are chosen from the
+    profile that advises them (the paper's self advice), so a kept plan
+    would describe a profile that is gone. Those are recomputed from the
+    cached analyses on every call, and a cached pipeline therefore
+    prints exactly what an uncached one prints. Carrying a profile over
+    to a changed program is the salvage rule's job
+    ({!Ppp_profile.Profile_io.of_raw}), never the cache's.
 
     Invalidation is dirty-tracking by fingerprint diff: {!sync} compares
     the program's fingerprint table against the previous generation's and
@@ -53,8 +64,7 @@
     inherit a warm parent session by copy-on-write, which is safe because
     workers never write back. Nothing in a session outlives its process:
     a daemon worker keeps its sessions resident between requests, and no
-    artifact is ever written to disk, so every plan a lookup returns was
-    made by this build for a live profile object. *)
+    artifact is ever written to disk. *)
 
 type t
 
@@ -74,17 +84,6 @@ val sync : t -> Ppp_ir.Ir.program -> string list
     generation (original, inlined, unrolled, re-optimized); syncing an
     unchanged program returns [[]] and invalidates nothing. *)
 
-val invalidate : t -> string list -> unit
-(** Point invalidation: drop every artifact slot of the named routines,
-    without touching the fingerprint table. This is the tier-up hook —
-    when a running VM retires a routine's instrumented variant for an
-    optimized re-lowering, the routine's profile-derived artifacts
-    (placements, layouts, flow contexts) were computed for a profile
-    that froze at the swap, so the next pipeline access must recompute
-    them. Counts one [session.invalidate] per name, like {!sync}'s
-    dirty-set accounting; unknown names still count (the caller asserted
-    staleness) but drop nothing. *)
-
 (** {2 Analysis artifacts} *)
 
 val view : t -> Ppp_ir.Ir.routine -> Ppp_ir.Cfg_view.t
@@ -97,52 +96,13 @@ val ctx :
   Ppp_ir.Ir.routine ->
   Ppp_flow.Routine_ctx.t
 (** The flow-analysis context of [r] under edge profile [ep], memoized
-    per ([ep] identity, routine fingerprint). *)
+    per routine fingerprint for the latest [ep] asked about (by
+    identity): a lookup under any other profile misses and replaces it. *)
 
 val definite : t -> Ppp_flow.Routine_ctx.t -> Ppp_flow.Flow_dp.t
-(** The definite-flow DP of a context, memoized per context identity
-    (contexts should come from {!ctx} for sharing to happen). *)
-
-(** {2 Placement decisions} *)
-
-type placement_mode =
-  | Exact
-      (** reuse only a plan made for this very profile object — sound for
-          re-evaluating the same prepared pipeline state *)
-  | Sticky
-      (** reuse the routine's latest plan for this configuration whatever
-          profile it was planned under — the incremental re-optimization
-          rule: an untouched routine (same fingerprint) keeps its
-          instrumentation, only dirtied routines are re-planned *)
-
-val placement_find :
-  t ->
-  mode:placement_mode ->
-  config_name:string ->
-  ep:Ppp_profile.Edge_profile.program ->
-  Ppp_ir.Ir.routine ->
-  Ppp_core.Instrument.routine_plan option
-
-val placement_store :
-  t ->
-  config_name:string ->
-  ep:Ppp_profile.Edge_profile.program ->
-  Ppp_ir.Ir.routine ->
-  Ppp_core.Instrument.routine_plan ->
-  unit
-
-val layout :
-  t ->
-  paths:Ppp_profile.Path_profile.program ->
-  Ppp_ir.Ir.routine ->
-  compute:(unit -> int array option) ->
-  int array option
-(** Memoized block emission order for [r] derived from path profile
-    [paths] (keyed by the profile's physical identity, like {!ctx}):
-    runs [compute] on a miss and caches its result — including [None],
-    "this profile orders the routine identically to source", which is
-    just as expensive to rediscover. Invalidated with the entry when the
-    routine's fingerprint changes. Counted under [session.layout.*]. *)
+(** The definite-flow DP of a context, memoized for the routine's latest
+    context (by identity; contexts should come from {!ctx} for sharing
+    to happen). *)
 
 (** {2 Runs} *)
 

@@ -8,6 +8,8 @@ let lcg_init b ~seed =
   B.mov b r (Ir.Imm (seed land 0x3fffffff));
   r
 
+(* Advance the generator; the result is a fresh register holding a
+   non-negative 30-bit value. *)
 let lcg_next b r =
   B.bin b r Ir.Mul (Ir.Reg r) (Ir.Imm 1103515245);
   B.bin b r Ir.Add (Ir.Reg r) (Ir.Imm 12345);
@@ -24,11 +26,6 @@ let fill_random b lcg ~array_name ~size =
   B.for_ b i ~from:(Ir.Imm 0) ~below:(Ir.Imm size) (fun () ->
       let v = lcg_next b lcg in
       B.store b array_name (Ir.Reg i) v)
-
-let fill_iota b ~array_name ~size =
-  let i = B.reg b in
-  B.for_ b i ~from:(Ir.Imm 0) ~below:(Ir.Imm size) (fun () ->
-      B.store b array_name (Ir.Reg i) (Ir.Reg i))
 
 let masked b v ~size =
   assert (size land (size - 1) = 0);

@@ -9,18 +9,11 @@ type lcg
 
 val lcg_init : Ppp_ir.Builder.t -> seed:int -> lcg
 
-val lcg_next : Ppp_ir.Builder.t -> lcg -> Ppp_ir.Ir.operand
-(** Advance the generator; the result is a fresh register holding a
-    non-negative 30-bit value. *)
-
 val lcg_bits : Ppp_ir.Builder.t -> lcg -> lo:int -> width:int -> Ppp_ir.Ir.operand
 (** Advance and extract [width] bits starting at bit [lo]. *)
 
 val fill_random : Ppp_ir.Builder.t -> lcg -> array_name:string -> size:int -> unit
 (** Emit a loop storing pseudo-random values into [0, size). *)
-
-val fill_iota : Ppp_ir.Builder.t -> array_name:string -> size:int -> unit
-(** Emit a loop storing [i] at index [i]. *)
 
 val masked : Ppp_ir.Builder.t -> Ppp_ir.Ir.operand -> size:int -> Ppp_ir.Ir.operand
 (** Clamp an operand into [0, size) with a bitmask ([size] must be a

@@ -1,5 +1,6 @@
 (* Shared fixtures: the paper's worked example CFGs, encoded as IR
-   routines, with the edge profiles the figures give. *)
+   routines, with the edge profiles the figures give, and the path of
+   the committed bench baseline. *)
 
 module Ir = Ppp_ir.Ir
 module Cfg_view = Ppp_ir.Cfg_view
@@ -68,3 +69,9 @@ let uniform_profile view f =
     Edge_profile.add profile e f
   done;
   profile
+
+(* The committed bench baseline. Dune copies it next to the test
+   directory of the build tree, so it is found from the binary's own
+   location, whichever directory the suite runs from. *)
+let baseline_path =
+  Filename.concat (Filename.dirname Sys.executable_name) "../BENCH_baseline.json"

@@ -83,7 +83,7 @@ let rec edit path f (j : J.t) =
 (* One committed benchmark row, carrying every section. *)
 let template () =
   let doc =
-    J.of_string (In_channel.with_open_bin "../BENCH_baseline.json" In_channel.input_all)
+    J.of_string (In_channel.with_open_bin Fixtures.baseline_path In_channel.input_all)
   in
   match J.to_list (Option.get (J.member doc "benchmarks")) with
   | (J.Obj _ as row) :: _ -> row

@@ -515,7 +515,7 @@ let test_obs_on_off_cold_request () =
   let summary gens =
     List.map
       (fun (g : H.generation) ->
-        ( (g.H.gen, g.H.dirty, g.H.reinstrumented, g.H.reused_plans),
+        ( (g.H.gen, g.H.dirty),
           (g.H.matched_fraction, g.H.instr_overhead, g.H.decisions),
           Ppp_ir.Pp_ir.to_string g.H.prep.H.optimized ))
       gens

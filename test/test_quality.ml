@@ -780,7 +780,7 @@ let test_quality_report () =
     | _ -> Alcotest.fail (String.concat "." path ^ " missing")
   in
   Alcotest.(check bool) "schema" true
-    (get doc [ "schema" ] = Some (Jsonx.Str "ppp-quality/1"));
+    (get doc [ "schema" ] = Some (Jsonx.Str "ppp-quality/2"));
   let b =
     match get doc [ "benchmarks" ] with
     | Some (Jsonx.Arr [ b ]) -> b
@@ -837,7 +837,7 @@ let test_quality_report () =
      shape, not its values). *)
   let reparsed = Jsonx.of_string (Jsonx.to_string doc) in
   Alcotest.(check bool) "rendered report parses back" true
-    (Jsonx.member reparsed "schema" = Some (Jsonx.Str "ppp-quality/1"))
+    (Jsonx.member reparsed "schema" = Some (Jsonx.Str "ppp-quality/2"))
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
 

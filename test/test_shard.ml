@@ -404,8 +404,7 @@ let test_gate_smoke_subset () =
    current-tree-vs-baseline gate runs in CI's shard job (it needs the
    whole evaluation pass). *)
 let test_committed_baseline () =
-  let path = "../BENCH_baseline.json" in
-  let ic = open_in_bin path in
+  let ic = open_in_bin Fixtures.baseline_path in
   let text =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)

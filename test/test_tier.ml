@@ -26,7 +26,6 @@ module Spec = Ppp_workloads.Spec
 module Gen = Ppp_workloads.Gen
 module Config = Ppp_core.Config
 module Instrument = Ppp_core.Instrument
-module Session = Ppp_session.Session
 module Pipeline = Ppp_harness.Pipeline
 
 (* The program-outcome digest: everything the program itself observes or
@@ -353,24 +352,29 @@ let controller_accounting () =
 
 (* The pipeline wrapper: one tiered run is outcome-identical to the
    two-pass instrumented run, retires instrumentation (instr_cost can
-   only shrink), logs decisions for the hot routines, and point-
-   invalidates the session for exactly the swapped set. *)
+   only shrink), and logs decisions for the hot routines. The session
+   needs no invalidation after it: it caches analyses of the prepared
+   profiles only, so on every workload, evaluating the prepared state
+   after the run answers as before it, and as a fresh preparation does. *)
 let tiered_run_pipeline () =
+  List.iter
+    (fun (b : Spec.bench) ->
+      let name = b.Spec.bench_name in
+      let p = b.Spec.build ~scale:1 in
+      let prepared = Pipeline.prepare ~name p in
+      let before = Pipeline.evaluate prepared Config.ppp in
+      ignore (Pipeline.tiered_run ~threshold:2 prepared Config.ppp);
+      let fresh = Pipeline.evaluate (Pipeline.prepare ~name p) Config.ppp in
+      Alcotest.(check bool)
+        (name ^ ": evaluation after the run = before it = a fresh one")
+        true
+        (Pipeline.evaluate prepared Config.ppp = before && fresh = before))
+    Spec.all;
   let p = (Spec.find "vpr").Spec.build ~scale:1 in
   let prepared = Pipeline.prepare ~name:"vpr" p in
-  let ev = Pipeline.evaluate prepared Config.ppp in
-  let before = (Session.stats prepared.Pipeline.session).Session.invalidations in
   let t = Pipeline.tiered_run ~threshold:2 prepared Config.ppp in
-  let after = (Session.stats prepared.Pipeline.session).Session.invalidations in
   Alcotest.(check bool) "hot workload tiers up" true
     (t.Pipeline.t_decisions <> []);
-  Alcotest.(check (list string)) "invalidated exactly the swapped routines"
-    (List.map (fun (d : Tier.decision) -> d.Tier.d_routine)
-       t.Pipeline.t_decisions)
-    t.Pipeline.t_invalidated;
-  Alcotest.(check int) "one session invalidation per swapped routine"
-    (List.length t.Pipeline.t_invalidated)
-    (after - before);
   (* Same instrumented program, so the tiered single run must agree with
      the two-pass flow on the program outcome... *)
   let untiered =
@@ -388,8 +392,7 @@ let tiered_run_pipeline () =
     (outcome_digest prepared.Pipeline.optimized t.Pipeline.t_outcome);
   (* ... while spending strictly less on instrumentation. *)
   Alcotest.(check bool) "instrumentation cost shrinks" true
-    (t.Pipeline.t_outcome.Interp.instr_cost < untiered.Interp.instr_cost);
-  ignore ev
+    (t.Pipeline.t_outcome.Interp.instr_cost < untiered.Interp.instr_cost)
 
 (* A telemetry ring samples a tiered run, whose charges cross variant
    swaps, without changing it: the outcome and the decisions equal a
