@@ -483,11 +483,9 @@ let daemon_args =
     let doc =
       "Send the request to the resident $(b,pppd) daemon listening on \
        $(docv) instead of computing in-process. A warm daemon serves \
-       repeated requests from its persistent store, and a worker reuses \
-       the analyses of earlier requests for the same program name. If \
-       the daemon is unreachable or sheds the request under load, the \
-       work falls back to the in-process path and pppc exits with code \
-       12."
+       repeated requests from its persistent store. If the daemon is \
+       unreachable or sheds the request under load, the work falls back \
+       to the in-process path and pppc exits with code 12."
     in
     Arg.(value & opt (some string) None & info [ "daemon" ] ~docv:"SOCKET" ~doc)
   in
@@ -531,11 +529,11 @@ let via_daemon ~socket ~deadline_ms ~required ~output ?name ~fallback req =
 
 (* Collect every built-in workload under the worker pool and merge the
    shards; [pppc collect bench:all]. *)
-let collect_all ~scale ~engine ~jobs ~warm ~output ~shard_dir ~metrics_wanted
+let collect_all ~scale ~engine ~jobs ~output ~shard_dir ~metrics_wanted
     ~sampling =
   let metrics = metrics_wanted || Option.is_some shard_dir in
   let c =
-    Shard.collect_workloads ~jobs ~scale ~metrics ~warm ~engine ?sampling
+    Shard.collect_workloads ~jobs ~scale ~metrics ~engine ?sampling
       Ppp_workloads.Spec.all
   in
   (match shard_dir with
@@ -581,15 +579,6 @@ let collect_cmd =
     in
     Arg.(value & opt (some string) None & info [ "shard-dir" ] ~docv:"DIR" ~doc)
   in
-  let warm_arg =
-    let doc =
-      "With $(b,bench:all): warm an analysis session (CFG views, loop \
-       nests, structural lowerings) per workload in the parent before \
-       forking, so workers inherit the artifacts copy-on-write. The \
-       merged dump is byte-identical either way."
-    in
-    Arg.(value & flag & info [ "warm" ] ~doc)
-  in
   let sample_rate_arg =
     let doc =
       "Collect under bursty sampled PPP instrumentation at this rate \
@@ -618,7 +607,7 @@ let collect_cmd =
     in
     Arg.(value & opt int 0 & info [ "sample-seed" ] ~docv:"N" ~doc)
   in
-  let action spec scale engine output jobs warm shard_dir sample_rate burst
+  let action spec scale engine output jobs shard_dir sample_rate burst
       sample_seed obs (daemon, daemon_deadline_ms, daemon_required) =
     handle_errors (fun () ->
         let denom =
@@ -650,7 +639,7 @@ let collect_cmd =
         in
         with_obs obs (fun () ->
             if spec = "bench:all" then
-              collect_all ~scale ~engine ~jobs ~warm ~output ~shard_dir
+              collect_all ~scale ~engine ~jobs ~output ~shard_dir
                 ~metrics_wanted:(Option.is_some (fst obs)) ~sampling
             else
               match daemon with
@@ -671,7 +660,7 @@ let collect_cmd =
   Cmd.v (Cmd.info "collect" ~doc)
     Term.(
       const action $ program_arg $ scale_arg $ engine_arg $ output_arg
-      $ jobs_arg $ warm_arg $ shard_dir_arg $ sample_rate_arg $ burst_arg
+      $ jobs_arg $ shard_dir_arg $ sample_rate_arg $ burst_arg
       $ sample_seed_arg $ obs_args $ daemon_args)
 
 (* {2 merge} *)
@@ -793,7 +782,7 @@ let opt_cmd =
         let in_process () =
           Daemon_ops.print ?output ~name:spec
             (Daemon_ops.opt
-               ~flags:{ H.default_flags with H.superblocks; H.layout }
+               ~flags:{ H.superblocks; H.layout }
                ~session:(session_of ~no_cache spec) ?profile:loaded ~iterate
                ~name:spec p)
         in

@@ -350,7 +350,6 @@ let opt ?(flags = H.default_flags) ~session ?profile ~iterate ~name p =
                         ("misses", after.misses - before.misses);
                         ( "invalidations",
                           after.invalidations - before.invalidations );
-                        ("evictions", after.evictions - before.evictions);
                         ("run_hits", after.run_hits - before.run_hits);
                         ("run_misses", after.run_misses - before.run_misses) ])
             ) ];
@@ -458,8 +457,7 @@ let pp_summary ?name ppf = function
                 (Session.pp_counts ~name ~enabled)
                 { Session.hits = int s "hits"; misses = int s "misses";
                   invalidations = int s "invalidations";
-                  evictions = int s "evictions"; run_hits = int s "run_hits";
-                  run_misses = int s "run_misses" }
+                  run_hits = int s "run_hits"; run_misses = int s "run_misses" }
           | _ -> ());
       each (fun () ->
           line
@@ -491,48 +489,6 @@ let fail code fmt =
       Failed { code; diagnostics = [ Diagnostic.make Diagnostic.Io msg ] })
     fmt
 
-(* Resident per-program-name sessions: the reason a warm daemon beats a
-   cold process. Keyed by name, synced to each request's program, so an
-   edited program naturally dirties only the routines it changed. At
-   most [max_sessions] stay resident; a new name evicts the least
-   recently used one, so a worker's memory is bounded by the bound, not
-   by the names it has ever seen. *)
-let max_sessions = 32
-
-type resident = { session : Session.t; mutable last_use : int }
-
-let sessions : (string, resident) Hashtbl.t = Hashtbl.create max_sessions
-let uses = ref 0
-let evictions = ref 0
-
-let session_for name =
-  incr uses;
-  match Hashtbl.find_opt sessions name with
-  | Some r ->
-      r.last_use <- !uses;
-      r.session
-  | None ->
-      if Hashtbl.length sessions >= max_sessions then begin
-        let lru =
-          Hashtbl.fold
-            (fun n r acc ->
-              match acc with
-              | Some (_, u) when u <= r.last_use -> acc
-              | _ -> Some (n, r.last_use))
-            sessions None
-        in
-        Option.iter
-          (fun (n, _) ->
-            Hashtbl.remove sessions n;
-            incr evictions)
-          lru
-      end;
-      let session = Session.create ~name () in
-      Hashtbl.add sessions name { session; last_use = !uses };
-      session
-
-let session_counts () = (Hashtbl.length sessions, !evictions)
-
 let handle_collect ~bench ~scale ~sample_rate ~burst ~sample_seed =
   match Ppp_workloads.Spec.find_opt bench with
   | None ->
@@ -555,8 +511,6 @@ let handle_collect ~bench ~scale ~sample_rate ~burst ~sample_seed =
         (fun meta -> ("bench", Jsonx.Str bench) :: ("scale", Jsonx.Int scale) :: meta)
         (collect ?sampling (b.Ppp_workloads.Spec.build ~scale))
 
-(* The request is checked and its profile loaded before [session_for]: a
-   rejected request must not evict a resident session. *)
 let handle_opt ~name ~program ~profile ~iterate =
   match Ppp_ir.Parse.program_of_string program with
   | exception Ppp_ir.Parse.Error e ->
@@ -573,11 +527,7 @@ let handle_opt ~name ~program ~profile ~iterate =
       fail "bad-request" "profile cannot be combined with iterate"
   | p -> (
       let serve profile =
-        let session = session_for name in
-        (* The run slot serves the runs of one request; between requests
-           a resident session holds no outcome. *)
-        Fun.protect ~finally:(fun () -> Session.forget_run session) @@ fun () ->
-        opt ~session ?profile ~iterate ~name p
+        opt ~session:(Session.create ~name ()) ?profile ~iterate ~name p
       in
       match profile with
       | None -> serve None

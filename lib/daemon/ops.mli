@@ -12,15 +12,12 @@
     {!collect}, {!merge} and {!opt} build the reply to a request from
     inputs already in memory; [pppc] calls them in process, and
     {!handle}, the worker-side interpreter, calls them for [pppd]. It
-    holds a resident {!Ppp_session.Session} per program name, up to
-    {!max_sessions} of them, so repeated [Opt] requests for the same
-    program reuse memoized analyses; every placement is planned afresh,
-    so a resident session changes no reply. Nothing of a session is
-    persisted, and a reply carries nothing an in-process [pppc] does
-    not print. It
-    never raises — failures come back as [Failed] replies with
-    classified diagnostics. {!print} renders any reply the way [pppc]
-    shows it, whichever path built it. *)
+    gives each [Opt] a fresh {!Ppp_session.Session}, as [pppc opt]
+    does, so a worker keeps nothing between requests and a reply
+    carries nothing an in-process [pppc] does not print. It never
+    raises — failures come back as [Failed] replies with classified
+    diagnostics. {!print} renders any reply the way [pppc] shows it,
+    whichever path built it. *)
 
 type request =
   | Ping
@@ -45,7 +42,7 @@ type request =
               the wire at 1.0. *)
     }
   | Opt of {
-      name : string;  (** session key; programs with equal names share analyses *)
+      name : string;  (** the program's name; it names the request's session *)
       program : string;  (** [.pir] source text *)
       profile : string option;  (** optional profile dump to apply *)
       iterate : int;  (** >1 runs the incremental re-optimization loop *)
@@ -140,21 +137,12 @@ val print : ?output:string -> ?name:string -> reply -> unit
 (** An [Okay] reply's body to [output] (written atomically) or stdout,
     then {!pp_summary} on stderr. *)
 
-val max_sessions : int
-(** How many per-name sessions {!handle} keeps resident: 32. A request
-    under a new name beyond that evicts the least recently used one. *)
-
-val session_counts : unit -> int * int
-(** The resident session count and the evictions so far, in this
-    process. *)
-
 val handle : chaos:bool -> request -> reply
 (** Serve a request in this process, as the supervised worker's main
     loop does: build the inputs of {!collect}, {!merge} or {!opt} from
-    it (the bench build, the program parse, the profile load, the
-    resident session) and call it, so an [Opt] reply under a name no
-    request used before is the reply {!opt} gives with a fresh session.
-    A request rejected as malformed takes no resident session. [Ping]
+    it (the bench build, the program parse, the profile load, a fresh
+    session) and call it, so an [Opt] reply is the reply {!opt} gives
+    with a fresh session, whatever this process served before. [Ping]
     and [Status] get fixed replies: the server answers both itself.
     [chaos:false] rejects [Stall]/[Crash] with code ["unsupported"].
     Never raises. *)

@@ -54,8 +54,6 @@ type worker = {
   mutable job : job option;
   mutable failures : int;  (* consecutive, drives backoff *)
   mutable restart_at : float;
-  mutable sessions : int * int;
-      (* resident sessions and evictions, as of the worker's last reply *)
 }
 
 type t = {
@@ -79,24 +77,6 @@ let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* ---- workers ----------------------------------------------------------- *)
 
-(* A worker's frame is the encoded reply, then one line with the
-   worker's resident session count and evictions, which [status] sums
-   over the pool. The parent relays only the reply. *)
-let worker_frame reply =
-  let resident, evicted = Ops.session_counts () in
-  Printf.sprintf "%s\n%d %d" (Ops.encode_reply reply) resident evicted
-
-let split_worker_frame payload =
-  let whole = (payload, None) in
-  match String.rindex_opt payload '\n' with
-  | None -> whole
-  | Some i -> (
-      let tail = String.sub payload (i + 1) (String.length payload - i - 1) in
-      match List.map int_of_string_opt (String.split_on_char ' ' tail) with
-      | [ Some resident; Some evicted ] ->
-          (String.sub payload 0 i, Some (resident, evicted))
-      | _ -> whole)
-
 (* The worker child: frames in, frames out, exit on any stream error.
    Never touches the store, the listen socket or other clients. *)
 let worker_main ~chaos fd =
@@ -114,7 +94,7 @@ let worker_main ~chaos fd =
                 }
           | Ok env -> Ops.handle ~chaos env.Ops.req
         in
-        (match Wire.write_frame fd (worker_frame reply) with
+        (match Wire.write_frame fd (Ops.encode_reply reply) with
         | Ok () -> loop ()
         | Error _ -> Unix._exit 0)
   in
@@ -148,7 +128,6 @@ let spawn_worker t w =
       w.pid <- pid;
       w.fd <- Some parent_end;
       w.job <- None;
-      w.sessions <- (0, 0);
       w.restart_at <- 0.;
       log t "worker %d up (pid %d)" w.slot pid
 
@@ -237,6 +216,10 @@ let opt_key env =
   in
   Ops.encode_request { env with Ops.id = 0; deadline_ms = 0 } ^ profile
 
+(* The kinds [store_slot] files replies under. At open, entries of any
+   other kind (an older store's [plans]) move to quarantine. *)
+let kinds = [ "profile"; "merge"; "opt" ]
+
 (* Where a request's result lives in the store, if anywhere. *)
 let store_slot (env : Ops.envelope) =
   match env.Ops.req with
@@ -273,12 +256,6 @@ let status_reply t =
   let workers_up =
     Array.fold_left (fun n w -> if w.pid > 0 then n + 1 else n) 0 t.pool
   in
-  let resident, evictions =
-    Array.fold_left
-      (fun (r, e) w ->
-        if w.pid > 0 then (r + fst w.sessions, e + snd w.sessions) else (r, e))
-      (0, 0) t.pool
-  in
   Ops.Okay
     {
       body = "ok";
@@ -291,9 +268,7 @@ let status_reply t =
           ("served", Jsonx.Int t.served);
           ("queued", Jsonx.Int (Queue.length t.queue));
           ("store_entries", Jsonx.Int (List.length (Store.entries t.store)));
-          ("store_quarantined", Jsonx.Int (Store.quarantined t.store));
-          ("sessions_resident", Jsonx.Int resident);
-          ("session_evictions", Jsonx.Int evictions) ];
+          ("store_quarantined", Jsonx.Int (Store.quarantined t.store)) ];
     }
 
 (* ---- dispatch ---------------------------------------------------------- *)
@@ -359,7 +334,7 @@ let worker_event t w =
   | None -> ()
   | Some fd -> (
       match Wire.read_frame ~deadline:(Unix.gettimeofday () +. client_io_budget) fd with
-      | Ok frame -> (
+      | Ok payload -> (
           match w.job with
           | None ->
               (* A frame with no job in flight is a protocol violation. *)
@@ -367,8 +342,6 @@ let worker_event t w =
           | Some job -> (
               w.job <- None;
               w.failures <- 0;
-              let payload, sessions = split_worker_frame frame in
-              Option.iter (fun s -> w.sessions <- s) sessions;
               (* Decoded only to check it and to tell an [Okay] reply,
                  which the store keeps; the client gets the worker's
                  bytes. *)
@@ -542,6 +515,7 @@ let run cfg =
   let cfg = { cfg with workers = max 1 cfg.workers } in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let store, reopen_diags = Store.open_store ~dir:cfg.store_dir in
+  let reopen_diags = reopen_diags @ Store.keep_kinds store ~kinds in
   (* A stale socket from a previous daemon that crashed: safe to remove,
      nothing can be listening on it once bind would fail. *)
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
@@ -557,7 +531,6 @@ let run cfg =
           job = None;
           failures = 0;
           restart_at = 0.;
-          sessions = (0, 0);
         })
   in
   let t =

@@ -26,11 +26,9 @@
       persisted whole and served from the store on identical
       re-requests, so a served reply prints what its first answer
       printed, plus the served line. The store holds replies and
-      nothing else: the analyses an [Opt] computed stay in the serving
-      worker's resident session, where later requests under the same
-      program name that reach that worker reuse them, and another
-      worker or a restarted daemon recomputes them. No session keeps a
-      placement plan, so every worker replies alike.
+      nothing else, and a worker keeps nothing between requests: each
+      [Opt] it computes gets a fresh session ({!Ops.handle}), so every
+      worker replies alike, whatever it served before.
       An [Opt] entry is keyed by the request as its client sent it
       ([id] and [deadline_ms] zeroed, a profile dump replaced by its
       MD5), so its key is the size of the program and an identical
@@ -42,8 +40,10 @@
       profile or merged dump rather than a reply, misses once and is
       overwritten. A [Merge] entry keyed by its inputs' CRC-32s, and an
       [Opt] entry whose key held a plan bundle's hex or its MD5, are
-      never served again: their requests miss once. An older store's
-      [plans] entries are never read. *)
+      never served again: their requests miss once. At start, entries
+      of any kind but [profile], [merge] and [opt] (an older store's
+      [plans]) move to the store's quarantine ({!Store.keep_kinds}), so
+      later starts neither read nor count them. *)
 
 type config = {
   socket_path : string;

@@ -151,11 +151,15 @@ let decode_entry contents =
 
 (* ---- quarantine -------------------------------------------------------- *)
 
-let quarantine t ~file ~why =
+(* Move an object file into quarantine/ as [name]; one that cannot be
+   moved is deleted, so it is never read again. *)
+let move_aside t ~file ~name =
   let src = Filename.concat t.objects_dir file in
-  let dst = Filename.concat t.quarantine_dir (Printf.sprintf "%d-%s" t.quarantined file) in
-  (try Unix.rename src dst
-   with Unix.Unix_error _ -> ( try Sys.remove src with Sys_error _ -> ()));
+  try Unix.rename src (Filename.concat t.quarantine_dir name)
+  with Unix.Unix_error _ -> ( try Sys.remove src with Sys_error _ -> ())
+
+let quarantine t ~file ~why =
+  move_aside t ~file ~name:(Printf.sprintf "%d-%s" t.quarantined file);
   t.quarantined <- t.quarantined + 1;
   Metrics.incr m_quarantined;
   Diagnostic.errorf ~severity:Diagnostic.Warning ~token:file
@@ -298,6 +302,30 @@ let open_store ~dir =
   | exception Sys_error _ -> ());
   let jdiags = salvage_journal t in
   (t, List.rev !diags @ jdiags)
+
+let keep_kinds t ~kinds =
+  let others =
+    Hashtbl.fold
+      (fun (kind, key) e acc ->
+        if List.mem kind kinds then acc else (kind, key, e.file) :: acc)
+      t.index []
+  in
+  if others = [] then []
+  else begin
+    List.iter
+      (fun (kind, key, file) ->
+        Hashtbl.remove t.index (kind, key);
+        move_aside t ~file ~name:file)
+      others;
+    let n = List.length others in
+    [ Diagnostic.errorf ~severity:Diagnostic.Warning Diagnostic.Quarantined
+        "%d store entr%s of kind %s moved to quarantine (the kinds kept are %s)"
+        n
+        (if n = 1 then "y" else "ies")
+        (String.concat ", "
+           (List.sort_uniq compare (List.map (fun (k, _, _) -> k) others)))
+        (String.concat ", " kinds) ]
+  end
 
 (* ---- operations -------------------------------------------------------- *)
 

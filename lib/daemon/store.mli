@@ -29,6 +29,13 @@ val open_store : dir:string -> t * Ppp_resilience.Diagnostic.t list
     salvage the journal, and return the store with the diagnostics of
     everything that was wrong. Never raises. *)
 
+val keep_kinds : t -> kinds:string list -> Ppp_resilience.Diagnostic.t list
+(** Move every entry whose kind is not in [kinds] to [dir/quarantine/]
+    under its own file name, so that no later open reads it, and return
+    one [Quarantined] warning for them all ([[]] when there were none).
+    They leave {!entries}; {!quarantined}, which counts entries that
+    failed validation, does not count them. *)
+
 val put : t -> kind:string -> key:string -> string ->
   (unit, Ppp_resilience.Diagnostic.t) result
 (** Atomically persist an entry, replacing any previous payload for the

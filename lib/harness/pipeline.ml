@@ -30,9 +30,9 @@ let reconstruct_cap = 20_000 (* per routine, for estimated-profile paths *)
    decoded path profile to drive it, and layout changes what the bench
    harness measures, so both are explicit opt-ins (pppc --superblocks /
    --layout, Config gating in the driver). *)
-type opt_flags = { superblocks : bool; layout : bool; max_trace : int }
+type opt_flags = { superblocks : bool; layout : bool }
 
-let default_flags = { superblocks = false; layout = false; max_trace = 32 }
+let default_flags = { superblocks = false; layout = false }
 
 type prepared = {
   bench_name : string;
@@ -186,7 +186,7 @@ let superblock_phase ~(flags : opt_flags) ~session ~(loaded : Profile_io.loaded)
     let path_weights = List.map (fun (n, _, f) -> (n, f)) picked in
     let p', stats =
       Trace.with_span "superblock" (fun () ->
-          Superblock.form ~max_trace:flags.max_trace ~path_weights p ~hot_paths)
+          Superblock.form ~path_weights p ~hot_paths)
     in
     let diags =
       List.map

@@ -37,11 +37,10 @@ type opt_flags = {
   layout : bool;
       (** derive a hot-path-first block emission order from the base
           run's path profile and carry it in [prepared.layout] *)
-  max_trace : int;  (** trace-length bound passed to {!Ppp_opt.Superblock.form} *)
 }
 
 val default_flags : opt_flags
-(** Everything off, [max_trace = 32] — the seed pipeline, byte-for-byte. *)
+(** Everything off — the seed pipeline, byte-for-byte. *)
 
 type prepared = {
   bench_name : string;

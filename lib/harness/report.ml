@@ -798,7 +798,7 @@ type drift_stats = {
 }
 
 let drift_flags =
-  { Pipeline.default_flags with Pipeline.superblocks = true; layout = true }
+  { Pipeline.superblocks = true; layout = true }
 
 let drift_of pb =
   let name = bench_name pb in

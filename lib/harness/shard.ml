@@ -320,16 +320,16 @@ type collected = {
    sampled run would count the same edges, so it counts none); the dump
    adds inverse-rate path estimates, so sampled dumps merge uniformly
    with unsampled ones. *)
-let collect_sampled ?cache ?engine ~spec p =
+let collect_sampled ?engine ~spec p =
   let advice =
-    Interp.run ?cache ?engine
+    Interp.run ?engine
       ~config:{ Interp.default_config with trace_paths = false }
       p
   in
   let ep = Option.get advice.Interp.edge_profile in
   let inst = Instrument.instrument p ep Config.ppp in
   let o =
-    Interp.run ?cache ?engine
+    Interp.run ?engine
       ~config:
         {
           Interp.default_config with
@@ -346,64 +346,39 @@ let collect_sampled ?cache ?engine ~spec p =
   in
   Profile_io.Raw.of_program ~edges:ep ~paths p
 
-let collect_program ?cache ?engine ?sampling p =
+let collect_program ?engine ?sampling p =
   match sampling with
   | None ->
-      let o = Interp.run ?cache ?engine p in
+      let o = Interp.run ?engine p in
       Profile_io.Raw.of_program ?edges:o.Interp.edge_profile
         ?paths:o.Interp.path_profile p
-  | Some spec -> collect_sampled ?cache ?engine ~spec p
+  | Some spec -> collect_sampled ?engine ~spec p
 
-let collect_one ?prebuilt ?engine ?sampling ~seed ~scale ~metrics
-    (b : Spec.bench) =
+let collect_one ?engine ?sampling ~seed ~scale ~metrics (b : Spec.bench) =
   if metrics then begin
     Metrics.set_enabled true;
     Metrics.reset ()
   end;
-  let p, cache =
-    match prebuilt with
-    | Some (p, session) -> (p, Ppp_session.Session.lower_cache session)
-    | None -> (b.Spec.build ~scale, None)
-  in
+  let p = b.Spec.build ~scale in
   let sampling =
     Option.map
       (fun (t : Sampling.spec) ->
         Sampling.spec ~burst:t.Sampling.burst ~seed ~denom:t.Sampling.denom ())
       sampling
   in
-  let raw = collect_program ?cache ?engine ?sampling p in
+  let raw = collect_program ?engine ?sampling p in
   let snap = if metrics then Metrics.snapshot () else [] in
   (b.Spec.bench_name, raw, snap)
 
-let collect_workloads ~jobs ?(scale = 1) ?(metrics = false) ?(warm = false)
-    ?engine ?sampling ?timeout_s benches =
-  (* With [warm], the parent builds every workload and fills a session
-     (analyses + structural lowering) before the pool forks, so workers
-     inherit the warm artifacts copy-on-write and only execute. Workers
-     never write back, so sharing is safe; collection output is
-     byte-identical either way. *)
-  let items =
-    List.map
-      (fun (b : Spec.bench) ->
-        if warm then begin
-          let p = b.Spec.build ~scale in
-          let session =
-            Ppp_session.Session.create ~name:b.Spec.bench_name ()
-          in
-          Ppp_session.Session.warm session p;
-          (b, Some (p, session))
-        end
-        else (b, None))
-      benches
-  in
+let collect_workloads ~jobs ?(scale = 1) ?(metrics = false) ?engine ?sampling
+    ?timeout_s benches =
   let base_seed =
     match sampling with Some s -> s.Sampling.seed | None -> 0
   in
   let results =
     map ~jobs ~seed:base_seed ?timeout_s
-      ~f:(fun ~seed (b, prebuilt) ->
-        collect_one ?prebuilt ?engine ?sampling ~seed ~scale ~metrics b)
-      items
+      ~f:(fun ~seed b -> collect_one ?engine ?sampling ~seed ~scale ~metrics b)
+      benches
   in
   let shards = ref [] and shard_metrics = ref [] and lost = ref [] in
   let inputs = ref [] in

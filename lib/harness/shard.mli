@@ -72,7 +72,6 @@ val map :
     levels. *)
 
 val collect_sampled :
-  ?cache:Ppp_interp.Lower.cache ->
   ?engine:Ppp_interp.Interp.engine ->
   spec:Ppp_interp.Sampling.spec ->
   Ppp_ir.Ir.program ->
@@ -87,10 +86,9 @@ val collect_sampled :
     run's: sampling never changes an edge count, so the instrumented
     run counts no edges. Deterministic for a given
     [(spec, program)] pair, and identical under either [engine]
-    (default {!Ppp_interp.Interp.Vm}; [cache] serves only the VM). *)
+    (default {!Ppp_interp.Interp.Vm}). *)
 
 val collect_program :
-  ?cache:Ppp_interp.Lower.cache ->
   ?engine:Ppp_interp.Interp.engine ->
   ?sampling:Ppp_interp.Sampling.spec ->
   Ppp_ir.Ir.program ->
@@ -117,7 +115,6 @@ val collect_workloads :
   jobs:int ->
   ?scale:int ->
   ?metrics:bool ->
-  ?warm:bool ->
   ?engine:Ppp_interp.Interp.engine ->
   ?sampling:Ppp_interp.Sampling.spec ->
   ?timeout_s:float ->
@@ -126,13 +123,9 @@ val collect_workloads :
 (** Run every workload under the pool ([metrics] defaults to [false];
     when on, each worker enables and resets {!Ppp_obs.Metrics} before
     its run, so shard snapshots are disjoint and their merge is
-    [-j]-invariant). With [warm] (default [false]) the parent builds
-    each workload and fills a {!Ppp_session.Session} — analyses plus
-    structural lowering — before forking, so workers inherit the warm
-    artifacts copy-on-write and skip re-lowering; the collected output
-    is byte-identical either way. [engine] (default
-    {!Ppp_interp.Interp.Vm}) runs every collection, exact or sampled;
-    the dumps are byte-identical under either engine.
+    [-j]-invariant). [engine] (default {!Ppp_interp.Interp.Vm}) runs
+    every collection, exact or sampled; the dumps are byte-identical
+    under either engine.
 
     With [sampling], each workload is collected under bursty sampled PPP
     instrumentation ({!Ppp_interp.Sampling}) instead of the engine's

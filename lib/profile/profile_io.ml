@@ -211,16 +211,7 @@ module Raw = struct
 
   let mass t = sat_add (E.mass t.edges) (P.mass t.paths)
 
-  let of_program ?(scale = 1) ?edges ?paths (p : Ir.program) =
-    (* [scale] recovers sampled collections: every count is multiplied by
-       the inverse sampling rate (saturating at max_int) so the dump
-       holds full-run estimates and merges uniformly with unsampled
-       dumps. *)
-    let scaled c =
-      if scale <= 1 || c <= 0 then c
-      else if c > max_int / scale then max_int
-      else c * scale
-    in
+  let of_program ?edges ?paths (p : Ir.program) =
     let t = create () in
     List.iter
       (fun (r : Ir.routine) ->
@@ -234,7 +225,7 @@ module Raw = struct
               let view = Cfg_view.of_routine r in
               Graph.iter_edges (Cfg_view.graph view) (fun e ->
                   let c = Edge_profile.freq ep e in
-                  if c > 0 then Int_tbl.replace per e (scaled c))
+                  if c > 0 then Int_tbl.replace per e c)
             end);
         match paths with
         | None -> ()
@@ -243,7 +234,7 @@ module Raw = struct
             if Path_profile.num_distinct qp > 0 then begin
               let per = P.table t.paths r.Ir.name in
               Path_profile.iter qp (fun path n ->
-                  if n > 0 then Path.Tbl.replace per path (scaled n))
+                  if n > 0 then Path.Tbl.replace per path n)
             end)
       p.routines;
     t

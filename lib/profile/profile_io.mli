@@ -123,17 +123,14 @@ module Raw : sig
       affected count mass in {!lost}. *)
 
   val of_program :
-    ?scale:int ->
     ?edges:Edge_profile.program ->
     ?paths:Path_profile.program ->
     Ppp_ir.Ir.program ->
     t
   (** The raw form of a freshly collected profile ([lost = 0], no
       diagnostics); [save] of the program and {!save} of this raw value
-      write identical bytes. [scale] (default 1) multiplies every count
-      by the inverse sampling rate, saturating at [max_int], so a
-      sampled collection dumps full-run {e estimates} and merges
-      uniformly with unsampled dumps. *)
+      write identical bytes. A sampled collection's paths arrive already
+      scaled to full-run estimates ([Instrument.decoded_profile ~denom]). *)
 
   val merge : t list -> t
   (** Inputs are not mutated. [merge [] = empty ()]. *)

@@ -10,28 +10,29 @@ module Fingerprint = Ppp_resilience.Fingerprint
 module Interp = Ppp_interp.Interp
 module Obs = Ppp_obs.Metrics
 
-let m_view_hit = Obs.counter "session.view.hit"
-let m_view_miss = Obs.counter "session.view.miss"
-let m_dom_hit = Obs.counter "session.dom.hit"
-let m_dom_miss = Obs.counter "session.dom.miss"
-let m_loops_hit = Obs.counter "session.loops.hit"
-let m_loops_miss = Obs.counter "session.loops.miss"
-let m_ctx_hit = Obs.counter "session.ctx.hit"
-let m_ctx_miss = Obs.counter "session.ctx.miss"
-let m_flow_hit = Obs.counter "session.flow.hit"
-let m_flow_miss = Obs.counter "session.flow.miss"
+(* The hit and miss counters of one artifact kind. *)
+let hit_miss kind =
+  ( Obs.counter ("session." ^ kind ^ ".hit"),
+    Obs.counter ("session." ^ kind ^ ".miss") )
+
+let m_view = hit_miss "view"
+let m_dom = hit_miss "dom"
+let m_loops = hit_miss "loops"
+let m_ctx = hit_miss "ctx"
+let m_flow = hit_miss "flow"
 let m_run_hit = Obs.counter "session.run.hit"
 let m_run_miss = Obs.counter "session.run.miss"
 let m_invalidate = Obs.counter "session.invalidate"
-let m_evict = Obs.counter "session.evict"
 
-(* How many fingerprint generations a routine slot retains. Small: an
-   iterate loop flips between adjacent generations; anything deeper is
-   dead weight across a long session. *)
-let retention = 8
-
+(* One entry per routine name, for the version of the routine last
+   synced or looked up: a lookup under any other version replaces it, so
+   no entry outlives its version or pins an older generation's profile.
+   Carrying work across versions is the salvage rule's job. *)
 type entry = {
   e_fp : int;
+  mutable e_routine : Ir.routine;
+      (* the last physical routine matched, so a repeated lookup on the
+         same object skips hashing *)
   mutable e_view : Cfg_view.t option;
   mutable e_dom : Dom.t option;
   mutable e_loops : Loop.t option;
@@ -47,7 +48,6 @@ type counts = {
   mutable c_hits : int;
   mutable c_misses : int;
   mutable c_invalidations : int;
-  mutable c_evictions : int;
   mutable c_run_hits : int;
   mutable c_run_misses : int;
 }
@@ -74,14 +74,11 @@ type run_memo = {
 type t = {
   s_name : string;
   s_enabled : bool;
-  slots : (string, entry list) Hashtbl.t;
+  entries : (string, entry) Hashtbl.t;
   mutable last_table : (string * int) list;
   mutable synced : Ir.program option;
       (* the program [last_table] was computed for, by physical identity *)
   mutable last_run : run_memo option;
-  (* Last physical routine seen per name, with its fingerprint, so
-     repeated artifact lookups on the same object skip re-hashing. *)
-  fp_memo : (string, Ir.routine * int) Hashtbl.t;
   lower : Lower.cache option;
   counts : counts;
 }
@@ -90,7 +87,6 @@ type stats = {
   hits : int;
   misses : int;
   invalidations : int;
-  evictions : int;
   run_hits : int;
   run_misses : int;
 }
@@ -99,163 +95,108 @@ let name t = t.s_name
 let enabled t = t.s_enabled
 let lower_cache t = t.lower
 
-let hit t m =
-  t.counts.c_hits <- t.counts.c_hits + 1;
-  Obs.incr m
+let fresh (r : Ir.routine) fp =
+  {
+    e_fp = fp;
+    e_routine = r;
+    e_view = None;
+    e_dom = None;
+    e_loops = None;
+    e_ctx = None;
+    e_def = None;
+  }
 
-let miss t m =
-  t.counts.c_misses <- t.counts.c_misses + 1;
-  Obs.incr m
-
-(* Truncate a routine's entries to [retention], counting what falls off. *)
-let cap t xs =
-  let rec go n = function
-    | [] -> []
-    | rest when n = 0 ->
-        List.iter
-          (fun _ ->
-            t.counts.c_evictions <- t.counts.c_evictions + 1;
-            Obs.incr m_evict)
-          rest;
-        []
-    | x :: rest -> x :: go (n - 1) rest
-  in
-  go retention xs
-
-let fingerprint t (r : Ir.routine) =
-  match Hashtbl.find_opt t.fp_memo r.Ir.name with
-  | Some (r', fp) when r' == r -> fp
+(* The entry of [r], whose fingerprint is [fp]: an entry for another
+   version of [r] is replaced by a fresh one. *)
+let entry_fp t (r : Ir.routine) fp =
+  match Hashtbl.find_opt t.entries r.Ir.name with
+  | Some e when e.e_fp = fp ->
+      e.e_routine <- r;
+      e
   | _ ->
-      let fp = Fingerprint.routine r in
-      Hashtbl.replace t.fp_memo r.Ir.name (r, fp);
-      fp
-
-let entry t (r : Ir.routine) =
-  let fp = fingerprint t r in
-  let es = Option.value ~default:[] (Hashtbl.find_opt t.slots r.Ir.name) in
-  match List.find_opt (fun e -> e.e_fp = fp) es with
-  | Some e -> e
-  | None ->
-      let e =
-        {
-          e_fp = fp;
-          e_view = None;
-          e_dom = None;
-          e_loops = None;
-          e_ctx = None;
-          e_def = None;
-        }
-      in
-      Hashtbl.replace t.slots r.Ir.name (cap t (e :: es));
+      let e = fresh r fp in
+      Hashtbl.replace t.entries r.Ir.name e;
       e
 
-let view t r =
+(* [r]'s entry, matched by physical identity first, then by
+   fingerprint. *)
+let entry t (r : Ir.routine) =
+  match Hashtbl.find_opt t.entries r.Ir.name with
+  | Some e when e.e_routine == r -> e
+  | _ -> entry_fp t r (Fingerprint.routine r)
+
+(* The one lookup rule of every artifact: [get] reads [r]'s entry,
+   [set] fills it with what [build] made. A disabled session builds
+   every time and counts a miss. *)
+let lookup t (m_hit, m_miss) r ~get ~set build =
+  let miss () =
+    t.counts.c_misses <- t.counts.c_misses + 1;
+    Obs.incr m_miss
+  in
   if not t.s_enabled then begin
-    miss t m_view_miss;
-    Cfg_view.of_routine r
+    miss ();
+    build ()
   end
   else
     let e = entry t r in
-    match e.e_view with
+    match get e with
     | Some v ->
-        hit t m_view_hit;
+        t.counts.c_hits <- t.counts.c_hits + 1;
+        Obs.incr m_hit;
         v
     | None ->
-        miss t m_view_miss;
-        let v = Cfg_view.of_routine r in
-        e.e_view <- Some v;
+        miss ();
+        let v = build () in
+        set e v;
         v
+
+let view t r =
+  lookup t m_view r
+    ~get:(fun e -> e.e_view)
+    ~set:(fun e v -> e.e_view <- Some v)
+    (fun () -> Cfg_view.of_routine r)
 
 let dom t r =
-  let build () =
-    let v = view t r in
-    Dom.compute (Cfg_view.graph v) ~root:(Cfg_view.entry v)
-  in
-  if not t.s_enabled then begin
-    miss t m_dom_miss;
-    build ()
-  end
-  else
-    let e = entry t r in
-    match e.e_dom with
-    | Some d ->
-        hit t m_dom_hit;
-        d
-    | None ->
-        miss t m_dom_miss;
-        let d = build () in
-        e.e_dom <- Some d;
-        d
+  lookup t m_dom r
+    ~get:(fun e -> e.e_dom)
+    ~set:(fun e d -> e.e_dom <- Some d)
+    (fun () ->
+      let v = view t r in
+      Dom.compute (Cfg_view.graph v) ~root:(Cfg_view.entry v))
 
 let loops t r =
-  let build () =
-    let v = view t r in
-    let d = dom t r in
-    Loop.compute ~dom:d (Cfg_view.graph v) ~root:(Cfg_view.entry v)
-  in
-  if not t.s_enabled then begin
-    miss t m_loops_miss;
-    build ()
-  end
-  else
-    let e = entry t r in
-    match e.e_loops with
-    | Some l ->
-        hit t m_loops_hit;
-        l
-    | None ->
-        miss t m_loops_miss;
-        let l = build () in
-        e.e_loops <- Some l;
-        l
+  lookup t m_loops r
+    ~get:(fun e -> e.e_loops)
+    ~set:(fun e l -> e.e_loops <- Some l)
+    (fun () ->
+      let v = view t r in
+      let d = dom t r in
+      Loop.compute ~dom:d (Cfg_view.graph v) ~root:(Cfg_view.entry v))
 
 let ctx t ~ep (r : Ir.routine) =
-  let build () =
-    let v = view t r in
-    let l = loops t r in
-    Routine_ctx.make ~loops:l v (Edge_profile.routine ep r.Ir.name)
-  in
-  if not t.s_enabled then begin
-    miss t m_ctx_miss;
-    build ()
-  end
-  else
-    let e = entry t r in
-    match e.e_ctx with
-    | Some (ep', c) when ep' == ep ->
-        hit t m_ctx_hit;
-        c
-    | _ ->
-        miss t m_ctx_miss;
-        let c = build () in
-        e.e_ctx <- Some (ep, c);
-        c
+  lookup t m_ctx r
+    ~get:(fun e ->
+      match e.e_ctx with Some (ep', c) when ep' == ep -> Some c | _ -> None)
+    ~set:(fun e c -> e.e_ctx <- Some (ep, c))
+    (fun () ->
+      let v = view t r in
+      let l = loops t r in
+      Routine_ctx.make ~loops:l v (Edge_profile.routine ep r.Ir.name))
 
 let definite t c =
-  let build () = Flow_dp.compute c Flow_dp.Definite in
-  if not t.s_enabled then begin
-    miss t m_flow_miss;
-    build ()
-  end
-  else
-    let r = Cfg_view.routine (Routine_ctx.view c) in
-    let e = entry t r in
-    match e.e_def with
-    | Some (c', dp) when c' == c ->
-        hit t m_flow_hit;
-        dp
-    | _ ->
-        miss t m_flow_miss;
-        let dp = build () in
-        e.e_def <- Some (c, dp);
-        dp
+  lookup t m_flow
+    (Cfg_view.routine (Routine_ctx.view c))
+    ~get:(fun e ->
+      match e.e_def with Some (c', dp) when c' == c -> Some dp | _ -> None)
+    ~set:(fun e dp -> e.e_def <- Some (c, dp))
+    (fun () -> Flow_dp.compute c Flow_dp.Definite)
 
 let sync t (p : Ir.program) =
   let table =
     List.map
       (fun (r : Ir.routine) ->
         let fp = Fingerprint.routine r in
-        Hashtbl.replace t.fp_memo r.Ir.name (r, fp);
+        ignore (entry_fp t r fp);
         (r.Ir.name, fp))
       p.Ir.routines
   in
@@ -264,10 +205,7 @@ let sync t (p : Ir.program) =
   t.synced <- Some p;
   List.iter
     (fun (nm, _) ->
-      if not (List.mem_assoc nm table) then begin
-        Hashtbl.remove t.slots nm;
-        Hashtbl.remove t.fp_memo nm
-      end)
+      if not (List.mem_assoc nm table) then Hashtbl.remove t.entries nm)
     old;
   let dirty =
     List.filter_map
@@ -352,42 +290,21 @@ let run t (p : Ir.program) =
         key;
       o
 
-let forget_run t = t.last_run <- None
-
-let warm t (p : Ir.program) =
-  ignore (sync t p);
-  if t.s_enabled then begin
-    List.iter (fun (r : Ir.routine) -> ignore (loops t r)) p.Ir.routines;
-    match t.lower with
-    | Some cache ->
-        (* Fill the structural-plan cache too; lowering without running
-           is cheap and the plans are instrumentation-independent. *)
-        ignore
-          (Lower.program ~cache ~config:Ppp_interp.Engine.default_config
-             ~instr_tables:
-               (Ppp_interp.Instr_rt.init_state
-                  (Ppp_interp.Instr_rt.no_instrumentation ()))
-             p)
-    | None -> ()
-  end
-
 let create ?(enabled = true) ~name () =
   let t =
     {
       s_name = name;
       s_enabled = enabled;
-      slots = Hashtbl.create 64;
+      entries = Hashtbl.create 64;
       last_table = [];
       synced = None;
       last_run = None;
-      fp_memo = Hashtbl.create 64;
       lower = (if enabled then Some (Lower.create_cache ()) else None);
       counts =
         {
           c_hits = 0;
           c_misses = 0;
           c_invalidations = 0;
-          c_evictions = 0;
           c_run_hits = 0;
           c_run_misses = 0;
         };
@@ -403,17 +320,16 @@ let stats t =
     hits = t.counts.c_hits;
     misses = t.counts.c_misses;
     invalidations = t.counts.c_invalidations;
-    evictions = t.counts.c_evictions;
     run_hits = t.counts.c_run_hits;
     run_misses = t.counts.c_run_misses;
   }
 
 let pp_counts ~name ~enabled ppf s =
   Format.fprintf ppf
-    "session %s (cache %s): %d hits, %d misses, %d invalidations, %d \
-     evictions, %d run hits"
+    "session %s (cache %s): %d hits, %d misses, %d invalidations, %d run \
+     hits"
     name
     (if enabled then "on" else "off")
-    s.hits s.misses s.invalidations s.evictions s.run_hits
+    s.hits s.misses s.invalidations s.run_hits
 
 let pp_stats ppf t = pp_counts ~name:t.s_name ~enabled:t.s_enabled ppf (stats t)

@@ -5,10 +5,12 @@
     Artifacts are keyed by the routine's structural fingerprint
     ({!Ppp_resilience.Fingerprint.routine}), so the store is
     content-addressed rather than name-addressed: an edited routine
-    misses naturally (its fingerprint changed), an untouched routine hits
-    even across program generations, and a generation that undoes an edit
-    finds the artifacts of the earlier generation still in its slot (each
-    routine retains a small ring of recent fingerprints).
+    misses naturally (its fingerprint changed), and an untouched routine
+    hits even across program generations. Each routine name holds one
+    entry, for the version of the routine last synced or looked up; an
+    entry matches a routine by physical identity first, then by
+    fingerprint, and a lookup under any other version replaces it. So a
+    generation that undoes an edit recomputes its artifacts.
 
     The dependency graph between artifact kinds is explicit in the
     accessors — each one pulls its inputs through the store, so a miss on
@@ -30,8 +32,7 @@
     profile object, so identity is exactly the sharing that is safe to
     exploit. Each routine entry keeps them for the latest profile only:
     every reader asks under the profile in hand, and an older profile's
-    artifacts would only keep that profile alive in a long-lived session
-    (a daemon worker's, across requests).
+    artifacts would only keep that profile alive.
 
     The session caches analyses, never decisions. Which paths a routine
     instruments, and how its blocks are laid out, are chosen from the
@@ -43,28 +44,27 @@
     ({!Ppp_profile.Profile_io.of_raw}), never the cache's.
 
     Invalidation is dirty-tracking by fingerprint diff: {!sync} compares
-    the program's fingerprint table against the previous generation's and
-    names the routines whose artifacts are out of date. Nothing is
-    recomputed eagerly — a dirty routine simply opens a fresh slot entry
-    on its next access.
+    the program's fingerprint table against the previous generation's,
+    names the routines whose artifacts are out of date, and gives each
+    of them a fresh entry. Nothing is recomputed eagerly — a dirty
+    routine's artifacts are built on their next access.
 
     A program run is an artifact too. The session keeps the outcome of
     its last default-config run ({!run}), which the pipeline's phases
     repeat whenever an optimizer pass changed nothing.
 
     Every lookup feeds the [session.*] metrics of {!Ppp_obs.Metrics}
-    ([session.KIND.hit] / [session.KIND.miss], [session.invalidate],
-    [session.evict], and [session.lower.*] from {!Ppp_interp.Lower}), and
-    mirrors them into per-session {!stats} that work even with metrics
-    disabled. A {e disabled} session ([enabled:false]) memoizes nothing
-    but still counts every lookup as a miss, so the work ratio of a warm
-    session over a cold one can be read directly off the counters.
+    ([session.KIND.hit] / [session.KIND.miss], [session.invalidate], and
+    [session.lower.*] from {!Ppp_interp.Lower}), and mirrors them into
+    per-session {!stats} that work even with metrics disabled. A
+    {e disabled} session ([enabled:false]) memoizes nothing but still
+    counts every lookup as a miss, so the work ratio of a warm session
+    over a cold one can be read directly off the counters.
 
-    Sessions are single-process and not thread-safe; forked shard workers
-    inherit a warm parent session by copy-on-write, which is safe because
-    workers never write back. Nothing in a session outlives its process:
-    a daemon worker keeps its sessions resident between requests, and no
-    artifact is ever written to disk. *)
+    Sessions are single-process and not thread-safe. A session lives
+    as long as the request or CLI invocation that creates it: a [pppd]
+    worker creates one per [Opt] request, as [pppc opt] does per
+    invocation, and no artifact is ever written to disk. *)
 
 type t
 
@@ -79,10 +79,11 @@ val enabled : t -> bool
 val sync : t -> Ppp_ir.Ir.program -> string list
 (** Fingerprint every routine of the program, diff against the table of
     the previous [sync], and return the dirty routine names (changed or
-    new), in program order. Slots of routines that no longer exist are
-    dropped. Call it whenever the pipeline moves to a new program
-    generation (original, inlined, unrolled, re-optimized); syncing an
-    unchanged program returns [[]] and invalidates nothing. *)
+    new), in program order. Each dirty routine gets a fresh entry, and
+    the entries of routines that no longer exist are dropped. Call it
+    whenever the pipeline moves to a new program generation (original,
+    inlined, unrolled, re-optimized); syncing an unchanged program
+    returns [[]] and invalidates nothing. *)
 
 (** {2 Analysis artifacts} *)
 
@@ -125,11 +126,6 @@ val run : t -> Ppp_ir.Ir.program -> Ppp_interp.Interp.outcome
     @raise Ppp_interp.Interp.Runtime_error as [Interp.run] does; a
     failed run is not stored. *)
 
-val forget_run : t -> unit
-(** Empty the run slot. A session that outlives the results holding its
-    last outcome (a daemon's resident session, between requests) calls
-    this, so that it keeps no outcome alive by itself. *)
-
 (** {2 Lowering} *)
 
 val lower_cache : t -> Ppp_interp.Lower.cache option
@@ -137,19 +133,12 @@ val lower_cache : t -> Ppp_interp.Lower.cache option
     wired to pull CFG views and loop nests from this store; [None] for a
     disabled session. Pass it to every [Interp.run] of the pipeline. *)
 
-(** {2 Warming and reporting} *)
-
-val warm : t -> Ppp_ir.Ir.program -> unit
-(** {!sync} then force view, dominators, loops and the structural
-    lowering of every routine — e.g. in a shard parent before forking, so
-    workers inherit the analyses copy-on-write. A no-op beyond the sync
-    for a disabled session. *)
+(** {2 Reporting} *)
 
 type stats = {
   hits : int;
   misses : int;
   invalidations : int;
-  evictions : int;
   run_hits : int;  (** {!run} calls served from the slot *)
   run_misses : int;  (** {!run} calls that ran the program *)
 }
@@ -163,5 +152,5 @@ val pp_stats : Format.formatter -> t -> unit
 
 val pp_counts :
   name:string -> enabled:bool -> Format.formatter -> stats -> unit
-(** {!pp_stats}'s line for counts taken elsewhere: those of one request
-    against a resident session, say. *)
+(** {!pp_stats}'s line for counts taken elsewhere: those a decoded
+    daemon reply carries, say. *)

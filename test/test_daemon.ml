@@ -645,8 +645,8 @@ let stand_in_plans = "\x84\x95\xa6\xbe a plan bundle an older server stored\n"
    [opt] entries by the request with the injected plan bundle, as hex
    and then as an MD5 suffix; they open cleanly but are never served:
    each request misses once, is recomputed, and hits from then on. Its
-   [plans] entry is never read. No new [opt] key holds a bundle or its
-   digest. *)
+   [plans] entry, a kind the daemon does not serve, moves to quarantine
+   at start. No new [opt] key holds a bundle or its digest. *)
 let test_server_reads_older_store () =
   let name = "bzip2@older-store" in
   let program = Ppp_ir.Pp_ir.to_string (bench_program "bzip2") in
@@ -674,6 +674,7 @@ let test_server_reads_older_store () =
   let objects = Filename.concat store "objects" in
   Unix.mkdir store 0o755;
   Unix.mkdir objects 0o755;
+  let plans_file, _, _ = hand_written ~kind:"plans" ~key:name plans in
   List.iter
     (fun (kind, key, payload) ->
       let file, obj, _ = hand_written ~kind ~key payload in
@@ -731,10 +732,11 @@ let test_server_reads_older_store () =
       Alcotest.(check string) "same body" b1 b2
   | Some _ -> Alcotest.fail "a request failed"
   | None -> Alcotest.fail "daemon never became ready");
-  Alcotest.(check bool) "the plans entry stays on disk" true
-    (List.exists
-       (fun path -> String.starts_with ~prefix:"plans-" (Filename.basename path))
-       (obj_files store));
+  let quarantine = Filename.concat store "quarantine" in
+  Alcotest.(check (pair bool bool)) "the plans entry moved to quarantine"
+    (false, true)
+    ( Sys.file_exists (Filename.concat objects plans_file),
+      Sys.file_exists (Filename.concat quarantine plans_file) );
   let sent = Ops.encode_request { Ops.id = 0; deadline_ms = 0; req = req None } in
   List.iter
     (fun path ->
@@ -919,10 +921,9 @@ let test_server_keys_merge_by_digest () =
   | Some _ -> Alcotest.fail "a merge failed"
   | None -> Alcotest.fail "daemon never became ready"
 
-(* A worker keeps at most [Ops.max_sessions] sessions: 100 never-seen
-   names leave 32 resident, evict the rest in LRU order, and the live
-   heap stops growing once the table is full. *)
-let test_ops_sessions_bounded () =
+(* A worker keeps nothing between requests: 99 more requests under
+   never-seen names leave the live heap where the first one left it. *)
+let test_ops_worker_keeps_nothing () =
   let program =
     "main main\n\nroutine main(0) regs 3 {\nentry:\n  r0 = 0\n  r1 = 0\n\
      \  jump head\nhead:\n  r2 = r1 < 40\n  br r2, body, done\nbody:\n\
@@ -932,7 +933,7 @@ let test_ops_sessions_bounded () =
     match
       Ops.handle ~chaos:false
         (Ops.Opt
-           { name = Printf.sprintf "bounded@%d" k; program; profile = None;
+           { name = Printf.sprintf "fresh@%d" k; program; profile = None;
              iterate = 3; plans = None })
     with
     | Ops.Okay _ -> ()
@@ -943,26 +944,19 @@ let test_ops_sessions_bounded () =
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words
   in
-  let resident0, evicted0 = Ops.session_counts () in
-  let base = live_words () in
-  for k = 0 to Ops.max_sessions - 1 do send k done;
-  let full = live_words () in
-  for k = Ops.max_sessions to 99 do send k done;
+  send 0;
+  let first = live_words () in
+  for k = 1 to 99 do send k done;
   let after = live_words () in
-  let resident, evicted = Ops.session_counts () in
-  Alcotest.(check int) "32 sessions resident" 32 resident;
-  Alcotest.(check int) "evictions: 68 from a fresh worker"
-    (evicted0 + resident0 + 68) evicted;
-  (* Filling the table costs [full - base] for up to 32 new sessions;
-     68 more names must not cost a quarter of that again. *)
   Alcotest.(check bool)
-    (Printf.sprintf "live heap bounded (%d words -> %d -> %d)" base full after)
+    (Printf.sprintf
+       "live heap after 100 names (%d words) within 16,384 of after one (%d)"
+       after first)
     true
-    (after - full <= (max 0 (full - base) / 4) + 16_384)
+    (after - first <= 16_384)
 
-(* A rejected [Opt] takes no resident session, so it evicts none: a
-   profile with [iterate > 1], and a dump no routine can be salvaged
-   from, are both refused before a session is looked up. *)
+(* A profile with [iterate > 1], and a dump no routine can be salvaged
+   from, are both refused as bad requests. *)
 let test_ops_rejected_opt_takes_no_session () =
   let p = (Ppp_workloads.Spec.find "mcf").Ppp_workloads.Spec.build ~scale:1 in
   let good =
@@ -971,7 +965,6 @@ let test_ops_rejected_opt_takes_no_session () =
     | Ops.Failed _ -> Alcotest.fail "collect failed"
   in
   let header = String.sub good 0 (String.index good '\n' + 1) in
-  let before = Ops.session_counts () in
   List.iteri
     (fun k (profile, iterate) ->
       match
@@ -983,9 +976,7 @@ let test_ops_rejected_opt_takes_no_session () =
       with
       | Ops.Failed { code = "bad-request"; _ } -> ()
       | _ -> Alcotest.failf "request %d was not rejected" k)
-    [ (good, 3); (header ^ "\xff\xfegarbage line\n", 1) ];
-  Alcotest.(check (pair int int)) "resident sessions and evictions" before
-    (Ops.session_counts ())
+    [ (good, 3); (header ^ "\xff\xfegarbage line\n", 1) ]
 
 (* A reply served from the store prints what its first answer printed,
    plus the served line: the store keeps a merge's and a collect's whole
@@ -1088,11 +1079,29 @@ let test_ops_decoded_reply_renders_alike () =
           Test_interp.contains ~sub:"merged " text )
   | Ops.Failed _ -> Alcotest.fail "merge failed"
 
-(* A daemon's [Opt] reply is the reply [pppc] builds in process: under a
-   name no request used before, [Ops.handle] encodes the bytes [Ops.opt]
-   gives with a fresh session, and the [plans] member a request carries
-   changes nothing. *)
+(* A daemon's [Opt] reply is the reply [pppc] builds in process:
+   [Ops.handle] encodes the bytes [Ops.opt] gives with a fresh session,
+   whatever the worker served before under the same name (bzip2 at scale
+   3 after scale 2), and the [plans] member a request carries changes
+   nothing. *)
 let test_ops_daemon_opt_is_in_process () =
+  let name = "bzip2@in-process/edited" in
+  List.iter
+    (fun scale ->
+      let program =
+        Ppp_ir.Pp_ir.to_string
+          ((Ppp_workloads.Spec.find "bzip2").Ppp_workloads.Spec.build ~scale)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "bzip2 at scale %d under one name" scale)
+        (Ops.encode_reply
+           (Ops.opt ~session:(Session.create ~name ()) ~iterate:3 ~name
+              (Ppp_ir.Parse.program_of_string program)))
+        (Ops.encode_reply
+           (Ops.handle ~chaos:false
+              (Ops.Opt
+                 { name; program; profile = None; iterate = 3; plans = None }))))
+    [ 2; 3 ];
   List.iter
     (fun (bench, iterate) ->
       let program = Ppp_ir.Pp_ir.to_string (bench_program bench) in
@@ -1190,8 +1199,8 @@ let suite =
       test_ops_mark_served;
     Alcotest.test_case "server: opt --profile is keyed by the dump's digest"
       `Quick test_server_keys_profile_by_digest;
-    Alcotest.test_case "ops: at most 32 resident sessions" `Quick
-      test_ops_sessions_bounded;
+    Alcotest.test_case "ops: a worker keeps nothing between requests" `Quick
+      test_ops_worker_keeps_nothing;
     Alcotest.test_case "ops: a rejected opt takes no resident session" `Quick
       test_ops_rejected_opt_takes_no_session;
     Alcotest.test_case "ops: a decoded reply renders like the in-memory one"

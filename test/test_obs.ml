@@ -568,7 +568,7 @@ let test_trace_spans_superblocks () =
   let gens =
     Fun.protect ~finally:Trace.stop (fun () ->
         H.reoptimize
-          ~flags:{ H.default_flags with H.superblocks = true; layout = true }
+          ~flags:{ H.superblocks = true; layout = true }
           ~iterations:2 ~name:"obs-sb" p)
   in
   Alcotest.(check bool) "generation 2 straightened a trace" true

@@ -1,13 +1,12 @@
 (* The session layer: warm/cold differentials (results must be
    byte-identical, only the work differs), the incremental
-   re-optimization loop, lowering-duplication regression, retention
-   across generations, and composition with sharded collection. *)
+   re-optimization loop, lowering-duplication regression, and one
+   version per routine across generations. *)
 
 module Ir = Ppp_ir.Ir
 module Interp = Ppp_interp.Interp
 module Config = Ppp_core.Config
 module H = Ppp_harness.Pipeline
-module Shard = Ppp_harness.Shard
 module Session = Ppp_session.Session
 module Metrics = Ppp_obs.Metrics
 module Profile_io = Ppp_profile.Profile_io
@@ -323,23 +322,42 @@ let test_run_memo_needs_sync () =
   Alcotest.(check (pair int int)) "run hits and misses" (2, 2)
     (st.Session.run_hits, st.Session.run_misses)
 
-(* {2 Retention across generations} *)
+(* {2 One version per routine} *)
 
-let test_retention_flip_flop () =
-  let b = bench "bzip2" in
-  let p = b.Spec.build ~scale:1 in
+(* A routine entry holds the version last synced or looked up. After a
+   preparation, syncing the original program again leaves the view of
+   every routine the optimizers left untouched, and recomputes the view
+   of every routine they changed. *)
+let test_flip_flop_recomputes_changed () =
+  let p = (bench "bzip2").Spec.build ~scale:1 in
   let s = Session.create ~name:"bzip2" () in
   let prep = H.prepare ~session:s ~name:"bzip2" p in
-  (* The session last synced on the optimized program; flipping back to
-     the original must hit the artifacts computed three generations ago
-     — entries are keyed by fingerprint, not evicted by sync. *)
+  let fp = Ppp_resilience.Fingerprint.routine in
+  let changed (r : Ir.routine) =
+    match
+      List.find_opt
+        (fun (q : Ir.routine) -> q.Ir.name = r.Ir.name)
+        prep.H.optimized.Ir.routines
+    with
+    | Some q -> fp q <> fp r
+    | None -> true
+  in
+  Alcotest.(check bool) "the optimizers changed some routines, not all" true
+    (List.exists changed p.Ir.routines
+    && not (List.for_all changed p.Ir.routines));
   ignore (Session.sync s p);
-  let h0 = (Session.stats s).Session.hits in
-  List.iter (fun r -> ignore (Session.view s r)) p.Ir.routines;
-  let h1 = (Session.stats s).Session.hits in
-  Alcotest.(check int) "original generation's views still cached"
-    (List.length p.Ir.routines) (h1 - h0);
-  ignore prep
+  List.iter
+    (fun (r : Ir.routine) ->
+      let before = Session.stats s in
+      ignore (Session.view s r);
+      let after = Session.stats s in
+      Alcotest.(check (pair int int))
+        (r.Ir.name
+        ^ if changed r then ": changed, misses" else ": untouched, hits")
+        (if changed r then (0, 1) else (1, 0))
+        ( after.Session.hits - before.Session.hits,
+          after.Session.misses - before.Session.misses ))
+    p.Ir.routines
 
 let test_sync_idempotent () =
   let p = (bench "mcf").Spec.build ~scale:1 in
@@ -403,19 +421,6 @@ let test_ctx_latest_profile_only () =
   Alcotest.(check int) "generation 1's profile misses" (List.length unchanged)
     (misses (ep g1))
 
-(* {2 Composition with sharded collection} *)
-
-let test_shard_warm_identical () =
-  let benches = [ bench "vpr"; bench "mcf"; bench "art" ] in
-  let cold = Shard.collect_workloads ~jobs:2 benches in
-  let warm = Shard.collect_workloads ~jobs:2 ~warm:true benches in
-  Alcotest.(check (list string)) "no workers lost" []
-    (List.map (Format.asprintf "%a" Ppp_resilience.Diagnostic.pp)
-       (cold.Shard.lost @ warm.Shard.lost));
-  Alcotest.(check string) "warm parent sessions leave the merged dump intact"
-    (Profile_io.Raw.to_string cold.Shard.raw)
-    (Profile_io.Raw.to_string warm.Shard.raw)
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_warm_cold_identical;
@@ -430,13 +435,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_iterate_equals_manual;
     Alcotest.test_case "iterate 3 is incremental on all workloads" `Slow
       test_iterate_all_workloads;
-    Alcotest.test_case "artifacts survive generation flip-flop" `Quick
-      test_retention_flip_flop;
+    Alcotest.test_case "a flip-flop recomputes changed routines" `Quick
+      test_flip_flop_recomputes_changed;
     Alcotest.test_case "sync is idempotent" `Quick test_sync_idempotent;
     Alcotest.test_case "disabled sessions count misses" `Quick
       test_disabled_session_counts_misses;
-    Alcotest.test_case "warm shard parents keep collection identical" `Quick
-      test_shard_warm_identical;
     Alcotest.test_case "run memo: same generations as a disabled session"
       `Slow test_run_memo_transparent;
     Alcotest.test_case "run memo: only a just-synced program hits" `Quick

@@ -98,7 +98,7 @@ let test_staged_loop () =
 
 (* {2 The closed pipeline loop} *)
 
-let sb_flags = { H.default_flags with H.superblocks = true; H.layout = true }
+let sb_flags = { H.superblocks = true; H.layout = true }
 
 let sb_decisions ds =
   List.filter (function Decision.Superblock _ -> true | _ -> false) ds
